@@ -8,12 +8,12 @@
 from fractions import Fraction
 
 from sullivan import (
+    CubicForm,
     PolyRing,
     associated_subspace,
     betti_numbers,
     binary_classify,
     cup_product_cubic_form,
-    form_of_polynomial,
     hesse_form,
     is_elliptic_form,
     pairing_rank,
@@ -29,7 +29,7 @@ RXYZ = PolyRing(("x", "y", "z"))
 # --- binary forms (b2 = 2) -------------------------------------------------
 print("binary cubic forms and their six-manifolds:")
 for text in ("0", "x^3", "x^2*y", "x^3 + y^3", "x^2*y - x*y^2"):
-    form = form_of_polynomial(parse_polynomial(text, RXY))
+    form = CubicForm.from_polynomial(parse_polynomial(text, RXY))
     verdict = "elliptic" if pairing_rank(form) == 2 else "hyperbolic"
     print(f"   {text:15s} class={binary_classify(form):17s} {verdict}")
 print()
@@ -62,7 +62,7 @@ rows = (
     "x^3 + 3*x^2*z - 3*y^2*z",
 )
 for text in rows:
-    form = form_of_polynomial(parse_polynomial(text, RXYZ))
+    form = CubicForm.from_polynomial(parse_polynomial(text, RXYZ))
     sub = associated_subspace(form)
     verdict = is_elliptic_form(form, 3)
     basis = ", ".join(render_polynomial(q) for q in sub.basis)

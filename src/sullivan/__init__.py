@@ -6,7 +6,7 @@ exponent tables, cubic forms of six-manifolds, and the catalog of named
 model families in dimensions four through nine with their classifiers.
 """
 
-from .algebra import AlgebraElement, GeneratorTable, degree_of, monomial_basis, multiply
+from .algebra import AlgebraElement, GeneratorTable, monomial_basis, multiply
 from .cubic import (
     CubicForm,
     QuadricSubspace,
@@ -14,7 +14,6 @@ from .cubic import (
     binary_classify,
     cubic_form_of_quadric_ideal,
     cubic_form_of_ring,
-    form_of_polynomial,
     hesse_form,
     hesse_sigma_candidates,
     is_elliptic_form,
@@ -36,14 +35,11 @@ from .groebner import (
     PolyRing,
     Polynomial,
     buchberger,
-    hilbert_function,
-    is_finite_dimensional,
     is_regular_sequence,
-    krull_dimension,
-    normal_form,
 )
-from .linalg import RationalMatrix, in_span, kernel_basis, rank
+from .linalg import RationalMatrix, in_span
 from .model import (
+    CochainComplex,
     CohomologyReport,
     SullivanModel,
     betti_numbers,

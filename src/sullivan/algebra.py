@@ -279,10 +279,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(table, terms)
 
 
-def degree_of(a: AlgebraElement):
-    return a.degree()
-
-
 def sorted_monomials(table: GeneratorTable, monos) -> list[tuple[int, ...]]:
     """Canonical order: degree, then even part by descending grevlex, then odd part lex."""
     evens = table.even_indices()

@@ -36,6 +36,7 @@ from .model import (
     cup_product_cubic_form,
     h4_pairing_discriminant,
     pairing_matrix,
+    poincare_duality_check,
     pure_is_elliptic,
 )
 from .parsing import parse_polynomial, render_polynomial
@@ -257,25 +258,13 @@ class Classification:
 
 def _generator_rank(m: SullivanModel, degree: int) -> int:
     """Rank of the differential restricted to the generators of one degree."""
-    table = m.table
-    ys = [i for i, d in enumerate(table.degrees) if d == degree]
-    from .algebra import monomial_basis
-
-    target = monomial_basis(table, degree + 1)
-    index = {mono: r for r, mono in enumerate(target)}
-    rows = []
-    for i in ys:
-        row = [Fraction(0)] * len(target)
-        for mono, c in m.images[i].terms.items():
-            row[index[mono]] = c
-        rows.append(row)
-    if not rows:
-        return 0
-    return RationalMatrix.from_rows(rows, len(target)).rank()
-
-
-def _degree3_rank(m: SullivanModel) -> int:
-    return _generator_rank(m, 3)
+    cochains = m.cochains()
+    rows = [
+        cochains.coordinates(degree + 1, m.images[i])
+        for i, d in enumerate(m.table.degrees)
+        if d == degree
+    ]
+    return RationalMatrix.from_rows(rows).rank() if rows else 0
 
 
 def _pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> Fraction:
@@ -294,7 +283,7 @@ def classify_dim7(m: SullivanModel) -> Classification:
     if pair == ExponentPair((2,), (2, 4)):
         return Classification("S3xS4")
     if pair == ExponentPair((1, 1), (2, 2, 2)):
-        rank = _degree3_rank(m)
+        rank = _generator_rank(m, 3)
         if rank < 2:
             return Classification(NOT_ELLIPTIC)
         if rank == 3:
@@ -354,7 +343,7 @@ def classify_dim8_sigma(m: SullivanModel) -> Classification:
     pair = exponents_of_model(m)
     if pair != ExponentPair((1, 1, 2), (2, 2, 4)):
         raise ValueError(f"exponents {pair} do not match the dimension-8 sigma case")
-    if _degree3_rank(m) != 2:
+    if _generator_rank(m, 3) != 2:
         return Classification(NOT_ELLIPTIC)
     sub = _degree_le3_submodel(m)
     det = _pairing_determinant(sub)
@@ -373,7 +362,7 @@ def classify_dim9_product_case(m: SullivanModel) -> Classification:
     pair = exponents_of_model(m)
     if pair != ExponentPair((1, 1), (2, 2, 3)):
         raise ValueError(f"exponents {pair} do not match the dimension-9 product case")
-    if _degree3_rank(m) < 2:
+    if _generator_rank(m, 3) < 2:
         return Classification("six-manifold-times-s3")
     sub = _degree_le3_submodel(m)
     det = _pairing_determinant(sub)
@@ -541,8 +530,6 @@ class CatalogEntry:
 
 
 def _poincare_window(m: SullivanModel) -> bool:
-    from .model import poincare_duality_check
-
     n = m.formal_dimension_claim()
     betti = betti_numbers(m, n + 7)
     if any(betti[n + 1 :]):

@@ -145,10 +145,6 @@ class CubicForm:
         return CubicForm(self.dim, {t: c * value for t, c in self.coeffs.items()})
 
 
-def form_of_polynomial(p: Polynomial) -> CubicForm:
-    return CubicForm.from_polynomial(p)
-
-
 def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
     """Form of P(Mx); exact, requires an invertible matrix."""
     n = form.dim

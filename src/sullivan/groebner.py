@@ -401,22 +401,6 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     return GroebnerBasis(ring, reduced)
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(p)
-
-
-def is_finite_dimensional(gb: GroebnerBasis) -> bool:
-    return gb.is_finite_dimensional()
-
-
-def hilbert_function(gb: GroebnerBasis, max_degree: int) -> tuple[int, ...]:
-    return gb.hilbert_function(max_degree)
-
-
-def krull_dimension(gb: GroebnerBasis) -> int:
-    return gb.krull_dimension()
-
-
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
     """Whether a homogeneous sequence is regular in Q[x1..xn].
 

@@ -135,14 +135,6 @@ class RationalMatrix:
         return tuple(basis)
 
 
-def rank(matrix: RationalMatrix) -> int:
-    return matrix.rank()
-
-
-def kernel_basis(matrix: RationalMatrix) -> tuple[Vector, ...]:
-    return matrix.kernel_basis()
-
-
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
     """Membership of v in the rational span of basis, with coordinates on success."""
     v = _to_fraction_row(v)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .algebra import AlgebraElement, GeneratorTable, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import PolyRing, Polynomial, buchberger
-from .linalg import RationalMatrix, pivot_columns_of_rref, reduce_mod_rows, row_space_rref
+from .linalg import RationalMatrix, Vector, reduce_mod_rows
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class CohomologyReport:
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
 
-    __slots__ = ("table", "images")
+    __slots__ = ("table", "images", "_cochains")
 
     def __init__(self, table: GeneratorTable, differential: dict[str, AlgebraElement]):
         self.table = table
@@ -54,6 +56,7 @@ class SullivanModel:
             if name not in table.names:
                 raise KeyError(f"differential given for unknown generator {name!r}")
         self.images = tuple(images)
+        self._cochains = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -73,8 +76,8 @@ class SullivanModel:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self) -> Violation | None:
-        """First violation of (degree +1, minimality, d^2 = 0), or None."""
+    def _violations(self) -> Iterator[Violation]:
+        """Violations of (degree +1, minimality, d^2 = 0), lazily and in that order."""
         table = self.table
         for i, name in enumerate(table.names):
             image = self.images[i]
@@ -82,22 +85,26 @@ class SullivanModel:
                 continue
             deg = image.degree()
             if deg != table.degrees[i] + 1:
-                return Violation(
-                    "degree",
-                    name,
-                    f"d({name}) has degree {deg}, expected {table.degrees[i] + 1}",
-                )
-            if image.min_word_length() < 2:
-                return Violation(
-                    "minimality", name, f"d({name}) has a word-length-one term"
-                )
+                expected = table.degrees[i] + 1
+                yield Violation("degree", name, f"d({name}) has degree {deg}, expected {expected}")
+            elif image.min_word_length() < 2:
+                yield Violation("minimality", name, f"d({name}) has a word-length-one term")
         for i, name in enumerate(table.names):
             if not self.d(self.images[i]).is_zero():
-                return Violation("d-squared", name, f"d(d({name})) is nonzero")
-        return None
+                yield Violation("d-squared", name, f"d(d({name})) is nonzero")
+
+    def validate(self) -> Violation | None:
+        """First violation of (degree +1, minimality, d^2 = 0), or None."""
+        return next(self._violations(), None)
 
     def is_valid(self) -> bool:
         return self.validate() is None
+
+    def cochains(self) -> "CochainComplex":
+        """The model's cochain complex, built on first use and kept on the model."""
+        if self._cochains is None:
+            self._cochains = CochainComplex(self)
+        return self._cochains
 
     # -- structure ---------------------------------------------------------
 
@@ -175,32 +182,118 @@ def differential_matrix(m: SullivanModel, k: int) -> tuple[RationalMatrix, list,
     source = monomial_basis(m.table, k)
     target = monomial_basis(m.table, k + 1)
     index = {mono: r for r, mono in enumerate(target)}
-    columns = []
-    for mono in source:
-        image = m.d(m.table.element({mono: Fraction(1)}))
-        col = [Fraction(0)] * len(target)
-        for tm, c in image.terms.items():
-            col[index[tm]] = c
-        columns.append(col)
-    rows = [[columns[c][r] for c in range(len(source))] for r in range(len(target))]
+    rows = [[Fraction(0)] * len(source) for _ in target]
+    for c, mono in enumerate(source):
+        for tm, x in m.d(m.table.element({mono: Fraction(1)})).terms.items():
+            rows[index[tm]][c] = x
     return RationalMatrix.from_rows(rows, len(source)), source, target
+
+
+class CochainComplex:
+    """Per degree k: the monomial basis and its index, d_k, its rank and
+    canonical kernel, and the canonical RREF of im d_{k-1}; each built once.
+
+    d_k is kept as sparse columns.  A dense matrix exists only for the one
+    elimination that needs it, so a long-lived complex holds sparse and
+    canonical data only.
+    """
+
+    def __init__(self, m: SullivanModel):
+        # minimality is not needed: a non-minimal model still has cohomology
+        bad = next((v for v in m._violations() if v.kind != "minimality"), None)
+        if bad is not None:
+            raise ValueError(bad.message)
+        self.model = m
+        self._bases: dict[int, tuple] = {}
+        self._indices: dict[int, dict] = {}
+        self._columns: dict[int, tuple[dict[int, Fraction], ...]] = {}
+        self._ranks: dict[int, int] = {}
+        self._kernels: dict[int, tuple[Vector, ...]] = {}
+        self._images: dict[int, tuple[tuple[Vector, ...], tuple[int, ...]]] = {}
+
+    def basis(self, k: int) -> tuple:
+        """Monomials of degree k in canonical order (none below degree 0)."""
+        if k < 0:
+            return ()
+        if k not in self._bases:
+            self._bases[k] = tuple(monomial_basis(self.model.table, k))
+        return self._bases[k]
+
+    def index(self, k: int) -> dict:
+        """Position of each degree-k monomial in basis(k)."""
+        if k not in self._indices:
+            self._indices[k] = {mono: i for i, mono in enumerate(self.basis(k))}
+        return self._indices[k]
+
+    def d(self, k: int) -> tuple[dict[int, Fraction], ...]:
+        """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient."""
+        if k not in self._columns:
+            matrix, source, target = differential_matrix(self.model, k)
+            self._bases.setdefault(k, tuple(source))
+            self._bases.setdefault(k + 1, tuple(target))
+            self._columns[k] = tuple(
+                {r: row[c] for r, row in enumerate(matrix.data) if row[c]} for c in range(matrix.cols)
+            )
+        return self._columns[k]
+
+    def _matrix(self, k: int) -> RationalMatrix:
+        """Dense d_k, for a single elimination."""
+        columns = self.d(k)
+        rows = range(len(self.basis(k + 1)))
+        return RationalMatrix(len(rows), len(columns), [[col.get(r, 0) for col in columns] for r in rows])
+
+    def rank(self, k: int) -> int:
+        if k < 0:
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = self._matrix(k).rank()
+        return self._ranks[k]
+
+    def betti(self, k: int) -> int:
+        return len(self.basis(k)) - self.rank(k) - self.rank(k - 1)
+
+    def kernel(self, k: int) -> tuple[Vector, ...]:
+        """Canonical basis of ker d_k over basis(k), one vector per free column."""
+        if k not in self._kernels:
+            self._kernels[k] = self._matrix(k).kernel_basis()
+        return self._kernels[k]
+
+    def image(self, k: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+        """Canonical RREF of im d_{k-1} over basis(k), and its pivot columns."""
+        if k not in self._images:
+            size = len(self.basis(k))
+            rows = [[col.get(r, 0) for r in range(size)] for col in self.d(k - 1)] if k > 0 else []
+            self._images[k] = RationalMatrix.from_rows(rows, size).rref() if rows else ((), ())
+        return self._images[k]
+
+    def coordinates(self, k: int, element: AlgebraElement) -> list[Fraction]:
+        """Coordinates of a degree-k element over basis(k)."""
+        index = self.index(k)
+        vec = [Fraction(0)] * len(index)
+        for mono, c in element.terms.items():
+            vec[index[mono]] = c
+        return vec
+
+    def reduce(self, k: int, element: AlgebraElement) -> Vector:
+        """Coordinates of a degree-k element reduced modulo im d_{k-1}."""
+        return reduce_mod_rows(self.coordinates(k, element), *self.image(k))
+
+    def class_generator(self, k: int) -> Vector:
+        """Reduced representative of a nonzero class in H^k, first nonzero coordinate +1."""
+        rref, pivots = self.image(k)
+        for vec in self.kernel(k):
+            reduced = reduce_mod_rows(vec, rref, pivots)
+            if any(reduced):
+                lead = next(i for i, c in enumerate(reduced) if c)
+                return tuple(c / reduced[lead] for c in reduced)
+        raise ArithmeticError(f"H^{k} is zero")
 
 
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
     """(b_0, ..., b_max) by degreewise kernel/rank bookkeeping."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    ranks = []
-    sizes = []
-    for k in range(max_degree + 1):
-        matrix, source, _ = differential_matrix(m, k)
-        sizes.append(len(source))
-        ranks.append(matrix.rank())
-    betti = []
-    for k in range(max_degree + 1):
-        prev_rank = ranks[k - 1] if k else 0
-        betti.append(sizes[k] - ranks[k] - prev_rank)
-    return tuple(betti)
+    return tuple(m.cochains().betti(k) for k in range(max_degree + 1))
 
 
 def cohomology_betti(m: SullivanModel, max_degree: int) -> CohomologyReport:
@@ -217,42 +310,6 @@ def cohomology_betti(m: SullivanModel, max_degree: int) -> CohomologyReport:
     )
 
 
-class _DegreeClasses:
-    """Coordinates on H^k: reduction of degree-k cocycle vectors modulo im(d_{k-1})."""
-
-    def __init__(self, m: SullivanModel, k: int):
-        self.model = m
-        self.k = k
-        self.basis = monomial_basis(m.table, k)
-        self._index = {mono: i for i, mono in enumerate(self.basis)}
-        below, source, _ = differential_matrix(m, k - 1) if k else (None, [], [])
-        image_rows = []
-        if below is not None:
-            for c in range(len(source)):
-                image_rows.append([below.data[r][c] for r in range(below.rows)])
-        self.image_rref = row_space_rref(image_rows, len(self.basis))
-        self.pivots = pivot_columns_of_rref(self.image_rref)
-        self.matrix, _, _ = differential_matrix(m, k)
-
-    def dimension(self) -> int:
-        return len(self.basis) - self.matrix.rank() - len(self.image_rref)
-
-    def class_generator(self) -> tuple[Fraction, ...]:
-        """Reduced representative of a nonzero class, first nonzero coordinate +1."""
-        for vec in self.matrix.kernel_basis():
-            reduced = reduce_mod_rows(vec, self.image_rref, self.pivots)
-            if any(reduced):
-                lead = next(i for i, c in enumerate(reduced) if c)
-                return tuple(c / reduced[lead] for c in reduced)
-        raise ArithmeticError(f"H^{self.k} is zero")
-
-    def reduce_element(self, element: AlgebraElement) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * len(self.basis)
-        for mono, c in element.terms.items():
-            vec[self._index[mono]] = c
-        return reduce_mod_rows(vec, self.image_rref, self.pivots)
-
-
 def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     """Cubic form of triple products of degree-two generators into H^6 (up to scale).
 
@@ -267,20 +324,18 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     for i in xs:
         if not m.images[i].is_zero():
             raise ValueError("degree-two generators must be cocycles")
-    classes = _DegreeClasses(m, 6)
-    if classes.dimension() != 1:
+    cochains = m.cochains()
+    if cochains.betti(6) != 1:
         raise ValueError("dim H^6 must be 1")
-    generator = classes.class_generator()
+    generator = cochains.class_generator(6)
     lead = next(i for i, c in enumerate(generator) if c)
     coeffs = {}
-    for a in range(len(xs)):
-        for b in range(a, len(xs)):
-            for c in range(b, len(xs)):
-                product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
-                reduced = classes.reduce_element(product)
-                coeffs[(a, b, c)] = reduced[lead]
-                if any(x - coeffs[(a, b, c)] * g for x, g in zip(reduced, generator)):
-                    raise ArithmeticError("degree-6 class is not a multiple of the generator")
+    for a, b, c in combinations_with_replacement(range(len(xs)), 3):
+        product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
+        reduced = cochains.reduce(6, product)
+        coeffs[(a, b, c)] = reduced[lead]
+        if any(x - coeffs[(a, b, c)] * g for x, g in zip(reduced, generator)):
+            raise ArithmeticError("degree-6 class is not a multiple of the generator")
     return CubicForm(len(xs), coeffs)
 
 
@@ -296,22 +351,16 @@ def poincare_duality_check(m: SullivanModel, formal_dimension: int | None = None
     xs = [i for i, d in enumerate(m.table.degrees) if d == 2]
     if not xs or n < 4:
         return True
-    top = _DegreeClasses(m, n)
-    generator = top.class_generator()
+    cochains = m.cochains()
+    generator = cochains.class_generator(n)
     lead = next(i for i, c in enumerate(generator) if c)
-    middle, _, _ = differential_matrix(m, n - 2)
-    rows = []
-    for i in xs:
-        x = m.table.generator(i)
-        row = []
-        for vec in middle.kernel_basis():
-            element = m.table.element(
-                {mono: c for mono, c in zip(monomial_basis(m.table, n - 2), vec) if c}
-            )
-            row.append(top.reduce_element(x * element)[lead])
-        rows.append(row)
-    pairing = RationalMatrix.from_rows(rows, len(rows[0]) if rows else 0)
-    return pairing.rank() == len(xs)
+    basis = cochains.basis(n - 2)
+    cocycles = [
+        m.table.element({mono: c for mono, c in zip(basis, vec) if c})
+        for vec in cochains.kernel(n - 2)
+    ]
+    rows = [[cochains.reduce(n, m.table.generator(i) * z)[lead] for z in cocycles] for i in xs]
+    return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
 
 def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[Fraction, ...], ...]:
@@ -320,19 +369,16 @@ def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[F
     xs = [i for i, d in enumerate(table.degrees) if d == generator_degree]
     if len(xs) != 2:
         raise ValueError(f"need exactly two generators of degree {generator_degree}")
-    classes = _DegreeClasses(m, 2 * generator_degree)
-    if classes.dimension() != 1:
-        raise ValueError(f"dim H^{2 * generator_degree} must be 1")
-    generator = classes.class_generator()
+    k = 2 * generator_degree
+    cochains = m.cochains()
+    if cochains.betti(k) != 1:
+        raise ValueError(f"dim H^{k} must be 1")
+    generator = cochains.class_generator(k)
     lead = next(i for i, c in enumerate(generator) if c)
-    rows = []
-    for i in xs:
-        row = []
-        for j in xs:
-            reduced = classes.reduce_element(table.generator(i) * table.generator(j))
-            row.append(reduced[lead])
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(cochains.reduce(k, table.generator(i) * table.generator(j))[lead] for j in xs)
+        for i in xs
+    )
 
 
 def h4_pairing_discriminant(m: SullivanModel, generator_degree: int = 2) -> int:

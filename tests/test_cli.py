@@ -1,7 +1,9 @@
 """Command line: subcommands, exit codes, JSON report schema."""
 
+import hashlib
 import json
 
+import pytest
 
 from sullivan.cli import main
 
@@ -144,6 +146,20 @@ def test_verify_paper_deterministic(capsys):
     _, second, _ = run(capsys, "verify-paper", "--section", "5")
     assert first == second
     assert first.strip().splitlines()[-1].endswith("checks passed")
+
+
+# SHA-256 of the full verify-paper stdout; refactors must keep it byte-identical
+VERIFY_PAPER_DIGESTS = {
+    (): "27504a0f37beb380916c2e837bd7fd31d2016f0250a068702cefa84c8b18c56f",
+    ("--json",): "dd7fd0df697d9bf975a3f40523e16f8793252905d39a24be0d6936b1d7541026",
+}
+
+
+@pytest.mark.parametrize("flags", list(VERIFY_PAPER_DIGESTS))
+def test_verify_paper_output_is_byte_identical(capsys, flags):
+    code, out, _ = run(capsys, "verify-paper", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_PAPER_DIGESTS[flags]
 
 
 def test_unknown_command_usage_error(capsys):

@@ -14,7 +14,6 @@ from sullivan.cubic import (
     degree4_invariant,
     degree6_invariant,
     discriminant,
-    form_of_polynomial,
     hesse_form,
     hesse_sigma_candidates,
     is_elliptic_form,
@@ -33,11 +32,11 @@ R123 = PolyRing(("x1", "x2", "x3"))
 
 
 def form3(text):
-    return form_of_polynomial(parse_polynomial(text, RXYZ))
+    return CubicForm.from_polynomial(parse_polynomial(text, RXYZ))
 
 
 def form2(text):
-    return form_of_polynomial(parse_polynomial(text, RXY))
+    return CubicForm.from_polynomial(parse_polynomial(text, RXY))
 
 
 def quadrics(*texts):
@@ -56,7 +55,7 @@ def test_polynomial_round_trip():
         poly = RXYZ.zero()
         for mono in RXYZ.monomials_of_degree(3):
             poly = poly + RXYZ.monomial(mono, Fraction(rng.randint(-4, 4)))
-        assert form_of_polynomial(poly).polynomial(RXYZ) == poly
+        assert CubicForm.from_polynomial(poly).polynomial(RXYZ) == poly
 
 
 def test_pairing_rank_examples():
@@ -134,7 +133,7 @@ def test_discriminant_matches_singularity():
         poly = RXYZ.zero()
         for mono in RXYZ.monomials_of_degree(3):
             poly = poly + RXYZ.monomial(mono, Fraction(rng.randint(-2, 2)))
-        form = form_of_polynomial(poly)
+        form = CubicForm.from_polynomial(poly)
         if form.is_zero():
             continue
         checked += 1
@@ -330,7 +329,7 @@ def test_invariants_have_the_right_weights():
         poly = RXYZ.zero()
         for mono in RXYZ.monomials_of_degree(3):
             poly = poly + RXYZ.monomial(mono, Fraction(rng.randint(-3, 3)))
-        form = form_of_polynomial(poly)
+        form = CubicForm.from_polynomial(poly)
         m = _random_invertible(rng, 3)
         det = (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -369,7 +368,7 @@ def test_form_round_trip_through_quadric_ideal():
         recovered = cubic_form_of_quadric_ideal(associated_subspace(form))
         # the subspace lives on x1..x3, the recovered form on matching slots
         assert recovered.proportional_to(
-            form_of_polynomial(form.polynomial(PolyRing(("x1", "x2", "x3"))))
+            CubicForm.from_polynomial(form.polynomial(PolyRing(("x1", "x2", "x3"))))
         )
     for sigma in (-1, 2, Fraction(1, 3), 5):
         form = hesse_form(sigma)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import sullivan.model
 from sullivan import (
     GeneratorTable,
     SullivanModel,
@@ -14,6 +15,7 @@ from sullivan import (
     exponents_of_model,
     formal_dimension_from_exponents,
     h4_pairing_discriminant,
+    poincare_duality_check,
     pure_is_elliptic,
 )
 from sullivan.catalog import (
@@ -270,11 +272,71 @@ def test_pure_elliptic_matches_regular_sequence_when_balanced():
 
 
 def test_poincare_duality_check_full():
-    from sullivan import poincare_duality_check
-
     assert poincare_duality_check(dim6_b3_model(2))
     assert poincare_duality_check(dim7_sigma_model(2))
     assert poincare_duality_check(sphere_model(4))
     # free polynomial part: cohomology unbounded, symmetry fails
     free = SullivanModel(GeneratorTable([("x1", 2), ("x2", 2)]), {})
     assert not poincare_duality_check(free, 4)
+
+
+# -- the cached cochain complex -------------------------------------------------
+
+
+def test_cochains_is_built_once_per_model():
+    m = dim7_sigma_model(2)
+    assert m.cochains() is m.cochains()
+    assert dim7_sigma_model(2).cochains() is not m.cochains()
+
+
+def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
+    built = []
+    original = sullivan.model.differential_matrix
+
+    def counting(m, k):
+        built.append(k)
+        return original(m, k)
+
+    monkeypatch.setattr(sullivan.model, "differential_matrix", counting)
+    m = dim7_sigma_model(2)
+    assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
+    assert poincare_duality_check(m)
+    sullivan.model.pairing_matrix(m)
+    assert built and len(built) == len(set(built))
+
+
+def test_rank_kernel_and_image_agree():
+    cochains = dim6_b3_model(2).cochains()
+    for k in range(8):
+        assert len(cochains.image(k + 1)[0]) == cochains.rank(k)
+        assert len(cochains.kernel(k)) == len(cochains.basis(k)) - cochains.rank(k)
+        assert len(cochains.d(k)) == len(cochains.basis(k))
+
+
+def test_cochains_refuses_d_squared_nonzero():
+    table = GeneratorTable([("x1", 2), ("y1", 3), ("w", 4)])
+    x1, y1 = table.generator("x1"), table.generator("y1")
+    m = SullivanModel(table, {"y1": x1 * x1, "w": x1 * y1})
+    with pytest.raises(ValueError, match=r"d\(d\(w\)\)"):
+        betti_numbers(m, 8)
+
+
+def test_cochains_refuses_wrong_degree():
+    table = GeneratorTable([("x", 2), ("y", 3)])
+    m = SullivanModel(table, {"y": table.generator("x")})
+    with pytest.raises(ValueError, match=r"d\(y\) has degree 2"):
+        betti_numbers(m, 4)
+
+
+def test_cochains_accepts_non_minimal_but_not_hidden_d_squared():
+    table = GeneratorTable([("x", 4), ("y", 3)])
+    contractible = SullivanModel(table, {"y": table.generator("x")})
+    assert contractible.validate().kind == "minimality"
+    assert betti_numbers(contractible, 8) == (1,) + (0,) * 8
+    # the minimality violation comes first and must not mask the d^2 one
+    table = GeneratorTable([("x", 4), ("y", 3), ("x1", 2), ("y1", 3), ("w", 4)])
+    x, x1, y1 = table.generator("x"), table.generator("x1"), table.generator("y1")
+    m = SullivanModel(table, {"y": x, "y1": x1 * x1, "w": x1 * y1})
+    assert m.validate().kind == "minimality"
+    with pytest.raises(ValueError, match=r"d\(d\(w\)\)"):
+        m.cochains()
