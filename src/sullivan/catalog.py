@@ -4,7 +4,8 @@ Everything the claim tables talk about is constructible here: spheres and
 projective spaces, the two six-dimensional families, the seven-dimensional
 diagonal family and the rank-three homogeneous model, the eight- and
 nine-dimensional families, and the biquotient quadric presentations.  The
-verification report recomputes every recorded claim and diffs.
+verification report recomputes every claim of one table, ``claims()``, and
+diffs.
 """
 
 from __future__ import annotations
@@ -12,29 +13,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Sequence
 
 from .algebra import GeneratorTable
 from .cubic import (
     CubicForm,
     QuadricSubspace,
     associated_subspace,
+    binary_classify,
     cubic_form_of_quadric_ideal,
     cubic_form_of_ring,
     hesse_form,
     hesse_sigma_candidates,
     is_elliptic_form,
     is_singular_ternary,
+    pairing_rank,
     squarefree_part,
 )
 from .exponents import ExponentPair, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, Polynomial, buchberger, is_regular_sequence
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, pivot_columns_of_rref, row_space_rref
 from .model import (
     SullivanModel,
     betti_numbers,
     cup_product_cubic_form,
-    h4_pairing_discriminant,
     pairing_matrix,
     poincare_duality_check,
     pure_is_elliptic,
@@ -453,8 +456,6 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
     if len(ring.variables) != 3:
         raise ValueError("expected a presentation on three degree-two generators")
     monos2 = ring.monomials_of_degree(2)
-    from .linalg import pivot_columns_of_rref, row_space_rref
-
     rows = []
     for rel in relations:
         if rel.is_zero():
@@ -496,14 +497,14 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# catalog entries and verification
+# recorded claims and the verification report
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ReportRecord:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     expected: str
     actual: str
     cite: str
@@ -519,14 +520,91 @@ class ReportRecord:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    """A named object with recorded properties, re-checked by verify_entry."""
+class Claim:
+    """One recorded claim; ``check()`` recomputes it as (holds, expected, actual).
+
+    ``section`` is the paper section (3, 4 or 5) whose report carries the
+    claim, or None for a claim that only the full report carries.
+    """
 
     name: str
-    section: int
+    section: int | None
     cite: str
-    builder: Callable[[], object]
-    expected: tuple[tuple[str, object], ...]
+    check: Callable[[], tuple[bool, object, object]]
+
+    def evaluate(self) -> ReportRecord:
+        """Run the check; an exception becomes a failing record, not a crash."""
+        try:
+            holds, expected, actual = self.check()
+        except Exception as exc:  # one broken claim must not stop the report
+            return ReportRecord(self.name, "fail", "", f"error: {exc}", self.cite)
+        status = "pass" if holds else "fail"
+        return ReportRecord(self.name, status, str(expected), str(actual), self.cite)
+
+
+def _equal(expected, actual) -> tuple[bool, object, object]:
+    return actual == expected, expected, actual
+
+
+def _render(form: CubicForm) -> str:
+    return render_polynomial(form.canonical().polynomial())
+
+
+def _form(text: str, dim: int = 3) -> CubicForm:
+    """Cubic form of a polynomial in x, y (and z, when dim is 3)."""
+    return CubicForm.from_polynomial(parse_polynomial(text, PolyRing(("x", "y", "z")[:dim])))
+
+
+def _proportional(expected: CubicForm | str, actual: CubicForm) -> tuple[bool, str, str]:
+    """Equality up to a nonzero scalar; an expected form given as text is shown as written."""
+    if isinstance(expected, str):
+        return actual.proportional_to(_form(expected, actual.dim)), expected, _render(actual)
+    return actual.proportional_to(expected), _render(expected), _render(actual)
+
+
+def _quadric_span(texts: Sequence[str]) -> QuadricSubspace:
+    ring = PolyRing(("x1", "x2", "x3"))
+    return QuadricSubspace(ring, [parse_polynomial(t, ring) for t in texts])
+
+
+def _same_subspace(expected: QuadricSubspace, actual: QuadricSubspace) -> tuple[bool, str, str]:
+    def show(sub: QuadricSubspace) -> str:
+        return "; ".join(render_polynomial(q) for q in sub.basis)
+
+    return actual == expected, show(expected), show(actual)
+
+
+def _classifies(
+    expected: str,
+    classifier: Callable[[SullivanModel], Classification],
+    build: Callable[[], SullivanModel],
+) -> tuple[bool, str, str]:
+    return _equal(expected, str(classifier(build())))
+
+
+def _sampled(
+    name: str,
+    section: int,
+    cite: str,
+    expected: str,
+    passed: str,
+    failures: Callable[[random.Random], list],
+) -> Claim:
+    """A claim over seeded random draws; ``failures`` lists the draws that break it.
+
+    Each claim draws from its own stream, so a one-section report samples
+    the same parameters as the full report.
+    """
+
+    def check():
+        found = failures(random.Random(f"97531:{name}"))
+        return not found, expected, found or passed
+
+    return Claim(name, section, cite, check)
+
+
+def _fragment_square_zero(fragment: RingFragment) -> tuple[int, int]:
+    return square_zero_profile(list(fragment.relations), fragment.ring)
 
 
 def _poincare_window(m: SullivanModel) -> bool:
@@ -537,64 +615,44 @@ def _poincare_window(m: SullivanModel) -> bool:
     return poincare_duality_check(m, n)
 
 
-def _evaluate_property(obj, prop: str):
-    if ":" in prop:
-        prop, arg = prop.split(":", 1)
-    else:
-        arg = None
-    if prop == "valid":
-        return obj.validate() is None
-    if prop == "exponents":
-        return str(exponents_of_model(obj))
-    if prop == "betti":
-        return betti_numbers(obj, int(arg))
-    if prop == "pure":
-        return obj.is_pure()
-    if prop == "pure-elliptic":
-        return pure_is_elliptic(obj)
-    if prop == "poincare-window":
-        return _poincare_window(obj)
-    if prop == "cup-form":
-        return render_polynomial(cup_product_cubic_form(obj).canonical().polynomial())
-    if prop == "h4-class":
-        return h4_pairing_discriminant(obj)
-    if prop == "classify7":
-        return str(classify_dim7(obj))
-    if prop == "hilbert":
-        gb = buchberger(list(obj.relations), obj.ring)
-        return gb.hilbert_function(int(arg))
-    if prop == "square-zero":
-        return square_zero_profile(list(obj.relations), obj.ring)
-    if prop == "ring-form":
-        form = cubic_form_of_quadric_ideal(obj)
-        return render_polynomial(form.canonical().polynomial())
-    if prop == "ring-elliptic":
-        form = cubic_form_of_quadric_ideal(obj)
-        return bool(is_elliptic_form(form, 3))
-    raise KeyError(f"unknown property {prop!r}")
+# property of a subject -> its evaluation; ``arg`` is the text after ":" in
+# the property name ("betti:13"), or "" when there is none
+_PROPERTIES: dict[str, Callable[[object, str], object]] = {
+    "valid": lambda m, arg: m.validate() is None,
+    "exponents": lambda m, arg: str(exponents_of_model(m)),
+    "betti": lambda m, arg: betti_numbers(m, int(arg)),
+    "pure": lambda m, arg: m.is_pure(),
+    "pure-elliptic": lambda m, arg: pure_is_elliptic(m),
+    "poincare-window": lambda m, arg: _poincare_window(m),
+    "cup-form": lambda m, arg: _render(cup_product_cubic_form(m)),
+    "classify7": lambda m, arg: str(classify_dim7(m)),
+    "hilbert": lambda f, arg: buchberger(list(f.relations), f.ring).hilbert_function(int(arg)),
+    "square-zero": lambda f, arg: _fragment_square_zero(f),
+    "ring-elliptic": lambda q, arg: bool(is_elliptic_form(cubic_form_of_quadric_ideal(q), 3)),
+}
 
 
-def verify_entry(entry: CatalogEntry) -> list[ReportRecord]:
-    obj = entry.builder()
-    records = []
-    for prop, expected in entry.expected:
-        try:
-            actual = _evaluate_property(obj, prop)
-            status = "pass" if actual == expected else "fail"
-            actual_str = str(actual)
-        except Exception as exc:  # surfaced as a failing record, not a crash
-            status = "fail"
-            actual_str = f"error: {exc}"
-        records.append(
-            ReportRecord(
-                name=f"{entry.name}.{prop}",
-                status=status,
-                expected=str(expected),
-                actual=actual_str,
-                cite=entry.cite,
-            )
+def subject_claims(
+    name: str,
+    section: int,
+    cite: str,
+    builder: Callable[[], object],
+    expected: Sequence[tuple[str, object]],
+) -> Iterator[Claim]:
+    """Claims ``name.prop`` that one object's properties have their recorded values.
+
+    The object is built on first use and shared by its claims, so Betti
+    numbers, cup form and Poincare window reuse one cochain complex.
+    """
+    build = cache(builder)
+    for prop, value in expected:
+        key, _, arg = prop.partition(":")
+        yield Claim(
+            f"{name}.{prop}",
+            section,
+            cite,
+            lambda key=key, arg=arg, value=value: _equal(value, _PROPERTIES[key](build(), arg)),
         )
-    return records
 
 
 # -- frozen claim tables ------------------------------------------------------
@@ -694,462 +752,69 @@ SPORADIC_FORM_POLY = "4*x^3 + 2*y^3 + z^3 - 6*x^2*y - 3*x*z^2 - 3*y^2*z + 6*x*y*
 SPORADIC_SIGMA_DECIMAL = Fraction(27788, 100000)
 
 
-def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """Named objects with their recorded claims."""
-    entries: list[CatalogEntry] = []
-
-    def add(name, section, cite, builder, expected):
-        entries.append(CatalogEntry(name, section, cite, builder, tuple(expected)))
-
-    add(
-        "six.b2-family",
-        3,
-        "dim6.b2-family",
-        lambda: dim6_b2_model(1, (0, 0, 0, 1)),
-        [
-            ("valid", True),
-            ("exponents", "a=(1,1) b=(2,3)"),
-            ("betti:13", (1, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
-            ("pure", True),
-            ("pure-elliptic", True),
-        ],
-    )
-    add(
-        "six.b3-family",
-        3,
-        "dim6.b3-family",
-        lambda: dim6_b3_model(2),
-        [
-            ("valid", True),
-            ("exponents", "a=(1,1,1) b=(2,2,2)"),
-            ("pure", True),
-            ("pure-elliptic", True),
-            ("cup-form", "2*x^3 + 2*y^3 + 6*x*y*z + 2*z^3"),
-            ("poincare-window", True),
-        ],
-    )
-    add(
-        "six.product-cp2-s2",
-        3,
-        "dim6.binary-realizations",
-        lambda: product_model(cp_model(2), sphere_model(2)),
-        [
-            ("valid", True),
-            ("betti:6", (1, 0, 2, 0, 2, 0, 1)),
-            ("cup-form", "3*x^2*y"),
-            ("poincare-window", True),
-        ],
-    )
-    add(
-        "seven.sigma-family",
-        4,
-        "dim7.sigma-family",
-        lambda: dim7_sigma_model(2),
-        [
-            ("valid", True),
-            ("exponents", "a=(1,1) b=(2,2,2)"),
-            ("betti:7", (1, 0, 2, 1, 1, 2, 0, 1)),
-            ("pure-elliptic", True),
-            ("classify7", "sigma-family[2]"),
-            ("poincare-window", True),
-        ],
-    )
-    add(
-        "seven.rank3",
-        4,
-        "dim7.rank3",
-        lambda: dim7_rank3_model(),
-        [
-            ("valid", True),
-            ("betti:7", (1, 0, 2, 0, 0, 2, 0, 1)),
-            ("pure-elliptic", True),
-            ("classify7", RANK_THREE),
-            ("poincare-window", True),
-        ],
-    )
-    add(
-        "seven.s3-x-s4",
-        4,
-        "dim7.products",
-        lambda: product_model(sphere_model(3), sphere_model(4)),
-        [("valid", True), ("classify7", "S3xS4"), ("poincare-window", True)],
-    )
-    add(
-        "seven.s2-x-s5",
-        4,
-        "dim7.products",
-        lambda: product_model(sphere_model(2), sphere_model(5)),
-        [("valid", True), ("classify7", "S2xS5")],
-    )
-    add(
-        "seven.cp2-x-s3",
-        4,
-        "dim7.products",
-        lambda: product_model(cp_model(2), sphere_model(3)),
-        [("valid", True), ("classify7", "CP2xS3")],
-    )
-    add(
-        "seven.s7",
-        4,
-        "dim7.products",
-        lambda: sphere_model(7),
-        [("valid", True), ("classify7", "S7")],
-    )
-    add(
-        "eight.sigma-family",
-        5,
-        "dim8.sigma-family",
-        lambda: dim8_sigma_model(3),
-        [
-            ("valid", True),
-            ("exponents", "a=(1,1,2) b=(2,2,4)"),
-            ("betti:8", (1, 0, 2, 0, 2, 0, 2, 0, 1)),
-            ("poincare-window", True),
-        ],
-    )
-    add(
-        "nine.bundle-model",
-        5,
-        "dim9.trichotomy",
-        lambda: dim9_bundle_model(),
-        [
-            ("valid", True),
-            ("exponents", "a=(1,1) b=(2,2,3)"),
-            # degrees <= 4 match the circle-bundle ring fragment (1, 2, 1)
-            ("betti:4", (1, 0, 2, 0, 1)),
-        ],
-    )
-    add(
-        "nine.projective-bundle-8",
-        5,
-        "dim9.bundle-rings",
-        lambda: ring_fragments()[0],
-        [("hilbert:5", (1, 3, 4, 3, 1, 0))],
-    )
-    add(
-        "nine.circle-bundle-9",
-        5,
-        "dim9.bundle-rings",
-        lambda: ring_fragments()[1],
-        [("hilbert:2", (1, 2, 1))],
-    )
-    add(
-        "nine.circle-bundle-over-s2x4",
-        5,
-        "dim9.square-zero",
-        lambda: ring_fragments()[2],
-        [("hilbert:2", (1, 3, 2)), ("square-zero", (1, 4))],
-    )
-    add(
-        "biquotient.sporadic",
-        3,
-        "biquotient.sporadic",
-        lambda: biquotient_ring("bsp"),
-        [("ring-elliptic", True)],
-    )
-    return tuple(entries)
+def _exponent_table(n: int) -> tuple[bool, str, str]:
+    expected, got = EXPECTED_EXPONENTS[n], tuple(enumerate_exponents(n))
+    holds = set(got) == set(expected) and len(got) == len(expected)
+    return holds, "; ".join(map(str, sorted(expected))), "; ".join(map(str, got))
 
 
-# ---------------------------------------------------------------------------
-# procedural checks for the verification report
-# ---------------------------------------------------------------------------
-
-
-def _record(name, ok, expected, actual, cite) -> ReportRecord:
-    return ReportRecord(name, "pass" if ok else "fail", str(expected), str(actual), cite)
-
-
-def _parse_quadrics(ring: PolyRing, texts: Sequence[str]) -> list[Polynomial]:
-    return [parse_polynomial(t, ring) for t in texts]
-
-
-def _check_exponent_tables() -> list[ReportRecord]:
-    out = []
-    for n, expected in sorted(EXPECTED_EXPONENTS.items()):
-        got = tuple(enumerate_exponents(n))
-        ok = set(got) == set(expected) and len(got) == len(expected)
-        out.append(
-            _record(
-                f"exponents.dim{n}",
-                ok,
-                "; ".join(map(str, sorted(expected))),
-                "; ".join(map(str, got)),
-                f"dim{n}.exponents",
-            )
-        )
-    counts = tuple(len(enumerate_exponents(n)) for n in range(2, 6))
-    out.append(
-        _record("exponents.low-counts", counts == (1, 1, 3, 2), (1, 1, 3, 2), counts, "low-dim.exponents")
-    )
-    return out
-
-
-def _check_ternary_table() -> list[ReportRecord]:
-    out = []
-    form_ring = PolyRing(("x", "y", "z"))
-    sub_ring = PolyRing(("x1", "x2", "x3"))
-    for label, form_text, quadrics, regular in TERNARY_TABLE:
-        form = CubicForm.from_polynomial(parse_polynomial(form_text, form_ring))
-        expected_sub = QuadricSubspace(sub_ring, _parse_quadrics(sub_ring, quadrics))
-        actual_sub = associated_subspace(form)
-        out.append(
-            _record(
-                f"ternary-table.{label}.subspace",
-                actual_sub == expected_sub,
-                "; ".join(render_polynomial(q) for q in expected_sub.basis),
-                "; ".join(render_polynomial(q) for q in actual_sub.basis),
-                "ternary-table",
-            )
-        )
-        got_regular = is_regular_sequence(expected_sub.basis, sub_ring)
-        out.append(
-            _record(
-                f"ternary-table.{label}.regular",
-                got_regular == regular,
-                regular,
-                got_regular,
-                "ternary-table",
-            )
-        )
-    for sigma, expected in ((-1, True), (2, True), (Fraction(1, 3), True), (5, True), (0, False), (1, False)):
-        verdict = is_elliptic_form(hesse_form(sigma), 3)
-        out.append(
-            _record(
-                f"ternary-table.diagonal-family.sigma={sigma}",
-                bool(verdict) == expected,
-                expected,
-                bool(verdict),
-                "ternary-table.diagonal",
-            )
-        )
-    return out
-
-
-def _check_b2_family(rng: random.Random) -> list[ReportRecord]:
-    out = []
-    examples = [
-        ((1, (0, 0, 0, 1)), Fraction(1)),
-        ((1, (0, 1, 0, 1)), Fraction(0)),
-        ((0, (0, 0, 0, 0)), Fraction(0)),
-    ]
-    ok = all(dim6_b2_discriminant(p, c) == d for (p, c), d in examples)
-    out.append(
-        _record(
-            "six.b2-family.discriminant-examples",
-            ok,
-            [str(d) for _, d in examples],
-            [str(dim6_b2_discriminant(p, c)) for (p, c), _ in examples],
-            "dim6.b2-family",
-        )
-    )
-
-    target = (1, 0, 2, 0, 2, 0, 1) + (0,) * 7
-    bad = []
-    for _ in range(20):
+def _admissible_b2_draws(rng: random.Random, draws: int) -> Iterator[tuple[Fraction, tuple]]:
+    """The admissible members among ``draws`` random b2-family parameter draws."""
+    for _ in range(draws):
         p = Fraction(rng.randint(-4, 4))
         cubic = tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
-        if not dim6_b2_admissible(p, cubic):
-            continue
-        betti = betti_numbers(dim6_b2_model(p, cubic), 13)
-        if betti != target:
-            bad.append((p, cubic, betti))
-    out.append(
-        _record(
-            "six.b2-family.generic-betti",
-            not bad,
-            f"betti {target} for sampled admissible members",
-            bad or "all matched",
-            "dim6.b2-family",
-        )
-    )
+        if dim6_b2_admissible(p, cubic):
+            yield p, cubic
 
+
+def _b2_degenerate_failures(rng: random.Random) -> list:
+    """Sampled members with vanishing discriminant and no cohomology in degrees 7..14."""
     failures = []
     for _ in range(10):
-        p = Fraction(rng.randint(-3, 3))
-        g1 = Fraction(rng.randint(-3, 3))
-        g2 = Fraction(rng.randint(-3, 3))
+        p, g1, g2 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
         cubic = (g1, g2, p * g1, p * g2)  # forces the discriminant to vanish
         if dim6_b2_discriminant(p, cubic) != 0:
             failures.append((p, cubic, "discriminant not zero"))
             continue
         betti = betti_numbers(dim6_b2_model(p, cubic), 14)
-        if not any(betti[k] for k in range(7, 15)):
+        if not any(betti[7:15]):
             failures.append((p, cubic, betti))
-    out.append(
-        _record(
-            "six.b2-family.degenerate-growth",
-            not failures,
-            "nonzero cohomology in degrees 7..14 when the discriminant vanishes",
-            failures or "all grew",
-            "dim6.b2-family",
-        )
-    )
-
-    mismatched = []
-    for _ in range(20):
-        p = Fraction(rng.randint(-4, 4))
-        cubic = tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
-        if not dim6_b2_admissible(p, cubic):
-            continue
-        formula = dim6_b2_cubic_form(p, cubic)
-        computed = cup_product_cubic_form(dim6_b2_model(p, cubic))
-        if not formula.proportional_to(computed):
-            mismatched.append((p, cubic))
-    out.append(
-        _record(
-            "six.b2-family.cup-formula",
-            not mismatched,
-            "closed formula proportional to the computed cup form",
-            mismatched or "all proportional",
-            "dim6.b2-family",
-        )
-    )
-    return out
+    return failures
 
 
-def _check_b3_family() -> list[ReportRecord]:
-    out = []
-    for lam, expected in ((2, True), (-1, True), (Fraction(1, 3), True), (0, True), (1, False)):
-        got = pure_is_elliptic(dim6_b3_model(lam))
-        out.append(
-            _record(
-                f"six.b3-family.elliptic.lam={lam}",
-                got == expected,
-                expected,
-                got,
-                "dim6.b3-family",
-            )
-        )
-    for lam in (2, -1, Fraction(1, 3)):
-        form = cup_product_cubic_form(dim6_b3_model(lam))
-        expected_form = hesse_form(Fraction(1) / Fraction(lam))
-        out.append(
-            _record(
-                f"six.b3-family.cup-form.lam={lam}",
-                form.proportional_to(expected_form),
-                render_polynomial(expected_form.canonical().polynomial()),
-                render_polynomial(form.canonical().polynomial()),
-                "dim6.b3-family",
-            )
-        )
-    form0 = cup_product_cubic_form(dim6_b3_model(0))
-    xyz = CubicForm(3, {(0, 1, 2): Fraction(1)})
-    out.append(
-        _record(
-            "six.b3-family.cup-form.lam=0",
-            form0.proportional_to(xyz),
-            "x*y*z",
-            render_polynomial(form0.canonical().polynomial()),
-            "dim6.b3-family",
-        )
-    )
-    return out
+def _ring_form(texts: Sequence[str]) -> CubicForm:
+    ring = PolyRing(("x1", "x2"))
+    return cubic_form_of_ring([parse_polynomial(t, ring) for t in texts], ring)
 
 
-def _check_binary_forms() -> list[ReportRecord]:
-    ring = PolyRing(("x", "y"))
-    out = []
-    table = (
-        ("0", "zero", False),
-        ("x^3", "cube", False),
-        ("x^2*y", "square-times-line", True),
-        ("x^3 + y^3", "one-real-root", True),
-        ("x^2*y - x*y^2", "three-real-roots", True),
-    )
-    from .cubic import binary_classify, pairing_rank
-
-    for text, expected_class, expected_elliptic in table:
-        form = CubicForm.from_polynomial(parse_polynomial(text, ring))
-        got_class = binary_classify(form)
-        got_elliptic = pairing_rank(form) == 2
-        out.append(
-            _record(
-                f"binary.classes.{text.replace(' ', '')}",
-                got_class == expected_class,
-                expected_class,
-                got_class,
-                "dim6.binary-classes",
-            )
-        )
-        out.append(
-            _record(
-                f"binary.elliptic.{text.replace(' ', '')}",
-                got_elliptic == expected_elliptic,
-                expected_elliptic,
-                got_elliptic,
-                "dim6.binary-classes",
-            )
-        )
-    # ring realizations of the three elliptic classes
-    two_ring = PolyRing(("x1", "x2"))
-    su3_form = cubic_form_of_ring(
-        _parse_quadrics(two_ring, ("x1^2 + x1*x2 + x2^2",))
-        + [parse_polynomial("x1^2*x2 + x1*x2^2", two_ring)],
-        two_ring,
-    )
-    expected = CubicForm.from_polynomial(parse_polynomial("x^2*y - x*y^2", ring))
-    out.append(
-        _record(
-            "binary.realization.flag-manifold",
-            su3_form.proportional_to(expected),
-            "x^2*y - x*y^2",
-            render_polynomial(su3_form.canonical().polynomial()),
-            "dim6.binary-realizations",
-        )
-    )
-    sum_form = cubic_form_of_ring(
-        [parse_polynomial("x1*x2", two_ring), parse_polynomial("x1^3 - x2^3", two_ring)],
-        two_ring,
-    )
-    expected_sum = CubicForm.from_polynomial(parse_polynomial("x^3 + y^3", ring))
-    out.append(
-        _record(
-            "binary.realization.cp3-sum",
-            sum_form.proportional_to(expected_sum),
-            "x^3 + y^3",
-            render_polynomial(sum_form.canonical().polynomial()),
-            "dim6.binary-realizations",
-        )
-    )
-    return out
-
-
-def _check_biquotients(rng: random.Random) -> list[ReportRecord]:
-    out = []
-    # exact subspace transform at the parameter point with a rational alpha
-    c1, c2 = Fraction(7), Fraction(6)
-    alpha = Fraction(10)
-    ok_alpha = alpha * alpha == c2 * c2 + (2 * c1 - c2) ** 2
+def _b1_subspace_transform() -> tuple[bool, str, str]:
+    """Exact subspace transform at the parameter point (7, 6), where alpha = 10 is rational."""
+    c1, c2, alpha = Fraction(7), Fraction(6), Fraction(10)
     ring = PolyRing(("x1", "x2", "x3"))
     x1, x2, x3 = (ring.variable(n) for n in ring.variables)
-    images = {
-        "u": x3.scale(-2),
-        "v": x2 + x3,
-        "w": x1.scale(-alpha / 2) + x2.scale(-c2 / 2) + x3.scale(c1 - c2 / 2),
-    }
-    subspace = biquotient_ring("b1", c1, c2)
+    w = x1.scale(-alpha / 2) + x2.scale(-c2 / 2) + x3.scale(c1 - c2 / 2)
+    images = [x3.scale(-2), x2 + x3, w]
     transformed = QuadricSubspace(
-        ring,
-        [q.compose([images["u"], images["v"], images["w"]]) for q in subspace.basis],
+        ring, [q.compose(images) for q in biquotient_ring("b1", c1, c2).basis]
     )
-    expected_sub = QuadricSubspace(
-        ring, _parse_quadrics(ring, ("x2*x3", "x1^2 - x2^2", "x1^2 - x3^2"))
-    )
-    out.append(
-        _record(
-            "biquotient.b1.subspace-transform",
-            ok_alpha and transformed == expected_sub,
-            "; ".join(render_polynomial(q) for q in expected_sub.basis),
-            "; ".join(render_polynomial(q) for q in transformed.basis),
-            "biquotient.b1",
-        )
-    )
+    expected = _quadric_span(("x2*x3", "x1^2 - x2^2", "x1^2 - x3^2"))
+    holds, shown_expected, shown_actual = _same_subspace(expected, transformed)
+    rational = alpha * alpha == c2 * c2 + (2 * c1 - c2) ** 2
+    return rational and holds, shown_expected, shown_actual
 
+
+def _non_elliptic_biquotients(rng: random.Random) -> list:
+    """Sampled admissible parameters, ten per family, whose ring form is not elliptic."""
     failures = []
     for kind, sampler in (
         ("b1", lambda: (rng.randint(-6, 6), rng.randint(-6, 6))),
         ("b2", lambda: (0, rng.randint(1, 8) * rng.choice((-1, 1)))),
-        ("b3", lambda: (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 6) * rng.choice((-1, 1)))),
+        (
+            "b3",
+            lambda: (
+                rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 6) * rng.choice((-1, 1))
+            ),
+        ),
     ):
         count = 0
         while count < 10:
@@ -1159,247 +824,293 @@ def _check_biquotients(rng: random.Random) -> list[ReportRecord]:
             except ValueError:
                 continue
             count += 1
-            form = cubic_form_of_quadric_ideal(ring_sub)
-            if not is_elliptic_form(form, 3):
+            if not is_elliptic_form(cubic_form_of_quadric_ideal(ring_sub), 3):
                 failures.append((kind, params))
-    out.append(
-        _record(
-            "biquotient.random-elliptic",
-            not failures,
-            "all sampled admissible parameters elliptic",
-            failures or "all elliptic",
-            "biquotient.families",
-        )
-    )
+    return failures
 
-    # the three families recover forms equivalent to singular normal forms,
-    # while the sporadic one is nonsingular; the pattern is basis-free
+
+def _biquotient_singularity_pattern() -> tuple[bool, dict, dict]:
+    """The three families recover forms equivalent to singular normal forms,
+    while the sporadic one is nonsingular; the pattern is basis-free."""
     pattern = {}
     for kind, params in (("b1", (7, 6)), ("b2", (0, 1)), ("b3", (1, 1, 3)), ("bsp", ())):
         form = cubic_form_of_quadric_ideal(biquotient_ring(kind, *params))
-        pattern[kind] = (
-            associated_subspace(form).dimension(),
-            is_singular_ternary(form),
-        )
-    expected_pattern = {"b1": (3, True), "b2": (3, True), "b3": (3, True), "bsp": (3, False)}
-    out.append(
-        _record(
-            "biquotient.singularity-pattern",
-            pattern == expected_pattern,
-            expected_pattern,
-            pattern,
-            "biquotient.families",
-        )
-    )
+        pattern[kind] = (associated_subspace(form).dimension(), is_singular_ternary(form))
+    return _equal({"b1": (3, True), "b2": (3, True), "b3": (3, True), "bsp": (3, False)}, pattern)
 
-    sporadic = cubic_form_of_quadric_ideal(biquotient_ring("bsp"))
-    expected_poly = CubicForm.from_polynomial(
-        parse_polynomial(SPORADIC_FORM_POLY, PolyRing(("x", "y", "z")))
-    )
-    out.append(
-        _record(
-            "biquotient.sporadic.form",
-            sporadic.proportional_to(expected_poly),
-            render_polynomial(expected_poly.canonical().polynomial()),
-            render_polynomial(sporadic.canonical().polynomial()),
-            "biquotient.sporadic",
-        )
-    )
-    nonsingular = not is_singular_ternary(expected_poly)
-    candidates = hesse_sigma_candidates(expected_poly, Fraction(1, 10**6))
+
+def _sporadic_sigma() -> tuple[bool, str, str]:
+    form = _form(SPORADIC_FORM_POLY)
+    nonsingular = not is_singular_ternary(form)
+    candidates = hesse_sigma_candidates(form, Fraction(1, 10**6))
     target = SPORADIC_SIGMA_DECIMAL
     near = any(abs((lo + hi) / 2 - target) <= Fraction(1, 1000) for lo, hi in candidates)
-    out.append(
-        _record(
-            "biquotient.sporadic.sigma",
-            nonsingular and near,
-            f"nonsingular with a parameter within 1/1000 of {target}",
-            f"nonsingular={nonsingular}, candidates={[(str(lo), str(hi)) for lo, hi in candidates]}",
-            "biquotient.sporadic",
-        )
+    return (
+        nonsingular and near,
+        f"nonsingular with a parameter within 1/1000 of {target}",
+        f"nonsingular={nonsingular}, candidates={[(str(lo), str(hi)) for lo, hi in candidates]}",
     )
-    return out
 
 
-def _check_dim7(rng: random.Random) -> list[ReportRecord]:
-    out = []
-    for s, expected in ((2, 2), (8, 2), (3, 3), (Fraction(1, 2), 2)):
-        got = classify_dim7(dim7_sigma_model(s))
-        out.append(
-            _record(
-                f"dim7.sigma-class.s={s}",
-                got == Classification(SIGMA_FAMILY, expected),
-                f"sigma-family[{expected}]",
-                str(got),
-                "dim7.sigma-family",
-            )
-        )
-    # a rank-one differential cannot be elliptic
+def _dim7_rank_one_model() -> SullivanModel:
+    """A rank-one degree-3 differential, which cannot be elliptic."""
     table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3), ("y3", 3)])
     x1 = table.generator("x1")
-    rank_one = SullivanModel(table, {"y1": x1 * x1})
-    got = classify_dim7(rank_one)
-    out.append(
-        _record(
-            "dim7.rank-one",
-            got == Classification(NOT_ELLIPTIC),
-            NOT_ELLIPTIC,
-            str(got),
-            "dim7.rank-one",
-        )
-    )
-    # the third differential in the one-even-generator case kills both a
-    # quadric and a cubic; it is isomorphic to the model of S2 x S5
-    t2 = GeneratorTable([("x", 2), ("y3", 3), ("y5", 5)])
-    x = t2.generator("x")
-    variant = SullivanModel(t2, {"y3": x * x, "y5": x ** 3})
-    got = classify_dim7(variant)
-    out.append(
-        _record(
-            "dim7.one-even-variant",
-            variant.validate() is None and got == Classification("S2xS5"),
-            "S2xS5",
-            str(got),
-            "dim7.products",
-        )
-    )
-    # the class is invariant under scaling the parameter by squares
+    return SullivanModel(table, {"y1": x1 * x1})
+
+
+def _dim7_one_even_variant() -> tuple[bool, str, str]:
+    """The third differential in the one-even-generator case kills both a
+    quadric and a cubic; the model is isomorphic to that of S2 x S5."""
+    table = GeneratorTable([("x", 2), ("y3", 3), ("y5", 5)])
+    x = table.generator("x")
+    variant = SullivanModel(table, {"y3": x * x, "y5": x ** 3})
+    got = str(classify_dim7(variant))
+    return variant.validate() is None and got == "S2xS5", "S2xS5", got
+
+
+def _dim7_square_mismatches(rng: random.Random) -> list:
+    """Sampled (s, k) whose models for s and s*k^2 classify differently."""
     mismatches = []
     for _ in range(5):
-        s = Fraction(rng.randint(1, 9))
-        k = Fraction(rng.randint(1, 9))
+        s, k = Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9))
         if classify_dim7(dim7_sigma_model(s)) != classify_dim7(dim7_sigma_model(s * k * k)):
             mismatches.append((s, k))
-    out.append(
-        _record(
-            "dim7.sigma-square-invariance",
-            not mismatches,
-            "same class for s and s*k^2",
-            mismatches or "all agree",
-            "dim7.sigma-family",
-        )
-    )
-    return out
+    return mismatches
 
 
-def _check_dim89(rng: random.Random) -> list[ReportRecord]:
-    out = []
-    for t, expected in ((1, "HP2#HP2[1]"), (-1, "S4xS4[-1]"), (2, "middle-class[2]")):
-        got = classify_dim8_middle(dim8_middle_model(t))
-        out.append(
-            _record(
-                f"dim8.middle.t={t}",
-                str(got) == expected,
-                expected,
-                str(got),
-                "dim8.middle-pairing",
-            )
-        )
-    for s, expected in ((3, "sigma-family[3]"), (12, "sigma-family[3]")):
-        got = classify_dim8_sigma(dim8_sigma_model(s))
-        out.append(
-            _record(
-                f"dim8.sigma.s={s}",
-                str(got) == expected,
-                expected,
-                str(got),
-                "dim8.sigma-family",
-            )
-        )
-    # the degenerate member: dy1 = x1^2 only, closed x2 powers survive
+def _dim8_degenerate_model() -> SullivanModel:
+    """The degenerate member: dy1 = x1^2 only, so closed powers of x2 survive."""
     table = GeneratorTable(
         [("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3), ("a", 4), ("z", 7)]
     )
     x1, x2, a = table.generator("x1"), table.generator("x2"), table.generator("a")
-    degenerate = SullivanModel(table, {"y1": x1 * x1, "y2": x1 * x2, "z": a * a})
-    got = classify_dim8_sigma(degenerate)
-    out.append(
-        _record(
-            "dim8.sigma.degenerate",
-            got == Classification(NOT_ELLIPTIC),
-            NOT_ELLIPTIC,
-            str(got),
-            "dim8.sigma-family",
-        )
-    )
+    return SullivanModel(table, {"y1": x1 * x1, "y2": x1 * x2, "z": a * a})
 
+
+def _square_zero(texts: Sequence[str]) -> tuple[int, int]:
+    ring = PolyRing(("x1", "x2", "s"))
+    return square_zero_profile([parse_polynomial(t, ring) for t in texts], ring)
+
+
+def _rank3_x_s2_square_zero() -> tuple[bool, str, tuple[int, int]]:
+    profile = _square_zero(("x1^2", "x2^2", "x1*x2", "s^2"))
+    return profile[0] == 2, "Krull dimension 2", profile
+
+
+def claims() -> Iterator[Claim]:
+    """The table of recorded claims, one ``Claim`` each, in no particular order."""
+    for n, section in ((6, 3), (7, 4), (8, 5), (9, 5)):
+        yield Claim(f"exponents.dim{n}", section, f"dim{n}.exponents", partial(_exponent_table, n))
+    yield Claim("exponents.low-counts", None, "low-dim.exponents", lambda: _equal(
+        (1, 1, 3, 2), tuple(len(enumerate_exponents(n)) for n in range(2, 6))))
+
+    # -- section 3: ternary and binary forms, six-manifolds, biquotients
+    for label, form_text, quadrics, regular in TERNARY_TABLE:
+        yield Claim(f"ternary-table.{label}.subspace", 3, "ternary-table",
+                    lambda t=form_text, q=quadrics: _same_subspace(
+                        _quadric_span(q), associated_subspace(_form(t))))
+        yield Claim(f"ternary-table.{label}.regular", 3, "ternary-table",
+                    lambda q=quadrics, r=regular: _equal(r, is_regular_sequence(
+                        _quadric_span(q).basis, PolyRing(("x1", "x2", "x3")))))
+    for sigma, elliptic in (
+        (-1, True), (2, True), (Fraction(1, 3), True), (5, True), (0, False), (1, False)
+    ):
+        yield Claim(f"ternary-table.diagonal-family.sigma={sigma}", 3, "ternary-table.diagonal",
+                    lambda s=sigma, e=elliptic: _equal(e, bool(is_elliptic_form(hesse_form(s), 3))))
+
+    yield Claim("six.b2-family.discriminant-examples", 3, "dim6.b2-family", lambda: _equal(
+        ["1", "0", "0"],
+        [str(dim6_b2_discriminant(p, c))
+         for p, c in ((1, (0, 0, 0, 1)), (1, (0, 1, 0, 1)), (0, (0, 0, 0, 0)))]))
+    b2_betti = (1, 0, 2, 0, 2, 0, 1) + (0,) * 7
+    yield _sampled(
+        "six.b2-family.generic-betti", 3, "dim6.b2-family",
+        f"betti {b2_betti} for sampled admissible members", "all matched",
+        lambda rng: [(p, c, betti) for p, c in _admissible_b2_draws(rng, 20)
+                     if (betti := betti_numbers(dim6_b2_model(p, c), 13)) != b2_betti])
+    yield _sampled(
+        "six.b2-family.degenerate-growth", 3, "dim6.b2-family",
+        "nonzero cohomology in degrees 7..14 when the discriminant vanishes", "all grew",
+        _b2_degenerate_failures)
+    yield _sampled(
+        "six.b2-family.cup-formula", 3, "dim6.b2-family",
+        "closed formula proportional to the computed cup form", "all proportional",
+        lambda rng: [(p, c) for p, c in _admissible_b2_draws(rng, 20)
+                     if not dim6_b2_cubic_form(p, c).proportional_to(
+                         cup_product_cubic_form(dim6_b2_model(p, c)))])
+    for lam, elliptic in ((2, True), (-1, True), (Fraction(1, 3), True), (0, True), (1, False)):
+        yield Claim(f"six.b3-family.elliptic.lam={lam}", 3, "dim6.b3-family",
+                    lambda lam=lam, e=elliptic: _equal(e, pure_is_elliptic(dim6_b3_model(lam))))
+    # at lam = 0 the expected form is x*y*z, not a Hesse form with parameter 1/lam
+    for lam, form in ((2, None), (-1, None), (Fraction(1, 3), None), (0, "x*y*z")):
+        yield Claim(f"six.b3-family.cup-form.lam={lam}", 3, "dim6.b3-family",
+                    lambda lam=lam, form=form: _proportional(
+                        form or hesse_form(1 / Fraction(lam)),
+                        cup_product_cubic_form(dim6_b3_model(lam))))
+
+    for text, cls, elliptic in (
+        ("0", "zero", False),
+        ("x^3", "cube", False),
+        ("x^2*y", "square-times-line", True),
+        ("x^3 + y^3", "one-real-root", True),
+        ("x^2*y - x*y^2", "three-real-roots", True),
+    ):
+        key = text.replace(" ", "")
+        yield Claim(f"binary.classes.{key}", 3, "dim6.binary-classes",
+                    lambda t=text, c=cls: _equal(c, binary_classify(_form(t, 2))))
+        yield Claim(f"binary.elliptic.{key}", 3, "dim6.binary-classes",
+                    lambda t=text, e=elliptic: _equal(e, pairing_rank(_form(t, 2)) == 2))
+    # ring realizations of the three elliptic classes
+    for label, relations, form in (
+        ("flag-manifold", ("x1^2 + x1*x2 + x2^2", "x1^2*x2 + x1*x2^2"), "x^2*y - x*y^2"),
+        ("cp3-sum", ("x1*x2", "x1^3 - x2^3"), "x^3 + y^3"),
+    ):
+        yield Claim(f"binary.realization.{label}", 3, "dim6.binary-realizations",
+                    lambda r=relations, f=form: _proportional(f, _ring_form(r)))
+
+    yield Claim("biquotient.b1.subspace-transform", 3, "biquotient.b1", _b1_subspace_transform)
+    yield _sampled(
+        "biquotient.random-elliptic", 3, "biquotient.families",
+        "all sampled admissible parameters elliptic", "all elliptic", _non_elliptic_biquotients)
+    yield Claim("biquotient.singularity-pattern", 3, "biquotient.families",
+                _biquotient_singularity_pattern)
+    yield Claim("biquotient.sporadic.form", 3, "biquotient.sporadic", lambda: _proportional(
+        _form(SPORADIC_FORM_POLY), cubic_form_of_quadric_ideal(biquotient_ring("bsp"))))
+    yield Claim("biquotient.sporadic.sigma", 3, "biquotient.sporadic", _sporadic_sigma)
+
+    yield from subject_claims(
+        "six.b2-family", 3, "dim6.b2-family", lambda: dim6_b2_model(1, (0, 0, 0, 1)), [
+            ("valid", True),
+            ("exponents", "a=(1,1) b=(2,3)"),
+            ("betti:13", (1, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
+            ("pure", True),
+            ("pure-elliptic", True),
+        ])
+    yield from subject_claims(
+        "six.b3-family", 3, "dim6.b3-family", lambda: dim6_b3_model(2), [
+            ("valid", True),
+            ("exponents", "a=(1,1,1) b=(2,2,2)"),
+            ("pure", True),
+            ("pure-elliptic", True),
+            ("cup-form", "2*x^3 + 2*y^3 + 6*x*y*z + 2*z^3"),
+            ("poincare-window", True),
+        ])
+    yield from subject_claims(
+        "six.product-cp2-s2", 3, "dim6.binary-realizations",
+        lambda: product_model(cp_model(2), sphere_model(2)), [
+            ("valid", True),
+            ("betti:6", (1, 0, 2, 0, 2, 0, 1)),
+            ("cup-form", "3*x^2*y"),
+            ("poincare-window", True),
+        ])
+    yield from subject_claims(
+        "biquotient.sporadic", 3, "biquotient.sporadic", lambda: biquotient_ring("bsp"),
+        [("ring-elliptic", True)])
+
+    # -- section 4: the dimension-7 classification
+    for s, cls in ((2, 2), (8, 2), (3, 3), (Fraction(1, 2), 2)):
+        yield Claim(f"dim7.sigma-class.s={s}", 4, "dim7.sigma-family", partial(
+            _classifies, f"sigma-family[{cls}]", classify_dim7, partial(dim7_sigma_model, s)))
+    yield Claim("dim7.rank-one", 4, "dim7.rank-one",
+                partial(_classifies, NOT_ELLIPTIC, classify_dim7, _dim7_rank_one_model))
+    yield Claim("dim7.one-even-variant", 4, "dim7.products", _dim7_one_even_variant)
+    yield _sampled(
+        "dim7.sigma-square-invariance", 4, "dim7.sigma-family",
+        "same class for s and s*k^2", "all agree", _dim7_square_mismatches)
+
+    yield from subject_claims(
+        "seven.sigma-family", 4, "dim7.sigma-family", lambda: dim7_sigma_model(2), [
+            ("valid", True),
+            ("exponents", "a=(1,1) b=(2,2,2)"),
+            ("betti:7", (1, 0, 2, 1, 1, 2, 0, 1)),
+            ("pure-elliptic", True),
+            ("classify7", "sigma-family[2]"),
+            ("poincare-window", True),
+        ])
+    yield from subject_claims(
+        "seven.rank3", 4, "dim7.rank3", dim7_rank3_model, [
+            ("valid", True),
+            ("betti:7", (1, 0, 2, 0, 0, 2, 0, 1)),
+            ("pure-elliptic", True),
+            ("classify7", RANK_THREE),
+            ("poincare-window", True),
+        ])
+    yield from subject_claims(
+        "seven.s3-x-s4", 4, "dim7.products",
+        lambda: product_model(sphere_model(3), sphere_model(4)),
+        [("valid", True), ("classify7", "S3xS4"), ("poincare-window", True)])
+    yield from subject_claims(
+        "seven.s2-x-s5", 4, "dim7.products",
+        lambda: product_model(sphere_model(2), sphere_model(5)),
+        [("valid", True), ("classify7", "S2xS5")])
+    yield from subject_claims(
+        "seven.cp2-x-s3", 4, "dim7.products",
+        lambda: product_model(cp_model(2), sphere_model(3)),
+        [("valid", True), ("classify7", "CP2xS3")])
+    yield from subject_claims(
+        "seven.s7", 4, "dim7.products", lambda: sphere_model(7),
+        [("valid", True), ("classify7", "S7")])
+
+    # -- section 5: dimensions 8 and 9
+    for t, expected in ((1, "HP2#HP2[1]"), (-1, "S4xS4[-1]"), (2, "middle-class[2]")):
+        yield Claim(f"dim8.middle.t={t}", 5, "dim8.middle-pairing", partial(
+            _classifies, expected, classify_dim8_middle, partial(dim8_middle_model, t)))
+    for s, expected in ((3, "sigma-family[3]"), (12, "sigma-family[3]")):
+        yield Claim(f"dim8.sigma.s={s}", 5, "dim8.sigma-family", partial(
+            _classifies, expected, classify_dim8_sigma, partial(dim8_sigma_model, s)))
+    yield Claim("dim8.sigma.degenerate", 5, "dim8.sigma-family",
+                partial(_classifies, NOT_ELLIPTIC, classify_dim8_sigma, _dim8_degenerate_model))
     # square-zero separation in dimension 9
-    sring = PolyRing(("x1", "x2", "s"))
-    msig = _parse_quadrics(sring, ("x1*x2", "x1^2 - 2*x2^2", "s^2"))
-    n7s2 = _parse_quadrics(sring, ("x1^2", "x2^2", "x1*x2", "s^2"))
-    ybundle = ring_fragments()[2]
-    profiles = {
-        "bundle": square_zero_profile(list(ybundle.relations), ybundle.ring),
-        "sigma-x-s2": square_zero_profile(msig, sring),
-        "rank3-x-s2": square_zero_profile(n7s2, sring),
-    }
-    expected = {"bundle": (1, 4), "sigma-x-s2": (1, 3), "rank3-x-s2": (2, 1)}
-    for key in ("bundle", "sigma-x-s2", "rank3-x-s2"):
-        ok = profiles[key][0] == expected[key][0] and (
-            key == "rank3-x-s2" or profiles[key][1] == expected[key][1]
-        )
-        out.append(
-            _record(
-                f"dim9.square-zero.{key}",
-                ok,
-                expected[key] if key != "rank3-x-s2" else "Krull dimension 2",
-                profiles[key],
-                "dim9.square-zero",
-            )
-        )
-
+    yield Claim("dim9.square-zero.bundle", 5, "dim9.square-zero",
+                lambda: _equal((1, 4), _fragment_square_zero(ring_fragments()[2])))
+    yield Claim("dim9.square-zero.sigma-x-s2", 5, "dim9.square-zero", lambda: _equal(
+        (1, 3), _square_zero(("x1*x2", "x1^2 - 2*x2^2", "s^2"))))
+    yield Claim("dim9.square-zero.rank3-x-s2", 5, "dim9.square-zero", _rank3_x_s2_square_zero)
     # trichotomy in the (1,1; 2,2,3) case
-    cases = (
-        ("product-with-s3", product_model(dim6_b2_model(1, (0, 0, 0, 1)), sphere_model(3)), "six-manifold-times-s3"),
-        ("sigma-times-s5", product_model(dim4_sigma_model(2), sphere_model(5)), "sigma-family-times-s5[2]"),
-        ("bundle-type", dim9_bundle_model(), "circle-bundle-type"),
-    )
-    for label, model_, expected_str in cases:
-        got = classify_dim9_product_case(model_)
-        out.append(
-            _record(
-                f"dim9.trichotomy.{label}",
-                str(got) == expected_str,
-                expected_str,
-                str(got),
-                "dim9.trichotomy",
-            )
-        )
-    return out
+    for label, build, expected in (
+        ("product-with-s3",
+         lambda: product_model(dim6_b2_model(1, (0, 0, 0, 1)), sphere_model(3)),
+         "six-manifold-times-s3"),
+        ("sigma-times-s5",
+         lambda: product_model(dim4_sigma_model(2), sphere_model(5)),
+         "sigma-family-times-s5[2]"),
+        ("bundle-type", dim9_bundle_model, "circle-bundle-type"),
+    ):
+        yield Claim(f"dim9.trichotomy.{label}", 5, "dim9.trichotomy",
+                    partial(_classifies, expected, classify_dim9_product_case, build))
+
+    yield from subject_claims(
+        "eight.sigma-family", 5, "dim8.sigma-family", lambda: dim8_sigma_model(3), [
+            ("valid", True),
+            ("exponents", "a=(1,1,2) b=(2,2,4)"),
+            ("betti:8", (1, 0, 2, 0, 2, 0, 2, 0, 1)),
+            ("poincare-window", True),
+        ])
+    yield from subject_claims(
+        "nine.bundle-model", 5, "dim9.trichotomy", dim9_bundle_model, [
+            ("valid", True),
+            ("exponents", "a=(1,1) b=(2,2,3)"),
+            # degrees <= 4 match the circle-bundle ring fragment (1, 2, 1)
+            ("betti:4", (1, 0, 2, 0, 1)),
+        ])
+    yield from subject_claims(
+        "nine.projective-bundle-8", 5, "dim9.bundle-rings", lambda: ring_fragments()[0],
+        [("hilbert:5", (1, 3, 4, 3, 1, 0))])
+    yield from subject_claims(
+        "nine.circle-bundle-9", 5, "dim9.bundle-rings", lambda: ring_fragments()[1],
+        [("hilbert:2", (1, 2, 1))])
+    yield from subject_claims(
+        "nine.circle-bundle-over-s2x4", 5, "dim9.square-zero", lambda: ring_fragments()[2],
+        [("hilbert:2", (1, 3, 2)), ("square-zero", (1, 4))])
 
 
 def verification_report(section: int | None = None) -> list[ReportRecord]:
-    """Recompute every recorded claim; deterministic and sorted by check name."""
-    rng = random.Random(97531)
-    records: list[ReportRecord] = []
-    by_section = {
-        3: lambda: (
-            _check_ternary_table()
-            + _check_b2_family(rng)
-            + _check_b3_family()
-            + _check_binary_forms()
-            + _check_biquotients(rng)
-        ),
-        4: lambda: _check_dim7(rng),
-        5: lambda: _check_dim89(rng),
-    }
-    sections = [section] if section else [3, 4, 5]
+    """Recompute the recorded claims of one section, or all of them; sorted by name."""
     if section not in (None, 3, 4, 5):
         raise ValueError("section must be 3, 4 or 5")
-    for s in sections:
-        records.extend(by_section[s]())
-    if section is None:
-        records.extend(_check_exponent_tables())
-    else:
-        n_for_section = {3: (6,), 4: (7,), 5: (8, 9)}[section]
-        for rec in _check_exponent_tables():
-            if any(rec.name == f"exponents.dim{n}" for n in n_for_section):
-                records.append(rec)
-    for entry in catalog_entries():
-        if section is None or entry.section == section:
-            records.extend(verify_entry(entry))
-    records.sort(key=lambda r: r.name)
-    return records
+    selected = (c for c in claims() if section is None or c.section == section)
+    return sorted((c.evaluate() for c in selected), key=lambda r: r.name)
 
 
 # ---------------------------------------------------------------------------

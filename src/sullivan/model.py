@@ -108,12 +108,6 @@ class SullivanModel:
 
     # -- structure ---------------------------------------------------------
 
-    def even_generator_indices(self) -> tuple[int, ...]:
-        return self.table.even_indices()
-
-    def odd_generator_indices(self) -> tuple[int, ...]:
-        return self.table.odd_indices()
-
     def is_pure(self) -> bool:
         """d vanishes on even generators and maps odd ones into the even subalgebra."""
         table = self.table

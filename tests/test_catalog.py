@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan import betti_numbers, cup_product_cubic_form, pure_is_elliptic
+from sullivan import betti_numbers, catalog, cup_product_cubic_form, pure_is_elliptic
 from sullivan.catalog import (
     Classification,
     NOT_ELLIPTIC,
     RANK_THREE,
     SIGMA_FAMILY,
-    CatalogEntry,
+    Claim,
     biquotient_ring,
-    catalog_entries,
+    claims,
     classify_dim7,
     classify_dim8_middle,
     classify_dim8_sigma,
@@ -32,8 +32,8 @@ from sullivan.catalog import (
     ring_fragments,
     sphere_model,
     square_zero_profile,
+    subject_claims,
     verification_report,
-    verify_entry,
 )
 from sullivan.cubic import cubic_form_of_quadric_ideal, is_elliptic_form
 from sullivan.groebner import PolyRing, buchberger
@@ -185,32 +185,97 @@ def test_square_zero_profiles():
 
 
 def test_verify_entry_pass_and_fail():
-    entry = CatalogEntry(
-        name="probe",
-        section=4,
-        cite="probe",
-        builder=lambda: dim7_sigma_model(2),
-        expected=(("betti:7", (1, 0, 2, 1, 1, 2, 0, 1)),),
+    """A subject's claim passes on its recorded value and fails on any other."""
+    probe = subject_claims(
+        "probe", 4, "probe", lambda: dim7_sigma_model(2), [("betti:7", (1, 0, 2, 1, 1, 2, 0, 1))]
     )
-    records = verify_entry(entry)
+    records = [claim.evaluate() for claim in probe]
     assert [r.status for r in records] == ["pass"]
 
-    wrong = CatalogEntry(
-        name="probe-wrong",
-        section=4,
-        cite="probe",
-        builder=lambda: dim7_sigma_model(2),
-        expected=(("betti:7", (1, 0, 2, 1, 1, 2, 0, 2)),),
+    wrong = subject_claims(
+        "probe-wrong",
+        4,
+        "probe",
+        lambda: dim7_sigma_model(2),
+        [("betti:7", (1, 0, 2, 1, 1, 2, 0, 2))],
     )
-    records = verify_entry(wrong)
+    records = [claim.evaluate() for claim in wrong]
     assert records[0].status == "fail"
     assert records[0].expected != records[0].actual
 
 
 def test_catalog_entries_all_pass():
-    for entry in catalog_entries():
-        for record in verify_entry(entry):
-            assert record.status == "pass", record
+    for claim in claims():
+        record = claim.evaluate()
+        assert record.status == "pass", record
+
+
+def test_claim_names_are_unique():
+    names = [claim.name for claim in claims()]
+    assert len(names) == len(set(names)) == 135
+
+
+def test_section_reports_are_the_full_report_restricted():
+    full = verification_report()
+    rest = {r.name for r in full}
+    for section, count in ((3, 81), (4, 28), (5, 25)):
+        names = {claim.name for claim in claims() if claim.section == section}
+        restricted = [r for r in full if r.name in names]
+        assert restricted == verification_report(section)
+        assert len(restricted) == count
+        rest -= names
+    assert len(full) == 135
+    assert rest == {"exponents.low-counts"}
+
+
+def test_claim_that_raises_is_a_failing_record():
+    def broken():
+        raise ArithmeticError("no answer")
+
+    record = Claim("probe", 4, "probe", broken).evaluate()
+    assert (record.name, record.status, record.actual) == ("probe", "fail", "error: no answer")
+
+
+def test_subject_whose_builder_raises_fails_each_claim():
+    def broken():
+        raise ValueError("no model")
+
+    probe = subject_claims("probe", 4, "probe", broken, [("valid", True), ("betti:3", (1,))])
+    records = [claim.evaluate() for claim in probe]
+    assert [(r.name, r.status, r.actual) for r in records] == [
+        ("probe.valid", "fail", "error: no model"),
+        ("probe.betti:3", "fail", "error: no model"),
+    ]
+
+
+def test_report_keeps_running_past_a_raising_builder(monkeypatch):
+    def broken():
+        raise ValueError("no model")
+
+    monkeypatch.setattr(catalog, "dim9_bundle_model", broken)
+    records = verification_report(5)
+    failed = [r.name for r in records if r.status == "fail"]
+    assert failed == [
+        "dim9.trichotomy.bundle-type",
+        "nine.bundle-model.betti:4",
+        "nine.bundle-model.exponents",
+        "nine.bundle-model.valid",
+    ]
+    assert len(records) == 25
+
+
+def test_subject_object_is_built_once_per_report():
+    built = []
+
+    def builder():
+        built.append(1)
+        return dim7_sigma_model(2)
+
+    probe = subject_claims(
+        "probe", 4, "probe", builder, [("valid", True), ("betti:7", (1, 0, 2, 1, 1, 2, 0, 1))]
+    )
+    assert [claim.evaluate().status for claim in probe] == ["pass", "pass"]
+    assert len(built) == 1
 
 
 def test_verification_report_sections_and_determinism():

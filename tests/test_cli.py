@@ -148,10 +148,17 @@ def test_verify_paper_deterministic(capsys):
     assert first.strip().splitlines()[-1].endswith("checks passed")
 
 
-# SHA-256 of the full verify-paper stdout; refactors must keep it byte-identical
+# SHA-256 of the verify-paper stdout, in full and per section; refactors must
+# keep it byte-identical
 VERIFY_PAPER_DIGESTS = {
     (): "27504a0f37beb380916c2e837bd7fd31d2016f0250a068702cefa84c8b18c56f",
     ("--json",): "dd7fd0df697d9bf975a3f40523e16f8793252905d39a24be0d6936b1d7541026",
+    ("--section", "3"): "2cd61903cd1cee7ea8ab10f8366bf232b4cbfc9d6bc9c1477aa124129c33b9a1",
+    ("--section", "4"): "b8a66bdad77eddd9fc20ffe1843a331a269b3e3b0bd56d5ba3081e101497566a",
+    ("--section", "5"): "7d35155cc5c7fa99cd17e7de68c6e865cdf3a0e414d5a34ab0715b555a4f8022",
+    ("--section", "5", "--json"): (
+        "fac65a1b3d736985879ba79fa46afe144d7bfbe8cd893128e1326512410be88d"
+    ),
 }
 
 
