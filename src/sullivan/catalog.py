@@ -33,7 +33,7 @@ from .cubic import (
 )
 from .exponents import ExponentPair, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, Polynomial, buchberger, is_regular_sequence
-from .linalg import RationalMatrix, pivot_columns_of_rref, row_space_rref
+from .linalg import RationalMatrix
 from .model import (
     SullivanModel,
     betti_numbers,
@@ -463,8 +463,7 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
         if not rel.is_homogeneous() or rel.degree() != 2:
             raise ValueError("relations must be homogeneous quadrics")
         rows.append([rel.coefficient(mono) for mono in monos2])
-    rref = row_space_rref(rows, len(monos2))
-    pivots = pivot_columns_of_rref(rref)
+    rref, pivots = RationalMatrix.from_rows(rows, len(monos2)).rref()
     aring = PolyRing(("a1", "a2", "a3"))
     a = [aring.variable(i) for i in range(3)]
     entries = []

@@ -145,34 +145,25 @@ class CubicForm:
         return CubicForm(self.dim, {t: c * value for t, c in self.coeffs.items()})
 
 
-def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
-    """Form of P(Mx); exact, requires an invertible matrix."""
-    n = form.dim
+def _linear_substitution(ring: PolyRing, matrix: Sequence[Sequence]) -> list[Polynomial]:
+    """Images of the variables under x -> Mx, for an n x n matrix M (n variables)."""
+    n = len(ring.variables)
     rows = [[Fraction(x) for x in row] for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"expected an invertible {n}x{n} matrix")
-    if _det(rows) == 0:
+        raise ValueError(f"expected a {n}x{n} matrix")
+    return [
+        sum((ring.variable(j).scale(c) for j, c in enumerate(row) if c), ring.zero())
+        for row in rows
+    ]
+
+
+def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
+    """Form of P(Mx); exact, requires an invertible matrix."""
+    ring = PolyRing(("x", "y", "z")[: form.dim])
+    images = _linear_substitution(ring, matrix)
+    if RationalMatrix.from_rows(matrix, form.dim).rank() < form.dim:
         raise ValueError("substitution matrix is singular")
-    ring = PolyRing(("x", "y", "z")[:n])
-    images = []
-    for i in range(n):
-        img = ring.zero()
-        for j in range(n):
-            if rows[i][j]:
-                img = img + ring.variable(j).scale(rows[i][j])
-        images.append(img)
     return CubicForm.from_polynomial(form.polynomial(ring).compose(images))
-
-
-def _det(rows) -> Fraction:
-    n = len(rows)
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
 
 
 # -- the pairing into the dual of degree two --------------------------------
@@ -229,16 +220,8 @@ class QuadricSubspace:
         return QuadricSubspace(self.ring, list(self.basis) + [q]) == self
 
     def transform(self, matrix: Sequence[Sequence]) -> "QuadricSubspace":
-        """Image of the subspace under the substitution x -> Mx."""
-        rows = [[Fraction(x) for x in row] for row in matrix]
-        n = len(self.ring.variables)
-        images = []
-        for i in range(n):
-            img = self.ring.zero()
-            for j in range(n):
-                if rows[i][j]:
-                    img = img + self.ring.variable(j).scale(rows[i][j])
-            images.append(img)
+        """Image of the subspace under the substitution x -> Mx (M may be singular)."""
+        images = _linear_substitution(self.ring, matrix)
         return QuadricSubspace(self.ring, [q.compose(images) for q in self.basis])
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank and echelon forms use fraction-free (Bareiss-style) forward
-elimination on integer-scaled rows, with a final rational normalization
-pass for the reduced echelon form.  Kernels come out in the canonical
-free-column form, so subspace equality is plain tuple equality.
+Every rank, echelon form, kernel and span test runs one sparse
+Gauss–Jordan elimination over ``Fraction`` (``_echelon``).  Its output is
+the reduced row echelon form, which is unique, so kernels come out in the
+canonical free-column form and subspace equality is plain tuple equality.
 """
 
 from __future__ import annotations
@@ -19,11 +19,39 @@ def _to_fraction_row(row) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in row)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
+def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= factor * other, in place, keeping only nonzero entries."""
+    for j, x in other.items():
+        y = row.get(j, 0) - factor * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """Sparse Gauss–Jordan: the RREF rows as {column: value}, and their pivots.
+
+    Each row (consumed in place) is reduced by the pivot rows found so far.
+    A nonzero remainder is scaled to a leading 1 and its pivot column is
+    cleared from the other pivot rows.  No pivot row has an entry left of
+    its pivot, so the rows sorted by pivot are the reduced row echelon form.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row[c], reduced[c])
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {j: x / lead for j, x in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        reduced[pivot] = row
+    pivots = tuple(sorted(reduced))
+    return [reduced[p] for p in pivots], pivots
 
 
 class RationalMatrix:
@@ -58,11 +86,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        )
-
     def apply(self, v: Sequence) -> Vector:
         v = _to_fraction_row(v)
         if len(v) != self.cols:
@@ -71,66 +94,31 @@ class RationalMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.data:
-            mult = lcm(*(f.denominator for f in row)) if row else 1
-            out.append([int(f * mult) for f in row])
-        return out
-
-    def _bareiss(self) -> tuple[list[list[int]], list[int]]:
-        """Fraction-free row echelon form; returns (matrix, pivot columns)."""
-        m = self._integer_rows()
-        pivots: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-            for i in range(r + 1, self.rows):
-                for j in range(self.cols):
-                    if j == c:
-                        continue
-                    m[i][j] = _exact_div(m[i][j] * m[r][c] - m[i][c] * m[r][j], prev)
-                m[i][c] = 0
-            prev = m[r][c]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _sparse_rows(self) -> Iterable[dict[int, Fraction]]:
+        return ({j: x for j, x in enumerate(row) if x} for row in self.data)
 
     def rank(self) -> int:
-        return len(self._bareiss()[1])
+        return len(_echelon(self._sparse_rows())[1])
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form (nonzero rows only) and its pivot columns."""
-        m, pivots = self._bareiss()
-        rows = [[Fraction(x) for x in m[r]] for r in range(len(pivots))]
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
-            for above in range(r):
-                factor = rows[above][c]
-                if factor:
-                    rows[above] = [x - factor * y for x, y in zip(rows[above], rows[r])]
-        return tuple(tuple(row) for row in rows), tuple(pivots)
+        rows, pivots = _echelon(self._sparse_rows())
+        zero = Fraction(0)
+        return tuple(tuple(row.get(j, zero) for j in range(self.cols)) for row in rows), pivots
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space (one vector per free column)."""
-        rref, pivots = self.rref()
+        rows, pivots = _echelon(self._sparse_rows())
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -rref[r][fc]
+            for row, pc in zip(rows, pivots):
+                if fc in row:
+                    v[pc] = -row[fc]
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -141,11 +129,9 @@ def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None
     basis = [_to_fraction_row(b) for b in basis]
     if any(len(b) != len(v) for b in basis):
         raise ValueError("vectors of inconsistent dimensions")
-    if not basis:
-        return (all(x == 0 for x in v), () if all(x == 0 for x in v) else None)
     # columns are the basis vectors, augmented with v
     aug = RationalMatrix.from_rows(
-        [[b[i] for b in basis] + [v[i]] for i in range(len(v))]
+        [[b[i] for b in basis] + [v[i]] for i in range(len(v))], len(basis) + 1
     )
     rref, pivots = aug.rref()
     if len(basis) in pivots:
@@ -158,12 +144,7 @@ def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None
 
 def row_space_rref(rows: Iterable[Sequence], cols: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the row space; the canonical form of a subspace."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return ()
-    matrix = RationalMatrix.from_rows(rows, cols)
-    rref, _ = matrix.rref()
-    return rref
+    return RationalMatrix.from_rows(rows, cols).rref()[0]
 
 
 def reduce_mod_rows(v: Sequence, rref_rows: Sequence[Vector], pivots: Sequence[int]):
@@ -175,16 +156,6 @@ def reduce_mod_rows(v: Sequence, rref_rows: Sequence[Vector], pivots: Sequence[i
             for j in range(len(v)):
                 v[j] -= factor * row[j]
     return tuple(v)
-
-
-def pivot_columns_of_rref(rref_rows: Sequence[Vector]) -> tuple[int, ...]:
-    pivots = []
-    for row in rref_rows:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    return tuple(pivots)
 
 
 def integerized(vector: Sequence[Fraction]) -> tuple[int, ...]:

@@ -257,7 +257,7 @@ class CochainComplex:
         if k not in self._images:
             size = len(self.basis(k))
             rows = [[col.get(r, 0) for r in range(size)] for col in self.d(k - 1)] if k > 0 else []
-            self._images[k] = RationalMatrix.from_rows(rows, size).rref() if rows else ((), ())
+            self._images[k] = RationalMatrix.from_rows(rows, size).rref()
         return self._images[k]
 
     def coordinates(self, k: int, element: AlgebraElement) -> list[Fraction]:

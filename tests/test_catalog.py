@@ -204,9 +204,15 @@ def test_verify_entry_pass_and_fail():
     assert records[0].expected != records[0].actual
 
 
-def test_catalog_entries_all_pass():
-    for claim in claims():
-        record = claim.evaluate()
+@pytest.fixture(scope="module")
+def full_report():
+    """One full verify-paper report, shared by the tests that only read it."""
+    return verification_report()
+
+
+def test_catalog_entries_all_pass(full_report):
+    assert len(full_report) == len(list(claims()))
+    for record in full_report:
         assert record.status == "pass", record
 
 
@@ -215,8 +221,8 @@ def test_claim_names_are_unique():
     assert len(names) == len(set(names)) == 135
 
 
-def test_section_reports_are_the_full_report_restricted():
-    full = verification_report()
+def test_section_reports_are_the_full_report_restricted(full_report):
+    full = full_report
     rest = {r.name for r in full}
     for section, count in ((3, 81), (4, 28), (5, 25)):
         names = {claim.name for claim in claims() if claim.section == section}
@@ -278,8 +284,8 @@ def test_subject_object_is_built_once_per_report():
     assert len(built) == 1
 
 
-def test_verification_report_sections_and_determinism():
-    full = verification_report()
+def test_verification_report_sections_and_determinism(full_report):
+    full = full_report
     assert all(r.status == "pass" for r in full)
     names = [r.name for r in full]
     assert names == sorted(names)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan.catalog import biquotient_ring
 from sullivan.cubic import (
     CubicForm,
     QuadricSubspace,
@@ -234,6 +235,19 @@ def test_substitute_examples():
     assert substitute(form3("x*y*z"), perm).proportional_to(form3("x*y*z"))
     with pytest.raises(ValueError):
         substitute(form, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1, 0, 0, 5], [0, 1, 0, 0], [0, 0, 1, 0]], [[1, 0, 0], [0, 1, 0]]], ids=["3x4", "2x3"]
+)
+def test_substitution_matrix_must_be_square_of_the_right_size(matrix):
+    with pytest.raises(ValueError):
+        substitute(form3("x*y*z"), matrix)
+    subspace = biquotient_ring("bsp")
+    with pytest.raises(ValueError):
+        subspace.transform(matrix)
+    # transform, unlike substitute, takes a singular matrix
+    assert subspace.transform([[1, 0, 0], [0, 1, 0], [0, 0, 0]]).dimension() <= subspace.dimension()
 
 
 def test_shear_identity_for_wall_combination():

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sullivan.linalg import RationalMatrix, in_span
 
 
@@ -79,3 +82,113 @@ def test_in_span_coordinates_reconstruct():
         assert ok
         rebuilt = tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(dim))
         assert rebuilt == v
+
+
+# -- properties that do not lean on a second kernel ---------------------------
+
+entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def dense_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows)), cols
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1-2 nonzeros per column, like the differentials of a Sullivan model."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(0, 8))
+    data = [[Fraction(0)] * cols for _ in range(rows)]
+    for c in range(cols):
+        for r in draw(st.sets(st.integers(0, rows - 1), min_size=1, max_size=2)):
+            data[r][c] = draw(nonzero)
+    return data, cols
+
+
+matrices = dense_matrices() | sparse_matrices()
+properties = settings(deadline=None)
+
+
+def _transpose(data, cols):
+    return [[row[c] for row in data] for c in range(cols)]
+
+
+def _combination(coeffs, vectors, length):
+    return [sum((a * v[j] for a, v in zip(coeffs, vectors)), Fraction(0)) for j in range(length)]
+
+
+@properties
+@given(matrices)
+def test_rank_equals_rank_of_transpose(matrix):
+    data, cols = matrix
+    rank = RationalMatrix.from_rows(data, cols).rank()
+    assert rank == RationalMatrix.from_rows(_transpose(data, cols), len(data)).rank()
+    assert rank <= min(len(data), cols)
+
+
+@properties
+@given(matrices)
+def test_rank_nullity_and_kernel_annihilates(matrix):
+    data, cols = matrix
+    m = RationalMatrix.from_rows(data, cols)
+    kernel = m.kernel_basis()
+    assert m.rank() + len(kernel) == cols
+    for v in kernel:
+        assert len(v) == cols
+        assert all(x == 0 for x in m.apply(v))
+
+
+@properties
+@given(matrices)
+def test_rref_is_reduced_echelon_form_of_the_row_space(matrix):
+    data, cols = matrix
+    rref, pivots = RationalMatrix.from_rows(data, cols).rref()
+    assert len(rref) == len(pivots) == RationalMatrix.from_rows(data, cols).rank()
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for r, (row, pc) in enumerate(zip(rref, pivots)):
+        assert len(row) == cols
+        assert all(x == 0 for x in row[:pc])
+        assert row[pc] == 1
+        assert all(other[pc] == 0 for s, other in enumerate(rref) if s != r)
+    # each row of the input is the combination of the RREF rows given by its
+    # entries in the pivot columns
+    for row in data:
+        assert _combination([row[pc] for pc in pivots], rref, cols) == row
+
+
+@properties
+@given(matrices, st.randoms(use_true_random=False), nonzero, st.lists(entries, max_size=6))
+def test_rref_depends_only_on_the_row_space(matrix, rng, scale, coeffs):
+    data, cols = matrix
+    expected = RationalMatrix.from_rows(data, cols).rref()
+    shuffled = data[:]
+    rng.shuffle(shuffled)
+    assert RationalMatrix.from_rows(shuffled, cols).rref() == expected
+    if data:
+        r = rng.randrange(len(data))
+        scaled = data[:r] + [[scale * x for x in data[r]]] + data[r + 1 :]
+        assert RationalMatrix.from_rows(scaled, cols).rref() == expected
+    appended = data + [_combination(coeffs, data, cols)]
+    assert RationalMatrix.from_rows(appended, cols).rref() == expected
+
+
+@properties
+@given(matrices, st.lists(entries, max_size=6), st.lists(entries, max_size=6))
+def test_in_span_coordinates_rebuild_the_vector(matrix, coeffs, other):
+    data, cols = matrix
+    inside = _combination(coeffs, data, cols)
+    arbitrary = (other + [Fraction(0)] * cols)[:cols]
+    for v in (inside, arbitrary):
+        ok, coords = in_span(v, data)
+        assert ok or v is not inside
+        if ok:
+            assert _combination(coords, data, cols) == v
+        else:
+            assert coords is None
+            rank = RationalMatrix.from_rows(data, cols).rank()
+            assert RationalMatrix.from_rows(data + [v], cols).rank() == rank + 1
