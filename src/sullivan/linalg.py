@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -32,13 +32,14 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
 def _echelon(rows: Iterable[dict[int, Fraction]]) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """Sparse Gauss–Jordan: the RREF rows as {column: value}, and their pivots.
 
-    Each row (consumed in place) is reduced by the pivot rows found so far.
-    A nonzero remainder is scaled to a leading 1 and its pivot column is
+    Each row is copied and reduced by the pivot rows found so far.  A
+    nonzero remainder is scaled to a leading 1 and its pivot column is
     cleared from the other pivot rows.  No pivot row has an entry left of
     its pivot, so the rows sorted by pivot are the reduced row echelon form.
     """
     reduced: dict[int, dict[int, Fraction]] = {}
     for row in rows:
+        row = dict(row)
         for c in [c for c in row if c in reduced]:
             _subtract(row, row[c], reduced[c])
         if not row:
@@ -54,33 +55,46 @@ def _echelon(rows: Iterable[dict[int, Fraction]]) -> tuple[list[dict[int, Fracti
     return [reduced[p] for p in pivots], pivots
 
 
+def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]:
+    zero = Fraction(0)
+    return tuple(tuple(row.get(j, zero) for j in range(cols)) for row in rows)
+
+
 class RationalMatrix:
-    """Dense matrix of Fractions; immutable after construction."""
+    """Sparse matrix of Fractions, each row a {column: value} dict of its
+    nonzero entries (the form the elimination takes); immutable."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_entries")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(data) != rows or any(len(r) != cols for r in data):
+    def __init__(self, rows: int, cols: int, sparse_rows: Sequence[Mapping[int, object]]):
+        if cols < 0 or len(sparse_rows) != rows:
             raise ValueError("data does not match the stated dimensions")
+        if any(j not in range(cols) for row in sparse_rows for j in row):
+            raise ValueError(f"a column index is outside range({cols})")
         self.rows = rows
         self.cols = cols
-        self.data = tuple(_to_fraction_row(r) for r in data)
+        self._entries = tuple({j: y for j, x in row.items() if (y := Fraction(x))} for row in sparse_rows)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
         data = [list(r) for r in data]
         if cols is None:
             cols = len(data[0]) if data else 0
-        return cls(len(data), cols, data)
+        if any(len(r) != cols for r in data):
+            raise ValueError("data does not match the stated dimensions")
+        return cls(len(data), cols, [{j: x for j, x in enumerate(r) if x} for r in data])
+
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """Dense read-only view of the entries, row by row."""
+        return _dense(self._entries, self.cols)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._entries == other._entries
         )
 
     def __repr__(self) -> str:
@@ -90,25 +104,21 @@ class RationalMatrix:
         v = _to_fraction_row(v)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.data)
+        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) for row in self._entries)
 
     # -- elimination ---------------------------------------------------
 
-    def _sparse_rows(self) -> Iterable[dict[int, Fraction]]:
-        return ({j: x for j, x in enumerate(row) if x} for row in self.data)
-
     def rank(self) -> int:
-        return len(_echelon(self._sparse_rows())[1])
+        return len(_echelon(self._entries)[1])
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form (nonzero rows only) and its pivot columns."""
-        rows, pivots = _echelon(self._sparse_rows())
-        zero = Fraction(0)
-        return tuple(tuple(row.get(j, zero) for j in range(self.cols)) for row in rows), pivots
+        rows, pivots = _echelon(self._entries)
+        return _dense(rows, self.cols), pivots
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space (one vector per free column)."""
-        rows, pivots = _echelon(self._sparse_rows())
+        rows, pivots = _echelon(self._entries)
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.cols):

@@ -171,25 +171,14 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
 # -- cohomology ---------------------------------------------------------------
 
 
-def differential_matrix(m: SullivanModel, k: int) -> tuple[RationalMatrix, list, list]:
-    """Matrix of d_k with rows over the degree-(k+1) basis, plus both bases."""
-    source = monomial_basis(m.table, k)
-    target = monomial_basis(m.table, k + 1)
-    index = {mono: r for r, mono in enumerate(target)}
-    rows = [[Fraction(0)] * len(source) for _ in target]
-    for c, mono in enumerate(source):
-        for tm, x in m.d(m.table.element({mono: Fraction(1)})).terms.items():
-            rows[index[tm]][c] = x
-    return RationalMatrix.from_rows(rows, len(source)), source, target
-
-
 class CochainComplex:
     """Per degree k: the monomial basis and its index, d_k, its rank and
     canonical kernel, and the canonical RREF of im d_{k-1}; each built once.
 
-    d_k is kept as sparse columns.  A dense matrix exists only for the one
-    elimination that needs it, so a long-lived complex holds sparse and
-    canonical data only.
+    d_k is built from the Leibniz rule straight into sparse columns and
+    stays sparse up to the elimination: rank and image eliminate the
+    columns as the rows of the transpose, and the kernel eliminates the
+    rows of d_k, transposed entry by entry.
     """
 
     def __init__(self, m: SullivanModel):
@@ -222,25 +211,19 @@ class CochainComplex:
     def d(self, k: int) -> tuple[dict[int, Fraction], ...]:
         """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient."""
         if k not in self._columns:
-            matrix, source, target = differential_matrix(self.model, k)
-            self._bases.setdefault(k, tuple(source))
-            self._bases.setdefault(k + 1, tuple(target))
-            self._columns[k] = tuple(
-                {r: row[c] for r, row in enumerate(matrix.data) if row[c]} for c in range(matrix.cols)
-            )
+            m = self.model
+            index = self.index(k + 1)
+            columns = []
+            for mono in self.basis(k):
+                terms = m.d(m.table.element({mono: Fraction(1)})).terms
+                columns.append({index[target]: x for target, x in terms.items()})
+            self._columns[k] = tuple(columns)
         return self._columns[k]
 
-    def _matrix(self, k: int) -> RationalMatrix:
-        """Dense d_k, for a single elimination."""
-        columns = self.d(k)
-        rows = range(len(self.basis(k + 1)))
-        return RationalMatrix(len(rows), len(columns), [[col.get(r, 0) for col in columns] for r in rows])
-
     def rank(self, k: int) -> int:
-        if k < 0:
-            return 0
         if k not in self._ranks:
-            self._ranks[k] = self._matrix(k).rank()
+            columns = self.d(k)
+            self._ranks[k] = RationalMatrix(len(columns), len(self.basis(k + 1)), columns).rank()
         return self._ranks[k]
 
     def betti(self, k: int) -> int:
@@ -249,15 +232,19 @@ class CochainComplex:
     def kernel(self, k: int) -> tuple[Vector, ...]:
         """Canonical basis of ker d_k over basis(k), one vector per free column."""
         if k not in self._kernels:
-            self._kernels[k] = self._matrix(k).kernel_basis()
+            columns = self.d(k)
+            rows = [{} for _ in self.basis(k + 1)]
+            for c, column in enumerate(columns):
+                for r, x in column.items():
+                    rows[r][c] = x
+            self._kernels[k] = RationalMatrix(len(rows), len(columns), rows).kernel_basis()
         return self._kernels[k]
 
     def image(self, k: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Canonical RREF of im d_{k-1} over basis(k), and its pivot columns."""
         if k not in self._images:
-            size = len(self.basis(k))
-            rows = [[col.get(r, 0) for r in range(size)] for col in self.d(k - 1)] if k > 0 else []
-            self._images[k] = RationalMatrix.from_rows(rows, size).rref()
+            columns = self.d(k - 1)
+            self._images[k] = RationalMatrix(len(columns), len(self.basis(k)), columns).rref()
         return self._images[k]
 
     def coordinates(self, k: int, element: AlgebraElement) -> list[Fraction]:

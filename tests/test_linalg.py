@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,30 @@ def test_in_span_coordinates_reconstruct():
         assert rebuilt == v
 
 
+def test_sparse_constructor_is_exact():
+    m = RationalMatrix(1, 2, [{0: 1, 1: 2}])
+    rref, pivots = m.rref()
+    assert rref == ((1, 2),) and pivots == (0,)
+    assert all(type(x) is Fraction for row in rref + m.data for x in row)
+
+
+def test_sparse_constructor_drops_zeros():
+    m = RationalMatrix(1, 2, [{0: 0, 1: 1}])
+    assert m.rank() == 1
+    assert m.rref() == (((0, 1),), (1,))
+    assert m == RationalMatrix.from_rows([[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "rows,cols,sparse",
+    [(1, 2, [{2: 1}]), (1, 2, [{-1: 1}]), (2, 2, [{0: 1}]), (1, 2, [{0: 1}, {1: 1}]), (0, -1, [])],
+    ids=["column-past-end", "negative-column", "too-few-rows", "too-many-rows", "negative-width"],
+)
+def test_sparse_constructor_checks_its_shape(rows, cols, sparse):
+    with pytest.raises(ValueError):
+        RationalMatrix(rows, cols, sparse)
+
+
 # -- properties that do not lean on a second kernel ---------------------------
 
 entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -120,6 +145,19 @@ def _transpose(data, cols):
 
 def _combination(coeffs, vectors, length):
     return [sum((a * v[j] for a, v in zip(coeffs, vectors)), Fraction(0)) for j in range(length)]
+
+
+@properties
+@given(matrices)
+def test_sparse_rows_give_the_same_matrix_as_dense_rows(matrix):
+    data, cols = matrix
+    dense = RationalMatrix.from_rows(data, cols)
+    # whole-number entries as int, and the zeros written out
+    sparse = [{j: int(x) if x.denominator == 1 else x for j, x in enumerate(row)} for row in data]
+    m = RationalMatrix(len(data), cols, sparse)
+    assert m == dense
+    assert m.data == dense.data == tuple(tuple(row) for row in data)
+    assert all(type(x) is Fraction for row in m.data for x in row)
 
 
 @properties

@@ -185,9 +185,11 @@ def test_kuenneth_convolution_on_products():
         lambda: dim4_sigma_model(2),
         lambda: dim6_b3_model(2),
     ]
+    # the cochain benchmark's pair, up to its full formal dimension 12
+    pairs = [(dim6_b3_model(2), dim6_b3_model(3))]
     for _ in range(10):
-        m1 = rng.choice(factories)()
-        m2 = rng.choice(factories)()
+        pairs.append((rng.choice(factories)(), rng.choice(factories)()))
+    for m1, m2 in pairs:
         n = m1.formal_dimension_claim() + m2.formal_dimension_claim()
         b1 = betti_numbers(m1, n)
         b2 = betti_numbers(m2, n)
@@ -290,19 +292,45 @@ def test_cochains_is_built_once_per_model():
 
 
 def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
-    built = []
-    original = sullivan.model.differential_matrix
+    # a basis built twice enumerates its degree twice, and a d_k built twice
+    # sends each degree-k monomial through the Leibniz rule twice
+    bases, leibniz = [], []
+    original_basis = sullivan.model.monomial_basis
+    original_d = sullivan.model.extend_differential
 
-    def counting(m, k):
-        built.append(k)
-        return original(m, k)
+    def counting_basis(table, k):
+        bases.append(k)
+        return original_basis(table, k)
 
-    monkeypatch.setattr(sullivan.model, "differential_matrix", counting)
+    def counting_d(m, a):
+        leibniz.append(frozenset(a.terms.items()))
+        return original_d(m, a)
+
+    monkeypatch.setattr(sullivan.model, "monomial_basis", counting_basis)
     m = dim7_sigma_model(2)
+    # building the complex validates d^2 = 0 on every generator image first
+    cochains = m.cochains()
+    monkeypatch.setattr(sullivan.model, "extend_differential", counting_d)
     assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
     assert poincare_duality_check(m)
     sullivan.model.pairing_matrix(m)
-    assert built and len(built) == len(set(built))
+    assert bases and len(bases) == len(set(bases))
+    assert len(leibniz) == len(set(leibniz)) == sum(len(cochains.basis(k)) for k in range(8))
+
+
+@pytest.mark.parametrize("name,factory", ELLIPTIC_MODELS)
+def test_d_squared_vanishes_on_the_cochain_columns(name, factory):
+    m = factory()
+    cochains = m.cochains()
+    for k in range(m.formal_dimension_claim() + 1):
+        after = cochains.d(k + 1)
+        assert len(after) == len(cochains.basis(k + 1))
+        for column in cochains.d(k):
+            twice = {}
+            for r, x in column.items():
+                for s, y in after[r].items():
+                    twice[s] = twice.get(s, 0) + x * y
+            assert not any(twice.values())
 
 
 def test_rank_kernel_and_image_agree():
