@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Sequence
 
 from . import roots
@@ -496,7 +497,17 @@ def squarefree_part(q) -> int:
 
 
 def same_square_class(a, b) -> bool:
-    return squarefree_part(Fraction(a) / Fraction(b)) == 1
+    """Whether a and b are equal in Q*/(Q*)^2, without factoring either.
+
+    a/b = p/q in lowest terms is a square iff it is positive and p*q is a
+    perfect square (p and q are coprime, so each must be a square).
+    """
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("0 has no class in Q*/(Q*)^2")
+    q = a / b
+    n = q.numerator * q.denominator
+    return n > 0 and isqrt(n) ** 2 == n
 
 
 # -- rings back to forms -----------------------------------------------------

@@ -9,8 +9,10 @@ decision via codimension.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from numbers import Rational
+from operator import add, le, neg, sub
 from typing import Iterable, Sequence
 
 Monomial = tuple[int, ...]
@@ -18,23 +20,23 @@ Monomial = tuple[int, ...]
 
 def _grevlex_key(m: Monomial):
     # ascending in this key == ascending in graded reverse-lexicographic order
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 class PolyRing:
@@ -261,42 +263,82 @@ class Polynomial:
         return f"<{render_polynomial(self)}>"
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    l = _mono_lcm(lmf, lmg)
-    mf = f.ring.monomial(_mono_div(l, lmf), Fraction(1) / f.leading_coefficient())
-    mg = g.ring.monomial(_mono_div(l, lmg), Fraction(1) / g.leading_coefficient())
-    return mf * f - mg * g
+def _s_polynomial(
+    f: Polynomial, lf: Monomial, g: Polynomial, lg: Monomial, lcm: Monomial
+) -> dict[Monomial, Fraction]:
+    """Terms of the S-polynomial of the monic f and g, with leading
+    monomials lf and lg whose lcm is `lcm`."""
+    shift = _mono_div(lcm, lf)
+    work = {_mono_mul(m, shift): c for m, c in f.terms.items() if m != lf}
+    shift = _mono_div(lcm, lg)
+    for m, c in g.terms.items():
+        if m != lg:
+            m = _mono_mul(m, shift)
+            c = work.get(m, 0) - c
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+    return work
 
 
-def _reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Fully reduced remainder of p modulo basis (every term reduced)."""
-    ring = p.ring
+def _descending_key(m: Monomial):
+    # ascending in this key == descending in grevlex, for a min-heap
+    return (-sum(m), m[::-1])
+
+
+def _reduce(
+    work: dict[Monomial, Fraction], basis: Sequence[Polynomial], leads: Sequence[Monomial]
+) -> dict[Monomial, Fraction]:
+    """Fully reduced remainder of the terms `work` modulo basis, whose
+    leading monomials are `leads`; `work` is consumed in place.
+
+    Terms are taken largest first from a heap.  Subtracting a multiple of a
+    basis element only creates terms below the one removed, so a heap
+    entry whose term has since cancelled is simply skipped, and the
+    remainder comes back with its terms in descending order.
+    """
     remainder: dict[Monomial, Fraction] = {}
-    work = p
-    while work.terms:
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
-        for g in basis:
-            glm = g.leading_monomial()
+    heap = [(_descending_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
+        for g, glm in zip(basis, leads):
             if _divides(glm, lm):
-                factor = ring.monomial(_mono_div(lm, glm), lc / g.leading_coefficient())
-                work = work - factor * g
                 break
         else:
             remainder[lm] = lc
-            work = Polynomial(ring, {m: c for m, c in work.terms.items() if m != lm})
-    return Polynomial(ring, remainder)
+            continue
+        factor = lc / g.terms[glm]
+        shift = _mono_div(lm, glm)
+        for m, c in g.terms.items():
+            if m == glm:
+                continue
+            m = _mono_mul(m, shift)
+            c = factor * c
+            old = work.get(m)
+            if old is None:
+                work[m] = -c
+                heappush(heap, (_descending_key(m), m))
+            elif old == c:
+                del work[m]
+            else:
+                work[m] = old - c
+    return remainder
 
 
 class GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal under grevlex."""
 
-    __slots__ = ("ring", "generators")
+    __slots__ = ("ring", "generators", "_leads")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
         self.ring = ring
         self.generators = tuple(generators)
+        self._leads = tuple(g.leading_monomial() for g in self.generators)
 
     def __eq__(self, other) -> bool:
         return (
@@ -309,12 +351,12 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.generators)} generators over {self.ring!r})"
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial() for g in self.generators)
+        return self._leads
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        return _reduce(p, self.generators)
+        return Polynomial(self.ring, _reduce(dict(p.terms), self.generators, self._leads))
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -360,6 +402,12 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 
     Zero polynomials are dropped; an empty list yields the zero ideal.
     All inputs must be homogeneous (the only case this package needs).
+
+    Pairs are taken by the normal strategy: the pending pair whose lcm is
+    least in grevlex goes first, ties broken by index.  A pair is skipped
+    by Buchberger's two criteria (Gebauer and Moeller, JSC 1988): its
+    leading monomials are coprime, or some third leading monomial divides
+    its lcm and neither of that element's pairs with the two is pending.
     """
     polys = [p for p in polys if not p.is_zero()]
     if ring is None:
@@ -371,33 +419,57 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
             raise ValueError("generators live in different rings")
         if not p.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    basis = [p.monic() for p in polys]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        lmf, lmg = f.leading_monomial(), g.leading_monomial()
-        if _mono_lcm(lmf, lmg) == _mono_mul(lmf, lmg):
-            continue  # coprime leads: S-polynomial reduces to zero
-        r = _reduce(s_polynomial(f, g), basis)
-        if r.is_zero():
-            continue
-        basis.append(r.monic())
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # interreduce to the unique reduced basis
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    queue: list = []  # heap of (grevlex key of the lcm, i, j, lcm)
+    pending: set[tuple[int, int]] = set()
+
+    def add_generator(terms: dict[Monomial, Fraction]) -> None:
+        # terms in descending order, as _reduce returns them
+        lead = next(iter(terms))
+        lc = terms[lead]
+        j = len(basis)
+        basis.append(Polynomial(ring, {m: c / lc for m, c in terms.items()}))
+        leads.append(lead)
+        for i in range(j):
+            lcm = _mono_lcm(leads[i], leads[j])
+            heappush(queue, (_grevlex_key(lcm), i, j, lcm))
+            pending.add((i, j))
+
+    def chain(i: int, j: int, lcm: Monomial) -> bool:
+        return any(
+            k != i
+            and k != j
+            and _divides(lead, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lead in enumerate(leads)
+        )
+
+    for p in polys:
+        add_generator(dict(p.ordered_terms()))
+    while queue:
+        _, i, j, lcm = heappop(queue)
+        pending.remove((i, j))
+        if lcm == _mono_mul(leads[i], leads[j]) or chain(i, j, lcm):
+            continue  # the S-polynomial reduces to zero
+        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads)
+        if r:
+            add_generator(r)
+    # interreduce to the unique reduced basis, smallest lead first: a term
+    # below a lead can only be divisible by a smaller lead
     minimal = []
-    lms = [g.leading_monomial() for g in basis]
-    for i, g in enumerate(basis):
-        if any(j != i and _divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
-            continue
-        minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = _reduce(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: _grevlex_key(g.leading_monomial()))
+    for i, lead in enumerate(leads):
+        if not any(
+            k != i and _divides(other, lead) and (other != lead or k < i) for k, other in enumerate(leads)
+        ):
+            minimal.append(i)
+    minimal.sort(key=lambda i: _grevlex_key(leads[i]))
+    reduced: list[Polynomial] = []
+    reduced_leads: list[Monomial] = []
+    for i in minimal:
+        reduced.append(Polynomial(ring, _reduce(dict(basis[i].terms), reduced, reduced_leads)))
+        reduced_leads.append(leads[i])
     return GroebnerBasis(ring, reduced)
 
 

@@ -39,7 +39,7 @@ class CohomologyReport:
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
 
-    __slots__ = ("table", "images", "_cochains")
+    __slots__ = ("table", "images", "_cochains", "__weakref__")
 
     def __init__(self, table: GeneratorTable, differential: dict[str, AlgebraElement]):
         self.table = table
@@ -142,7 +142,11 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
     """Termwise graded Leibniz extension of the generator differentials."""
     if a.table != m.table:
         raise ValueError("element lives over a different table")
-    table = m.table
+    return _leibniz(m.table, m.images, a)
+
+
+def _leibniz(table: GeneratorTable, images: tuple[AlgebraElement, ...], a: AlgebraElement) -> AlgebraElement:
+    """The graded Leibniz rule: d(a) from the generator images d(x_i) = images[i]."""
     result = table.zero()
     for mono, coeff in a.terms.items():
         acc = table.zero()
@@ -152,18 +156,18 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
         even_sign = -1 if len(odd_positions) % 2 else 1
         for i in table.even_indices():
             e = mono[i]
-            if e == 0 or m.images[i].is_zero():
+            if e == 0 or images[i].is_zero():
                 continue
             rest = list(mono)
             rest[i] = e - 1
-            acc = acc + (table.element({tuple(rest): Fraction(even_sign * e)}) * m.images[i])
+            acc = acc + (table.element({tuple(rest): Fraction(even_sign * e)}) * images[i])
         for pos, i in enumerate(odd_positions):
-            if m.images[i].is_zero():
+            if images[i].is_zero():
                 continue
             rest = list(mono)
             rest[i] = 0
             sign = -1 if pos % 2 else 1
-            acc = acc + (table.element({tuple(rest): Fraction(sign)}) * m.images[i])
+            acc = acc + (table.element({tuple(rest): Fraction(sign)}) * images[i])
         result = result + acc.scale(coeff)
     return result
 
@@ -179,6 +183,9 @@ class CochainComplex:
     stays sparse up to the elimination: rank and image eliminate the
     columns as the rows of the transpose, and the kernel eliminates the
     rows of d_k, transposed entry by entry.
+
+    The complex keeps the model's table and generator images, not the
+    model, which keeps the complex: no reference cycle.
     """
 
     def __init__(self, m: SullivanModel):
@@ -186,7 +193,8 @@ class CochainComplex:
         bad = next((v for v in m._violations() if v.kind != "minimality"), None)
         if bad is not None:
             raise ValueError(bad.message)
-        self.model = m
+        self.table = m.table
+        self.images = m.images
         self._bases: dict[int, tuple] = {}
         self._indices: dict[int, dict] = {}
         self._columns: dict[int, tuple[dict[int, Fraction], ...]] = {}
@@ -199,7 +207,7 @@ class CochainComplex:
         if k < 0:
             return ()
         if k not in self._bases:
-            self._bases[k] = tuple(monomial_basis(self.model.table, k))
+            self._bases[k] = tuple(monomial_basis(self.table, k))
         return self._bases[k]
 
     def index(self, k: int) -> dict:
@@ -211,11 +219,11 @@ class CochainComplex:
     def d(self, k: int) -> tuple[dict[int, Fraction], ...]:
         """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient."""
         if k not in self._columns:
-            m = self.model
             index = self.index(k + 1)
+            table = self.table
             columns = []
             for mono in self.basis(k):
-                terms = m.d(m.table.element({mono: Fraction(1)})).terms
+                terms = _leibniz(table, self.images, table.element({mono: Fraction(1)})).terms
                 columns.append({index[target]: x for target, x in terms.items()})
             self._columns[k] = tuple(columns)
         return self._columns[k]

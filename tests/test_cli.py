@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from sullivan.cli import main
+from sullivan.groebner import PolyRing, buchberger
+from sullivan.parsing import render_polynomial
 
 
 def run(capsys, *argv):
@@ -73,6 +76,23 @@ def test_groebner_output(capsys):
     code, out, _ = run(capsys, "groebner", "x1*x2", "x1^2 - x2^2")
     assert code == 0
     assert "x2^3" in out
+
+
+def test_regseq_and_groebner_on_dense_quadrics_in_five_variables(capsys):
+    # three dense quadrics in five variables: both commands once ran past 60 s
+    ring = PolyRing(("x1", "x2", "x3", "x4", "x5"))
+    rng = random.Random(1)
+    monos = ring.monomials_of_degree(2)
+    quadrics = [ring.from_terms({m: rng.randint(-5, 5) for m in monos}) for _ in range(3)]
+    texts = [render_polynomial(q) for q in quadrics]
+    code, out, _ = run(capsys, "regseq", *texts)
+    assert code == 0
+    assert out.splitlines() == ["variables: x1, x2, x3, x4, x5", "regular"]
+    code, out, _ = run(capsys, "groebner", *texts)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "variables: x1, x2, x3, x4, x5"
+    assert lines[1:] == [render_polynomial(g) for g in buchberger(quadrics, ring).generators]
 
 
 def test_cubic_subcommands(capsys):

@@ -20,6 +20,7 @@ from sullivan.cubic import (
     is_elliptic_form,
     is_singular_ternary,
     pairing_rank,
+    same_square_class,
     squarefree_part,
     substitute,
     wall_invariants,
@@ -181,6 +182,35 @@ def test_squarefree_part_examples():
     assert squarefree_part(Fraction(1, 2)) == 2
     with pytest.raises(ValueError):
         squarefree_part(0)
+
+
+def test_same_square_class_examples():
+    assert same_square_class(2, 8)
+    assert same_square_class(Fraction(1, 2), 8)
+    assert same_square_class(Fraction(-3, 4), -27)
+    assert not same_square_class(2, 3)
+    assert not same_square_class(-2, 8)
+    with pytest.raises(ValueError):
+        same_square_class(0, 4)
+    with pytest.raises(ValueError):
+        same_square_class(4, 0)
+
+
+def test_same_square_class_does_not_factor():
+    # 2^61 - 1 is prime: trial division of a quotient that keeps it, up to
+    # the square root, would not end
+    p = 2**61 - 1
+    assert same_square_class(p, 4 * p)
+    assert same_square_class(3 * p * p, 3)
+    assert not same_square_class(p, 1)
+
+
+def test_same_square_class_agrees_with_squarefree_part():
+    rng = random.Random(7)
+    for _ in range(300):
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 60))
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 60))
+        assert same_square_class(a, b) == (squarefree_part(a) == squarefree_part(b))
 
 
 def test_cubic_form_of_quadric_ideal_examples():

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan.groebner import (
     PolyRing,
@@ -271,3 +275,98 @@ def test_hilbert_function_of_regular_sequence_is_product_formula():
             series = acc
         hf = buchberger(seq, R3).hilbert_function(limit)
         assert tuple(series) == tuple(hf)
+
+
+# -- properties against routes that do not go through Buchberger -------------
+
+RINGS = {n: PolyRing(tuple(f"x{i + 1}" for i in range(n))) for n in (2, 3, 4)}
+
+
+@st.composite
+def homogeneous_systems(draw, degrees=(2,), max_polys=4):
+    """A ring of 2-4 variables and 1..max_polys nonzero homogeneous forms."""
+    ring = RINGS[draw(st.integers(2, 4))]
+    system = []
+    for _ in range(draw(st.integers(1, max_polys))):
+        monos = ring.monomials_of_degree(draw(st.sampled_from(degrees)))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        poly = ring.from_terms(dict(zip(monos, coeffs)))
+        if not poly.is_zero():
+            system.append(poly)
+    return ring, system
+
+
+def _lead(p):
+    return p.ordered_terms()[0]
+
+
+def _remainder(p, basis):
+    """Remainder of p under the textbook division by basis, on Polynomial
+    arithmetic alone (no shared code with the package's reduction)."""
+    ring = p.ring
+    remainder = ring.zero()
+    while not p.is_zero():
+        lm, lc = _lead(p)
+        for g in basis:
+            glm, glc = _lead(g)
+            if all(a <= b for a, b in zip(glm, lm)):
+                p = p - ring.monomial([a - b for a, b in zip(lm, glm)], lc / glc) * g
+                break
+        else:
+            remainder = remainder + ring.monomial(lm, lc)
+            p = p - ring.monomial(lm, lc)
+    return remainder
+
+
+def _s_poly(f, g):
+    (lf, cf), (lg, cg) = _lead(f), _lead(g)
+    lcm = [max(a, b) for a, b in zip(lf, lg)]
+    ring = f.ring
+    return (
+        ring.monomial([a - b for a, b in zip(lcm, lf)], 1 / cf) * f
+        - ring.monomial([a - b for a, b in zip(lcm, lg)], 1 / cg) * g
+    )
+
+
+def _assert_reduced_groebner_basis(gb, inputs):
+    """Buchberger's criterion, monic and reduced generators, and every input in the ideal."""
+    gens = gb.generators
+    leads = [_lead(g)[0] for g in gens]
+    assert len(set(leads)) == len(leads)
+    for g in gens:
+        lm, lc = _lead(g)
+        assert lc == 1
+        others = [l for l in leads if l != lm]
+        assert not any(all(a <= b for a, b in zip(l, m)) for m in g.terms for l in others)
+    for f, g in combinations(gens, 2):
+        assert _remainder(_s_poly(f, g), gens).is_zero()
+    for p in inputs:
+        assert _remainder(p, gens).is_zero()
+
+
+@settings(deadline=None)
+@given(homogeneous_systems())
+def test_hilbert_function_matches_linear_algebra_on_quadrics(case):
+    ring, system = case
+    n = len(ring.variables)
+    hf = buchberger(system, ring).hilbert_function(4)
+    for d in range(5):
+        assert hf[d] == comb(n + d - 1, d) - _ideal_slice_rank(system, ring, d)
+
+
+@settings(deadline=None)
+@given(homogeneous_systems(degrees=(1, 2, 3), max_polys=3))
+def test_buchberger_output_satisfies_buchbergers_criterion(case):
+    ring, system = case
+    _assert_reduced_groebner_basis(buchberger(system, ring), system)
+
+
+def test_three_dense_quadrics_in_five_variables():
+    # under last-in-first-out pair selection this system ran past 60 s
+    ring = PolyRing(("x1", "x2", "x3", "x4", "x5"))
+    rng = random.Random(1)
+    monos = ring.monomials_of_degree(2)
+    quadrics = [ring.from_terms({m: rng.randint(-5, 5) for m in monos}) for _ in range(3)]
+    gb = buchberger(quadrics, ring)
+    _assert_reduced_groebner_basis(gb, quadrics)
+    assert is_regular_sequence(quadrics, ring)

@@ -1,6 +1,8 @@
 """Sullivan models: Leibniz extension, validation, cohomology, cup products."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -296,26 +298,38 @@ def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
     # sends each degree-k monomial through the Leibniz rule twice
     bases, leibniz = [], []
     original_basis = sullivan.model.monomial_basis
-    original_d = sullivan.model.extend_differential
+    original_leibniz = sullivan.model._leibniz
 
     def counting_basis(table, k):
         bases.append(k)
         return original_basis(table, k)
 
-    def counting_d(m, a):
+    def counting_leibniz(table, images, a):
         leibniz.append(frozenset(a.terms.items()))
-        return original_d(m, a)
+        return original_leibniz(table, images, a)
 
     monkeypatch.setattr(sullivan.model, "monomial_basis", counting_basis)
     m = dim7_sigma_model(2)
     # building the complex validates d^2 = 0 on every generator image first
     cochains = m.cochains()
-    monkeypatch.setattr(sullivan.model, "extend_differential", counting_d)
+    monkeypatch.setattr(sullivan.model, "_leibniz", counting_leibniz)
     assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
     assert poincare_duality_check(m)
     sullivan.model.pairing_matrix(m)
     assert bases and len(bases) == len(set(bases))
     assert len(leibniz) == len(set(leibniz)) == sum(len(cochains.basis(k)) for k in range(8))
+
+
+def test_model_with_a_built_complex_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        m = dim7_sigma_model(2)
+        assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
+        refs = [weakref.ref(m), weakref.ref(m.cochains())]
+        del m
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name,factory", ELLIPTIC_MODELS)
