@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
+from operator import add
 from typing import Iterable, Iterator
 
 
@@ -31,7 +32,7 @@ def _as_fraction(value) -> Fraction:
 class GeneratorTable:
     """Ordered table of generators; the order fixes all canonical monomial orders."""
 
-    __slots__ = ("names", "degrees", "_positions")
+    __slots__ = ("names", "degrees", "_positions", "_even", "_odd")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
         names = []
@@ -48,6 +49,8 @@ class GeneratorTable:
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self._positions = {name: i for i, name in enumerate(names)}
+        self._even = tuple(i for i, d in enumerate(degrees) if d % 2 == 0)
+        self._odd = tuple(i for i, d in enumerate(degrees) if d % 2 == 1)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -73,10 +76,10 @@ class GeneratorTable:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def even_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.degrees) if d % 2 == 0)
+        return self._even
 
     def odd_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.degrees) if d % 2 == 1)
+        return self._odd
 
     # -- element constructors ----------------------------------------
 
@@ -128,23 +131,17 @@ def _mul_monomials(table: GeneratorTable, m1, m2):
     The sign counts inversions between the odd factors of m1 and m2; odd
     generators all have odd degree, so each transposition contributes -1.
     """
-    degrees = table.degrees
-    out = []
     sign = 1
-    total_m1_odds = sum(1 for i, e in enumerate(m1) if e and degrees[i] % 2)
-    seen_m1 = 0
-    for i, (e1, e2) in enumerate(zip(m1, m2)):
-        if degrees[i] % 2:
-            if e1 and e2:
+    later_m1_odds = 0
+    for i in reversed(table.odd_indices()):
+        if m1[i]:
+            if m2[i]:
                 return None
-            if e1:
-                seen_m1 += 1
-            if e2:
-                # this odd factor of m2 must jump over every later odd factor of m1
-                if (total_m1_odds - seen_m1) % 2:
-                    sign = -sign
-        out.append(e1 + e2)
-    return sign, tuple(out)
+            later_m1_odds += 1
+        elif m2[i] and later_m1_odds % 2:
+            # this odd factor of m2 must jump over every later odd factor of m1
+            sign = -sign
+    return sign, tuple(map(add, m1, m2))
 
 
 class AlgebraElement:
@@ -215,8 +212,13 @@ class AlgebraElement:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = self.table.one()
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- degree -------------------------------------------------------

@@ -267,7 +267,7 @@ def _generator_rank(m: SullivanModel, degree: int) -> int:
         for i, d in enumerate(m.table.degrees)
         if d == degree
     ]
-    return RationalMatrix.from_rows(rows).rank() if rows else 0
+    return RationalMatrix(len(rows), len(cochains.basis(degree + 1)), rows).rank()
 
 
 def _pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> Fraction:

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Every rank, echelon form, kernel and span test runs one sparse
-Gauss–Jordan elimination over ``Fraction`` (``_echelon``).  Its output is
-the reduced row echelon form, which is unique, so kernels come out in the
-canonical free-column form and subspace equality is plain tuple equality.
+fraction-free elimination over ``int`` (``_forward``), in the manner of
+Bareiss (*Math. Comp.* 22, 1968): each row is scaled to primitive
+integers on input and cleared by gcd-reduced ``a·row − b·pivot_row``, with
+no ``Fraction`` and no modular step.  ``rank`` stops after this forward
+pass.  ``_echelon`` back-eliminates to the reduced row echelon form, which
+is unique, so kernels come out in the canonical free-column form and
+subspace equality is plain tuple equality.
 """
 
 from __future__ import annotations
@@ -19,40 +23,62 @@ def _to_fraction_row(row) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in row)
 
 
-def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= factor * other, in place, keeping only nonzero entries."""
-    for j, x in other.items():
-        y = row.get(j, 0) - factor * x
-        if y:
-            row[j] = y
-        else:
-            del row[j]
+def _add_term(terms: dict, key, value) -> None:
+    """terms[key] += value, keeping only nonzero entries."""
+    y = terms.get(key, 0) + value
+    if y:
+        terms[key] = y
+    else:
+        del terms[key]
 
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
-    """Sparse Gauss–Jordan: the RREF rows as {column: value}, and their pivots.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A nonzero integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
-    Each row is copied and reduced by the pivot rows found so far.  A
-    nonzero remainder is scaled to a leading 1 and its pivot column is
-    cleared from the other pivot rows.  No pivot row has an entry left of
-    its pivot, so the rows sorted by pivot are the reduced row echelon form.
-    """
-    reduced: dict[int, dict[int, Fraction]] = {}
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive part of a·row − b·pivot_row, with a, b the gcd-reduced
+    entries of pivot_row and row at column c, which it clears."""
+    g = gcd(row[c], pivot_row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, x in pivot_row.items():
+        _add_term(out, j, -b * x)
+    return _primitive(out) if out else out
+
+
+def _forward(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Primitive integer rows in echelon form, keyed by pivot: each row, its
+    denominators cleared, is reduced leading column first by the pivot rows
+    so far, and what is left is a new pivot row; their number is the rank."""
+    reduced: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
-        for c in [c for c in row if c in reduced]:
-            _subtract(row, row[c], reduced[c])
         if not row:
             continue
-        pivot = min(row)
-        lead = row[pivot]
-        row = {j: x / lead for j, x in row.items()}
-        for other in reduced.values():
-            if pivot in other:
-                _subtract(other, other[pivot], row)
-        reduced[pivot] = row
-    pivots = tuple(sorted(reduced))
-    return [reduced[p] for p in pivots], pivots
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = _primitive({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+        while row:
+            pivot = min(row)
+            if pivot not in reduced:
+                reduced[pivot] = row
+                break
+            row = _eliminate(row, reduced[pivot], pivot)
+    return reduced
+
+
+def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, Fraction]]:
+    """Sparse RREF, the nonzero rows as {column: Fraction} keyed by increasing
+    pivot: the forward pass, then from the last pivot up each row is cleared
+    by the already reduced rows below it and divided by its leading entry."""
+    reduced = _forward(rows)
+    for p in sorted(reduced, reverse=True):
+        row = reduced[p]
+        for c in [c for c in row if c != p and c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[p] = row
+    return {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(reduced.items())}
 
 
 def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]:
@@ -62,7 +88,7 @@ def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]
 
 class RationalMatrix:
     """Sparse matrix of Fractions, each row a {column: value} dict of its
-    nonzero entries (the form the elimination takes); immutable."""
+    nonzero entries (the form the elimination reads); immutable."""
 
     __slots__ = ("rows", "cols", "_entries")
 
@@ -109,28 +135,25 @@ class RationalMatrix:
     # -- elimination ---------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self._entries)[1])
+        return len(_forward(self._entries))
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form (nonzero rows only) and its pivot columns."""
-        rows, pivots = _echelon(self._entries)
-        return _dense(rows, self.cols), pivots
+        rows = _echelon(self._entries)
+        return _dense(rows.values(), self.cols), tuple(rows)
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space (one vector per free column)."""
-        rows, pivots = _echelon(self._entries)
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
+        rows = _echelon(self._entries)
+        basis = {fc: [Fraction(0)] * self.cols for fc in range(self.cols) if fc not in rows}
+        for fc, v in basis.items():
             v[fc] = Fraction(1)
-            for row, pc in zip(rows, pivots):
-                if fc in row:
-                    v[pc] = -row[fc]
-            basis.append(tuple(v))
-        return tuple(basis)
+        # off its pivot, an RREF row has entries in free columns only
+        for pc, row in rows.items():
+            for fc, x in row.items():
+                if fc != pc:
+                    basis[fc][pc] = -x
+        return tuple(tuple(v) for v in basis.values())
 
 
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
@@ -155,17 +178,6 @@ def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None
 def row_space_rref(rows: Iterable[Sequence], cols: int) -> tuple[Vector, ...]:
     """Canonical (RREF) basis of the row space; the canonical form of a subspace."""
     return RationalMatrix.from_rows(rows, cols).rref()[0]
-
-
-def reduce_mod_rows(v: Sequence, rref_rows: Sequence[Vector], pivots: Sequence[int]):
-    """Reduce v modulo a row space given in RREF with known pivot columns."""
-    v = list(_to_fraction_row(v))
-    for row, pc in zip(rref_rows, pivots):
-        factor = v[pc]
-        if factor:
-            for j in range(len(v)):
-                v[j] -= factor * row[j]
-    return tuple(v)
 
 
 def integerized(vector: Sequence[Fraction]) -> tuple[int, ...]:

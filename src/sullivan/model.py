@@ -12,10 +12,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import AlgebraElement, GeneratorTable, monomial_basis
+from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import PolyRing, Polynomial, buchberger
-from .linalg import RationalMatrix, Vector, reduce_mod_rows
+from .linalg import RationalMatrix, Vector, _add_term, _echelon
 
 
 @dataclass(frozen=True)
@@ -138,38 +138,37 @@ class SullivanModel:
         return f"SullivanModel({self.table!r})"
 
 
+def _leibniz_monomial(table: GeneratorTable, images, mono: tuple[int, ...]) -> dict:
+    """The graded Leibniz rule on one monomial: d(mono) as {monomial: coefficient},
+    from the terms {monomial: coefficient} of each generator image d(x_i) = images[i]."""
+    odd_positions = [i for i in table.odd_indices() if mono[i]]
+    # even factors: the image has odd degree, so commuting it past the odd
+    # tail of the monomial costs one sign per odd factor
+    even_sign = -1 if len(odd_positions) % 2 else 1
+    factors = [(i, even_sign * mono[i], mono[i] - 1) for i in table.even_indices() if mono[i]]
+    factors += [(i, -1 if pos % 2 else 1, 0) for pos, i in enumerate(odd_positions)]
+    terms: dict = {}
+    for i, coeff, left in factors:
+        rest = mono[:i] + (left,) + mono[i + 1 :]
+        for m2, c in images[i].items():
+            product = _mul_monomials(table, rest, m2)
+            if product is not None:
+                sign, target = product
+                _add_term(terms, target, sign * coeff * c)
+    return terms
+
+
 def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
-    """Termwise graded Leibniz extension of the generator differentials."""
+    """Termwise graded Leibniz extension of the generator differentials: the
+    sum of _leibniz_monomial over the terms of a."""
     if a.table != m.table:
         raise ValueError("element lives over a different table")
-    return _leibniz(m.table, m.images, a)
-
-
-def _leibniz(table: GeneratorTable, images: tuple[AlgebraElement, ...], a: AlgebraElement) -> AlgebraElement:
-    """The graded Leibniz rule: d(a) from the generator images d(x_i) = images[i]."""
-    result = table.zero()
+    images = [image.terms for image in m.images]
+    terms: dict = {}
     for mono, coeff in a.terms.items():
-        acc = table.zero()
-        odd_positions = [i for i in table.odd_indices() if mono[i]]
-        # even factors: the image has odd degree, so commuting it past the
-        # odd tail of the monomial costs one sign per odd factor
-        even_sign = -1 if len(odd_positions) % 2 else 1
-        for i in table.even_indices():
-            e = mono[i]
-            if e == 0 or images[i].is_zero():
-                continue
-            rest = list(mono)
-            rest[i] = e - 1
-            acc = acc + (table.element({tuple(rest): Fraction(even_sign * e)}) * images[i])
-        for pos, i in enumerate(odd_positions):
-            if images[i].is_zero():
-                continue
-            rest = list(mono)
-            rest[i] = 0
-            sign = -1 if pos % 2 else 1
-            acc = acc + (table.element({tuple(rest): Fraction(sign)}) * images[i])
-        result = result + acc.scale(coeff)
-    return result
+        for target, x in _leibniz_monomial(m.table, images, mono).items():
+            _add_term(terms, target, coeff * x)
+    return AlgebraElement(m.table, terms)
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -179,10 +178,14 @@ class CochainComplex:
     """Per degree k: the monomial basis and its index, d_k, its rank and
     canonical kernel, and the canonical RREF of im d_{k-1}; each built once.
 
-    d_k is built from the Leibniz rule straight into sparse columns and
-    stays sparse up to the elimination: rank and image eliminate the
-    columns as the rows of the transpose, and the kernel eliminates the
-    rows of d_k, transposed entry by entry.
+    d_k is built one basis monomial at a time by the Leibniz rule
+    (``_leibniz_monomial``) straight into sparse columns, whole
+    coefficients as ``int``, and stays sparse up to the elimination.  The
+    rank is the forward pass of the fraction-free kernel on the columns
+    (the rows of the transpose).  The image keeps their sparse RREF rows
+    keyed by pivot, which ``reduce`` and ``class_generator`` subtract from
+    sparse vectors.  The kernel eliminates the rows of d_k, transposed
+    entry by entry.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -194,13 +197,17 @@ class CochainComplex:
         if bad is not None:
             raise ValueError(bad.message)
         self.table = m.table
-        self.images = m.images
+        # whole coefficients as int, so that d_k is built in integer arithmetic
+        self.images = tuple(
+            {mono: int(c) if c.denominator == 1 else c for mono, c in image.terms.items()}
+            for image in m.images
+        )
         self._bases: dict[int, tuple] = {}
         self._indices: dict[int, dict] = {}
-        self._columns: dict[int, tuple[dict[int, Fraction], ...]] = {}
+        self._columns: dict[int, tuple[dict[int, Fraction | int], ...]] = {}
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, tuple[Vector, ...]] = {}
-        self._images: dict[int, tuple[tuple[Vector, ...], tuple[int, ...]]] = {}
+        self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
 
     def basis(self, k: int) -> tuple:
         """Monomials of degree k in canonical order (none below degree 0)."""
@@ -216,16 +223,15 @@ class CochainComplex:
             self._indices[k] = {mono: i for i, mono in enumerate(self.basis(k))}
         return self._indices[k]
 
-    def d(self, k: int) -> tuple[dict[int, Fraction], ...]:
-        """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient."""
+    def d(self, k: int) -> tuple[dict[int, Fraction | int], ...]:
+        """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient
+        (an int when it is whole)."""
         if k not in self._columns:
             index = self.index(k + 1)
-            table = self.table
-            columns = []
-            for mono in self.basis(k):
-                terms = _leibniz(table, self.images, table.element({mono: Fraction(1)})).terms
-                columns.append({index[target]: x for target, x in terms.items()})
-            self._columns[k] = tuple(columns)
+            self._columns[k] = tuple(
+                {index[target]: x for target, x in _leibniz_monomial(self.table, self.images, mono).items()}
+                for mono in self.basis(k)
+            )
         return self._columns[k]
 
     def rank(self, k: int) -> int:
@@ -248,33 +254,39 @@ class CochainComplex:
             self._kernels[k] = RationalMatrix(len(rows), len(columns), rows).kernel_basis()
         return self._kernels[k]
 
-    def image(self, k: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-        """Canonical RREF of im d_{k-1} over basis(k), and its pivot columns."""
+    def image(self, k: int) -> dict[int, dict[int, Fraction]]:
+        """Canonical RREF of im d_{k-1} over basis(k): sparse rows keyed by pivot column."""
         if k not in self._images:
-            columns = self.d(k - 1)
-            self._images[k] = RationalMatrix(len(columns), len(self.basis(k)), columns).rref()
+            self._images[k] = _echelon(self.d(k - 1))
         return self._images[k]
 
-    def coordinates(self, k: int, element: AlgebraElement) -> list[Fraction]:
-        """Coordinates of a degree-k element over basis(k)."""
+    def coordinates(self, k: int, element: AlgebraElement) -> dict[int, Fraction]:
+        """Coordinates of a degree-k element over basis(k), as {basis position: coefficient}."""
         index = self.index(k)
-        vec = [Fraction(0)] * len(index)
-        for mono, c in element.terms.items():
-            vec[index[mono]] = c
+        return {index[mono]: c for mono, c in element.terms.items()}
+
+    def reduce(self, k: int, element: AlgebraElement) -> dict[int, Fraction]:
+        """Coordinates of a degree-k element reduced modulo im d_{k-1}."""
+        return self._reduced(k, self.coordinates(k, element))
+
+    def _reduced(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        # an RREF row is zero at every other pivot, so one pass over the
+        # pivots present in vec clears them all
+        image = self.image(k)
+        for pc in [pc for pc in vec if pc in image]:
+            factor = vec[pc]
+            for j, x in image[pc].items():
+                _add_term(vec, j, -factor * x)
         return vec
 
-    def reduce(self, k: int, element: AlgebraElement) -> Vector:
-        """Coordinates of a degree-k element reduced modulo im d_{k-1}."""
-        return reduce_mod_rows(self.coordinates(k, element), *self.image(k))
-
-    def class_generator(self, k: int) -> Vector:
-        """Reduced representative of a nonzero class in H^k, first nonzero coordinate +1."""
-        rref, pivots = self.image(k)
+    def class_generator(self, k: int) -> dict[int, Fraction]:
+        """Reduced representative of a nonzero class in H^k, as {basis position:
+        coefficient}, with its first nonzero coordinate +1."""
         for vec in self.kernel(k):
-            reduced = reduce_mod_rows(vec, rref, pivots)
-            if any(reduced):
-                lead = next(i for i, c in enumerate(reduced) if c)
-                return tuple(c / reduced[lead] for c in reduced)
+            reduced = self._reduced(k, {j: c for j, c in enumerate(vec) if c})
+            if reduced:
+                lead = reduced[min(reduced)]
+                return {j: c / lead for j, c in reduced.items()}
         raise ArithmeticError(f"H^{k} is zero")
 
 
@@ -317,13 +329,13 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     if cochains.betti(6) != 1:
         raise ValueError("dim H^6 must be 1")
     generator = cochains.class_generator(6)
-    lead = next(i for i, c in enumerate(generator) if c)
+    lead = min(generator)
     coeffs = {}
     for a, b, c in combinations_with_replacement(range(len(xs)), 3):
         product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
         reduced = cochains.reduce(6, product)
-        coeffs[(a, b, c)] = reduced[lead]
-        if any(x - coeffs[(a, b, c)] * g for x, g in zip(reduced, generator)):
+        coeff = coeffs[(a, b, c)] = reduced.get(lead, Fraction(0))
+        if reduced != ({j: coeff * g for j, g in generator.items()} if coeff else {}):
             raise ArithmeticError("degree-6 class is not a multiple of the generator")
     return CubicForm(len(xs), coeffs)
 
@@ -341,14 +353,13 @@ def poincare_duality_check(m: SullivanModel, formal_dimension: int | None = None
     if not xs or n < 4:
         return True
     cochains = m.cochains()
-    generator = cochains.class_generator(n)
-    lead = next(i for i, c in enumerate(generator) if c)
+    lead = min(cochains.class_generator(n))
     basis = cochains.basis(n - 2)
     cocycles = [
         m.table.element({mono: c for mono, c in zip(basis, vec) if c})
         for vec in cochains.kernel(n - 2)
     ]
-    rows = [[cochains.reduce(n, m.table.generator(i) * z)[lead] for z in cocycles] for i in xs]
+    rows = [[cochains.reduce(n, m.table.generator(i) * z).get(lead, 0) for z in cocycles] for i in xs]
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
 
@@ -362,10 +373,9 @@ def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[F
     cochains = m.cochains()
     if cochains.betti(k) != 1:
         raise ValueError(f"dim H^{k} must be 1")
-    generator = cochains.class_generator(k)
-    lead = next(i for i, c in enumerate(generator) if c)
+    lead = min(cochains.class_generator(k))
     return tuple(
-        tuple(cochains.reduce(k, table.generator(i) * table.generator(j))[lead] for j in xs)
+        tuple(cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, Fraction(0)) for j in xs)
         for i in xs
     )
 

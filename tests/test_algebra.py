@@ -126,3 +126,15 @@ def test_degree_additivity():
         product = a * b
         if not (a.is_zero() or b.is_zero() or product.is_zero()):
             assert product.degree() == a.degree() + b.degree()
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(14)
+    for _ in range(10):
+        elements = [random_homogeneous(rng, VT, d) for d in (2, 3, 5)]
+        elements.append(elements[0] + elements[1] + VT.one())
+        for a in elements:
+            product = VT.one()
+            for e in range(7):
+                assert a**e == product
+                product = product * a

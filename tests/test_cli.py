@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -63,6 +64,18 @@ def test_cohomology_rejects_invalid_model(tmp_path, capsys):
     path.write_text("generator x 2\ngenerator y 3\nd y = x\n")
     code, _, err = run(capsys, "cohomology", str(path))
     assert code == 2 and "degree" in err
+
+
+def test_cohomology_rejects_a_huge_power_at_once(tmp_path, capsys):
+    # x^2000000 is built by repeated squaring, so the degree check comes at
+    # once instead of after two million multiplications
+    path = tmp_path / "huge.txt"
+    path.write_text("generator x 2\ngenerator y 3\nd y = x^2000000\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cohomology", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert "d(y) has degree 4000000, expected 4" in err
 
 
 def test_regseq_exit_codes(capsys):

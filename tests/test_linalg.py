@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -230,3 +231,53 @@ def test_in_span_coordinates_rebuild_the_vector(matrix, coeffs, other):
             assert coords is None
             rank = RationalMatrix.from_rows(data, cols).rank()
             assert RationalMatrix.from_rows(data + [v], cols).rank() == rank + 1
+
+
+# -- the fraction-free kernel on rows with unlike denominators ----------------
+
+MERSENNE_61 = 2**61 - 1
+
+
+@st.composite
+def fractional_matrices(draw):
+    """Entries with denominators up to 12, so each row is scaled before elimination."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12))
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)], cols
+
+
+def _rank_mod_p(data, cols, p=MERSENNE_61):
+    """Rank over GF(p) of the rows scaled to integers: a cross-check, never the answer."""
+    rows = []
+    for row in data:
+        scale = lcm(*(x.denominator for x in row)) if row else 1
+        rows.append([int(x * scale) % p for x in row])
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inverse % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@properties
+@given(fractional_matrices() | matrices)
+def test_forward_rank_agrees_with_the_full_rref(matrix):
+    data, cols = matrix
+    m = RationalMatrix.from_rows(data, cols)
+    assert m.rank() == len(m.rref()[1])
+
+
+@properties
+@given(fractional_matrices() | matrices)
+def test_rank_modulo_a_prime_is_at_most_the_rank(matrix):
+    data, cols = matrix
+    assert _rank_mod_p(data, cols) <= RationalMatrix.from_rows(data, cols).rank()

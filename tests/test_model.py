@@ -17,6 +17,7 @@ from sullivan import (
     exponents_of_model,
     formal_dimension_from_exponents,
     h4_pairing_discriminant,
+    monomial_basis,
     poincare_duality_check,
     pure_is_elliptic,
 )
@@ -33,6 +34,7 @@ from sullivan.catalog import (
     sphere_model,
 )
 from sullivan.exponents import ExponentPair
+from sullivan.linalg import RationalMatrix
 
 
 def vt_model(p=1, cubic=(0, 0, 0, 1)):
@@ -46,6 +48,21 @@ def test_extend_differential_examples():
     assert m.d(y1 * x1) == (x1 * x1 + x2 * x2) * x1
     assert m.d(x1 ** 3).is_zero()
     assert m.d(y1 * y2) == m.differential_of("y1") * y2 - y1 * m.differential_of("y2")
+
+
+def test_leibniz_rule_on_products():
+    # even generators with nonzero images, so the sign an even factor picks
+    # up from the odd tail of its monomial matters
+    table = GeneratorTable([("x", 2), ("y", 3), ("w", 4), ("z", 5)])
+    x, y, w = (table.generator(n) for n in ("x", "y", "w"))
+    m = SullivanModel(table, {"y": x * x, "w": x * y, "z": x * w - x**3})
+    rng = random.Random(21)
+    for _ in range(20):
+        ka, kb = rng.sample(range(2, 12), 2)
+        a, b = (
+            table.element({mono: rng.randint(-3, 3) for mono in monomial_basis(table, k)}) for k in (ka, kb)
+        )
+        assert m.d(a * b) == m.d(a) * b + (a * m.d(b)).scale((-1) ** ka)
 
 
 def test_validate_ok_on_catalog_models():
@@ -298,21 +315,21 @@ def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
     # sends each degree-k monomial through the Leibniz rule twice
     bases, leibniz = [], []
     original_basis = sullivan.model.monomial_basis
-    original_leibniz = sullivan.model._leibniz
+    original_leibniz = sullivan.model._leibniz_monomial
 
     def counting_basis(table, k):
         bases.append(k)
         return original_basis(table, k)
 
-    def counting_leibniz(table, images, a):
-        leibniz.append(frozenset(a.terms.items()))
-        return original_leibniz(table, images, a)
+    def counting_leibniz(table, images, mono):
+        leibniz.append(mono)
+        return original_leibniz(table, images, mono)
 
     monkeypatch.setattr(sullivan.model, "monomial_basis", counting_basis)
     m = dim7_sigma_model(2)
     # building the complex validates d^2 = 0 on every generator image first
     cochains = m.cochains()
-    monkeypatch.setattr(sullivan.model, "_leibniz", counting_leibniz)
+    monkeypatch.setattr(sullivan.model, "_leibniz_monomial", counting_leibniz)
     assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
     assert poincare_duality_check(m)
     sullivan.model.pairing_matrix(m)
@@ -347,10 +364,38 @@ def test_d_squared_vanishes_on_the_cochain_columns(name, factory):
             assert not any(twice.values())
 
 
+def _random_element(rng, table, basis):
+    monos = rng.sample(basis, min(len(basis), 4))
+    return table.element({mono: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for mono in monos})
+
+
+@pytest.mark.parametrize("name,factory", ELLIPTIC_MODELS)
+def test_reduce_is_constant_on_cosets_of_the_image(name, factory):
+    m = factory()
+    cochains = m.cochains()
+    rng = random.Random(name)
+    for k in range(1, m.formal_dimension_claim() + 1):
+        image = cochains.image(k)
+        basis = cochains.basis(k)
+        for _ in range(3):
+            z = _random_element(rng, m.table, basis)
+            dw = m.d(_random_element(rng, m.table, cochains.basis(k - 1)))
+            reduced = cochains.reduce(k, z)
+            assert cochains.reduce(k, z + dw) == reduced
+            assert cochains.reduce(k, dw) == {}
+            assert all(reduced.values()) and not reduced.keys() & image.keys()
+            # and z - reduce(z) lies in the image
+            difference = cochains.coordinates(k, z)
+            for j, c in reduced.items():
+                difference[j] = difference.get(j, 0) - c
+            rows = list(image.values()) + [difference]
+            assert RationalMatrix(len(rows), len(basis), rows).rank() == len(image)
+
+
 def test_rank_kernel_and_image_agree():
     cochains = dim6_b3_model(2).cochains()
     for k in range(8):
-        assert len(cochains.image(k + 1)[0]) == cochains.rank(k)
+        assert len(cochains.image(k + 1)) == cochains.rank(k)
         assert len(cochains.kernel(k)) == len(cochains.basis(k)) - cochains.rank(k)
         assert len(cochains.d(k)) == len(cochains.basis(k))
 
@@ -382,3 +427,23 @@ def test_cochains_accepts_non_minimal_but_not_hidden_d_squared():
     assert m.validate().kind == "minimality"
     with pytest.raises(ValueError, match=r"d\(d\(w\)\)"):
         m.cochains()
+
+
+# -- past the paper's sizes -------------------------------------------------------
+
+
+def test_betti_numbers_of_a_degree_16_triple_product():
+    # the Poincare series (1+t^2)^6 (1+t^2+t^4), expanded here as an oracle only
+    series = [1]
+    for factor in [(1, 0, 1)] * 6 + [(1, 0, 1, 0, 1)]:
+        product = [0] * (len(series) + len(factor) - 1)
+        for i, a in enumerate(series):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        series = product
+    m = product_model(product_model(dim6_b3_model(2), dim6_b3_model(3)), cp_model(2))
+    assert betti_numbers(m, 16) == tuple(series)
+
+
+def test_poincare_duality_of_a_product_of_two_b3_models():
+    assert poincare_duality_check(product_model(dim6_b3_model(2), dim6_b3_model(3)))
