@@ -447,7 +447,7 @@ def ring_fragments() -> tuple[RingFragment, ...]:
 
 
 def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tuple[int, int]:
-    """(Krull dimension, Hilbert-polynomial degree) of the square-zero locus.
+    """(Krull dimension, multiplicity) of the square-zero locus.
 
     The input spans the quadric relations of a ring on three degree-two
     generators; the locus of classes with vanishing square is cut out by
@@ -478,21 +478,8 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
         entries = [
             e - factor.scale(row[k]) if row[k] else e for k, e in enumerate(entries)
         ]
-    ideal = [e for e in entries if not e.is_zero()]
-    if not ideal:
-        return (3, 1)
-    gb = buchberger(ideal, aring)
-    dim = gb.krull_dimension()
-    hf = list(gb.hilbert_function(16))
-    if dim <= 0:
-        return (dim, sum(hf))
-    diffs = hf
-    for _ in range(dim - 1):
-        diffs = [b - a_ for a_, b in zip(diffs, diffs[1:])]
-    tail = diffs[-4:]
-    if len(set(tail)) != 1:
-        raise ArithmeticError("Hilbert function did not stabilize; raise the degree cap")
-    return (dim, tail[-1])
+    gb = buchberger([e for e in entries if not e.is_zero()], aring)
+    return (gb.krull_dimension(), gb.multiplicity())
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Groebner bases over Q for homogeneous ideals, under a fixed grevlex order.
 
 Provides reduced bases (Buchberger), normal forms, the zero-dimensionality
-test for homogeneous ideals, Hilbert functions by standard-monomial
-counting, Krull dimension of the quotient, and the regular-sequence
-decision via codimension.
+test for homogeneous ideals, the Hilbert function, Krull dimension and
+multiplicity of the quotient, and the regular-sequence decision via
+codimension.  Reduction is fraction-free, on primitive integer terms.  All
+Hilbert data is read from the Hilbert series of the lead-term ideal, whose
+numerator comes from the Bayer-Stillman recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate
+from math import comb, gcd, lcm
 from numbers import Rational
 from operator import add, le, neg, sub
 from typing import Iterable, Sequence
@@ -263,18 +266,37 @@ class Polynomial:
         return f"<{render_polynomial(self)}>"
 
 
+def _clear_denominators(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+    """(den·terms as integers, den), den the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _primitive(terms: dict[Monomial, int], lead: Monomial) -> dict[Monomial, int]:
+    """Nonzero integer terms divided by their content, signed so that the
+    coefficient at `lead` is positive (then reducing by them never scales
+    by a negative factor, and a monic element needs no scaling at all)."""
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
+
+
 def _s_polynomial(
-    f: Polynomial, lf: Monomial, g: Polynomial, lg: Monomial, lcm: Monomial
-) -> dict[Monomial, Fraction]:
-    """Terms of the S-polynomial of the monic f and g, with leading
-    monomials lf and lg whose lcm is `lcm`."""
+    f: dict[Monomial, int], lf: Monomial, g: dict[Monomial, int], lg: Monomial, lcm: Monomial
+) -> dict[Monomial, int]:
+    """Terms of a·(lcm/lf)·f − b·(lcm/lg)·g for integer f and g with leading
+    monomials lf and lg, where a and b are their leading coefficients
+    divided by their gcd, crosswise, so that the leading terms cancel."""
+    d = gcd(f[lf], g[lg])
+    a, b = g[lg] // d, f[lf] // d
     shift = _mono_div(lcm, lf)
-    work = {_mono_mul(m, shift): c for m, c in f.terms.items() if m != lf}
+    work = {_mono_mul(m, shift): a * c for m, c in f.items() if m != lf}
     shift = _mono_div(lcm, lg)
-    for m, c in g.terms.items():
+    for m, c in g.items():
         if m != lg:
             m = _mono_mul(m, shift)
-            c = work.get(m, 0) - c
+            c = work.get(m, 0) - b * c
             if c:
                 work[m] = c
             else:
@@ -288,57 +310,134 @@ def _descending_key(m: Monomial):
 
 
 def _reduce(
-    work: dict[Monomial, Fraction], basis: Sequence[Polynomial], leads: Sequence[Monomial]
-) -> dict[Monomial, Fraction]:
-    """Fully reduced remainder of the terms `work` modulo basis, whose
-    leading monomials are `leads`; `work` is consumed in place.
+    work: dict[Monomial, int], basis: Sequence[dict[Monomial, int]], leads: Sequence[Monomial]
+) -> tuple[dict[Monomial, int], int]:
+    """Fully reduced remainder of the integer terms `work` modulo basis, and
+    the factor by which it is a multiple of the true remainder.  The basis
+    elements are primitive integer terms with positive coefficients at
+    their leading monomials `leads`; `work` is consumed in place.
 
-    Terms are taken largest first from a heap.  Subtracting a multiple of a
-    basis element only creates terms below the one removed, so a heap
-    entry whose term has since cancelled is simply skipped, and the
-    remainder comes back with its terms in descending order.
+    Fraction-free: to remove a term c·x^lm by a basis element g, what is
+    left of `work` and the remainder so far are scaled by a = lc(g)/gcd,
+    and b·x^shift·g is subtracted, b = c/gcd; the factor returned is the
+    product of the a's.  Terms are taken largest first from a heap.
+    Subtracting a multiple of a basis element only creates terms below the
+    one removed, so a heap entry whose term has since cancelled is simply
+    skipped, and the remainder comes back with its terms in descending order.
     """
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, int] = {}
+    multiplier = 1
     heap = [(_descending_key(m), m) for m in work]
     heapify(heap)
     while heap:
         lm = heappop(heap)[1]
-        lc = work.pop(lm, None)
-        if lc is None:
+        c = work.pop(lm, None)
+        if c is None:
             continue
         for g, glm in zip(basis, leads):
             if _divides(glm, lm):
                 break
         else:
-            remainder[lm] = lc
+            remainder[lm] = c
             continue
-        factor = lc / g.terms[glm]
+        d = gcd(c, g[glm])
+        a, b = g[glm] // d, c // d
+        if a != 1:
+            multiplier *= a
+            work = {m: a * x for m, x in work.items()}
+            remainder = {m: a * x for m, x in remainder.items()}
         shift = _mono_div(lm, glm)
-        for m, c in g.terms.items():
+        for m, x in g.items():
             if m == glm:
                 continue
             m = _mono_mul(m, shift)
-            c = factor * c
+            x = b * x
             old = work.get(m)
             if old is None:
-                work[m] = -c
+                work[m] = -x
                 heappush(heap, (_descending_key(m), m))
-            elif old == c:
+            elif old == x:
                 del work[m]
             else:
-                work[m] = old - c
-    return remainder
+                work[m] = old - x
+    return remainder, multiplier
+
+
+def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
+    """Minimal generators of the monomial ideal: no one divides another."""
+    out: list[Monomial] = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) -> dict[int, int]:
+    """p + sign·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
+    out = dict(p)
+    for k, c in q.items():
+        k += shift
+        c = out.get(k, 0) + sign * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _hilbert_numerator(leads: Iterable[Monomial]) -> dict[int, int]:
+    """K(t) as {exponent: nonzero coefficient}, empty for K = 0, where
+    K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo the monomial
+    ideal generated by `leads`.
+
+    Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m)
+    for every monomial m.  Pairwise coprime generators give
+    prod (1 − t^{deg}).  Otherwise m = x_i^e, with x_i in the most
+    generators and e its least positive exponent among them: then
+    I + (m) is (m) plus the generators free of x_i, coprime to m, and
+    I : m lowers every x_i-exponent by e, which frees at least one
+    generator of x_i, so the recursion ends.
+    """
+    gens = _minimal(leads)
+    if gens and not any(gens[0]):
+        return {}  # the unit ideal
+    n = len(gens[0]) if gens else 0
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if all(c <= 1 for c in counts):
+        numerator = {0: 1}
+        for g in gens:
+            numerator = _shifted_sum(numerator, numerator, sum(g), -1)
+        return numerator
+    i = max(range(n), key=counts.__getitem__)
+    e = min(g[i] for g in gens if g[i])
+    free = _hilbert_numerator(g for g in gens if not g[i])
+    colon = _hilbert_numerator(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    return _shifted_sum(_shifted_sum(free, free, e, -1), colon, e, 1)
+
+
+def _order_at_one(numerator: dict[int, int]) -> tuple[int, int]:
+    """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0, for a nonzero K:
+    the j-th Taylor coefficient of K at t = 1 is the sum of c·C(k, j) over
+    its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
+    s = 0
+    while not (value := sum(c * comb(k, s) for k, c in numerator.items())):
+        s += 1
+    return s, (-1) ** s * value
 
 
 class GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal under grevlex."""
 
-    __slots__ = ("ring", "generators", "_leads")
+    __slots__ = ("ring", "generators", "_leads", "_integral")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
         self.ring = ring
         self.generators = tuple(generators)
         self._leads = tuple(g.leading_monomial() for g in self.generators)
+        # the primitive integer generators that _reduce works on
+        self._integral = tuple(
+            _primitive(_clear_denominators(g.terms)[0], lead) for g, lead in zip(self.generators, self._leads)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -356,7 +455,10 @@ class GroebnerBasis:
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        return Polynomial(self.ring, _reduce(dict(p.terms), self.generators, self._leads))
+        work, den = _clear_denominators(p.terms)
+        remainder, multiplier = _reduce(work, self._integral, self._leads)
+        den *= multiplier
+        return Polynomial(self.ring, {m: Fraction(c, den) for m, c in remainder.items()})
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -365,36 +467,37 @@ class GroebnerBasis:
         return any(sum(m) == 0 for m in self.leading_monomials())
 
     def is_finite_dimensional(self) -> bool:
-        """Quotient finite-dimensional: every variable has a pure power among the lead terms."""
-        n = len(self.ring.variables)
-        if n == 0 or self.contains_unit():
-            return True
-        lms = self.leading_monomials()
-        for i in range(n):
-            if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in lms):
-                return False
-        return True
+        """Whether the quotient is a finite-dimensional vector space."""
+        return self.krull_dimension() <= 0
 
     def standard_monomials(self, d: int) -> list[Monomial]:
         lms = self.leading_monomials()
         return [m for m in self.ring.monomials_of_degree(d) if not any(_divides(l, m) for l in lms)]
 
     def hilbert_function(self, max_degree: int) -> tuple[int, ...]:
-        return tuple(len(self.standard_monomials(d)) for d in range(max_degree + 1))
+        """Dimensions of the quotient in degrees 0..max_degree: the series
+        K(t)/(1 − t)^n expanded by n running sums."""
+        numerator = _hilbert_numerator(self._leads)
+        values = [numerator.get(k, 0) for k in range(max_degree + 1)]
+        for _ in self.ring.variables:
+            values = list(accumulate(values))
+        return tuple(values)
 
     def krull_dimension(self) -> int:
-        """Dimension of the quotient: largest variable set supporting no lead term."""
-        n = len(self.ring.variables)
-        if self.contains_unit():
+        """Dimension of the quotient: n minus the order of t = 1 as a root of
+        K(t), the Hilbert series numerator; -1 for the unit ideal."""
+        numerator = _hilbert_numerator(self._leads)
+        if not numerator:
             return -1
-        supports = [frozenset(i for i, e in enumerate(m) if e) for m in self.leading_monomials()]
-        best = -1
-        for size in range(n, -1, -1):
-            for subset in combinations(range(n), size):
-                s = frozenset(subset)
-                if not any(sup <= s for sup in supports):
-                    return size
-        return best
+        return len(self.ring.variables) - _order_at_one(numerator)[0]
+
+    def multiplicity(self) -> int:
+        """Degree of the quotient: Q(1), where K(t) = (1 − t)^(n − dim)·Q(t)
+        is the Hilbert series numerator.  That is the vector-space dimension
+        when it is finite, and otherwise (dim − 1)! times the leading
+        coefficient of the Hilbert polynomial; 0 for the unit ideal."""
+        numerator = _hilbert_numerator(self._leads)
+        return _order_at_one(numerator)[1] if numerator else 0
 
 
 def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
@@ -408,6 +511,8 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     by Buchberger's two criteria (Gebauer and Moeller, JSC 1988): its
     leading monomials are coprime, or some third leading monomial divides
     its lcm and neither of that element's pairs with the two is pending.
+    Basis elements are kept as primitive integer terms throughout, and
+    made monic only once interreduced.
     """
     polys = [p for p in polys if not p.is_zero()]
     if ring is None:
@@ -419,17 +524,16 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
             raise ValueError("generators live in different rings")
         if not p.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    basis: list[Polynomial] = []
+    basis: list[dict[Monomial, int]] = []
     leads: list[Monomial] = []
     queue: list = []  # heap of (grevlex key of the lcm, i, j, lcm)
     pending: set[tuple[int, int]] = set()
 
-    def add_generator(terms: dict[Monomial, Fraction]) -> None:
+    def add_generator(terms: dict[Monomial, int]) -> None:
         # terms in descending order, as _reduce returns them
         lead = next(iter(terms))
-        lc = terms[lead]
         j = len(basis)
-        basis.append(Polynomial(ring, {m: c / lc for m, c in terms.items()}))
+        basis.append(_primitive(terms, lead))
         leads.append(lead)
         for i in range(j):
             lcm = _mono_lcm(leads[i], leads[j])
@@ -447,13 +551,13 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         )
 
     for p in polys:
-        add_generator(dict(p.ordered_terms()))
+        add_generator(_clear_denominators(dict(p.ordered_terms()))[0])
     while queue:
         _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
         if lcm == _mono_mul(leads[i], leads[j]) or chain(i, j, lcm):
             continue  # the S-polynomial reduces to zero
-        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads)
+        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads)[0]
         if r:
             add_generator(r)
     # interreduce to the unique reduced basis, smallest lead first: a term
@@ -465,12 +569,18 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         ):
             minimal.append(i)
     minimal.sort(key=lambda i: _grevlex_key(leads[i]))
-    reduced: list[Polynomial] = []
+    reduced: list[dict[Monomial, int]] = []
     reduced_leads: list[Monomial] = []
     for i in minimal:
-        reduced.append(Polynomial(ring, _reduce(dict(basis[i].terms), reduced, reduced_leads)))
+        reduced.append(_primitive(_reduce(dict(basis[i]), reduced, reduced_leads)[0], leads[i]))
         reduced_leads.append(leads[i])
-    return GroebnerBasis(ring, reduced)
+    return GroebnerBasis(
+        ring,
+        [
+            Polynomial(ring, {m: Fraction(c, g[lead]) for m, c in g.items()})
+            for g, lead in zip(reduced, reduced_leads)
+        ],
+    )
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

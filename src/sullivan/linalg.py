@@ -81,6 +81,20 @@ def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int
     return {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(reduced.items())}
 
 
+def _kernel(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> list[dict[int, Fraction]]:
+    """Canonical basis of the right null space of `cols`-wide sparse rows,
+    one sparse vector per free column in increasing order: 1 at its free
+    column and −x at the pivot of each RREF row with x in that column."""
+    rows = _echelon(rows)
+    basis = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in rows}
+    # off its pivot, an RREF row has entries in free columns only
+    for pc, row in rows.items():
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = -x
+    return [dict(sorted(v.items())) for v in basis.values()]
+
+
 def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]:
     zero = Fraction(0)
     return tuple(tuple(row.get(j, zero) for j in range(cols)) for row in rows)
@@ -144,16 +158,7 @@ class RationalMatrix:
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space (one vector per free column)."""
-        rows = _echelon(self._entries)
-        basis = {fc: [Fraction(0)] * self.cols for fc in range(self.cols) if fc not in rows}
-        for fc, v in basis.items():
-            v[fc] = Fraction(1)
-        # off its pivot, an RREF row has entries in free columns only
-        for pc, row in rows.items():
-            for fc, x in row.items():
-                if fc != pc:
-                    basis[fc][pc] = -x
-        return tuple(tuple(v) for v in basis.values())
+        return _dense(_kernel(self._entries, self.cols), self.cols)
 
 
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:

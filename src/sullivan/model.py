@@ -15,7 +15,7 @@ from typing import Iterator
 from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import PolyRing, Polynomial, buchberger
-from .linalg import RationalMatrix, Vector, _add_term, _echelon
+from .linalg import RationalMatrix, _add_term, _echelon, _kernel
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class CochainComplex:
     (the rows of the transpose).  The image keeps their sparse RREF rows
     keyed by pivot, which ``reduce`` and ``class_generator`` subtract from
     sparse vectors.  The kernel eliminates the rows of d_k, transposed
-    entry by entry.
+    entry by entry, and keeps its canonical basis as sparse vectors.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -206,7 +206,7 @@ class CochainComplex:
         self._indices: dict[int, dict] = {}
         self._columns: dict[int, tuple[dict[int, Fraction | int], ...]] = {}
         self._ranks: dict[int, int] = {}
-        self._kernels: dict[int, tuple[Vector, ...]] = {}
+        self._kernels: dict[int, tuple[dict[int, Fraction], ...]] = {}
         self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
 
     def basis(self, k: int) -> tuple:
@@ -243,15 +243,16 @@ class CochainComplex:
     def betti(self, k: int) -> int:
         return len(self.basis(k)) - self.rank(k) - self.rank(k - 1)
 
-    def kernel(self, k: int) -> tuple[Vector, ...]:
-        """Canonical basis of ker d_k over basis(k), one vector per free column."""
+    def kernel(self, k: int) -> tuple[dict[int, Fraction], ...]:
+        """Canonical basis of ker d_k over basis(k), one vector per free column,
+        each as {basis position: nonzero coefficient} in increasing position."""
         if k not in self._kernels:
             columns = self.d(k)
             rows = [{} for _ in self.basis(k + 1)]
             for c, column in enumerate(columns):
                 for r, x in column.items():
                     rows[r][c] = x
-            self._kernels[k] = RationalMatrix(len(rows), len(columns), rows).kernel_basis()
+            self._kernels[k] = tuple(_kernel(rows, len(columns)))
         return self._kernels[k]
 
     def image(self, k: int) -> dict[int, dict[int, Fraction]]:
@@ -283,7 +284,7 @@ class CochainComplex:
         """Reduced representative of a nonzero class in H^k, as {basis position:
         coefficient}, with its first nonzero coordinate +1."""
         for vec in self.kernel(k):
-            reduced = self._reduced(k, {j: c for j, c in enumerate(vec) if c})
+            reduced = self._reduced(k, dict(vec))
             if reduced:
                 lead = reduced[min(reduced)]
                 return {j: c / lead for j, c in reduced.items()}
@@ -355,11 +356,21 @@ def poincare_duality_check(m: SullivanModel, formal_dimension: int | None = None
     cochains = m.cochains()
     lead = min(cochains.class_generator(n))
     basis = cochains.basis(n - 2)
-    cocycles = [
-        m.table.element({mono: c for mono, c in zip(basis, vec) if c})
-        for vec in cochains.kernel(n - 2)
-    ]
-    rows = [[cochains.reduce(n, m.table.generator(i) * z).get(lead, 0) for z in cocycles] for i in xs]
+    index = cochains.index(n)
+    cocycles = cochains.kernel(n - 2)
+    rows = []
+    for i in xs:
+        x = tuple(int(j == i) for j in range(len(m.table.degrees)))
+        row = []
+        for z in cocycles:
+            # x_i · z over basis(n): x_i is even, so no product of monomials
+            # vanishes and distinct monomials go to distinct ones
+            product: dict[int, Fraction] = {}
+            for j, c in z.items():
+                sign, target = _mul_monomials(m.table, x, basis[j])
+                product[index[target]] = sign * c
+            row.append(cochains._reduced(n, product).get(lead, 0))
+        rows.append(row)
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
 

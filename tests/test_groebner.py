@@ -6,10 +6,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sullivan.groebner import (
+    GroebnerBasis,
     PolyRing,
     buchberger,
     is_regular_sequence,
@@ -297,7 +298,8 @@ def homogeneous_systems(draw, degrees=(2,), max_polys=4):
 
 
 def _lead(p):
-    return p.ordered_terms()[0]
+    lm = p.leading_monomial()
+    return lm, p.terms[lm]
 
 
 def _remainder(p, basis):
@@ -305,10 +307,10 @@ def _remainder(p, basis):
     arithmetic alone (no shared code with the package's reduction)."""
     ring = p.ring
     remainder = ring.zero()
+    leads = [_lead(g) for g in basis]
     while not p.is_zero():
         lm, lc = _lead(p)
-        for g in basis:
-            glm, glc = _lead(g)
+        for g, (glm, glc) in zip(basis, leads):
             if all(a <= b for a, b in zip(glm, lm)):
                 p = p - ring.monomial([a - b for a, b in zip(lm, glm)], lc / glc) * g
                 break
@@ -370,3 +372,156 @@ def test_three_dense_quadrics_in_five_variables():
     gb = buchberger(quadrics, ring)
     _assert_reduced_groebner_basis(gb, quadrics)
     assert is_regular_sequence(quadrics, ring)
+
+
+@pytest.mark.parametrize("count", [4, 5])
+def test_dense_quadrics_in_six_variables(count):
+    ring = PolyRing(tuple(f"x{i + 1}" for i in range(6)))
+    rng = random.Random(1)
+    monos = ring.monomials_of_degree(2)
+    quadrics = [ring.from_terms({m: rng.randint(-5, 5) for m in monos}) for _ in range(count)]
+    gb = buchberger(quadrics, ring)
+    _assert_reduced_groebner_basis(gb, quadrics)
+    hf = gb.hilbert_function(4)
+    for d in range(5):
+        assert hf[d] == comb(d + 5, d) - _ideal_slice_rank(quadrics, ring, d)
+
+
+# -- Hilbert data from the series against the standard monomials, and exact
+# -- reduction against scaling, in 0-5 variables ------------------------------
+
+SMALL_RINGS = {n: PolyRing(tuple(f"x{i + 1}" for i in range(n))) for n in range(6)}
+SCALARS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@st.composite
+def small_polynomials(draw, ring, degree):
+    """A homogeneous polynomial of the given degree with up to four terms,
+    each with a nonzero Fraction coefficient; zero when no term is drawn."""
+    monos = ring.monomials_of_degree(degree)
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=4)) if monos else []
+    return ring.from_terms({m: draw(SCALARS) for m in chosen})
+
+
+@st.composite
+def small_systems(draw):
+    """A ring of 0-5 variables and 0-3 homogeneous forms of degree 0-2; a
+    nonzero form of degree 0 makes the unit ideal."""
+    ring = SMALL_RINGS[draw(st.integers(0, 5))]
+    system = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.sampled_from((0, 1, 2, 2, 2))) if ring.variables else 0
+        poly = draw(small_polynomials(ring, degree))
+        if not poly.is_zero():
+            system.append(poly)
+    return ring, system
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A ring of 0-5 variables and the monomial ideal of 0-5 random
+    monomials of degree 0-3, given as a (not necessarily minimal) basis."""
+    ring = SMALL_RINGS[draw(st.integers(0, 5))]
+    n = len(ring.variables)
+    leads = draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3), max_size=5)
+    )
+    return GroebnerBasis(ring, [ring.monomial(m) for m in leads])
+
+
+def _krull_dimension_by_subsets(gb):
+    """Largest set of variables that contains the support of no lead."""
+    n = len(gb.ring.variables)
+    supports = [{i for i, e in enumerate(m) if e} for m in gb.leading_monomials()]
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+    return -1
+
+
+def _standard_counts(gb, max_degree):
+    return tuple(len(gb.standard_monomials(d)) for d in range(max_degree + 1))
+
+
+def _assert_hilbert_data(gb):
+    """The series' Hilbert function, Krull dimension and multiplicity against
+    standard-monomial counts and the subset scan.  Past the degree of the
+    lcm of the leads the count is a polynomial of degree dim - 1, whose
+    (dim - 1)-st difference is the multiplicity."""
+    n = len(gb.ring.variables)
+    top = sum(map(max, *gb.leading_monomials(), [0] * n)) if gb.generators else 0
+    dim = _krull_dimension_by_subsets(gb)
+    counts = _standard_counts(gb, top + max(dim, 1) + 1)
+    assert gb.hilbert_function(len(counts) - 1) == counts
+    assert gb.krull_dimension() == dim
+    assert gb.is_finite_dimensional() == (dim <= 0)
+    tail = list(counts)
+    for _ in range(dim - 1):
+        tail = [b - a for a, b in zip(tail, tail[1:])]
+    assert gb.multiplicity() == (tail[-1] if dim > 0 else sum(counts))
+
+
+def test_hilbert_data_of_zero_unit_and_complete_intersection_ideals():
+    q, r4 = SMALL_RINGS[0], SMALL_RINGS[4]
+    x = [r4.variable(i) for i in range(4)]
+    cases = [
+        (GroebnerBasis(q, []), (1, 0, 0), 0, 1),  # Q itself
+        (GroebnerBasis(q, [q.one()]), (0, 0, 0), -1, 0),
+        (GroebnerBasis(r4, []), (1, 4, 10), 4, 1),
+        (GroebnerBasis(r4, [r4.scalar(3)]), (0, 0, 0), -1, 0),
+        # degrees 2 and 3: multiplicity 6
+        (buchberger([x[0] * x[1], x[2] * x[2] * x[3]]), (1, 4, 9), 2, 6),
+    ]
+    for gb, hf, dim, multiplicity in cases:
+        assert gb.hilbert_function(2) == hf
+        assert (gb.krull_dimension(), gb.multiplicity()) == (dim, multiplicity)
+        _assert_hilbert_data(gb)
+
+
+@settings(deadline=None)
+@given(monomial_ideals())
+def test_hilbert_data_of_monomial_ideals(gb):
+    _assert_hilbert_data(gb)
+
+
+@settings(deadline=None)
+@given(small_systems())
+@example((SMALL_RINGS[0], []))
+@example((SMALL_RINGS[3], [SMALL_RINGS[3].one()]))
+def test_hilbert_data_of_homogeneous_systems(case):
+    ring, system = case
+    _assert_hilbert_data(buchberger(system, ring))
+
+
+@settings(deadline=None)
+@given(small_systems(), st.data())
+def test_buchberger_is_invariant_under_scaling_the_inputs(case, data):
+    ring, system = case
+    scaled = [p.scale(data.draw(SCALARS)) for p in system]
+    assert buchberger(scaled, ring) == buchberger(system, ring)
+
+
+@settings(deadline=None)
+@given(small_systems(), st.data())
+def test_normal_form_is_linear_and_ignores_the_scale_of_generators(case, data):
+    ring, system = case
+    gb = buchberger(system, ring)
+    degree = data.draw(st.integers(0, 3)) if ring.variables else 0
+    p = data.draw(small_polynomials(ring, degree))
+    c = data.draw(SCALARS)
+    nf = gb.normal_form(p)
+    assert gb.normal_form(p.scale(c)) == nf.scale(c)
+    assert _remainder(p, gb.generators) == nf
+    scaled = GroebnerBasis(ring, [g.scale(data.draw(SCALARS)) for g in gb.generators])
+    assert scaled.normal_form(p) == nf
+
+
+@settings(deadline=None)
+@given(small_systems(), st.data())
+def test_normal_form_of_a_non_monic_basis_is_the_division_remainder(case, data):
+    """Any list of polynomials divides like the textbook division, scaled or not."""
+    ring, system = case
+    degree = data.draw(st.integers(0, 3)) if ring.variables else 0
+    p = data.draw(small_polynomials(ring, degree))
+    assert GroebnerBasis(ring, system).normal_form(p) == _remainder(p, system)
