@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, itemgetter
+from typing import Iterable
 
 
 class TableMismatchError(ValueError):
@@ -295,36 +295,51 @@ def sorted_monomials(table: GeneratorTable, monos) -> list[tuple[int, ...]]:
     return sorted(monos, key=key)
 
 
-def _even_exponent_vectors(weights: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
+def _even_exponent_vectors(weights: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """Exponent vectors e with sum(e_i * weights_i) == total, extended one weight at a time."""
     if not weights:
-        if total == 0:
-            yield ()
-        return
-    head = weights[0]
-    for e in range(total // head + 1):
-        for rest in _even_exponent_vectors(weights[1:], total - e * head):
-            yield (e,) + rest
+        return [()] if total == 0 else []
+    partial = [((), total)]
+    for w in weights[:-1]:
+        partial = [(v + (e,), r - e * w) for v, r in partial for e in range(r // w + 1)]
+    last = weights[-1]
+    return [v + (r // last,) for v, r in partial if r % last == 0]
 
 
 def monomial_basis(table: GeneratorTable, k: int) -> list[tuple[int, ...]]:
-    """All monomials of degree k in canonical order."""
+    """All monomials of degree k in canonical order (that of sorted_monomials).
+
+    The order is emitted directly: only the even parts are sorted, and each
+    is followed by its odd subsets in lex order, all of degree k minus the
+    even part's weighted degree.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    degrees = table.degrees
     evens = table.even_indices()
     odds = table.odd_indices()
-    even_weights = tuple(table.degrees[i] for i in evens)
-    n = len(table.names)
-    out = []
+    subsets_of_degree: dict[int, list[tuple[int, ...]]] = {}
     for size in range(len(odds) + 1):
         for subset in combinations(odds, size):
-            rem = k - sum(table.degrees[i] for i in subset)
-            if rem < 0:
-                continue
-            for even_vec in _even_exponent_vectors(even_weights, rem):
-                mono = [0] * n
-                for i in subset:
-                    mono[i] = 1
-                for pos, e in zip(evens, even_vec):
-                    mono[pos] = e
-                out.append(tuple(mono))
-    return sorted_monomials(table, out)
+            s = sum(degrees[i] for i in subset)
+            if s <= k:
+                subsets_of_degree.setdefault(s, []).append(subset)
+    weights = tuple(degrees[i] for i in evens)
+    parts = []
+    for s, subsets in subsets_of_degree.items():
+        subsets.sort()
+        parts.extend(((-sum(v), v[::-1]), v, subsets) for v in _even_exponent_vectors(weights, k - s))
+    # each even part has one weighted degree, hence one group of subsets: the keys are distinct
+    parts.sort(key=itemgetter(0))
+    n = len(degrees)
+    out = []
+    for _, vec, subsets in parts:
+        even = [0] * n
+        for i, e in zip(evens, vec):
+            even[i] = e
+        for subset in subsets:
+            mono = even.copy()
+            for i in subset:
+                mono[i] = 1
+            out.append(tuple(mono))
+    return out

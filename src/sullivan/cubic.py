@@ -483,7 +483,7 @@ def squarefree_part(q) -> int:
     sign = 1 if q > 0 else -1
     result = 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -492,7 +492,9 @@ def squarefree_part(q) -> int:
             if e % 2:
                 result *= d
         d += 1 if d == 2 else 2
-    result *= n  # leftover prime
+    # n has no prime factor below d, and d**3 > n: n is 1, p, p**2 or p*q
+    if isqrt(n) ** 2 != n:
+        result *= n
     return sign * result
 
 

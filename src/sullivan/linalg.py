@@ -101,8 +101,10 @@ def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]
 
 
 class RationalMatrix:
-    """Sparse matrix of Fractions, each row a {column: value} dict of its
-    nonzero entries (the form the elimination reads); immutable."""
+    """Sparse rational matrix, each row a {column: value} dict of its nonzero
+    entries (the form the elimination reads); immutable.  Entries given as
+    ``int`` are kept as ``int``, every other value becomes a ``Fraction``;
+    ``data``, ``rref`` and ``kernel_basis`` return ``Fraction``s only."""
 
     __slots__ = ("rows", "cols", "_entries")
 
@@ -113,7 +115,10 @@ class RationalMatrix:
             raise ValueError(f"a column index is outside range({cols})")
         self.rows = rows
         self.cols = cols
-        self._entries = tuple({j: y for j, x in row.items() if (y := Fraction(x))} for row in sparse_rows)
+        self._entries = tuple(
+            {j: y for j, x in row.items() if (y := x if type(x) is int else Fraction(x))}
+            for row in sparse_rows
+        )
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
@@ -127,7 +132,7 @@ class RationalMatrix:
     @property
     def data(self) -> tuple[Vector, ...]:
         """Dense read-only view of the entries, row by row."""
-        return _dense(self._entries, self.cols)
+        return _dense(({j: Fraction(x) for j, x in row.items()} for row in self._entries), self.cols)
 
     def __eq__(self, other) -> bool:
         return (

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sullivan import GeneratorTable, monomial_basis
-from sullivan.algebra import TableMismatchError
+from sullivan.algebra import TableMismatchError, sorted_monomials
 
 VT = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 5)])
 DL = GeneratorTable(
@@ -86,6 +89,27 @@ def test_basis_sizes_match_hilbert_series():
         series = hilbert_series(table, 20)
         for k in range(21):
             assert len(monomial_basis(table, k)) == series[k]
+
+
+def _monomials_up_to(table, limit):
+    """Every monomial of degree <= limit with its degree, one generator at a time."""
+    monos = [((), 0)]
+    for d in table.degrees:
+        top = 1 if d % 2 else limit // d
+        monos = [(m + (e,), k + e * d) for m, k in monos for e in range(top + 1) if k + e * d <= limit]
+    return monos
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from((2, 4, 6)) | st.sampled_from((1, 3, 5, 7)), max_size=6))
+def test_monomial_basis_is_every_monomial_in_canonical_order(degrees):
+    """Even and odd generators in any interleaving, against brute force."""
+    table = GeneratorTable([(f"g{i}", d) for i, d in enumerate(degrees)])
+    everything = _monomials_up_to(table, 14)
+    for k in range(15):
+        basis = monomial_basis(table, k)
+        assert len(set(basis)) == len(basis)
+        assert basis == sorted_monomials(table, [m for m, degree in everything if degree == k])
 
 
 def random_homogeneous(rng, table, degree):

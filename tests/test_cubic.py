@@ -180,8 +180,40 @@ def test_squarefree_part_examples():
     assert squarefree_part(8) == 2
     assert squarefree_part(Fraction(-4, 9)) == -1
     assert squarefree_part(Fraction(1, 2)) == 2
+    # a prime: trial division up to its square root would not end
+    assert squarefree_part(2**61 - 1) == 2**61 - 1
+    assert squarefree_part(Fraction(-(2**61 - 1), 4)) == -(2**61 - 1)
     with pytest.raises(ValueError):
         squarefree_part(0)
+
+
+def _naive_squarefree_part(q):
+    """Trial division up to the square root, as an oracle."""
+    q = Fraction(q)
+    n = abs(q.numerator) * q.denominator
+    result = 1
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            n //= d
+            result *= d
+        d += 1
+    return (1 if q > 0 else -1) * result * n
+
+
+@pytest.mark.parametrize("p,q", [(1009, 1013), (10007, 10009), (65537, 65539)])
+def test_squarefree_part_with_primes_above_the_cube_root(p, q):
+    for n in (p * p, p * q, p * p * q, p * q * q, 12 * p * p, 18 * p * q):
+        assert squarefree_part(n) == _naive_squarefree_part(n)
+
+
+def test_squarefree_part_agrees_with_trial_division():
+    rng = random.Random(17)
+    for _ in range(300):
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+        assert squarefree_part(q) == _naive_squarefree_part(q)
 
 
 def test_same_square_class_examples():

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
+from operator import add, le, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -303,21 +305,35 @@ def _lead(p):
 
 
 def _remainder(p, basis):
-    """Remainder of p under the textbook division by basis, on Polynomial
-    arithmetic alone (no shared code with the package's reduction)."""
-    ring = p.ring
-    remainder = ring.zero()
+    """Remainder of p under the textbook division by basis, on one term dict
+    divided in place (no shared code with the package's reduction)."""
+    work = dict(p.terms)
+    # the terms of work, grevlex-largest first: (-degree, reversed exponents) ascending
+    heap = [(-sum(m), m[::-1]) for m in work]
+    heapify(heap)
+    remainder = {}
     leads = [_lead(g) for g in basis]
-    while not p.is_zero():
-        lm, lc = _lead(p)
+    while heap:
+        lm = heappop(heap)[1][::-1]
+        if lm not in work:
+            continue  # cancelled since it was pushed
         for g, (glm, glc) in zip(basis, leads):
-            if all(a <= b for a, b in zip(glm, lm)):
-                p = p - ring.monomial([a - b for a, b in zip(lm, glm)], lc / glc) * g
+            if all(map(le, glm, lm)):
+                c = work[lm] / glc
+                shift = tuple(map(sub, lm, glm))
+                for m, x in g.terms.items():
+                    m = tuple(map(add, m, shift))
+                    y = work.get(m, 0) - c * x
+                    if not y:
+                        del work[m]
+                        continue
+                    if m not in work:
+                        heappush(heap, (-sum(m), m[::-1]))
+                    work[m] = y
                 break
         else:
-            remainder = remainder + ring.monomial(lm, lc)
-            p = p - ring.monomial(lm, lc)
-    return remainder
+            remainder[lm] = work.pop(lm)
+    return p.ring.from_terms(remainder)
 
 
 def _s_poly(f, g):

@@ -161,6 +161,27 @@ def test_sparse_rows_give_the_same_matrix_as_dense_rows(matrix):
     assert all(type(x) is Fraction for row in m.data for x in row)
 
 
+int_matrices = st.integers(0, 6).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), max_size=6), st.just(cols)
+    )
+)
+
+
+@properties
+@given(int_matrices)
+def test_int_rows_give_the_same_matrix_as_fraction_rows(matrix):
+    data, cols = matrix
+    ints = RationalMatrix(len(data), cols, [{j: x for j, x in enumerate(row) if x} for row in data])
+    fractions = RationalMatrix(len(data), cols, [{j: Fraction(x) for j, x in enumerate(row)} for row in data])
+    assert ints == fractions
+    assert ints.rank() == fractions.rank()
+    assert ints.rref() == fractions.rref()
+    assert ints.kernel_basis() == fractions.kernel_basis()
+    rref, _ = ints.rref()
+    assert all(type(x) is Fraction for v in ints.data + rref + ints.kernel_basis() for x in v)
+
+
 @properties
 @given(matrices)
 def test_rank_equals_rank_of_transpose(matrix):
