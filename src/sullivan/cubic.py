@@ -22,6 +22,7 @@ from .groebner import (
     PolyRing,
     Polynomial,
     buchberger,
+    has_finite_quotient,
     is_regular_sequence,
 )
 from .linalg import RationalMatrix, integerized, row_space_rref
@@ -385,16 +386,22 @@ def hesse_form(sigma) -> CubicForm:
 
 
 def is_singular_ternary(form: CubicForm) -> bool:
-    """Whether the projective cubic curve has a singular point (over the closure)."""
+    """Whether the projective cubic curve has a singular point (over the closure).
+
+    The curve is smooth exactly when its three partial derivatives have no
+    common projective zero, that is when they generate an ideal with a
+    finite quotient.  Three quadrics in three variables give a finite
+    quotient only if it vanishes from degree 1 + 1 + 1 + 1 = 4 on (Lazard's
+    bound), so `has_finite_quotient` decides it from a Groebner basis
+    truncated at degree 4.
+    """
     if form.dim != 3:
         raise ValueError("expected a ternary form")
     if form.is_zero():
         raise ValueError("the zero form has no singularity type")
     ring = PolyRing(("x1", "x2", "x3"))
     P = form.polynomial(ring)
-    gradient = [P.derivative(i) for i in range(3)]
-    gb = buchberger([g for g in gradient if not g.is_zero()], ring)
-    return not gb.is_finite_dimensional()
+    return not has_finite_quotient([P.derivative(i) for i in range(3)], ring)
 
 
 def _hesse_invariant_polys() -> tuple[roots.UPoly, roots.UPoly]:

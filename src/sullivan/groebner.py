@@ -1,11 +1,16 @@
 """Groebner bases over Q for homogeneous ideals, under a fixed grevlex order.
 
-Provides reduced bases (Buchberger), normal forms, the zero-dimensionality
-test for homogeneous ideals, the Hilbert function, Krull dimension and
-multiplicity of the quotient, and the regular-sequence decision via
-codimension.  Reduction is fraction-free, on primitive integer terms.  All
-Hilbert data is read from the Hilbert series of the lead-term ideal, whose
-numerator comes from the Bayer-Stillman recursion.
+Provides reduced bases (Buchberger), normal forms, the Hilbert function,
+Krull dimension and multiplicity of the quotient, the finiteness test and
+the regular-sequence decision.  Reduction is fraction-free, on primitive
+integer terms.  All Hilbert data is read from the Hilbert series of the
+lead-term ideal, whose numerator comes from the Bayer-Stillman recursion.
+
+Finiteness of the quotient (and so a regular sequence of n forms in n
+variables) needs no reduced basis: a finite quotient of forms of degrees
+d1 >= d2 >= ... vanishes from degree (d1 - 1) + ... + (dn - 1) + 1 on
+(Lazard, EUROCAL '83, LNCS 162), so a Buchberger run stopped at that
+degree has the leads that decide it.
 """
 
 from __future__ import annotations
@@ -500,20 +505,9 @@ class GroebnerBasis:
         return _order_at_one(numerator)[1] if numerator else 0
 
 
-def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by the inputs.
-
-    Zero polynomials are dropped; an empty list yields the zero ideal.
-    All inputs must be homogeneous (the only case this package needs).
-
-    Pairs are taken by the normal strategy: the pending pair whose lcm is
-    least in grevlex goes first, ties broken by index.  A pair is skipped
-    by Buchberger's two criteria (Gebauer and Moeller, JSC 1988): its
-    leading monomials are coprime, or some third leading monomial divides
-    its lcm and neither of that element's pairs with the two is pending.
-    Basis elements are kept as primitive integer terms throughout, and
-    made monic only once interreduced.
-    """
+def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[Polynomial], PolyRing]:
+    """The nonzero inputs and their ring, after checking that they share
+    the ring and are homogeneous."""
     polys = [p for p in polys if not p.is_zero()]
     if ring is None:
         if not polys:
@@ -524,6 +518,22 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
             raise ValueError("generators live in different rings")
         if not p.is_homogeneous():
             raise ValueError("generators must be homogeneous")
+    return polys, ring
+
+
+def _pair_loop(
+    polys: Sequence[Polynomial], cap: int | None = None
+) -> tuple[list[dict[Monomial, int]], list[Monomial]]:
+    """A Groebner basis of the homogeneous inputs as primitive integer terms,
+    not interreduced, and its leading monomials.
+
+    Pairs are taken by the normal strategy: the pending pair whose lcm is
+    least in grevlex goes first, ties broken by index, so pairs leave the
+    heap in ascending degree.  With a cap, the loop stops once the least
+    pending lcm has degree above it: every S-polynomial of degree at most
+    the cap has then been reduced, so the leads are those of the ideal in
+    every degree up to the cap (a basis truncated at that degree).
+    """
     basis: list[dict[Monomial, int]] = []
     leads: list[Monomial] = []
     queue: list = []  # heap of (grevlex key of the lcm, i, j, lcm)
@@ -553,6 +563,8 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     for p in polys:
         add_generator(_clear_denominators(dict(p.ordered_terms()))[0])
     while queue:
+        if cap is not None and queue[0][0][0] > cap:
+            break
         _, i, j, lcm = heappop(queue)
         pending.remove((i, j))
         if lcm == _mono_mul(leads[i], leads[j]) or chain(i, j, lcm):
@@ -560,6 +572,24 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
         r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads)[0]
         if r:
             add_generator(r)
+    return basis, leads
+
+
+def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by the inputs.
+
+    Zero polynomials are dropped; an empty list yields the zero ideal.
+    All inputs must be homogeneous (the only case this package needs).
+
+    Pairs are taken by the normal strategy (least lcm in grevlex first).  A
+    pair is skipped by Buchberger's two criteria (Gebauer and Moeller, JSC
+    1988): its leading monomials are coprime, or some third leading
+    monomial divides its lcm and neither of that element's pairs with the
+    two is pending.  Basis elements are kept as primitive integer terms
+    throughout, and made monic only once interreduced.
+    """
+    polys, ring = _checked(polys, ring)
+    basis, leads = _pair_loop(polys)
     # interreduce to the unique reduced basis, smallest lead first: a term
     # below a lead can only be divisible by a smaller lead
     minimal = []
@@ -583,12 +613,45 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     )
 
 
+def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:
+    """Whether Q[x1..xn] modulo the homogeneous inputs is finite-dimensional,
+    the same verdict as ``buchberger(polys, ring).is_finite_dimensional()``.
+
+    Fewer than n nonzero forms, none of them a constant, cut out a variety
+    of dimension at least 1 (Krull's principal ideal theorem).  Otherwise,
+    if forms of degrees d1 >= d2 >= ... give a finite quotient, it is zero
+    in every degree from D = (d1 - 1) + ... + (dn - 1) + 1 on, over the n
+    largest degrees (Lazard, EUROCAL '83, LNCS 162; for n forms this is the
+    complete-intersection bound).  So the quotient is finite exactly when
+    every variable has a pure power, or 1 is, among the leads of a basis
+    truncated at degree D; the pair loop stops there, and neither
+    interreduction nor the Hilbert series is needed.
+    """
+    polys, ring = _checked(polys, ring)
+    n = len(ring.variables)
+    degrees = sorted((p.degree() for p in polys), reverse=True)
+    if len(polys) < n and 0 not in degrees:
+        return False
+    cap = sum(degrees[:n]) - n + 1
+    pure: set[int] = set()
+    for lead in _pair_loop(polys, cap)[1]:
+        support = [i for i, e in enumerate(lead) if e]
+        if not support:
+            return True  # the unit ideal
+        if len(support) == 1:
+            pure.add(support[0])
+    return len(pure) == n
+
+
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
     """Whether a homogeneous sequence is regular in Q[x1..xn].
 
     Decided by codimension: a length-k homogeneous sequence is regular iff
-    the quotient has Krull dimension n - k.  The empty sequence is regular;
-    zero entries or more entries than variables are not.
+    the quotient has Krull dimension n - k.  For k = n that says the
+    quotient is finite, which `has_finite_quotient` decides from a basis
+    truncated at Lazard's degree (d1 - 1) + ... + (dn - 1) + 1; for k < n
+    the dimension is read from the full reduced basis.  The empty sequence
+    is regular; zero entries or more entries than variables are not.
     """
     polys = list(polys)
     for p in polys:
@@ -606,4 +669,6 @@ def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
         return True
     if k > n:
         return False
+    if k == n:
+        return has_finite_quotient(polys, ring)
     return buchberger(polys, ring).krull_dimension() == n - k

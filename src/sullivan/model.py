@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from typing import Iterator
 
 from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
-from .groebner import PolyRing, Polynomial, buchberger
+from .groebner import PolyRing, Polynomial, has_finite_quotient
 from .linalg import RationalMatrix, _add_term, _echelon, _kernel
 
 
@@ -421,23 +422,29 @@ def even_element_to_polynomial(m: SullivanModel, element: AlgebraElement, ring: 
 def pure_is_elliptic(m: SullivanModel) -> bool:
     """Finite-dimensionality of (even subalgebra)/(images of the odd generators).
 
-    This is the ellipticity criterion for pure models; for an equal number
-    of even and odd generators it coincides with the images forming a
-    regular sequence.
+    This is the ellipticity criterion for pure models (Halperin, Trans. AMS
+    230, 1977); for an equal number of even and odd generators it coincides
+    with the images forming a regular sequence.  The images are homogeneous
+    in the weighted degree, so each even generator x_i is sent to
+    x_i^{w_i}, w_i = deg x_i / gcd of the even degrees, which makes them
+    homogeneous in the ordinary sense.  Q[x] is free of rank prod w_i over
+    Q[x^w], so the quotient stays finite exactly when it was.  Finiteness
+    is then decided by `has_finite_quotient`, from a Groebner basis
+    truncated at Lazard's degree bound (d1 - 1) + ... + (dn - 1) + 1.
     """
     if not m.is_pure():
         raise ValueError("the model is not pure")
     ring = even_subalgebra_ring(m)
-    if len(ring.variables) == 0:
-        return True
-    images = [
-        even_element_to_polynomial(m, m.images[i], ring)
-        for i in m.table.odd_indices()
-        if not m.images[i].is_zero()
-    ]
-    if not images:
-        return False
-    return buchberger(images, ring).is_finite_dimensional()
+    degrees = [m.table.degrees[i] for i in m.table.even_indices()]
+    step = gcd(*degrees)
+    weights = [d // step for d in degrees]
+    images = []
+    for i in m.table.odd_indices():
+        image = even_element_to_polynomial(m, m.images[i], ring)
+        images.append(
+            ring.from_terms({tuple(e * w for e, w in zip(mono, weights)): c for mono, c in image.terms.items()})
+        )
+    return has_finite_quotient(images, ring)
 
 
 def formal_dimension_from_exponents(pair) -> int:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sullivan.catalog import biquotient_ring
 from sullivan.cubic import (
@@ -128,18 +130,37 @@ def test_is_singular_examples():
         is_singular_ternary(CubicForm(3, {}))
 
 
-def test_discriminant_matches_singularity():
-    rng = random.Random(83)
-    checked = 0
-    while checked < 15:
-        poly = RXYZ.zero()
-        for mono in RXYZ.monomials_of_degree(3):
-            poly = poly + RXYZ.monomial(mono, Fraction(rng.randint(-2, 2)))
-        form = CubicForm.from_polynomial(poly)
-        if form.is_zero():
-            continue
-        checked += 1
-        assert (discriminant(form) == 0) == is_singular_ternary(form)
+@st.composite
+def ternary_cubics(draw):
+    """A nonzero ternary cubic with small integer coefficients, and whether
+    it was built singular: a line times a conic, or a cubic in two of the
+    variables (a cone, singular where those two vanish)."""
+    kind = draw(st.sampled_from(("random", "line times conic", "two variables")))
+
+    def form(degree, keep=lambda m: True):
+        monos = [m for m in RXYZ.monomials_of_degree(degree) if keep(m)]
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        return RXYZ.from_terms(dict(zip(monos, coeffs)))
+
+    if kind == "line times conic":
+        poly = form(1) * form(2)
+    elif kind == "two variables":
+        left_out = draw(st.integers(0, 2))
+        poly = form(3, lambda m: not m[left_out])
+    else:
+        poly = form(3)
+    assume(not poly.is_zero())
+    return CubicForm.from_polynomial(poly), kind != "random"
+
+
+@settings(deadline=None)
+@given(ternary_cubics())
+def test_discriminant_matches_singularity(case):
+    form, built_singular = case
+    singular = is_singular_ternary(form)
+    assert singular == (discriminant(form) == 0)
+    if built_singular:
+        assert singular
 
 
 def test_hesse_sigma_exact_self_recovery():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, le, sub
 
 import pytest
@@ -15,6 +15,7 @@ from sullivan.groebner import (
     GroebnerBasis,
     PolyRing,
     buchberger,
+    has_finite_quotient,
     is_regular_sequence,
 )
 from sullivan.linalg import RationalMatrix
@@ -304,24 +305,46 @@ def _lead(p):
     return lm, p.terms[lm]
 
 
-def _remainder(p, basis):
-    """Remainder of p under the textbook division by basis, on one term dict
-    divided in place (no shared code with the package's reduction)."""
-    work = dict(p.terms)
+def _cleared(p):
+    """(t, den) with p = t/den, t a dict of integer terms and den > 0."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den
+
+
+def _grevlex_lead(terms):
+    return max(terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
+
+
+def _divide(work, basis):
+    """(s·r, s) for the remainder r of the integer terms `work` under the
+    textbook division by the integer term dicts `basis`, and an integer
+    s > 0 (no shared code with the package's reduction).  `work` is divided
+    in place: to remove its largest divisible term c·x^m by g with leading
+    term a·x^l, work and the remainder so far are scaled by a/gcd(a, c) and
+    (c/gcd(a, c))·x^(m - l)·g is subtracted."""
     # the terms of work, grevlex-largest first: (-degree, reversed exponents) ascending
     heap = [(-sum(m), m[::-1]) for m in work]
     heapify(heap)
     remainder = {}
-    leads = [_lead(g) for g in basis]
+    scale = 1
+    leads = [_grevlex_lead(g) for g in basis]
     while heap:
         lm = heappop(heap)[1][::-1]
         if lm not in work:
             continue  # cancelled since it was pushed
-        for g, (glm, glc) in zip(basis, leads):
+        for g, glm in zip(basis, leads):
             if all(map(le, glm, lm)):
-                c = work[lm] / glc
+                d = gcd(work[lm], g[glm])
+                a, c = g[glm] // d, work[lm] // d
+                if a < 0:
+                    a, c = -a, -c
+                if a != 1:
+                    scale *= a
+                    for terms in (work, remainder):
+                        for m in terms:
+                            terms[m] *= a
                 shift = tuple(map(sub, lm, glm))
-                for m, x in g.terms.items():
+                for m, x in g.items():
                     m = tuple(map(add, m, shift))
                     y = work.get(m, 0) - c * x
                     if not y:
@@ -333,17 +356,28 @@ def _remainder(p, basis):
                 break
         else:
             remainder[lm] = work.pop(lm)
-    return p.ring.from_terms(remainder)
+    return remainder, scale
+
+
+def _remainder(p, basis):
+    """Remainder of p under the textbook division by basis, over the integers."""
+    work, den = _cleared(p)
+    remainder, scale = _divide(work, [_cleared(g)[0] for g in basis])
+    return p.ring.from_terms({m: Fraction(c, den * scale) for m, c in remainder.items()})
 
 
 def _s_poly(f, g):
-    (lf, cf), (lg, cg) = _lead(f), _lead(g)
-    lcm = [max(a, b) for a, b in zip(lf, lg)]
-    ring = f.ring
-    return (
-        ring.monomial([a - b for a, b in zip(lcm, lf)], 1 / cf) * f
-        - ring.monomial([a - b for a, b in zip(lcm, lg)], 1 / cg) * g
-    )
+    """A nonzero integer multiple of the S-polynomial of the integer term
+    dicts f and g."""
+    lf, lg = _grevlex_lead(f), _grevlex_lead(g)
+    top = tuple(map(max, lf, lg))  # the lcm of the leads
+    out = {}
+    for h, lh, c in ((f, lf, g[lg]), (g, lg, -f[lf])):
+        shift = tuple(map(sub, top, lh))
+        for m, x in h.items():
+            m = tuple(map(add, m, shift))
+            out[m] = out.get(m, 0) + c * x
+    return {m: x for m, x in out.items() if x}
 
 
 def _assert_reduced_groebner_basis(gb, inputs):
@@ -356,8 +390,9 @@ def _assert_reduced_groebner_basis(gb, inputs):
         assert lc == 1
         others = [l for l in leads if l != lm]
         assert not any(all(a <= b for a, b in zip(l, m)) for m in g.terms for l in others)
-    for f, g in combinations(gens, 2):
-        assert _remainder(_s_poly(f, g), gens).is_zero()
+    integral = [_cleared(g)[0] for g in gens]
+    for f, g in combinations(integral, 2):
+        assert not _divide(_s_poly(f, g), integral)[0]
     for p in inputs:
         assert _remainder(p, gens).is_zero()
 
@@ -541,3 +576,84 @@ def test_normal_form_of_a_non_monic_basis_is_the_division_remainder(case, data):
     degree = data.draw(st.integers(0, 3)) if ring.variables else 0
     p = data.draw(small_polynomials(ring, degree))
     assert GroebnerBasis(ring, system).normal_form(p) == _remainder(p, system)
+
+
+# -- finiteness from a basis truncated at Lazard's degree bound -----------------
+
+
+@st.composite
+def finiteness_systems(draw):
+    """A ring of 1-4 variables and 1..n+2 nonzero forms of degree 1-3: sparse
+    ones, n dense ones (whose quotient, when finite, usually needs leads of
+    degree D itself), or ones built to have an infinite quotient: a shared
+    linear factor, a repeated form among n, or a variable missing from
+    every form."""
+    n = draw(st.integers(1, 4))
+    ring = SMALL_RINGS[n]
+    kind = draw(st.sampled_from(("sparse", "dense", "shared factor", "repeated", "missing variable")))
+    if kind == "dense":
+        system = []
+        for _ in range(n):
+            monos = ring.monomials_of_degree(draw(st.sampled_from((1, 2, 3) if n < 4 else (1, 2))))
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+            system.append(ring.from_terms(dict(zip(monos, coeffs))))
+    elif kind == "missing variable":
+        left_out = draw(st.integers(0, n - 1))
+        drawn = draw(finiteness_forms(ring, n + 2))
+        system = [ring.from_terms({m: c for m, c in f.terms.items() if not m[left_out]}) for f in drawn]
+    elif kind == "shared factor":
+        line = draw(small_polynomials(ring, 1).filter(bool))
+        system = [line * f for f in draw(finiteness_forms(ring, n + 2, degrees=(0, 1, 2)))]
+    elif kind == "repeated" and n > 1:
+        system = draw(finiteness_forms(ring, n - 1, min_size=n - 1))
+        system.append(system[draw(st.integers(0, len(system) - 1))].scale(draw(SCALARS)))
+    else:
+        system = draw(finiteness_forms(ring, n + 2))
+    system = [f for f in system if not f.is_zero()]
+    return ring, system or [ring.variable(0) ** 2]
+
+
+@st.composite
+def finiteness_forms(draw, ring, max_size, min_size=1, degrees=(1, 2, 3)):
+    """min_size..max_size nonzero forms of the given degrees."""
+    count = draw(st.integers(min_size, max_size))
+    return [draw(small_polynomials(ring, draw(st.sampled_from(degrees))).filter(bool)) for _ in range(count)]
+
+
+@settings(deadline=None)
+@given(finiteness_systems())
+# the quotient is finite only through x2^3, of degree D = 3 itself
+@example((R2, polys(R2, "x1*x2", "x1^2 - x2^2")))
+@example((R3, polys(R3, "x1*x2", "x1^2 - x2^2", "x3^2")))
+def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
+    ring, system = case
+    gb = buchberger(system, ring)
+    assert has_finite_quotient(system, ring) == gb.is_finite_dimensional()
+    n, k = len(ring.variables), len(system)
+    assert is_regular_sequence(system, ring) == (gb.krull_dimension() == n - k)
+
+
+def test_finite_quotient_edge_cases():
+    # a constant makes the unit ideal, with fewer forms than variables too
+    assert has_finite_quotient(polys(R3, "2"), R3)
+    assert has_finite_quotient(polys(R3, "x1*x2", "1/3", "x1^2"), R3)
+    # fewer than n forms, none constant (Krull)
+    assert not has_finite_quotient(polys(R3, "x1^2", "x2^2", "0"), R3)
+    assert not has_finite_quotient([], R3)
+    # no variables: Q itself, or the zero ring
+    q = SMALL_RINGS[0]
+    assert has_finite_quotient([], q)
+    assert has_finite_quotient([q.scalar(5)], q)
+    assert is_regular_sequence([], q)
+    # Lazard's bound is 2000002 here, but the coprime leads decide it at once
+    big = polys(R2, "x1^2000000", "x2^3")
+    assert has_finite_quotient(big, R2)
+    assert is_regular_sequence(big, R2)
+    assert not has_finite_quotient(polys(R2, "x1^2000000*x2", "x2^3"), R2)
+    # the same checks on the input as buchberger
+    with pytest.raises(ValueError):
+        has_finite_quotient(polys(R2, "x1^2 + x2"), R2)
+    with pytest.raises(ValueError):
+        has_finite_quotient(polys(R3, "x1^2", "x2^2", "x3^2"), R2)
+    with pytest.raises(ValueError):
+        has_finite_quotient([])

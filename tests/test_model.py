@@ -146,6 +146,16 @@ def test_pure_is_elliptic():
         pure_is_elliptic(impure)
 
 
+def test_pure_is_elliptic_with_even_generators_of_different_degrees():
+    # dz is homogeneous only in the weighted degree (|x| = 2, |a| = 4)
+    table = GeneratorTable([("x", 2), ("a", 4), ("y", 3), ("z", 7)])
+    x, a = table.generator("x"), table.generator("a")
+    for dz, elliptic in ((a * a + x * x * a, True), (a * a + x**4, True), (x * x * a, False)):
+        m = SullivanModel(table, {"y": x * x, "z": dz})
+        assert m.validate() is None and m.is_pure()
+        assert pure_is_elliptic(m) == elliptic
+
+
 def test_cup_product_formula_instance():
     # p = 1, cubic (0,0,0,1): the closed formula gives (-1, 0, 1, 0)
     form = cup_product_cubic_form(vt_model())
