@@ -4,29 +4,24 @@ An algebra is presented by an ordered table of named generators with
 positive integer degrees.  Even-degree generators commute and generate a
 polynomial algebra, odd-degree generators anticommute and square to zero.
 Monomials are exponent tuples aligned with the table; elements are finite
-Fraction-linear combinations of monomials with Koszul signs handled during
-multiplication.
+rational linear combinations of monomials with Koszul signs handled during
+multiplication.  A whole coefficient is stored as an ``int`` and any other
+as a ``Fraction``, never a float: the constructors normalise with
+``linalg.rational``, and products of whole coefficients stay ``int``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from numbers import Rational
 from operator import add, itemgetter
 from typing import Iterable
+
+from .linalg import rational
 
 
 class TableMismatchError(ValueError):
     """Two elements over different generator tables were combined."""
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(f"expected a rational coefficient, got {value!r}")
 
 
 class GeneratorTable:
@@ -87,10 +82,10 @@ class GeneratorTable:
         return AlgebraElement(self, {})
 
     def one(self) -> AlgebraElement:
-        return AlgebraElement(self, {(0,) * len(self.names): Fraction(1)})
+        return AlgebraElement(self, {(0,) * len(self.names): 1})
 
     def scalar(self, value) -> AlgebraElement:
-        value = _as_fraction(value)
+        value = rational(value)
         if value == 0:
             return self.zero()
         return AlgebraElement(self, {(0,) * len(self.names): value})
@@ -99,13 +94,13 @@ class GeneratorTable:
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
         expo = [0] * len(self.names)
         expo[i] = 1
-        return AlgebraElement(self, {tuple(expo): Fraction(1)})
+        return AlgebraElement(self, {tuple(expo): 1})
 
     def element(self, terms: dict[tuple[int, ...], Fraction]) -> AlgebraElement:
         clean = {}
         n = len(self.names)
         for mono, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = rational(coeff)
             if coeff == 0:
                 continue
             if len(mono) != n:
@@ -120,9 +115,6 @@ class GeneratorTable:
 
     def monomial_degree(self, mono: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
-
-    def monomial_word_length(self, mono: tuple[int, ...]) -> int:
-        return sum(mono)
 
 
 def _mul_monomials(table: GeneratorTable, m1, m2):
@@ -195,7 +187,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, value) -> AlgebraElement:
-        value = _as_fraction(value)
+        value = rational(value)
         if value == 0:
             return self.table.zero()
         return AlgebraElement(self.table, {m: c * value for m, c in self.terms.items()})
@@ -235,14 +227,8 @@ class AlgebraElement:
     def is_homogeneous(self) -> bool:
         return self.degree() != "mixed"
 
-    def homogeneous_part(self, k: int) -> AlgebraElement:
-        table = self.table
-        return AlgebraElement(
-            table, {m: c for m, c in self.terms.items() if table.monomial_degree(m) == k}
-        )
-
-    def coefficient(self, mono: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: tuple[int, ...]) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
 
     def min_word_length(self) -> int | None:
         if not self.terms:

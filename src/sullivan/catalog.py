@@ -33,7 +33,7 @@ from .cubic import (
 )
 from .exponents import ExponentPair, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, Polynomial, buchberger, is_regular_sequence
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, rational
 from .model import (
     SullivanModel,
     betti_numbers,
@@ -105,8 +105,8 @@ def product_model(m1: SullivanModel, m2: SullivanModel) -> SullivanModel:
 
 def dim6_b2_model(p, cubic: Sequence) -> SullivanModel:
     """The b2 = 2 six-dimensional family: dy1 = x1^2 + p x2^2, dy2 a binary cubic."""
-    p = Fraction(p)
-    c1, c2, c3, c4 = (Fraction(c) for c in cubic)
+    p = rational(p)
+    c1, c2, c3, c4 = (rational(c) for c in cubic)
     table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 5)])
     x1, x2 = table.generator("x1"), table.generator("x2")
     return SullivanModel(
@@ -121,10 +121,10 @@ def dim6_b2_model(p, cubic: Sequence) -> SullivanModel:
     )
 
 
-def dim6_b2_discriminant(p, cubic: Sequence) -> Fraction:
+def dim6_b2_discriminant(p, cubic: Sequence) -> int | Fraction:
     """Determinant of the degree-seven differential; nonzero iff the family member is elliptic."""
-    p = Fraction(p)
-    g1, g2, g3, g4 = (Fraction(c) for c in cubic)
+    p = rational(p)
+    g1, g2, g3, g4 = (rational(c) for c in cubic)
     return (
         p**3 * g1**2
         + p**2 * g2**2
@@ -143,8 +143,8 @@ def dim6_b2_cubic_form(p, cubic: Sequence) -> CubicForm:
     """Closed formula for the cup form of an admissible b2 = 2 family member."""
     if not dim6_b2_admissible(p, cubic):
         raise ValueError("the family member is not elliptic (discriminant vanishes)")
-    p = Fraction(p)
-    g1, g2, g3, g4 = (Fraction(c) for c in cubic)
+    p = rational(p)
+    g1, g2, g3, g4 = (rational(c) for c in cubic)
     alpha1 = p * g1 - g3
     alpha2 = p * g2 - g4
     return CubicForm(
@@ -160,7 +160,7 @@ def dim6_b2_cubic_form(p, cubic: Sequence) -> CubicForm:
 
 def dim6_b3_model(lam) -> SullivanModel:
     """The b2 = 3 six-dimensional family: dy_j = x_j^2 - lam * (product of the others)."""
-    lam = Fraction(lam)
+    lam = rational(lam)
     table = GeneratorTable(
         [("x1", 2), ("x2", 2), ("x3", 2), ("y1", 3), ("y2", 3), ("y3", 3)]
     )
@@ -177,7 +177,7 @@ def dim6_b3_model(lam) -> SullivanModel:
 
 def dim4_sigma_model(s) -> SullivanModel:
     """Formal-dimension-4 member of the diagonal family (not a manifold type)."""
-    s = Fraction(s)
+    s = rational(s)
     if s == 0:
         raise ValueError("the family parameter must be nonzero")
     table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3)])
@@ -187,7 +187,7 @@ def dim4_sigma_model(s) -> SullivanModel:
 
 def dim7_sigma_model(s) -> SullivanModel:
     """Seven-dimensional diagonal family: the dim-4 member times a closed degree-3 generator."""
-    s = Fraction(s)
+    s = rational(s)
     if s == 0:
         raise ValueError("the family parameter must be nonzero")
     table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3), ("y3", 3)])
@@ -207,7 +207,7 @@ def dim7_rank3_model() -> SullivanModel:
 
 def dim8_sigma_model(s) -> SullivanModel:
     """Eight-dimensional diagonal family: dim-4 member times the 4-sphere."""
-    s = Fraction(s)
+    s = rational(s)
     if s == 0:
         raise ValueError("the family parameter must be nonzero")
     table = GeneratorTable(
@@ -222,7 +222,7 @@ def dim8_sigma_model(s) -> SullivanModel:
 
 def dim8_middle_model(t) -> SullivanModel:
     """Degree-4 generator pair with dy2 = x1^2 - t*x2^2; the middle-pairing family."""
-    t = Fraction(t)
+    t = rational(t)
     table = GeneratorTable([("x1", 4), ("x2", 4), ("y1", 7), ("y2", 7)])
     x1, x2 = table.generator("x1"), table.generator("x2")
     return SullivanModel(
@@ -270,7 +270,7 @@ def _generator_rank(m: SullivanModel, degree: int) -> int:
     return RationalMatrix(len(rows), len(cochains.basis(degree + 1)), rows).rank()
 
 
-def _pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> Fraction:
+def _pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fraction:
     rows = pairing_matrix(m, generator_degree)
     return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
@@ -386,7 +386,7 @@ def biquotient_ring(kind: str, *params) -> QuadricSubspace:
     u = BIQUOTIENT_RING.variable("u")
     v = BIQUOTIENT_RING.variable("v")
     w = BIQUOTIENT_RING.variable("w")
-    params = tuple(Fraction(p) for p in params)
+    params = tuple(rational(p) for p in params)
     if kind == "b1":
         c1, c2 = params
         if (c1, c2) == (0, 0):
@@ -744,11 +744,11 @@ def _exponent_table(n: int) -> tuple[bool, str, str]:
     return holds, "; ".join(map(str, sorted(expected))), "; ".join(map(str, got))
 
 
-def _admissible_b2_draws(rng: random.Random, draws: int) -> Iterator[tuple[Fraction, tuple]]:
+def _admissible_b2_draws(rng: random.Random, draws: int) -> Iterator[tuple[int, tuple]]:
     """The admissible members among ``draws`` random b2-family parameter draws."""
     for _ in range(draws):
-        p = Fraction(rng.randint(-4, 4))
-        cubic = tuple(Fraction(rng.randint(-4, 4)) for _ in range(4))
+        p = rng.randint(-4, 4)
+        cubic = tuple(rng.randint(-4, 4) for _ in range(4))
         if dim6_b2_admissible(p, cubic):
             yield p, cubic
 
@@ -757,7 +757,7 @@ def _b2_degenerate_failures(rng: random.Random) -> list:
     """Sampled members with vanishing discriminant and no cohomology in degrees 7..14."""
     failures = []
     for _ in range(10):
-        p, g1, g2 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
+        p, g1, g2 = (rng.randint(-3, 3) for _ in range(3))
         cubic = (g1, g2, p * g1, p * g2)  # forces the discriminant to vanish
         if dim6_b2_discriminant(p, cubic) != 0:
             failures.append((p, cubic, "discriminant not zero"))
@@ -785,8 +785,8 @@ def _b1_subspace_transform() -> tuple[bool, str, str]:
     )
     expected = _quadric_span(("x2*x3", "x1^2 - x2^2", "x1^2 - x3^2"))
     holds, shown_expected, shown_actual = _same_subspace(expected, transformed)
-    rational = alpha * alpha == c2 * c2 + (2 * c1 - c2) ** 2
-    return rational and holds, shown_expected, shown_actual
+    alpha_is_rational = alpha * alpha == c2 * c2 + (2 * c1 - c2) ** 2
+    return alpha_is_rational and holds, shown_expected, shown_actual
 
 
 def _non_elliptic_biquotients(rng: random.Random) -> list:
@@ -859,7 +859,7 @@ def _dim7_square_mismatches(rng: random.Random) -> list:
     """Sampled (s, k) whose models for s and s*k^2 classify differently."""
     mismatches = []
     for _ in range(5):
-        s, k = Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9))
+        s, k = rng.randint(1, 9), rng.randint(1, 9)
         if classify_dim7(dim7_sigma_model(s)) != classify_dim7(dim7_sigma_model(s * k * k)):
             mismatches.append((s, k))
     return mismatches

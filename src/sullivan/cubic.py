@@ -25,7 +25,7 @@ from .groebner import (
     has_finite_quotient,
     is_regular_sequence,
 )
-from .linalg import RationalMatrix, integerized, row_space_rref
+from .linalg import RationalMatrix, integerized, rational, row_space_rref
 
 BINARY_MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -43,7 +43,8 @@ def _index_triples(dim: int):
 
 
 class CubicForm:
-    """Symmetric trilinear form on a 2- or 3-dimensional rational vector space."""
+    """Symmetric trilinear form on a 2- or 3-dimensional rational vector space;
+    each coefficient is an ``int`` when whole and a ``Fraction`` otherwise."""
 
     __slots__ = ("dim", "coeffs")
 
@@ -55,14 +56,14 @@ class CubicForm:
             i, j, k = sorted(key)
             if not (0 <= i and k < dim):
                 raise ValueError(f"index {key!r} out of range for dimension {dim}")
-            value = Fraction(value)
+            value = rational(value)
             if value:
                 clean[(i, j, k)] = value
         self.dim = dim
         self.coeffs = clean
 
-    def __getitem__(self, key) -> Fraction:
-        return self.coeffs.get(tuple(sorted(key)), Fraction(0))
+    def __getitem__(self, key) -> int | Fraction:
+        return self.coeffs.get(tuple(sorted(key)), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,7 +123,7 @@ class CubicForm:
             for var, e in enumerate(mono):
                 triple.extend([var] * e)
             i, j, k = triple
-            coeffs[(i, j, k)] = c / _multinomial(i, j, k)
+            coeffs[(i, j, k)] = Fraction(c, _multinomial(i, j, k))
         return cls(dim, coeffs)
 
     # -- normalization ----------------------------------------------------
@@ -137,20 +138,20 @@ class CubicForm:
         first = next(x for x in ints if x)
         if first < 0:
             ints = tuple(-x for x in ints)
-        return CubicForm(self.dim, {t: Fraction(v) for t, v in zip(order, ints)})
+        return CubicForm(self.dim, dict(zip(order, ints)))
 
     def proportional_to(self, other: "CubicForm") -> bool:
         return self.dim == other.dim and self.canonical() == other.canonical()
 
     def scale(self, value) -> "CubicForm":
-        value = Fraction(value)
+        value = rational(value)
         return CubicForm(self.dim, {t: c * value for t, c in self.coeffs.items()})
 
 
 def _linear_substitution(ring: PolyRing, matrix: Sequence[Sequence]) -> list[Polynomial]:
     """Images of the variables under x -> Mx, for an n x n matrix M (n variables)."""
     n = len(ring.variables)
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[rational(x) for x in row] for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected a {n}x{n} matrix")
     return [
@@ -321,7 +322,7 @@ def binary_classify(form: CubicForm) -> str:
     return "three-real-roots" if disc > 0 else "one-real-root"
 
 
-def wall_invariants(form: CubicForm) -> tuple[Fraction, Fraction, Fraction]:
+def wall_invariants(form: CubicForm) -> tuple[int | Fraction, int | Fraction, int | Fraction]:
     """The three quadratic coefficient combinations that cut out the unrealizable binary class."""
     if form.dim != 2:
         raise ValueError("expected a binary form")
@@ -342,9 +343,9 @@ def wall_invariants(form: CubicForm) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _eval_table(table, values):
-    total = Fraction(0)
+    total = 0
     for expo, coeff in table:
-        term = Fraction(coeff)
+        term = coeff
         for i, e in enumerate(expo):
             if e:
                 term *= values[i] ** e
@@ -352,19 +353,19 @@ def _eval_table(table, values):
     return total
 
 
-def degree4_invariant(form: CubicForm) -> Fraction:
+def degree4_invariant(form: CubicForm) -> int | Fraction:
     if form.dim != 3:
         raise ValueError("expected a ternary form")
     return _eval_table(DEGREE4_TERMS, form.coefficient_vector())
 
 
-def degree6_invariant(form: CubicForm) -> Fraction:
+def degree6_invariant(form: CubicForm) -> int | Fraction:
     if form.dim != 3:
         raise ValueError("expected a ternary form")
     return _eval_table(DEGREE6_TERMS, form.coefficient_vector())
 
 
-def discriminant(form: CubicForm) -> Fraction:
+def discriminant(form: CubicForm) -> int | Fraction:
     """Vanishes exactly on singular ternary cubics (with the table normalization)."""
     s = degree4_invariant(form)
     t = degree6_invariant(form)
@@ -373,16 +374,7 @@ def discriminant(form: CubicForm) -> Fraction:
 
 def hesse_form(sigma) -> CubicForm:
     """x^3 + y^3 + z^3 + 6*sigma*xyz as a form."""
-    sigma = Fraction(sigma)
-    return CubicForm(
-        3,
-        {
-            (0, 0, 0): Fraction(1),
-            (1, 1, 1): Fraction(1),
-            (2, 2, 2): Fraction(1),
-            (0, 1, 2): sigma,
-        },
-    )
+    return CubicForm(3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1, (0, 1, 2): sigma})
 
 
 def is_singular_ternary(form: CubicForm) -> bool:

@@ -1,5 +1,9 @@
 """Groebner bases over Q for homogeneous ideals, under a fixed grevlex order.
 
+A ``Polynomial`` stores each whole coefficient as an ``int`` and any other
+as a ``Fraction``, never a float; the ring's constructors normalise with
+``linalg.rational``, and bases and normal forms divide over ``int``.
+
 Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
 the regular-sequence decision.  Reduction is fraction-free, on primitive
@@ -19,9 +23,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import comb, gcd, lcm
-from numbers import Rational
 from operator import add, le, neg, sub
 from typing import Iterable, Sequence
+
+from .linalg import rational
 
 Monomial = tuple[int, ...]
 
@@ -74,10 +79,10 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * len(self.variables): Fraction(1)})
+        return Polynomial(self, {(0,) * len(self.variables): 1})
 
     def scalar(self, value) -> "Polynomial":
-        value = Fraction(value)
+        value = rational(value)
         if value == 0:
             return self.zero()
         return Polynomial(self, {(0,) * len(self.variables): value})
@@ -92,10 +97,10 @@ class PolyRing:
                 raise KeyError(f"unknown variable {name_or_index!r}") from None
         expo = [0] * len(self.variables)
         expo[i] = 1
-        return Polynomial(self, {tuple(expo): Fraction(1)})
+        return Polynomial(self, {tuple(expo): 1})
 
     def monomial(self, expo: Sequence[int], coeff=1) -> "Polynomial":
-        coeff = Fraction(coeff)
+        coeff = rational(coeff)
         if coeff == 0:
             return self.zero()
         if len(expo) != len(self.variables) or any(e < 0 for e in expo):
@@ -103,7 +108,7 @@ class PolyRing:
         return Polynomial(self, {tuple(expo): coeff})
 
     def from_terms(self, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        return Polynomial(self, {tuple(m): Fraction(c) for m, c in terms.items() if c != 0})
+        return Polynomial(self, {tuple(m): y for m, c in terms.items() if (y := rational(c))})
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All degree-d monomials, descending grevlex."""
@@ -124,7 +129,8 @@ class PolyRing:
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients: ``int``
+    when whole, ``Fraction`` otherwise."""
 
     __slots__ = ("ring", "terms")
 
@@ -170,13 +176,13 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, value) -> "Polynomial":
-        value = Fraction(value)
+        value = rational(value)
         if value == 0:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * value for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         terms: dict[Monomial, Fraction] = {}
@@ -213,15 +219,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.terms, key=_grevlex_key)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient()
-        return self.scale(Fraction(1) / lc)
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -231,11 +228,8 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def coefficient(self, mono: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
 
     def derivative(self, var: int) -> "Polynomial":
         terms: dict[Monomial, Fraction] = {}
@@ -269,6 +263,11 @@ class Polynomial:
         from .parsing import render_polynomial
 
         return f"<{render_polynomial(self)}>"
+
+
+def _ratio(a: int, b: int) -> int | Fraction:
+    """a/b for integers, b nonzero: an int when b divides a."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def _clear_denominators(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
@@ -463,13 +462,10 @@ class GroebnerBasis:
         work, den = _clear_denominators(p.terms)
         remainder, multiplier = _reduce(work, self._integral, self._leads)
         den *= multiplier
-        return Polynomial(self.ring, {m: Fraction(c, den) for m, c in remainder.items()})
+        return Polynomial(self.ring, {m: _ratio(c, den) for m, c in remainder.items()})
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
-
-    def contains_unit(self) -> bool:
-        return any(sum(m) == 0 for m in self.leading_monomials())
 
     def is_finite_dimensional(self) -> bool:
         """Whether the quotient is a finite-dimensional vector space."""
@@ -607,7 +603,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     return GroebnerBasis(
         ring,
         [
-            Polynomial(ring, {m: Fraction(c, g[lead]) for m, c in g.items()})
+            Polynomial(ring, {m: _ratio(c, g[lead]) for m, c in g.items()})
             for g, lead in zip(reduced, reduced_leads)
         ],
     )

@@ -14,9 +14,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+def rational(value) -> int | Fraction:
+    """The exact coefficient for a rational value: an ``int`` when it is
+    whole, a ``Fraction`` otherwise.  Anything that is not a
+    ``numbers.Rational`` (a float, a string) raises ``TypeError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Rational):
+        if value.denominator == 1:
+            return int(value.numerator)
+        return value if type(value) is Fraction else Fraction(value)
+    raise TypeError(f"expected a rational coefficient, got {value!r}")
 
 
 def _to_fraction_row(row) -> tuple[Fraction, ...]:

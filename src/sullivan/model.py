@@ -98,9 +98,6 @@ class SullivanModel:
         """First violation of (degree +1, minimality, d^2 = 0), or None."""
         return next(self._violations(), None)
 
-    def is_valid(self) -> bool:
-        return self.validate() is None
-
     def cochains(self) -> "CochainComplex":
         """The model's cochain complex, built on first use and kept on the model."""
         if self._cochains is None:
@@ -198,11 +195,7 @@ class CochainComplex:
         if bad is not None:
             raise ValueError(bad.message)
         self.table = m.table
-        # whole coefficients as int, so that d_k is built in integer arithmetic
-        self.images = tuple(
-            {mono: int(c) if c.denominator == 1 else c for mono, c in image.terms.items()}
-            for image in m.images
-        )
+        self.images = tuple(image.terms for image in m.images)
         self._bases: dict[int, tuple] = {}
         self._indices: dict[int, dict] = {}
         self._columns: dict[int, tuple[dict[int, Fraction | int], ...]] = {}
@@ -288,7 +281,7 @@ class CochainComplex:
             reduced = self._reduced(k, dict(vec))
             if reduced:
                 lead = reduced[min(reduced)]
-                return {j: c / lead for j, c in reduced.items()}
+                return {j: Fraction(c, lead) for j, c in reduced.items()}
         raise ArithmeticError(f"H^{k} is zero")
 
 
@@ -336,7 +329,7 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     for a, b, c in combinations_with_replacement(range(len(xs)), 3):
         product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
         reduced = cochains.reduce(6, product)
-        coeff = coeffs[(a, b, c)] = reduced.get(lead, Fraction(0))
+        coeff = coeffs[(a, b, c)] = reduced.get(lead, 0)
         if reduced != ({j: coeff * g for j, g in generator.items()} if coeff else {}):
             raise ArithmeticError("degree-6 class is not a multiple of the generator")
     return CubicForm(len(xs), coeffs)
@@ -387,7 +380,7 @@ def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[F
         raise ValueError(f"dim H^{k} must be 1")
     lead = min(cochains.class_generator(k))
     return tuple(
-        tuple(cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, Fraction(0)) for j in xs)
+        tuple(cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, 0) for j in xs)
         for i in xs
     )
 

@@ -11,7 +11,9 @@ Expression grammar (whitespace insignificant, `#` starts a comment):
 
 `^` binds tighter than `*`, which binds tighter than `+`/`-`.  Model files
 are line oriented: `generator <name> <degree>` declarations followed by
-`d <name> = <expression>` lines; undeclared differentials are zero.
+`d <name> = <expression>` lines; undeclared differentials are zero.  A
+power of a sum in `d <name>` that has a term above deg <name> + 1 is
+rejected before it is expanded.
 """
 
 from __future__ import annotations
@@ -61,16 +63,19 @@ def _tokenize(text: str, line: int | None = None):
 class _ExpressionParser:
     """Recursive descent over the tokens, producing values in any algebra.
 
-    The symbols dict maps names to elements; `scalar` embeds a Fraction.
+    The symbols dict maps names to elements; `scalar` embeds a rational.
     Elements must support +, -, * and ** with integer exponents.
+    `check_power(base, exponent)`, if given, runs before each power is
+    expanded and returns an error message or None.
     """
 
-    def __init__(self, tokens, symbols, scalar, line=None):
+    def __init__(self, tokens, symbols, scalar, line=None, check_power=None):
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
         self.scalar = scalar
         self.line = line
+        self.check_power = check_power
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -119,7 +124,7 @@ class _ExpressionParser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return self.scalar(Fraction(-1)) * self.unary()
+            return self.scalar(-1) * self.unary()
         return self.power()
 
     def power(self):
@@ -130,13 +135,16 @@ class _ExpressionParser:
             exp_tok = self.take()
             if exp_tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.line, exp_tok[2])
+            problem = self.check_power and self.check_power(base, exp_tok[1])
+            if problem:
+                raise ParseError(problem, self.line, tok[2])
             return base ** exp_tok[1]
         return base
 
     def atom(self):
         tok = self.take()
         if tok[0] == "int":
-            value = Fraction(tok[1])
+            value = tok[1]
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self.take()
@@ -157,9 +165,33 @@ class _ExpressionParser:
         raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
 
-def parse_element(text: str, table: GeneratorTable, line: int | None = None) -> AlgebraElement:
+def parse_element(
+    text: str, table: GeneratorTable, line: int | None = None, max_degree: int | None = None
+) -> AlgebraElement:
+    """The element written in text.  With max_degree, a power of a sum that
+    has a term above that degree is rejected before it is expanded.  The
+    monomials without odd factors span a polynomial ring, which has no zero
+    divisors, so if the sum's terms of that kind reach degree t, its e-th
+    power has a nonzero term of degree t·e (which only another summand of
+    the expression could cancel)."""
+    odd = table.odd_indices()
+
+    def check_power(base: AlgebraElement, exponent: int) -> str | None:
+        if len(base.terms) < 2:
+            return None  # a power of one term is one term: no expansion
+        top = exponent * max(
+            (table.monomial_degree(m) for m in base.terms if not any(m[i] for i in odd)), default=0
+        )
+        if top > max_degree:
+            return f"a power of degree {top} exceeds the expected degree {max_degree}"
+        return None
+
     parser = _ExpressionParser(
-        _tokenize(text, line), lambda name: table.generator(name), table.scalar, line
+        _tokenize(text, line),
+        lambda name: table.generator(name),
+        table.scalar,
+        line,
+        None if max_degree is None else check_power,
     )
     return parser.parse()
 
@@ -217,7 +249,8 @@ def parse_model(text: str, validate: bool = True) -> SullivanModel:
             raise ParseError(f"unknown generator {name!r}", lineno)
         if name in differential:
             raise ParseError(f"duplicate differential for {name!r}", lineno)
-        differential[name] = parse_element(expression, table, lineno)
+        target = table.degrees[table.index(name)] + 1 if validate else None
+        differential[name] = parse_element(expression, table, lineno, target)
     m = SullivanModel(table, differential)
     if validate:
         violation = m.validate()

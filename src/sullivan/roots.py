@@ -1,9 +1,13 @@
 """Univariate polynomials over Q and exact real-root isolation.
 
-Polynomials are coefficient tuples, constant term first.  Isolation uses
-Sturm sequences and exact bisection; rational roots are recognized exactly
-via the denominator bound from the leading coefficient, so no integer
-factorization is ever needed.
+Polynomials are coefficient tuples, constant term first, each coefficient
+an ``int`` when whole and a ``Fraction`` otherwise.  Isolation uses Sturm
+sequences and exact bisection, and decides every sign over ``int``: each
+polynomial whose signs are read is scaled once by a positive rational to
+coprime integers (the same signs, the same roots), and the sign of p(a/b)
+with b > 0 is that of the sum of c_i a^i b^(n-i), taken by Horner's rule.
+Rational roots are recognized exactly via the denominator bound from the
+leading coefficient, so no integer factorization is ever needed.
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-UPoly = tuple[Fraction, ...]
+from .linalg import rational
+
+UPoly = tuple[int | Fraction, ...]
 
 
 def upoly(coeffs: Sequence) -> UPoly:
-    out = [Fraction(c) for c in coeffs]
+    out = [rational(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -46,7 +52,7 @@ def sub(p: UPoly, q: UPoly) -> UPoly:
 def mul(p: UPoly, q: UPoly) -> UPoly:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -55,7 +61,7 @@ def mul(p: UPoly, q: UPoly) -> UPoly:
 
 
 def scale(p: UPoly, c) -> UPoly:
-    c = Fraction(c)
+    c = rational(c)
     if c == 0:
         return ()
     return tuple(x * c for x in p)
@@ -84,7 +90,7 @@ def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quo = [0] * max(len(p) - len(q) + 1, 0)
     dq = len(q) - 1
     lc = q[-1]
     while len(rem) - 1 >= dq and any(rem):
@@ -93,7 +99,7 @@ def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
         if len(rem) - 1 < dq:
             break
         shift = len(rem) - 1 - dq
-        factor = rem[-1] / lc
+        factor = Fraction(rem[-1], lc)
         quo[shift] = factor
         for i in range(len(q)):
             rem[shift + i] -= factor * q[i]
@@ -101,28 +107,51 @@ def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
     return upoly(quo), upoly(rem)
 
 
-def primitive_integer(p: UPoly) -> tuple[int, ...]:
-    """Scale to coprime integer coefficients with positive leading coefficient."""
+def _integer_form(p: UPoly) -> tuple[int, ...]:
+    """p scaled by a positive rational to coprime integers: the same signs
+    and the same roots."""
     if not p:
         return ()
-    mult = lcm(*(c.denominator for c in p))
-    ints = [int(c * mult) for c in p]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+
+
+def primitive_integer(p: UPoly) -> tuple[int, ...]:
+    """Scale to coprime integer coefficients with positive leading coefficient."""
+    ints = _integer_form(p)
+    return tuple(-x for x in ints) if ints and ints[-1] < 0 else ints
+
+
+def _positive_remainder(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The remainder of p by q, for integer p and q, scaled by a positive
+    rational to coprime integers: each step multiplies what is left by
+    |lc(q)|/g > 0 before it cancels the leading term, so no Fraction arises."""
+    rem = list(p)
+    dq = len(q) - 1
+    lc = q[-1]
+    while len(rem) > dq:
+        c = rem.pop()
+        if c:
+            shift = len(rem) - dq
+            g = gcd(c, lc)
+            a, b = abs(lc) // g, (c if lc > 0 else -c) // g
+            if a != 1:
+                rem = [a * x for x in rem]
+            for i in range(dq):
+                rem[shift + i] -= b * q[i]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return _integer_form(rem)
 
 
 def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
-    a, b = p, q
+    """The greatest common divisor as coprime integers with a positive lead."""
+    a, b = _integer_form(p), _integer_form(q)
     while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if not a:
-        return ()
-    return tuple(Fraction(c) for c in primitive_integer(a))
+        a, b = b, _positive_remainder(a, b)
+    return primitive_integer(a)
 
 
 def squarefree_part(p: UPoly) -> UPoly:
@@ -134,22 +163,33 @@ def squarefree_part(p: UPoly) -> UPoly:
     return divmod_poly(p, g)[0]
 
 
-def sturm_chain(p: UPoly) -> list[UPoly]:
-    chain = [p, derivative(p)]
+def sturm_chain(p: UPoly) -> list[tuple[int, ...]]:
+    """Sturm sequence of p, each member scaled by a positive rational to
+    coprime integers (scaling by positive factors keeps every sign)."""
+    chain = [_integer_form(p)]
+    chain.append(_integer_form(derivative(chain[0])))
     while chain[-1] and degree(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+        rem = _positive_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(neg(rem))
     return [c for c in chain if c]
 
 
+def _sign_at(p: Sequence, x) -> int:
+    """Sign of p at the rational x = a/b, b > 0: that of the sum of
+    c_i a^i b^(n-i) = b^n p(x), by Horner's rule (over int for integer p)."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p):
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
+
+
 def sign_variations(chain: Sequence[UPoly], x) -> int:
-    signs = []
-    for q in chain:
-        v = evaluate(q, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for q in chain if (s := _sign_at(q, x))]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -160,8 +200,7 @@ def count_roots_between(chain: Sequence[UPoly], a, b) -> int:
 
 def root_bound(p: UPoly) -> Fraction:
     """Cauchy bound: every real root lies strictly inside (-M, M)."""
-    lc = abs(p[-1])
-    return 1 + max((abs(c) / lc for c in p[:-1]), default=Fraction(0))
+    return 1 + Fraction(max(map(abs, p[:-1]), default=0), abs(p[-1]))
 
 
 def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
@@ -174,7 +213,8 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     if degree(p) < 1:
         return []
     chain = sturm_chain(p)
-    bound = root_bound(p)
+    ints = chain[0]  # p itself, scaled to coprime integers
+    bound = root_bound(ints)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-bound, bound)]
     while stack:
@@ -182,16 +222,16 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
         n = count_roots_between(chain, lo, hi)
         if n == 0:
             continue
-        if n == 1 and evaluate(p, hi) != 0:
+        if n == 1 and _sign_at(ints, hi) != 0:
             out.append((lo, hi))
             continue
-        mid = (lo + hi) / 2
-        if evaluate(p, mid) == 0:
+        mid = Fraction(lo + hi, 2)
+        if _sign_at(ints, mid) == 0:
             out.append((mid, mid))
-            eps = (hi - lo) / 4
+            eps = Fraction(hi - lo, 4)
             while (
-                evaluate(p, mid - eps) == 0
-                or evaluate(p, mid + eps) == 0
+                _sign_at(ints, mid - eps) == 0
+                or _sign_at(ints, mid + eps) == 0
                 or count_roots_between(chain, mid - eps, mid + eps) > 1
             ):
                 eps /= 2
@@ -207,13 +247,14 @@ def refine_interval(p: UPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tu
     """Shrink an isolating interval of a square-free p below the given width."""
     if lo == hi:
         return (lo, hi)
-    sign_lo = 1 if evaluate(p, lo) > 0 else -1
+    ints = _integer_form(p)
+    sign_lo = 1 if _sign_at(ints, lo) > 0 else -1
     while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = evaluate(p, mid)
+        mid = Fraction(lo + hi, 2)
+        v = _sign_at(ints, mid)
         if v == 0:
             return (mid, mid)
-        if (1 if v > 0 else -1) == sign_lo:
+        if v == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -228,15 +269,15 @@ def rational_root_in_interval(p: UPoly, lo: Fraction, hi: Fraction) -> Fraction 
     1/(2*lc) the root is the nearest multiple of 1/lc, which is then
     verified by exact evaluation.
     """
+    ints = _integer_form(p)
     if lo == hi:
-        return lo if evaluate(p, lo) == 0 else None
-    ints = primitive_integer(p)
-    lc = ints[-1]
+        return lo if _sign_at(ints, lo) == 0 else None
+    lc = abs(ints[-1])
     lo, hi = refine_interval(p, lo, hi, Fraction(1, 2 * lc))
     if lo == hi:
         return lo
-    mid = (lo + hi) / 2
+    mid = Fraction(lo + hi, 2)
     candidate = Fraction(round(mid * lc), lc)
-    if lo < candidate < hi and evaluate(p, candidate) == 0:
+    if lo < candidate < hi and _sign_at(ints, candidate) == 0:
         return candidate
     return None

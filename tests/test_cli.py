@@ -78,6 +78,18 @@ def test_cohomology_rejects_a_huge_power_at_once(tmp_path, capsys):
     assert "d(y) has degree 4000000, expected 4" in err
 
 
+@pytest.mark.parametrize("power", ["(x + z)^2000", "(1 + x)^2000", "(x + y*z)^2000"])
+def test_cohomology_rejects_a_huge_power_of_a_sum_before_expanding_it(tmp_path, capsys, power):
+    # expanding (x + z)^2000 took about 20 s before the degree check
+    path = tmp_path / "huge.txt"
+    path.write_text(f"generator x 2\ngenerator z 2\ngenerator y 3\nd y = {power}\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cohomology", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "line 4" in err and "a power of degree 4000 exceeds the expected degree 4" in err
+
+
 def test_regseq_exit_codes(capsys):
     code, out, _ = run(capsys, "regseq", "x1*x2", "x1^2 - x2^2", "x3^2", "--vars", "x1,x2,x3")
     assert code == 0 and "regular" in out

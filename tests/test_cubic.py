@@ -1,7 +1,10 @@
 """Cubic forms: conversions, subspaces, classification, invariants, sigma recovery."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -446,6 +449,22 @@ def test_discriminant_anchor_values():
         assert discriminant(form3(text)) == 0
     assert discriminant(hesse_form(2)) != 0
     assert discriminant(form3("x^3 + y^3 + z^3")) != 0
+
+
+def test_invariant_tables_match_their_generator():
+    # the invariants multiply these integer tables directly, so a table that
+    # drifted from its derivation would go unnoticed by the anchors alone
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, str(root / "tools" / "derive_cubic_invariants.py")],
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    marker = b"=== paste into src/sullivan/_invariant_tables.py ===\n"
+    assert marker in run.stdout
+    pasted = run.stdout.split(marker, 1)[1]
+    assert pasted == (root / "src" / "sullivan" / "_invariant_tables.py").read_bytes()
 
 
 def test_form_round_trip_through_quadric_ideal():

@@ -19,6 +19,7 @@ from sullivan.catalog import (
 from sullivan.groebner import PolyRing
 from sullivan.parsing import (
     ParseError,
+    parse_element,
     parse_model,
     parse_polynomial,
     render_model,
@@ -59,6 +60,19 @@ def test_parse_model_syntax_error_has_line():
         assert "line 3" in str(exc)
     else:
         raise AssertionError("expected a parse error")
+
+
+def test_parse_model_powers_of_sums():
+    m = parse_model("generator x1 2\ngenerator x2 2\ngenerator y1 3\nd y1 = (x1 - x2)^2\n")
+    assert m.images[2] == parse_element("x1^2 - 2*x1*x2 + x2^2", m.table)
+    # a power of a sum of odd generators vanishes, whatever its exponent
+    m = parse_model("generator y1 3\ngenerator y2 3\ngenerator w 5\nd w = (y1 + y2)^2000\n")
+    assert m.images[2].is_zero()
+    with pytest.raises(ParseError, match="line 3, column 8: a power of degree 6 exceeds the expected degree 4"):
+        parse_model("generator x 2\ngenerator y 3\nd y = (x + 1)^3\n")
+    # unvalidated models are parsed as written
+    m = parse_model("generator x 2\ngenerator y 3\nd y = (x + 1)^3\n", validate=False)
+    assert m.images[1] == parse_element("x^3 + 3*x^2 + 3*x + 1", m.table)
 
 
 def test_comments_and_blank_lines():
