@@ -46,7 +46,6 @@ from .model import (
     cohomology_betti,
     cup_product_cubic_form,
     extend_differential,
-    formal_dimension_from_exponents,
     h4_pairing_discriminant,
     poincare_duality_check,
     pure_is_elliptic,

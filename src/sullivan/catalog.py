@@ -495,15 +495,6 @@ class ReportRecord:
     actual: str
     cite: str
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "cite": self.cite,
-        }
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -598,7 +589,7 @@ def _poincare_window(m: SullivanModel) -> bool:
     betti = betti_numbers(m, n + 7)
     if any(betti[n + 1 :]):
         return False
-    return poincare_duality_check(m, n)
+    return poincare_duality_check(m)
 
 
 # property of a subject -> its evaluation; ``arg`` is the text after ":" in
@@ -1103,9 +1094,19 @@ def verification_report(section: int | None = None) -> list[ReportRecord]:
 # builder registry for the command line
 # ---------------------------------------------------------------------------
 
+
+def _integer(value) -> int:
+    value = rational(value)
+    if type(value) is not int:
+        raise ValueError(f"N must be an integer, got {value}")
+    return value
+
+
+# name -> (signature, builder): the signature names the parameters before
+# its parenthesized remark, and the builder takes their values as a list
 MODEL_BUILDERS: dict[str, tuple[str, Callable]] = {
-    "sphere": ("N (dimension >= 2)", lambda ps: sphere_model(int(ps[0]))),
-    "cp": ("N (complex dimension >= 1)", lambda ps: cp_model(int(ps[0]))),
+    "sphere": ("N (dimension >= 2)", lambda ps: sphere_model(_integer(ps[0]))),
+    "cp": ("N (complex dimension >= 1)", lambda ps: cp_model(_integer(ps[0]))),
     "dim6-b2": ("P C1 C2 C3 C4 (rationals)", lambda ps: dim6_b2_model(ps[0], ps[1:5])),
     "dim6-b3": ("LAMBDA (rational)", lambda ps: dim6_b3_model(ps[0])),
     "dim4-sigma": ("S (nonzero rational)", lambda ps: dim4_sigma_model(ps[0])),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog
@@ -21,11 +22,10 @@ from .cubic import (
     is_elliptic_form,
     is_singular_ternary,
 )
-from .exponents import ExponentPair, check_constraints, check_sac, enumerate_exponents
+from .exponents import ExponentPair, check_constraints, check_sac, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, buchberger, is_regular_sequence
 from .model import cohomology_betti
 from .parsing import (
-    ParseError,
     parse_model,
     parse_polynomial,
     render_fraction,
@@ -76,13 +76,12 @@ def _cmd_exponents(args) -> int:
     return 0
 
 
-def _cmd_check_sac(a_items: list[str], b_items: list[str]) -> int:
-    try:
-        a = tuple(int(x) for x in a_items)
-        b = tuple(int(x) for x in b_items)
-        pair = ExponentPair(a, b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _cmd_check_sac(rest: list[str]) -> int:
+    if "--" not in rest:
+        print("usage: sullivan check-sac A.. -- B..", file=sys.stderr)
+        return 2
+    split = rest.index("--")
+    pair = ExponentPair(tuple(int(x) for x in rest[:split]), tuple(int(x) for x in rest[split + 1 :]))
     ok = check_sac(pair)
     n = pair.formal_dimension()
     constraints = check_constraints(pair, n)
@@ -160,7 +159,7 @@ def _cmd_cubic(args) -> int:
             raise UsageError("the diagonal-family parameter needs a ternary form")
         if is_singular_ternary(form):
             raise UsageError("the form is singular: no diagonal-family parameter")
-        tolerance = Fraction(args.tolerance) if args.tolerance else Fraction(1, 10**6)
+        tolerance = _fraction(args.tolerance) if args.tolerance else Fraction(1, 10**6)
         for lo, hi in hesse_sigma_candidates(form, tolerance):
             if lo == hi:
                 print(f"sigma = {render_fraction(lo)}")
@@ -181,46 +180,36 @@ def _cmd_catalog(args) -> int:
         if not args.params:
             raise UsageError("catalog build needs a name")
         name, raw = args.params[0], args.params[1:]
-        params = [_fraction(p) for p in raw]
-        try:
-            if name in catalog.MODEL_BUILDERS:
-                model = catalog.MODEL_BUILDERS[name][1](params)
-                sys.stdout.write(render_model(model))
-                return 0
-            if name in catalog.RING_BUILDERS:
-                ring_sub = catalog.RING_BUILDERS[name][1](params)
-                for q in ring_sub.basis:
-                    print(render_polynomial(q))
-                return 0
-        except (ValueError, IndexError) as exc:
-            raise UsageError(str(exc)) from None
-        raise UsageError(f"unknown catalog name {name!r}")
+        signature, build = catalog.MODEL_BUILDERS.get(name) or catalog.RING_BUILDERS.get(name) or ("", None)
+        if build is None:
+            raise UsageError(f"unknown catalog name {name!r}")
+        expected = signature.split("(")[0].split()
+        if len(raw) != len(expected):
+            raise UsageError(f"{name} takes {len(expected)} parameter(s): {signature or 'none'}; got {len(raw)}")
+        built = build([_fraction(p) for p in raw])
+        if name in catalog.MODEL_BUILDERS:
+            sys.stdout.write(render_model(built))
+        else:
+            for q in built.basis:
+                print(render_polynomial(q))
+        return 0
     raise UsageError(f"unknown catalog action {args.action!r}")
 
 
 def _cmd_classify7(args) -> int:
-    m = _load_model(args.file)
-    try:
-        print(catalog.classify_dim7(m))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    print(catalog.classify_dim7(_load_model(args.file)))
     return 0
 
 
 def _cmd_classify8(args) -> int:
     m = _load_model(args.file)
-    from .exponents import exponents_of_model
-
     pair = exponents_of_model(m)
-    try:
-        if pair == ExponentPair((2, 2), (4, 4)):
-            print(catalog.classify_dim8_middle(m))
-            return 0
-        if pair == ExponentPair((1, 1, 2), (2, 2, 4)):
-            print(catalog.classify_dim8_sigma(m))
-            return 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if pair == ExponentPair((2, 2), (4, 4)):
+        print(catalog.classify_dim8_middle(m))
+        return 0
+    if pair == ExponentPair((1, 1, 2), (2, 2, 4)):
+        print(catalog.classify_dim8_sigma(m))
+        return 0
     raise UsageError(
         f"classifiers cover the exponent cases (2,2; 4,4) and (1,1,2; 2,2,4); got {pair}"
     )
@@ -229,13 +218,26 @@ def _cmd_classify8(args) -> int:
 def _cmd_verify(args) -> int:
     records = catalog.verification_report(args.section)
     if args.json:
-        print(json.dumps([r.as_dict() for r in records], indent=2))
+        print(json.dumps([asdict(r) for r in records], indent=2))
     else:
         for r in records:
             print(f"{r.status.upper():4s} {r.name} [{r.cite}] expected={r.expected} actual={r.actual}")
         failed = sum(1 for r in records if r.status == "fail")
         print(f"{len(records) - failed}/{len(records)} checks passed")
     return 0 if all(r.status != "fail" for r in records) else 1
+
+
+_HANDLERS = {
+    "exponents": _cmd_exponents,
+    "cohomology": _cmd_cohomology,
+    "regseq": _cmd_regseq,
+    "groebner": _cmd_groebner,
+    "cubic": _cmd_cubic,
+    "catalog": _cmd_catalog,
+    "classify7": _cmd_classify7,
+    "classify8": _cmd_classify8,
+    "verify-paper": _cmd_verify,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,42 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "check-sac":
-        rest = argv[1:]
-        if "--" not in rest:
-            print("usage: sullivan check-sac A.. -- B..", file=sys.stderr)
-            return 2
-        split = rest.index("--")
+    try:
+        if argv and argv[0] == "check-sac":
+            return _cmd_check_sac(argv[1:])
         try:
-            return _cmd_check_sac(rest[:split], rest[split + 1 :])
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    handlers = {
-        "exponents": _cmd_exponents,
-        "cohomology": _cmd_cohomology,
-        "regseq": _cmd_regseq,
-        "groebner": _cmd_groebner,
-        "cubic": _cmd_cubic,
-        "catalog": _cmd_catalog,
-        "classify7": _cmd_classify7,
-        "classify8": _cmd_classify8,
-        "verify-paper": _cmd_verify,
-    }
-    try:
-        return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:  # UsageError and ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

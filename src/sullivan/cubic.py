@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Sequence
@@ -40,6 +41,11 @@ def _multinomial(i: int, j: int, k: int) -> int:
 
 def _index_triples(dim: int):
     return list(combinations_with_replacement(range(dim), 3))
+
+
+def _triple(mono: Sequence[int]) -> tuple[int, ...]:
+    """The index triple of a cubic exponent vector: (1, 2, 0) -> (0, 1, 1)."""
+    return tuple(var for var, e in enumerate(mono) for _ in range(e))
 
 
 class CubicForm:
@@ -88,14 +94,7 @@ class CubicForm:
     def coefficient_vector(self) -> list[Fraction]:
         """Polynomial coefficients in the canonical monomial listing."""
         monos = CUBIC_MONOMIALS if self.dim == 3 else BINARY_MONOMIALS
-        vec = []
-        for mono in monos:
-            triple = []
-            for var, e in enumerate(mono):
-                triple.extend([var] * e)
-            i, j, k = triple
-            vec.append(self[(i, j, k)] * _multinomial(i, j, k))
-        return vec
+        return [self[t] * _multinomial(*t) for t in map(_triple, monos)]
 
     def polynomial(self, ring: PolyRing | None = None) -> Polynomial:
         if ring is None:
@@ -117,14 +116,8 @@ class CubicForm:
             raise ValueError("expected a polynomial in 2 or 3 variables")
         if p.terms and (not p.is_homogeneous() or p.degree() != 3):
             raise ValueError("expected a homogeneous cubic")
-        coeffs = {}
-        for mono, c in p.terms.items():
-            triple = []
-            for var, e in enumerate(mono):
-                triple.extend([var] * e)
-            i, j, k = triple
-            coeffs[(i, j, k)] = Fraction(c, _multinomial(i, j, k))
-        return cls(dim, coeffs)
+        triples = {_triple(mono): c for mono, c in p.terms.items()}
+        return cls(dim, {t: Fraction(c, _multinomial(*t)) for t, c in triples.items()})
 
     # -- normalization ----------------------------------------------------
 
@@ -218,9 +211,6 @@ class QuadricSubspace:
 
     def __repr__(self) -> str:
         return f"QuadricSubspace(dim {self.dimension()} in {self.ring!r})"
-
-    def contains(self, q: Polynomial) -> bool:
-        return QuadricSubspace(self.ring, list(self.basis) + [q]) == self
 
     def transform(self, matrix: Sequence[Sequence]) -> "QuadricSubspace":
         """Image of the subspace under the substitution x -> Mx (M may be singular)."""
@@ -396,6 +386,7 @@ def is_singular_ternary(form: CubicForm) -> bool:
     return not has_finite_quotient([P.derivative(i) for i in range(3)], ring)
 
 
+@cache
 def _hesse_invariant_polys() -> tuple[roots.UPoly, roots.UPoly]:
     """Degree-4 and degree-6 invariants along the diagonal family, as polynomials in sigma."""
     values = [()] * 10
@@ -405,24 +396,17 @@ def _hesse_invariant_polys() -> tuple[roots.UPoly, roots.UPoly]:
             values[idx] = one
         elif mono == (1, 1, 1):
             values[idx] = roots.upoly([0, 6])
-    s_poly: roots.UPoly = ()
-    for expo, coeff in DEGREE4_TERMS:
-        term = roots.upoly([coeff])
-        for i, e in enumerate(expo):
-            if e:
-                term = roots.mul(term, roots.power(values[i], e))
-        s_poly = roots.add(s_poly, term)
-    t_poly: roots.UPoly = ()
-    for expo, coeff in DEGREE6_TERMS:
-        term = roots.upoly([coeff])
-        for i, e in enumerate(expo):
-            if e:
-                term = roots.mul(term, roots.power(values[i], e))
-        t_poly = roots.add(t_poly, term)
-    return s_poly, t_poly
-
-
-_HESSE_INVARIANTS: tuple[roots.UPoly, roots.UPoly] | None = None
+    invariants = []
+    for table in (DEGREE4_TERMS, DEGREE6_TERMS):
+        total: roots.UPoly = ()
+        for expo, coeff in table:
+            term = roots.upoly([coeff])
+            for i, e in enumerate(expo):
+                if e:
+                    term = roots.mul(term, roots.power(values[i], e))
+            total = roots.add(total, term)
+        invariants.append(total)
+    return tuple(invariants)
 
 
 def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, Fraction]]:
@@ -439,10 +423,7 @@ def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, F
         raise ValueError("tolerance must be positive")
     if is_singular_ternary(form):
         raise ValueError("the form is singular: it has no diagonal-family parameter")
-    global _HESSE_INVARIANTS
-    if _HESSE_INVARIANTS is None:
-        _HESSE_INVARIANTS = _hesse_invariant_polys()
-    s_h, t_h = _HESSE_INVARIANTS
+    s_h, t_h = _hesse_invariant_polys()
     s = degree4_invariant(form)
     t = degree6_invariant(form)
     # s^3 * T(sigma)^2 - t^2 * S(sigma)^3 = 0  <=>  absolute invariants agree

@@ -464,9 +464,6 @@ class GroebnerBasis:
         den *= multiplier
         return Polynomial(self.ring, {m: _ratio(c, den) for m, c in remainder.items()})
 
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
     def is_finite_dimensional(self) -> bool:
         """Whether the quotient is a finite-dimensional vector space."""
         return self.krull_dimension() <= 0

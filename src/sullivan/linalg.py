@@ -33,10 +33,6 @@ def rational(value) -> int | Fraction:
     raise TypeError(f"expected a rational coefficient, got {value!r}")
 
 
-def _to_fraction_row(row) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in row)
-
-
 def _add_term(terms: dict, key, value) -> None:
     """terms[key] += value, keeping only nonzero entries."""
     y = terms.get(key, 0) + value
@@ -159,12 +155,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def apply(self, v: Sequence) -> Vector:
-        v = _to_fraction_row(v)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0)) for row in self._entries)
-
     # -- elimination ---------------------------------------------------
 
     def rank(self) -> int:
@@ -182,8 +172,8 @@ class RationalMatrix:
 
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
     """Membership of v in the rational span of basis, with coordinates on success."""
-    v = _to_fraction_row(v)
-    basis = [_to_fraction_row(b) for b in basis]
+    v = tuple(map(Fraction, v))
+    basis = [tuple(map(Fraction, b)) for b in basis]
     if any(len(b) != len(v) for b in basis):
         raise ValueError("vectors of inconsistent dimensions")
     # columns are the basis vectors, augmented with v
@@ -204,14 +194,11 @@ def row_space_rref(rows: Iterable[Sequence], cols: int) -> tuple[Vector, ...]:
     return RationalMatrix.from_rows(rows, cols).rref()[0]
 
 
-def integerized(vector: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with the same direction."""
-    v = _to_fraction_row(vector)
-    mult = lcm(*(f.denominator for f in v)) if v else 1
-    ints = [int(f * mult) for f in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def integerized(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """A rational vector scaled by a positive rational to coprime integers:
+    the same direction and the same signs.  The zero vector comes back
+    unchanged."""
+    scale = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (scale // x.denominator) for x in vector]
+    g = gcd(*ints)
+    return tuple(ints) if g <= 1 else tuple(x // g for x in ints)

@@ -33,9 +33,6 @@ class CohomologyReport:
     formal_dimension_claim: int | None
     poincare_symmetric: bool
 
-    def betti_vector(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.betti)
-
 
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
@@ -66,15 +63,6 @@ class SullivanModel:
             and self.images == other.images
         )
 
-    def differential_of(self, name_or_index) -> AlgebraElement:
-        i = name_or_index if isinstance(name_or_index, int) else self.table.index(name_or_index)
-        return self.images[i]
-
-    # -- the Leibniz extension -----------------------------------------
-
-    def d(self, element: AlgebraElement) -> AlgebraElement:
-        return extend_differential(self, element)
-
     # -- validation ------------------------------------------------------
 
     def _violations(self) -> Iterator[Violation]:
@@ -91,7 +79,7 @@ class SullivanModel:
             elif image.min_word_length() < 2:
                 yield Violation("minimality", name, f"d({name}) has a word-length-one term")
         for i, name in enumerate(table.names):
-            if not self.d(self.images[i]).is_zero():
+            if not extend_differential(self, self.images[i]).is_zero():
                 yield Violation("d-squared", name, f"d(d({name})) is nonzero")
 
     def validate(self) -> Violation | None:
@@ -335,10 +323,11 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     return CubicForm(len(xs), coeffs)
 
 
-def poincare_duality_check(m: SullivanModel, formal_dimension: int | None = None) -> bool:
-    """Betti symmetry, one-dimensional top degree, and a nondegenerate
-    pairing of degree two against degree n-2 when b2 > 0."""
-    n = m.formal_dimension_claim() if formal_dimension is None else formal_dimension
+def poincare_duality_check(m: SullivanModel) -> bool:
+    """At the claimed formal dimension n: Betti symmetry, one-dimensional
+    top degree, and a nondegenerate pairing of degree two against degree
+    n-2 when b2 > 0."""
+    n = m.formal_dimension_claim()
     if n < 0:
         return False
     betti = betti_numbers(m, n)
@@ -439,7 +428,3 @@ def pure_is_elliptic(m: SullivanModel) -> bool:
         )
     return has_finite_quotient(images, ring)
 
-
-def formal_dimension_from_exponents(pair) -> int:
-    """n = 2(sum b - sum a) - (r - q) for an exponent pair."""
-    return 2 * (sum(pair.b) - sum(pair.a)) - (len(pair.b) - len(pair.a))

@@ -4,16 +4,17 @@ Expression grammar (whitespace insignificant, `#` starts a comment):
 
     expr   := term (('+' | '-') term)*
     term   := unary ('*' unary)*
-    unary  := '-' unary | power
+    unary  := '-'* power
     power  := atom ['^' integer]
     atom   := rational | name | '(' expr ')'
     rational := integer ['/' integer]
 
-`^` binds tighter than `*`, which binds tighter than `+`/`-`.  Model files
-are line oriented: `generator <name> <degree>` declarations followed by
-`d <name> = <expression>` lines; undeclared differentials are zero.  A
-power of a sum in `d <name>` that has a term above deg <name> + 1 is
-rejected before it is expanded.
+`^` binds tighter than `*`, which binds tighter than `+`/`-`.  Parentheses
+and unary minus signs together nest at most MAX_NESTING deep, so no input
+exhausts the stack.  Model files are line oriented: `generator <name>
+<degree>` declarations followed by `d <name> = <expression>` lines;
+undeclared differentials are zero.  A power of a sum in `d <name>` that
+has a term above deg <name> + 1 is rejected before it is expanded.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "") + ": "
-        super().__init__(where + message)
+        where = ", ".join(f"{k} {v}" for k, v in (("line", line), ("column", column)) if v is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_']*)|([()+\-*/^]))")
 
@@ -51,7 +52,10 @@ def _tokenize(text: str, line: int | None = None):
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
         number, name, op = match.groups()
         if number is not None:
-            tokens.append(("int", int(number), pos + 1))
+            try:
+                tokens.append(("int", int(number), pos + 1))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError(f"integer of {len(number)} digits is too long", line, pos + 1) from None
         elif name is not None:
             tokens.append(("name", name, pos + 1))
         else:
@@ -76,6 +80,7 @@ class _ExpressionParser:
         self.scalar = scalar
         self.line = line
         self.check_power = check_power
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -120,12 +125,21 @@ class _ExpressionParser:
             else:
                 return value
 
+    def enter(self, tok):
+        """One more level of nesting, at a parenthesis or a unary minus."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", self.line, tok[2])
+
     def unary(self):
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
+        signs = 0
+        while (tok := self.peek()) and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return self.scalar(-1) * self.unary()
-        return self.power()
+            self.enter(tok)
+            signs += 1
+        value = self.power()
+        self.depth -= signs
+        return self.scalar(-1) * value if signs % 2 else value
 
     def power(self):
         base = self.atom()
@@ -159,8 +173,10 @@ class _ExpressionParser:
             except KeyError:
                 raise ParseError(f"unknown generator {tok[1]!r}", self.line, tok[2]) from None
         if tok[0] == "op" and tok[1] == "(":
+            self.enter(tok)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
@@ -211,8 +227,8 @@ def variables_in(text: str) -> list[str]:
 # -- model files --------------------------------------------------------------
 
 
-def parse_model(text: str, validate: bool = True) -> SullivanModel:
-    """Parse the line-oriented model format; validates unless told otherwise."""
+def parse_model(text: str) -> SullivanModel:
+    """Parse the line-oriented model format and validate the model."""
     entries: list[tuple[str, int]] = []
     raw_differentials: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -249,13 +265,12 @@ def parse_model(text: str, validate: bool = True) -> SullivanModel:
             raise ParseError(f"unknown generator {name!r}", lineno)
         if name in differential:
             raise ParseError(f"duplicate differential for {name!r}", lineno)
-        target = table.degrees[table.index(name)] + 1 if validate else None
+        target = table.degrees[table.index(name)] + 1
         differential[name] = parse_element(expression, table, lineno, target)
     m = SullivanModel(table, differential)
-    if validate:
-        violation = m.validate()
-        if violation is not None:
-            raise ParseError(f"invalid model ({violation.kind}): {violation.message}")
+    violation = m.validate()
+    if violation is not None:
+        raise ParseError(f"invalid model ({violation.kind}): {violation.message}")
     return m
 
 
@@ -266,14 +281,17 @@ def render_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _render_terms(pairs, mono_to_str) -> str:
-    if not pairs:
+def _render_terms(names, terms: dict, ordered) -> str:
+    """The terms {exponent vector: coefficient} over the named variables, in
+    the given order of their exponent vectors."""
+    if not ordered:
         return "0"
     chunks = []
-    for i, (mono, coeff) in enumerate(pairs):
+    for i, mono in enumerate(ordered):
+        coeff = terms[mono]
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
-        body = mono_to_str(mono)
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e)
         if not body:
             piece = render_fraction(mag)
         elif mag == 1:
@@ -288,33 +306,12 @@ def _render_terms(pairs, mono_to_str) -> str:
 
 
 def render_element(element: AlgebraElement) -> str:
-    table = element.table
-
-    def mono_str(mono):
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            factors.append(table.names[i] if e == 1 else f"{table.names[i]}^{e}")
-        return "*".join(factors)
-
-    ordered = sorted_monomials(table, element.terms)
-    return _render_terms([(m, element.terms[m]) for m in ordered], mono_str)
+    ordered = sorted_monomials(element.table, element.terms)
+    return _render_terms(element.table.names, element.terms, ordered)
 
 
 def render_polynomial(p: Polynomial) -> str:
-    ring = p.ring
-
-    def mono_str(mono):
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            factors.append(ring.variables[i] if e == 1 else f"{ring.variables[i]}^{e}")
-        return "*".join(factors)
-
-    ordered = sorted(p.terms, key=_grevlex_key, reverse=True)
-    return _render_terms([(m, p.terms[m]) for m in ordered], mono_str)
+    return _render_terms(p.ring.variables, p.terms, sorted(p.terms, key=_grevlex_key, reverse=True))
 
 
 def render_model(m: SullivanModel) -> str:

@@ -13,10 +13,10 @@ leading coefficient, so no integer factorization is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .linalg import rational
+from .linalg import integerized, rational
 
 UPoly = tuple[int | Fraction, ...]
 
@@ -30,10 +30,6 @@ def upoly(coeffs: Sequence) -> UPoly:
 
 def degree(p: UPoly) -> int:
     return len(p) - 1
-
-
-def is_zero(p: UPoly) -> bool:
-    return not p
 
 
 def add(p: UPoly, q: UPoly) -> UPoly:
@@ -107,23 +103,6 @@ def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
     return upoly(quo), upoly(rem)
 
 
-def _integer_form(p: UPoly) -> tuple[int, ...]:
-    """p scaled by a positive rational to coprime integers: the same signs
-    and the same roots."""
-    if not p:
-        return ()
-    den = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = gcd(*ints)
-    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
-
-
-def primitive_integer(p: UPoly) -> tuple[int, ...]:
-    """Scale to coprime integer coefficients with positive leading coefficient."""
-    ints = _integer_form(p)
-    return tuple(-x for x in ints) if ints and ints[-1] < 0 else ints
-
-
 def _positive_remainder(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """The remainder of p by q, for integer p and q, scaled by a positive
     rational to coprime integers: each step multiplies what is left by
@@ -143,15 +122,15 @@ def _positive_remainder(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ..
                 rem[shift + i] -= b * q[i]
     while rem and rem[-1] == 0:
         rem.pop()
-    return _integer_form(rem)
+    return integerized(rem)
 
 
 def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
     """The greatest common divisor as coprime integers with a positive lead."""
-    a, b = _integer_form(p), _integer_form(q)
+    a, b = integerized(p), integerized(q)
     while b:
         a, b = b, _positive_remainder(a, b)
-    return primitive_integer(a)
+    return neg(a) if a and a[-1] < 0 else a
 
 
 def squarefree_part(p: UPoly) -> UPoly:
@@ -166,8 +145,8 @@ def squarefree_part(p: UPoly) -> UPoly:
 def sturm_chain(p: UPoly) -> list[tuple[int, ...]]:
     """Sturm sequence of p, each member scaled by a positive rational to
     coprime integers (scaling by positive factors keeps every sign)."""
-    chain = [_integer_form(p)]
-    chain.append(_integer_form(derivative(chain[0])))
+    chain = [integerized(p)]
+    chain.append(integerized(derivative(chain[0])))
     while chain[-1] and degree(chain[-1]) > 0:
         rem = _positive_remainder(chain[-2], chain[-1])
         if not rem:
@@ -247,7 +226,7 @@ def refine_interval(p: UPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tu
     """Shrink an isolating interval of a square-free p below the given width."""
     if lo == hi:
         return (lo, hi)
-    ints = _integer_form(p)
+    ints = integerized(p)
     sign_lo = 1 if _sign_at(ints, lo) > 0 else -1
     while hi - lo > width:
         mid = Fraction(lo + hi, 2)
@@ -269,7 +248,7 @@ def rational_root_in_interval(p: UPoly, lo: Fraction, hi: Fraction) -> Fraction 
     1/(2*lc) the root is the nearest multiple of 1/lc, which is then
     verified by exact evaluation.
     """
-    ints = _integer_form(p)
+    ints = integerized(p)
     if lo == hi:
         return lo if _sign_at(ints, lo) == 0 else None
     lc = abs(ints[-1])

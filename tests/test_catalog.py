@@ -1,5 +1,6 @@
 """Catalog constructors, classifiers, biquotient rings, square-zero profiles."""
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -290,7 +291,7 @@ def test_verification_report_sections_and_determinism(full_report):
     names = [r.name for r in full]
     assert names == sorted(names)
     again = verification_report()
-    assert [r.as_dict() for r in full] == [r.as_dict() for r in again]
+    assert [asdict(r) for r in full] == [asdict(r) for r in again]
     section4 = verification_report(4)
     assert section4 and all(r.status == "pass" for r in section4)
     with pytest.raises(ValueError):

@@ -90,6 +90,20 @@ def test_cohomology_rejects_a_huge_power_of_a_sum_before_expanding_it(tmp_path, 
     assert "line 4" in err and "a power of degree 4000 exceeds the expected degree 4" in err
 
 
+def test_groebner_rejects_deeply_nested_parentheses(capsys):
+    code, _, err = run(capsys, "groebner", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 2
+    assert "column 101: expression nested deeper than 100 levels" in err
+
+
+def test_cohomology_rejects_a_long_run_of_minus_signs(tmp_path, capsys):
+    path = tmp_path / "minus.txt"
+    path.write_text("generator x 2\ngenerator y 3\nd y = x*" + "-" * 3000 + "x\n")
+    code, _, err = run(capsys, "cohomology", str(path))
+    assert code == 2
+    assert "line 3, column 103: expression nested deeper than 100 levels" in err
+
+
 def test_regseq_exit_codes(capsys):
     code, out, _ = run(capsys, "regseq", "x1*x2", "x1^2 - x2^2", "x3^2", "--vars", "x1,x2,x3")
     assert code == 0 and "regular" in out
@@ -135,6 +149,14 @@ def test_cubic_subcommands(capsys):
     assert code == 2 and "singular" in err
 
 
+def test_cubic_sigma_rejects_a_tolerance_that_is_not_a_rational(capsys):
+    for tolerance in ("1/0", "tiny"):
+        code, _, err = run(capsys, "cubic", "sigma", "x^3 + y^3 + z^3 + 12*x*y*z", "--tolerance", tolerance)
+        assert code == 2 and f"not a rational number: {tolerance!r}" in err
+    code, _, err = run(capsys, "cubic", "sigma", "x^3 + y^3 + z^3 + 12*x*y*z", "--tolerance", "-1")
+    assert code == 2 and "tolerance must be positive" in err
+
+
 def test_cubic_padding_with_vars(capsys):
     code, out, _ = run(capsys, "cubic", "elliptic", "x^3", "--vars", "x,y")
     assert code == 1
@@ -152,6 +174,35 @@ def test_catalog_list_and_build(capsys):
     assert code == 2
     code, _, err = run(capsys, "catalog", "build", "dim4-sigma", "0")
     assert code == 2
+
+
+CATALOG_LIST_DIGEST = "b8dfd1503cf835c56b7483527b74298c096116f45891d47dc2f2b7ecb62fa2f3"
+
+
+BAD_CATALOG_PARAMETERS = [
+    (("sphere", "5/2"), "N must be an integer, got 5/2"),
+    (("cp", "3/2"), "N must be an integer, got 3/2"),
+    (("sphere",), "sphere takes 1 parameter(s): N (dimension >= 2); got 0"),
+    (("dim7-rank3", "5"), "dim7-rank3 takes 0 parameter(s): none; got 1"),
+    (("dim6-b2", "1", "2"), "dim6-b2 takes 5 parameter(s): P C1 C2 C3 C4 (rationals); got 2"),
+    (("b3", "1", "1", "1", "1"), "b3 takes 3 parameter(s): B1 C1 C2 (C2 nonzero, 2*C1 != B1*C2); got 4"),
+    (("bsp", "1"), "bsp takes 0 parameter(s): none; got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "params,message", BAD_CATALOG_PARAMETERS, ids=["-".join(params) for params, _ in BAD_CATALOG_PARAMETERS]
+)
+def test_catalog_build_rejects_wrong_parameters(capsys, params, message):
+    code, out, err = run(capsys, "catalog", "build", *params)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_catalog_build_takes_whole_parameters_and_list_is_unchanged(capsys):
+    assert run(capsys, "catalog", "build", "sphere", "6/2") == run(capsys, "catalog", "build", "sphere", "3")
+    code, out, _ = run(capsys, "catalog", "list")
+    assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_LIST_DIGEST
 
 
 def test_classify7_and_classify8(tmp_path, capsys):

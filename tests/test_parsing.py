@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sullivan.algebra import GeneratorTable
 from sullivan.catalog import (
     cp_model,
     dim6_b2_model,
@@ -22,6 +25,7 @@ from sullivan.parsing import (
     parse_element,
     parse_model,
     parse_polynomial,
+    render_element,
     render_model,
     render_polynomial,
     variables_in,
@@ -32,14 +36,14 @@ def test_parse_model_even_sphere():
     m = parse_model("generator x1 2\ngenerator y1 3\nd y1 = x1^2\n")
     assert m.table.degrees == (2, 3)
     x1 = m.table.generator("x1")
-    assert m.differential_of("y1") == x1 * x1
+    assert m.images[m.table.index("y1")] == x1 * x1
 
 
 def test_parse_model_preserves_fractions():
     m = parse_model(
         "generator x1 2\ngenerator x2 2\ngenerator y1 3\nd y1 = x1^2 + 1/2*x2^2\n"
     )
-    image = m.differential_of("y1")
+    image = m.images[m.table.index("y1")]
     assert image.coefficient((0, 2, 0)) == Fraction(1, 2)
 
 
@@ -70,9 +74,9 @@ def test_parse_model_powers_of_sums():
     assert m.images[2].is_zero()
     with pytest.raises(ParseError, match="line 3, column 8: a power of degree 6 exceeds the expected degree 4"):
         parse_model("generator x 2\ngenerator y 3\nd y = (x + 1)^3\n")
-    # unvalidated models are parsed as written
-    m = parse_model("generator x 2\ngenerator y 3\nd y = (x + 1)^3\n", validate=False)
-    assert m.images[1] == parse_element("x^3 + 3*x^2 + 3*x + 1", m.table)
+    # outside a model file, with no expected degree, the power is expanded as written
+    table = GeneratorTable([("x", 2), ("y", 3)])
+    assert parse_element("(x + 1)^3", table) == parse_element("x^3 + 3*x^2 + 3*x + 1", table)
 
 
 def test_comments_and_blank_lines():
@@ -106,6 +110,88 @@ def test_polynomial_render_round_trip():
     for text in ("x1^2 - x2^2", "x1*x2 + 1/3*x3^2", "-x1^3 + 2*x1*x2*x3"):
         p = parse_polynomial(text, ring)
         assert parse_polynomial(render_polynomial(p), ring) == p
+
+
+# -- parse ∘ render on random input ---------------------------------------------
+
+NAMES = ("x", "y1", "z_2", "w'")
+coefficients = st.integers(-20, 20) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def polynomials(draw):
+    ring = PolyRing(NAMES[: draw(st.integers(1, 4))])
+    monomials = st.tuples(*(st.integers(0, 4) for _ in ring.variables))
+    return ring.from_terms(draw(st.dictionaries(monomials, coefficients, max_size=6)))
+
+
+@st.composite
+def algebra_elements(draw):
+    n = draw(st.integers(1, 4))
+    table = GeneratorTable(list(zip(NAMES, draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))))
+    # an odd generator squares to zero, so its exponent is 0 or 1
+    monomials = st.tuples(*(st.integers(0, 1 if d % 2 else 4) for d in table.degrees))
+    return table.element(draw(st.dictionaries(monomials, coefficients, max_size=6)))
+
+
+@settings(deadline=None)
+@given(polynomials())
+def test_parse_inverts_render_on_polynomials(p):
+    assert parse_polynomial(render_polynomial(p), p.ring) == p
+
+
+@settings(deadline=None)
+@given(algebra_elements())
+def test_parse_inverts_render_on_algebra_elements(a):
+    assert parse_element(render_element(a), a.table) == a
+
+
+# -- hostile input: only ParseError escapes ---------------------------------------
+
+# single-digit integers only, joined by spaces: exponents stay below 10, so
+# no drawn power takes long to expand
+TOKENS = ("x", "y", "z", "w", "0", "1", "2", "3", "(", ")", "+", "-", "*", "^", "/", "=", "#", ".", "@")
+expressions = st.lists(st.sampled_from(TOKENS), max_size=20).map(" ".join)
+FUZZ_TABLE = GeneratorTable([("x", 2), ("z", 2), ("y", 3), ("w", 5)])
+DEEP_PARENTHESES = "(" * 3000 + "x" + ")" * 3000
+DEEP_MINUS_SIGNS = "x*" + "-" * 3000 + "x"
+model_lines = st.sampled_from(
+    ("generator x 2", "generator z 2", "generator y 3", "generator x 0", "generator 1 2", "generator x",
+     "d y = x^2", "d q = x", "d y =", "d y x", "d y = x*z", "frobnicate", "# comment", "")
+) | expressions.map(lambda e: f"d y = {e}")
+
+
+def _only_parse_errors(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@settings(deadline=None)
+@given(expressions)
+@example(DEEP_PARENTHESES)
+@example(DEEP_MINUS_SIGNS)
+@example("1" * 5000 + "*x")  # past the interpreter's limit on integer digits
+def test_expression_parsers_raise_only_parse_errors(text):
+    _only_parse_errors(lambda t: parse_polynomial(t, PolyRing(("x", "y", "z", "w"))), text)
+    _only_parse_errors(lambda t: parse_element(t, FUZZ_TABLE), text)
+    _only_parse_errors(
+        parse_model, f"generator x 2\ngenerator z 2\ngenerator y 3\ngenerator w 5\nd y = {text}\n"
+    )
+
+
+@settings(deadline=None)
+@given(st.lists(model_lines, max_size=6).map("\n".join))
+@example(f"generator x 2\ngenerator y 3\nd y = {DEEP_MINUS_SIGNS}")
+def test_model_parser_raises_only_parse_errors(text):
+    _only_parse_errors(parse_model, text)
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENTHESES, DEEP_MINUS_SIGNS], ids=["parentheses", "minus-signs"])
+def test_deep_nesting_is_a_parse_error_naming_its_column(text):
+    with pytest.raises(ParseError, match="line 3, column [0-9]+: expression nested deeper than 100 levels"):
+        parse_model(f"generator x 2\ngenerator y 3\nd y = {text}\n")
 
 
 CATALOG_MODELS = (

@@ -6,8 +6,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sullivan.linalg import integerized
 from sullivan.roots import (
-    _integer_form,
     _sign_at,
     degree,
     derivative,
@@ -96,7 +96,7 @@ def _sign(v) -> int:
 
 @given(polynomials, rationals)
 def test_integer_sign_agrees_with_evaluate(p, x):
-    ints = _integer_form(p)
+    ints = integerized(p)
     assert all(type(c) is int for c in ints)
     assert _sign_at(ints, x) == _sign(evaluate(p, x))
     assert _sign_at(p, x) == _sign(evaluate(p, x))
