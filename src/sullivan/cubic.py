@@ -436,7 +436,7 @@ def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, F
     q = roots.squarefree_part(q)
     out = []
     minus_half = Fraction(-1, 2)
-    for lo, hi in roots.isolate_real_roots(q):
+    for lo, hi in roots._isolate_squarefree(q):
         exact = roots.rational_root_in_interval(q, lo, hi)
         if exact is not None:
             if exact != minus_half:

@@ -15,6 +15,22 @@ variables) needs no reduced basis: a finite quotient of forms of degrees
 d1 >= d2 >= ... vanishes from degree (d1 - 1) + ... + (dn - 1) + 1 on
 (Lazard, EUROCAL '83, LNCS 162), so a Buchberger run stopped at that
 degree has the leads that decide it.
+
+Inside the engine (the pair loop, S-polynomials, reduction, interreduction,
+the finiteness test and normal forms) each monomial is one ``int``, packed
+as in Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors" (CASC 2007, LNCS 4770).  Every field has
+`width` value bits and a guard bit on top.  The low n fields hold the
+exponents of x1..xn, and the high n fields their prefix sums x1, x1 + x2,
+..., with the degree highest.  The prefix sums decide grevlex, so integer
+``<`` is the monomial order, a product is ``+``, b divided by a is ``b - a``,
+and a divides b exactly when ``b - a`` has no exponent guard bit set.  The
+width is worked out from the inputs: at least `_MIN_WIDTH`, and enough for
+twice the largest input degree in the pair loop, or for the largest degree
+of basis and argument in a normal form.  A pair whose lcm outgrows the width
+restarts the pair loop at twice the width.  The public ``Polynomial`` and
+``GroebnerBasis`` API keeps tuple exponent vectors; monomials are packed on
+the way in and unpacked on the way out.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, neg
 from typing import Iterable, Sequence
 
 from .linalg import rational
@@ -44,12 +60,62 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(add, m1, m2))
 
 
-def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(sub, m1, m2))
+# the least number of value bits per packed field: degrees up to 127 in
+# fields of one byte
+_MIN_WIDTH = 7
 
 
-def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(max, m1, m2))
+def _width(degree: int) -> int:
+    """Value bits per field for packed monomials of degree at most `degree`."""
+    return max(_MIN_WIDTH, degree.bit_length())
+
+
+class _Packing:
+    """Monomials in n variables as one ``int`` each, with `width` value bits
+    and a guard bit per field (see the module docstring).  Every packed
+    monomial has degree below 2**width; products of two of them and their
+    lcm stay exact in their fields, whose guard bits then show the overflow."""
+
+    __slots__ = ("n", "width", "field", "guard", "low", "spread", "full", "degree_shift")
+
+    def __init__(self, n: int, width: int):
+        self.n = n
+        self.width = width
+        self.field = field = width + 1
+        ones = sum(1 << (field * i) for i in range(n))
+        self.guard = ones << width  # the guard bits of the exponent fields
+        self.low = (1 << (field * n)) - 1  # the exponent fields
+        # e * spread, cut to 2n fields, puts the prefix sums of the exponent
+        # fields e above them
+        self.spread = (ones << (field * n)) | 1
+        self.full = (1 << (2 * field * n)) - 1
+        self.degree_shift = field * max(2 * n - 1, 0)
+
+    def pack(self, m: Monomial) -> int:
+        e = 0
+        for x in reversed(m):
+            e = (e << self.field) | x
+        return (e * self.spread) & self.full
+
+    def unpack(self, k: int) -> Monomial:
+        mask = (1 << self.width) - 1
+        return tuple((k >> (self.field * i)) & mask for i in range(self.n))
+
+    def degree(self, k: int) -> int:
+        return k >> self.degree_shift
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm: a guard bit set in (a | guard) - b marks a field
+        where a's exponent is at least b's, and there the field of the
+        difference is added to b."""
+        a &= self.low
+        b &= self.low
+        diff = (a | self.guard) - b
+        at_least = diff & self.guard
+        return ((b + (diff & (at_least - (at_least >> self.width)))) * self.spread) & self.full
+
+    def pack_terms(self, terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
+        return {self.pack(m): c for m, c in terms.items()}
 
 
 class PolyRing:
@@ -256,9 +322,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def ordered_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0]), reverse=True)
-
     def __repr__(self) -> str:
         from .parsing import render_polynomial
 
@@ -270,13 +333,13 @@ def _ratio(a: int, b: int) -> int | Fraction:
     return a // b if a % b == 0 else Fraction(a, b)
 
 
-def _clear_denominators(terms: dict[Monomial, Fraction]) -> tuple[dict[Monomial, int], int]:
+def _clear_denominators(terms: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     """(den·terms as integers, den), den the least common denominator."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _primitive(terms: dict[Monomial, int], lead: Monomial) -> dict[Monomial, int]:
+def _primitive(terms: dict[int, int], lead: int) -> dict[int, int]:
     """Nonzero integer terms divided by their content, signed so that the
     coefficient at `lead` is positive (then reducing by them never scales
     by a negative factor, and a monic element needs no scaling at all)."""
@@ -286,20 +349,19 @@ def _primitive(terms: dict[Monomial, int], lead: Monomial) -> dict[Monomial, int
     return terms if g == 1 else {m: c // g for m, c in terms.items()}
 
 
-def _s_polynomial(
-    f: dict[Monomial, int], lf: Monomial, g: dict[Monomial, int], lg: Monomial, lcm: Monomial
-) -> dict[Monomial, int]:
-    """Terms of a·(lcm/lf)·f − b·(lcm/lg)·g for integer f and g with leading
-    monomials lf and lg, where a and b are their leading coefficients
-    divided by their gcd, crosswise, so that the leading terms cancel."""
+def _s_polynomial(f: dict[int, int], lf: int, g: dict[int, int], lg: int, lcm: int) -> dict[int, int]:
+    """Terms of a·(lcm/lf)·f − b·(lcm/lg)·g for integer f and g on packed
+    monomials with leading monomials lf and lg, where a and b are their
+    leading coefficients divided by their gcd, crosswise, so that the
+    leading terms cancel."""
     d = gcd(f[lf], g[lg])
     a, b = g[lg] // d, f[lf] // d
-    shift = _mono_div(lcm, lf)
-    work = {_mono_mul(m, shift): a * c for m, c in f.items() if m != lf}
-    shift = _mono_div(lcm, lg)
+    shift = lcm - lf
+    work = {m + shift: a * c for m, c in f.items() if m != lf}
+    shift = lcm - lg
     for m, c in g.items():
         if m != lg:
-            m = _mono_mul(m, shift)
+            m += shift
             c = work.get(m, 0) - b * c
             if c:
                 work[m] = c
@@ -308,38 +370,36 @@ def _s_polynomial(
     return work
 
 
-def _descending_key(m: Monomial):
-    # ascending in this key == descending in grevlex, for a min-heap
-    return (-sum(m), m[::-1])
-
-
 def _reduce(
-    work: dict[Monomial, int], basis: Sequence[dict[Monomial, int]], leads: Sequence[Monomial]
-) -> tuple[dict[Monomial, int], int]:
+    work: dict[int, int], basis: Sequence[dict[int, int]], leads: Sequence[int], guard: int
+) -> tuple[dict[int, int], int]:
     """Fully reduced remainder of the integer terms `work` modulo basis, and
-    the factor by which it is a multiple of the true remainder.  The basis
-    elements are primitive integer terms with positive coefficients at
-    their leading monomials `leads`; `work` is consumed in place.
+    the factor by which it is a multiple of the true remainder.  Monomials
+    are packed, with exponent guard bits `guard`.  The basis elements are
+    primitive integer terms with positive coefficients at their leading
+    monomials `leads`; `work` is consumed in place.
 
     Fraction-free: to remove a term c·x^lm by a basis element g, what is
     left of `work` and the remainder so far are scaled by a = lc(g)/gcd,
     and b·x^shift·g is subtracted, b = c/gcd; the factor returned is the
-    product of the a's.  Terms are taken largest first from a heap.
-    Subtracting a multiple of a basis element only creates terms below the
-    one removed, so a heap entry whose term has since cancelled is simply
-    skipped, and the remainder comes back with its terms in descending order.
+    product of the a's.  Terms are taken largest first from a heap of
+    negated packed monomials.  Subtracting a multiple of a basis element
+    only creates terms below the one removed, so a heap entry whose term
+    has since cancelled is simply skipped, and the remainder comes back with
+    its terms in descending order.
     """
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     multiplier = 1
-    heap = [(_descending_key(m), m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     while heap:
-        lm = heappop(heap)[1]
+        lm = -heappop(heap)
         c = work.pop(lm, None)
         if c is None:
             continue
         for g, glm in zip(basis, leads):
-            if _divides(glm, lm):
+            shift = lm - glm
+            if not shift & guard:
                 break
         else:
             remainder[lm] = c
@@ -350,16 +410,15 @@ def _reduce(
             multiplier *= a
             work = {m: a * x for m, x in work.items()}
             remainder = {m: a * x for m, x in remainder.items()}
-        shift = _mono_div(lm, glm)
         for m, x in g.items():
             if m == glm:
                 continue
-            m = _mono_mul(m, shift)
+            m += shift
             x = b * x
             old = work.get(m)
             if old is None:
                 work[m] = -x
-                heappush(heap, (_descending_key(m), m))
+                heappush(heap, -m)
             elif old == x:
                 del work[m]
             else:
@@ -432,16 +491,16 @@ def _order_at_one(numerator: dict[int, int]) -> tuple[int, int]:
 class GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal under grevlex."""
 
-    __slots__ = ("ring", "generators", "_leads", "_integral")
+    __slots__ = ("ring", "generators", "_leads", "_degree", "_packed")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
         self.ring = ring
         self.generators = tuple(generators)
         self._leads = tuple(g.leading_monomial() for g in self.generators)
-        # the primitive integer generators that _reduce works on
-        self._integral = tuple(
-            _primitive(_clear_denominators(g.terms)[0], lead) for g, lead in zip(self.generators, self._leads)
-        )
+        self._degree = max((g.degree() for g in self.generators), default=0)
+        # field width -> (packing, primitive integer generators, their leads),
+        # what _reduce works on, made at the first normal form that needs it
+        self._packed: dict[int, tuple[_Packing, list[dict[int, int]], list[int]]] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -459,10 +518,20 @@ class GroebnerBasis:
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        work, den = _clear_denominators(p.terms)
-        remainder, multiplier = _reduce(work, self._integral, self._leads)
+        width = _width(max(p.degree(), self._degree))
+        if width not in self._packed:
+            code = _Packing(len(self.ring.variables), width)
+            leads = [code.pack(lead) for lead in self._leads]
+            basis = [
+                _primitive(_clear_denominators(code.pack_terms(g.terms))[0], lead)
+                for g, lead in zip(self.generators, leads)
+            ]
+            self._packed[width] = code, basis, leads
+        code, basis, leads = self._packed[width]
+        work, den = _clear_denominators(code.pack_terms(p.terms))
+        remainder, multiplier = _reduce(work, basis, leads, code.guard)
         den *= multiplier
-        return Polynomial(self.ring, {m: _ratio(c, den) for m, c in remainder.items()})
+        return Polynomial(self.ring, {code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
 
     def is_finite_dimensional(self) -> bool:
         """Whether the quotient is a finite-dimensional vector space."""
@@ -515,10 +584,26 @@ def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[P
 
 
 def _pair_loop(
-    polys: Sequence[Polynomial], cap: int | None = None
-) -> tuple[list[dict[Monomial, int]], list[Monomial]]:
-    """A Groebner basis of the homogeneous inputs as primitive integer terms,
-    not interreduced, and its leading monomials.
+    polys: Sequence[Polynomial], n: int, cap: int | None = None
+) -> tuple[_Packing, list[dict[int, int]], list[int]]:
+    """A Groebner basis of the homogeneous inputs in n variables as primitive
+    integer terms on packed monomials, not interreduced, with its packing
+    and its packed leading monomials.
+
+    The packing starts wide enough for twice the largest input degree.  A
+    pair whose lcm has outgrown it restarts the loop at twice the width.
+    """
+    code = _Packing(n, _width(2 * max((p.degree() for p in polys), default=0)))
+    while (found := _pairs(polys, code, cap)) is None:
+        code = _Packing(n, 2 * code.width)
+    return (code, *found)
+
+
+def _pairs(
+    polys: Sequence[Polynomial], code: _Packing, cap: int | None
+) -> tuple[list[dict[int, int]], list[int]] | None:
+    """The body of `_pair_loop` under one packing; None once a pair to be
+    reduced has an lcm of degree 2**width or more.
 
     Pairs are taken by the normal strategy: the pending pair whose lcm is
     least in grevlex goes first, ties broken by index, so pairs leave the
@@ -527,42 +612,46 @@ def _pair_loop(
     the cap has then been reduced, so the leads are those of the ideal in
     every degree up to the cap (a basis truncated at that degree).
     """
-    basis: list[dict[Monomial, int]] = []
-    leads: list[Monomial] = []
-    queue: list = []  # heap of (grevlex key of the lcm, i, j, lcm)
+    basis: list[dict[int, int]] = []
+    leads: list[int] = []
+    queue: list[tuple[int, int, int]] = []  # heap of (lcm, i, j)
     pending: set[tuple[int, int]] = set()
+    guard = code.guard
+    overflow = 1 << (code.degree_shift + code.width)  # the least packed monomial of degree 2**width
 
-    def add_generator(terms: dict[Monomial, int]) -> None:
-        # terms in descending order, as _reduce returns them
-        lead = next(iter(terms))
+    def add_generator(terms: dict[int, int]) -> None:
+        lead = max(terms)
         j = len(basis)
         basis.append(_primitive(terms, lead))
         leads.append(lead)
         for i in range(j):
-            lcm = _mono_lcm(leads[i], leads[j])
-            heappush(queue, (_grevlex_key(lcm), i, j, lcm))
+            heappush(queue, (code.lcm(leads[i], lead), i, j))
             pending.add((i, j))
 
-    def chain(i: int, j: int, lcm: Monomial) -> bool:
+    def chain(i: int, j: int, lcm: int) -> bool:
         return any(
             k != i
             and k != j
-            and _divides(lead, lcm)
+            and not (lcm - lead) & guard
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, lead in enumerate(leads)
         )
 
     for p in polys:
-        add_generator(_clear_denominators(dict(p.ordered_terms()))[0])
+        add_generator(_clear_denominators(code.pack_terms(p.terms))[0])
     while queue:
-        if cap is not None and queue[0][0][0] > cap:
+        if cap is not None and code.degree(queue[0][0]) > cap:
             break
-        _, i, j, lcm = heappop(queue)
+        lcm, i, j = heappop(queue)
         pending.remove((i, j))
-        if lcm == _mono_mul(leads[i], leads[j]) or chain(i, j, lcm):
+        # the lcm's exponent fields never overflow, so both criteria hold
+        # at any degree; the S-polynomial's terms need the width
+        if lcm == leads[i] + leads[j] or chain(i, j, lcm):
             continue  # the S-polynomial reduces to zero
-        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads)[0]
+        if lcm >= overflow:
+            return None
+        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads, guard)[0]
         if r:
             add_generator(r)
     return basis, leads
@@ -582,25 +671,26 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     throughout, and made monic only once interreduced.
     """
     polys, ring = _checked(polys, ring)
-    basis, leads = _pair_loop(polys)
+    code, basis, leads = _pair_loop(polys, len(ring.variables))
+    guard = code.guard
     # interreduce to the unique reduced basis, smallest lead first: a term
     # below a lead can only be divisible by a smaller lead
     minimal = []
     for i, lead in enumerate(leads):
         if not any(
-            k != i and _divides(other, lead) and (other != lead or k < i) for k, other in enumerate(leads)
+            k != i and not (lead - other) & guard and (other != lead or k < i) for k, other in enumerate(leads)
         ):
             minimal.append(i)
-    minimal.sort(key=lambda i: _grevlex_key(leads[i]))
-    reduced: list[dict[Monomial, int]] = []
-    reduced_leads: list[Monomial] = []
+    minimal.sort(key=leads.__getitem__)
+    reduced: list[dict[int, int]] = []
+    reduced_leads: list[int] = []
     for i in minimal:
-        reduced.append(_primitive(_reduce(dict(basis[i]), reduced, reduced_leads)[0], leads[i]))
+        reduced.append(_primitive(_reduce(dict(basis[i]), reduced, reduced_leads, guard)[0], leads[i]))
         reduced_leads.append(leads[i])
     return GroebnerBasis(
         ring,
         [
-            Polynomial(ring, {m: _ratio(c, g[lead]) for m, c in g.items()})
+            Polynomial(ring, {code.unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
             for g, lead in zip(reduced, reduced_leads)
         ],
     )
@@ -626,8 +716,9 @@ def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = Non
     if len(polys) < n and 0 not in degrees:
         return False
     cap = sum(degrees[:n]) - n + 1
+    code, _, leads = _pair_loop(polys, n, cap)
     pure: set[int] = set()
-    for lead in _pair_loop(polys, cap)[1]:
+    for lead in map(code.unpack, leads):
         support = [i for i, e in enumerate(lead) if e]
         if not support:
             return True  # the unit ideal

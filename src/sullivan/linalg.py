@@ -112,9 +112,10 @@ def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]
 
 class RationalMatrix:
     """Sparse rational matrix, each row a {column: value} dict of its nonzero
-    entries (the form the elimination reads); immutable.  Entries given as
-    ``int`` are kept as ``int``, every other value becomes a ``Fraction``;
-    ``data``, ``rref`` and ``kernel_basis`` return ``Fraction``s only."""
+    entries (the form the elimination reads); immutable.  Entries are read
+    by ``rational``: ``int`` when whole, ``Fraction`` otherwise, and a float
+    or a string raises ``TypeError``; ``data``, ``rref`` and
+    ``kernel_basis`` return ``Fraction``s only."""
 
     __slots__ = ("rows", "cols", "_entries")
 
@@ -126,7 +127,7 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self._entries = tuple(
-            {j: y for j, x in row.items() if (y := x if type(x) is int else Fraction(x))}
+            {j: y for j, x in row.items() if (y := rational(x))}
             for row in sparse_rows
         )
 
@@ -171,9 +172,10 @@ class RationalMatrix:
 
 
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
-    """Membership of v in the rational span of basis, with coordinates on success."""
-    v = tuple(map(Fraction, v))
-    basis = [tuple(map(Fraction, b)) for b in basis]
+    """Membership of v in the rational span of basis, with coordinates on
+    success.  Entries are read by ``rational``, so a float raises ``TypeError``."""
+    v = tuple(map(rational, v))
+    basis = [tuple(map(rational, b)) for b in basis]
     if any(len(b) != len(v) for b in basis):
         raise ValueError("vectors of inconsistent dimensions")
     # columns are the basis vectors, augmented with v

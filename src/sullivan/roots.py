@@ -188,7 +188,11 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     The input is replaced by its square-free part, so multiplicities do not
     matter.  Open intervals (lo, hi) have p(lo) != 0 != p(hi).
     """
-    p = squarefree_part(p)
+    return _isolate_squarefree(squarefree_part(p))
+
+
+def _isolate_squarefree(p: UPoly) -> list[tuple[Fraction, Fraction]]:
+    """`isolate_real_roots` of a polynomial that is already square-free."""
     if degree(p) < 1:
         return []
     chain = sturm_chain(p)

@@ -88,7 +88,7 @@ def test_parse_polynomial_normalises_whole_coefficients(p):
 
 def test_parsed_whole_quotients_are_int():
     p = parse_polynomial("4/2*x1 - 6/4*x2 + 3", R3)
-    assert [type(c) for _, c in p.ordered_terms()] == [int, Fraction, int]
+    assert [type(p.coefficient(m)) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 0))] == [int, Fraction, int]
     assert p.coefficient((1, 0, 0)) == 2 and p.coefficient((0, 0, 1)) == 0
 
 

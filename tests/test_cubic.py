@@ -193,6 +193,26 @@ def test_sporadic_sigma_value():
     assert any(abs((lo + hi) / 2 - target) < Fraction(1, 1000) for lo, hi in candidates)
 
 
+def test_hesse_sigma_candidates_take_one_square_free_part(monkeypatch):
+    """The invariant equation is made square-free once per candidate search,
+    not once more inside the root isolation."""
+    from sullivan import roots
+
+    calls = []
+    squarefree = roots.squarefree_part
+
+    def counting(p):
+        calls.append(p)
+        return squarefree(p)
+
+    monkeypatch.setattr(roots, "squarefree_part", counting)
+    bsp = form3("4*x^3 + 2*y^3 + z^3 - 6*x^2*y - 3*x*z^2 - 3*y^2*z + 6*x*y*z")
+    for form in (bsp, hesse_form(Fraction(1, 2)), hesse_form(4)):
+        calls.clear()
+        hesse_sigma_candidates(form, Fraction(1, 10**6))
+        assert len(calls) == 1
+
+
 def test_interval_widths_respect_tolerance():
     bsp = form3("4*x^3 + 2*y^3 + z^3 - 6*x^2*y - 3*x*z^2 - 3*y^2*z + 6*x*y*z")
     tolerance = Fraction(1, 10**4)

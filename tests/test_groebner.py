@@ -1,5 +1,6 @@
 """Groebner bases: reduction, finiteness, Hilbert data, regular sequences."""
 
+import hashlib
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -11,15 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sullivan.groebner as groebner
+from sullivan.cli import main
 from sullivan.groebner import (
     GroebnerBasis,
     PolyRing,
+    _grevlex_key,
+    _Packing,
+    _width,
     buchberger,
     has_finite_quotient,
     is_regular_sequence,
 )
 from sullivan.linalg import RationalMatrix
-from sullivan.parsing import parse_polynomial
+from sullivan.parsing import parse_polynomial, render_polynomial
 
 R3 = PolyRing(("x1", "x2", "x3"))
 R2 = PolyRing(("x1", "x2"))
@@ -657,3 +663,78 @@ def test_finite_quotient_edge_cases():
         has_finite_quotient(polys(R3, "x1^2", "x2^2", "x3^2"), R2)
     with pytest.raises(ValueError):
         has_finite_quotient([])
+
+
+# -- packed monomials ---------------------------------------------------------
+
+
+@st.composite
+def exponent_vectors(draw, n):
+    """Exponents mostly below 2**_MIN_WIDTH, some around it, some far past it."""
+    small = st.integers(0, 2 ** (groebner._MIN_WIDTH + 2))
+    return tuple(draw(st.one_of(small, small, st.integers(0, 2**70))) for _ in range(n))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(exponent_vectors(n), exponent_vectors(n))))
+def test_packed_monomials_agree_with_exponent_vectors(pair):
+    """Under the packing chosen for twice the larger degree (as the pair loop
+    chooses it), order, product, quotient, divisibility, lcm and degree
+    agree with their tuple definitions, and unpacking inverts packing."""
+    a, b = pair
+    code = _Packing(len(a), _width(2 * max(sum(a), sum(b))))
+    pa, pb = code.pack(a), code.pack(b)
+    assert code.unpack(pa) == a and code.unpack(pb) == b
+    assert (pa < pb) == (_grevlex_key(a) < _grevlex_key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == code.pack(tuple(map(add, a, b)))
+    assert code.degree(pa) == sum(a)
+    assert code.lcm(pa, pb) == code.pack(tuple(map(max, a, b)))
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        divides = all(map(le, x, y))
+        assert (not (py - px) & code.guard) == divides
+        if divides:
+            assert py - px == code.pack(tuple(map(sub, y, x)))
+
+
+HUGE = ("x^1099511627776*y - y^1099511627777", "x*y^2")
+
+
+def test_groebner_command_on_exponents_past_a_machine_word(capsys):
+    assert main(["groebner", *HUGE]) == 0
+    assert capsys.readouterr().out == (
+        "variables: x, y\nx*y^2\nx^1099511627776*y - y^1099511627777\ny^1099511627778\n"
+    )
+
+
+def test_normal_form_and_finiteness_past_a_machine_word():
+    r = PolyRing(("x", "y"))
+    gb = buchberger(polys(r, *HUGE), r)
+    (p,) = polys(r, "x^2199023255552 + 3*x^2199023255551*y - 7*x*y + 2/5*y^1099511627778 + 4*y^1099511627777 + 1")
+    assert render_polynomial(gb.normal_form(p)) == "x^2199023255552 + 4*y^1099511627777 - 7*x*y + 1"
+    powers = polys(r, "x^1099511627776", "y^1099511627776")
+    assert has_finite_quotient(powers, r)
+    assert is_regular_sequence(powers, r)
+    assert not has_finite_quotient(polys(r, "x^1099511627776", "x*y^1099511627775"), r)
+
+
+def test_pair_loop_widens_the_packing_when_degrees_outgrow_it(monkeypatch):
+    """Two binomials of degree 14 pack into 7-bit fields, but their reduced
+    basis reaches degree 153, so the pair loop runs again at 14 bits."""
+    widths = []
+    pairs = groebner._pairs
+
+    def recording(polys, code, cap):
+        widths.append(code.width)
+        return pairs(polys, code, cap)
+
+    monkeypatch.setattr(groebner, "_pairs", recording)
+    r = PolyRing(("x", "y", "z"))
+    gb = buchberger(polys(r, "x*y^12*z - y^11*z^3", "x^13*y - x*z^13"), r)
+    assert widths == [7, 14]
+    assert len(gb.generators) == 41
+    assert max(g.degree() for g in gb.generators) == 153
+    text = "\n".join(map(render_polynomial, gb.generators))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1342d965ee62bc5fec7c5e387cac878842f971cc21ef343f0bd2caa04b14e21c"
+    )

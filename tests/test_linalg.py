@@ -100,6 +100,20 @@ def test_sparse_constructor_drops_zeros():
     assert m == RationalMatrix.from_rows([[0, 1]])
 
 
+def test_entries_that_are_not_rational_raise_type_error():
+    """A float or a string is not an exact rational, as in ``rational``."""
+    for bad in (0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            RationalMatrix.from_rows([[bad, 1]])
+        with pytest.raises(TypeError):
+            RationalMatrix(1, 2, [{1: bad}])
+        with pytest.raises(TypeError):
+            in_span((bad,), [(1,)])
+        with pytest.raises(TypeError):
+            in_span((1,), [(bad,)])
+    assert in_span((Fraction(1, 2),), [(1,)]) == (True, (Fraction(1, 2),))
+
+
 @pytest.mark.parametrize(
     "rows,cols,sparse",
     [(1, 2, [{2: 1}]), (1, 2, [{-1: 1}]), (2, 2, [{0: 1}]), (1, 2, [{0: 1}, {1: 1}]), (0, -1, [])],
