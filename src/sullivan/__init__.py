@@ -40,13 +40,12 @@ from .groebner import (
 from .linalg import RationalMatrix, in_span
 from .model import (
     CochainComplex,
-    CohomologyReport,
     SullivanModel,
     betti_numbers,
-    cohomology_betti,
     cup_product_cubic_form,
     extend_differential,
     h4_pairing_discriminant,
+    pairing_determinant,
     poincare_duality_check,
     pure_is_elliptic,
 )

@@ -237,10 +237,6 @@ class AlgebraElement:
 
     # -- presentation ---------------------------------------------------
 
-    def ordered_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        monos = sorted_monomials(self.table, self.terms)
-        return [(m, self.terms[m]) for m in monos]
-
     def __repr__(self) -> str:
         from .parsing import render_element  # local import to avoid a cycle
 

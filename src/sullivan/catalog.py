@@ -38,7 +38,7 @@ from .model import (
     SullivanModel,
     betti_numbers,
     cup_product_cubic_form,
-    pairing_matrix,
+    pairing_determinant,
     poincare_duality_check,
     pure_is_elliptic,
 )
@@ -270,11 +270,6 @@ def _generator_rank(m: SullivanModel, degree: int) -> int:
     return RationalMatrix(len(rows), len(cochains.basis(degree + 1)), rows).rank()
 
 
-def _pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fraction:
-    rows = pairing_matrix(m, generator_degree)
-    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-
-
 def classify_dim7(m: SullivanModel) -> Classification:
     """Rational type of a validated 7-dimensional model, by exponent dispatch."""
     pair = exponents_of_model(m)
@@ -291,7 +286,7 @@ def classify_dim7(m: SullivanModel) -> Classification:
             return Classification(NOT_ELLIPTIC)
         if rank == 3:
             return Classification(RANK_THREE)
-        det = _pairing_determinant(m)
+        det = pairing_determinant(m)
         if det == 0:
             return Classification(NOT_ELLIPTIC)
         return Classification(SIGMA_FAMILY, squarefree_part(det))
@@ -310,7 +305,7 @@ def classify_dim8_middle(m: SullivanModel) -> Classification:
         raise ValueError(f"exponents {pair} do not match the middle-pairing case")
     if _generator_rank(m, 7) < 2:
         return Classification(NOT_ELLIPTIC)
-    det = _pairing_determinant(m, generator_degree=4)
+    det = pairing_determinant(m, generator_degree=4)
     if det == 0:
         return Classification(NOT_ELLIPTIC)
     cls = squarefree_part(det)
@@ -349,7 +344,7 @@ def classify_dim8_sigma(m: SullivanModel) -> Classification:
     if _generator_rank(m, 3) != 2:
         return Classification(NOT_ELLIPTIC)
     sub = _degree_le3_submodel(m)
-    det = _pairing_determinant(sub)
+    det = pairing_determinant(sub)
     if det == 0:
         return Classification(NOT_ELLIPTIC)
     return Classification(SIGMA_FAMILY, squarefree_part(det))
@@ -368,7 +363,7 @@ def classify_dim9_product_case(m: SullivanModel) -> Classification:
     if _generator_rank(m, 3) < 2:
         return Classification("six-manifold-times-s3")
     sub = _degree_le3_submodel(m)
-    det = _pairing_determinant(sub)
+    det = pairing_determinant(sub)
     if det == 0:
         return Classification("circle-bundle-type")
     return Classification("sigma-family-times-s5", squarefree_part(det))

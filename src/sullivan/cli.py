@@ -24,7 +24,7 @@ from .cubic import (
 )
 from .exponents import ExponentPair, check_constraints, check_sac, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, buchberger, is_regular_sequence
-from .model import cohomology_betti
+from .model import betti_numbers
 from .parsing import (
     parse_model,
     parse_polynomial,
@@ -93,12 +93,13 @@ def _cmd_cohomology(args) -> int:
     m = _load_model(args.file)
     n = m.formal_dimension_claim()
     max_degree = args.max_degree if args.max_degree is not None else max(n, 0) + 7
-    report = cohomology_betti(m, max_degree)
-    print(f"formal dimension claim: {report.formal_dimension_claim}")
-    for k, dim in report.betti:
+    betti = betti_numbers(m, max_degree)
+    print(f"formal dimension claim: {n if n >= 0 else None}")
+    for k, dim in enumerate(betti):
         print(f"b_{k} = {dim}")
-    vanishing = [k for k, dim in report.betti if k > n and dim]
-    print(f"poincare symmetric through degree {n}: {'yes' if report.poincare_symmetric else 'no'}")
+    vanishing = [k for k, dim in enumerate(betti) if k > n and dim]
+    symmetric = 0 <= n <= max_degree and all(betti[k] == betti[n - k] for k in range(n + 1))
+    print(f"poincare symmetric through degree {n}: {'yes' if symmetric else 'no'}")
     if vanishing:
         print(f"nonzero above the formal dimension: degrees {vanishing}")
     else:

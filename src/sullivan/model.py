@@ -26,14 +26,6 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    betti: tuple[tuple[int, int], ...]
-    max_degree_computed: int
-    formal_dimension_claim: int | None
-    poincare_symmetric: bool
-
-
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
 
@@ -280,20 +272,6 @@ def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
     return tuple(m.cochains().betti(k) for k in range(max_degree + 1))
 
 
-def cohomology_betti(m: SullivanModel, max_degree: int) -> CohomologyReport:
-    betti = betti_numbers(m, max_degree)
-    n = m.formal_dimension_claim()
-    symmetric = False
-    if 0 <= n <= max_degree:
-        symmetric = all(betti[k] == betti[n - k] for k in range(n + 1))
-    return CohomologyReport(
-        betti=tuple(enumerate(betti)),
-        max_degree_computed=max_degree,
-        formal_dimension_claim=n if n >= 0 else None,
-        poincare_symmetric=symmetric,
-    )
-
-
 def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     """Cubic form of triple products of degree-two generators into H^6 (up to scale).
 
@@ -357,8 +335,9 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
 
-def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the multiplication pairing of the two degree-d generators into H^{2d}."""
+def pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fraction:
+    """Determinant of the multiplication pairing of the two degree-d generators
+    into H^{2d}, read off the lead coordinate of H^{2d}'s class generator."""
     table = m.table
     xs = [i for i, d in enumerate(table.degrees) if d == generator_degree]
     if len(xs) != 2:
@@ -368,16 +347,16 @@ def pairing_matrix(m: SullivanModel, generator_degree: int = 2) -> tuple[tuple[F
     if cochains.betti(k) != 1:
         raise ValueError(f"dim H^{k} must be 1")
     lead = min(cochains.class_generator(k))
-    return tuple(
-        tuple(cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, 0) for j in xs)
+    (a, b), (c, d) = (
+        [cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, 0) for j in xs]
         for i in xs
     )
+    return a * d - b * c
 
 
 def h4_pairing_discriminant(m: SullivanModel, generator_degree: int = 2) -> int:
     """Square class of the determinant of the middle pairing; basis-independent."""
-    rows = pairing_matrix(m, generator_degree)
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    det = pairing_determinant(m, generator_degree)
     if det == 0:
         raise ValueError("the pairing is degenerate")
     return squarefree_part(det)

@@ -7,9 +7,10 @@ import time
 
 import pytest
 
+from sullivan.catalog import dim6_b3_model
 from sullivan.cli import main
 from sullivan.groebner import PolyRing, buchberger
-from sullivan.parsing import render_polynomial
+from sullivan.parsing import render_model, render_polynomial
 
 
 def run(capsys, *argv):
@@ -57,6 +58,32 @@ def test_cohomology_of_model_file(tmp_path, capsys):
     assert code == 0
     assert "b_6 = 1" in out and "b_2 = 2" in out
     assert "formal dimension claim: 6" in out
+
+
+def test_cohomology_reports_the_claim_and_duality(tmp_path, capsys):
+    path = tmp_path / "model.txt"
+    path.write_text(render_model(dim6_b3_model(2)))
+    code, out, _ = run(capsys, "cohomology", str(path), "--max-degree", "8")
+    assert code == 0
+    betti = (1, 0, 3, 0, 3, 0, 1, 0, 0)
+    assert out.splitlines() == [
+        "formal dimension claim: 6",
+        *(f"b_{k} = {b}" for k, b in enumerate(betti)),
+        "poincare symmetric through degree 6: yes",
+        "vanishing above the formal dimension through degree 8: yes",
+    ]
+    # only even generators: the claim is negative and prints as None
+    path.write_text("generator x 2\n")
+    code, out, _ = run(capsys, "cohomology", str(path), "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "formal dimension claim: None",
+        "b_0 = 1",
+        "b_1 = 0",
+        "b_2 = 1",
+        "poincare symmetric through degree -1: no",
+        "nonzero above the formal dimension: degrees [0, 2]",
+    ]
 
 
 def test_cohomology_rejects_invalid_model(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cubic forms: conversions, subspaces, classification, invariants, sigma recovery."""
 
+import os
 import random
 import subprocess
 import sys
@@ -474,12 +475,16 @@ def test_discriminant_anchor_values():
 def test_invariant_tables_match_their_generator():
     # the invariants multiply these integer tables directly, so a table that
     # drifted from its derivation would go unnoticed by the anchors alone
+    # the generator imports the package, so it runs on this checkout's source
     root = Path(__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), path))))
     run = subprocess.run(
         [sys.executable, str(root / "tools" / "derive_cubic_invariants.py")],
         capture_output=True,
         check=True,
         timeout=120,
+        env=env,
     )
     marker = b"=== paste into src/sullivan/_invariant_tables.py ===\n"
     assert marker in run.stdout

@@ -1,23 +1,35 @@
 """Regenerate the invariant coefficient tables in sullivan/_invariant_tables.py.
 
-The degree-4 invariant of a ternary cubic is computed by the classical
+The degree-4 invariant S of a ternary cubic is computed by the classical
 symbolic contraction (the Cayley omega process applied to four copies of
 the cubic, one determinant operator per three-element subset of the
-copies).  The degree-6 invariant is the lambda-linear part of the
-degree-4 invariant evaluated on F + lambda * Hessian(F); the space of
+copies).  The degree-6 invariant is the lambda-linear part of S evaluated
+on F + lambda * Hessian(F), that is the sum over the coefficients c_v of
+dS/dc_v times the matching coefficient h_v of the Hessian; the space of
 degree-6 invariants is one-dimensional, so any nonzero result is a valid
-normalization.  Both results are checked for GL(3) covariance on random
-inputs before being printed.
+normalization.  All of it runs on the package's own ``Polynomial``.  Both
+results are checked for GL(3) covariance on random inputs, and the
+discriminant combination T^2 - S^3 on the singular normal forms, before
+being printed.
 
-Run from the repository root:  python tools/derive_cubic_invariants.py
+The package must be importable.  Run from the repository root:
+
+    PYTHONPATH=src python tools/derive_cubic_invariants.py
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import gcd
+from functools import reduce
+from itertools import combinations, permutations
+from math import factorial, prod
+from operator import add
+
+from sullivan.cubic import CubicForm, _eval_table, hesse_form, substitute
+from sullivan.groebner import PolyRing
+from sullivan.linalg import integerized
+from sullivan.parsing import parse_polynomial
 
 # variables 0..9: cubic coefficients, one per monomial of CUBIC_MONOMIALS
 # variables 10..21: four blocks of three point coordinates
@@ -25,301 +37,126 @@ CUBIC_MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 )
-NVARS = 22
+RING = PolyRing([f"c{i}" for i in range(10)] + [f"{v}{b}" for b in range(4) for v in "xyz"])
+COEFFS = [RING.variable(i) for i in range(10)]
+
+# the permutations of (0, 1, 2) with their signs: the terms of a 3x3 determinant
+SIGNED_PERMUTATIONS = [
+    (p, (-1) ** sum(p[i] > p[j] for i, j in combinations(range(3), 2)))
+    for p in permutations(range(3))
+]
+
+# the 14 singular normal forms of real ternary cubics, the zero form included
+SINGULAR_FORMS = (
+    "0", "x^3", "x^2*y", "x^2*y - x*y^2", "x^3 + x*y^2", "x*y*z",
+    "x^2*z + y^2*z", "x^2*z - x*y^2", "x^2*z + y^2*z - z^3",
+    "x^3 + x*y^2 - x*z^2", "x^3 + x*y^2 + x*z^2", "x^3 - 3*y^2*z",
+    "x^3 + 3*x^2*z - 3*y^2*z", "x^3 - 3*x^2*z - 3*y^2*z",
+)
 
 
-def pzero():
-    return {}
+def point(block):
+    """The variable indices of coordinate block `block`."""
+    return range(10 + 3 * block, 13 + 3 * block)
 
 
-def pterm(expo, coeff):
-    return {tuple(expo): Fraction(coeff)}
+def generic_cubic(block):
+    """F with symbolic coefficients c0..c9, on the coordinates of `block`."""
+    xs = [RING.variable(v) for v in point(block)]
+    return reduce(
+        add, (c * prod(x**e for x, e in zip(xs, mono)) for c, mono in zip(COEFFS, CUBIC_MONOMIALS))
+    )
 
 
-def padd(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        acc = out.get(m, 0) + c
-        if acc:
-            out[m] = acc
-        else:
-            out.pop(m, None)
-    return out
-
-
-def pmul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            acc = out.get(m, 0) + c1 * c2
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def pdiff(p, var):
-    out = {}
-    for m, c in p.items():
-        e = m[var]
-        if e:
-            dm = list(m)
-            dm[var] = e - 1
-            out[tuple(dm)] = c * e
-    return out
-
-
-def cubic_copy(block):
-    """F evaluated on coordinate block p: variables 10+3p .. 12+3p."""
-    out = {}
-    for ci, mono in enumerate(CUBIC_MONOMIALS):
-        expo = [0] * NVARS
-        expo[ci] = 1
-        for i, e in enumerate(mono):
-            expo[10 + 3 * block + i] = e
-        out[tuple(expo)] = Fraction(1)
-    return out
+def det3(m):
+    """Determinant of a 3x3 matrix of numbers or polynomials (Leibniz formula)."""
+    return reduce(add, (prod((m[i][p[i]] for i in range(3)), start=s) for p, s in SIGNED_PERMUTATIONS))
 
 
 def omega(p, blocks):
     """Apply det(d/dx^(b0) | d/dx^(b1) | d/dx^(b2)) for the three given blocks."""
-    out = {}
-    for perm in permutations(range(3)):
-        sign = Fraction(perm_sign(perm))
+    points = [point(b) for b in blocks]
+    terms = []
+    for perm, sign in SIGNED_PERMUTATIONS:
         q = p
         for row, col in enumerate(perm):
-            q = pdiff(q, 10 + 3 * blocks[row] + col)
-        out = padd(out, {m: sign * c for m, c in q.items()})
-    return out
+            q = q.derivative(points[row][col])
+        terms.append(q.scale(sign))
+    return reduce(add, terms)
 
 
-def perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def taylor_coefficient(p, block, mono):
+    """The coefficient of the monomial `mono` in the coordinates of `block`,
+    for p homogeneous of degree sum(mono) in them."""
+    for var, e in zip(point(block), mono):
+        for _ in range(e):
+            p = p.derivative(var)
+    return p.scale(Fraction(1, prod(map(factorial, mono))))
 
 
 def normalize_table(p, arity):
-    """Extract (coefficient-exponent tuple, integer) entries, content-normalized."""
-    entries = []
-    for m, c in p.items():
-        assert all(e == 0 for e in m[10:]), "x-variables did not fully contract"
-        assert sum(m[:10]) == arity
-        entries.append((m[:10], c))
-    mult = 1
-    for _, c in entries:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = [(m, int(c * mult)) for m, c in entries]
-    g = 0
-    for _, c in ints:
-        g = gcd(g, abs(c))
-    ints = [(m, c // g) for m, c in ints]
-    lead = next(c for m, c in sorted(ints) if c)
-    if lead < 0:
-        ints = [(m, -c) for m, c in ints]
-    return sorted(ints)
-
-
-def eval_table(table, values):
-    total = Fraction(0)
-    for expo, coeff in table:
-        term = Fraction(coeff)
-        for i, e in enumerate(expo):
-            if e:
-                term *= values[i] ** e
-        total += term
-    return total
-
-
-def coeff_vector(poly3):
-    """Coefficient vector of a ternary cubic given as dict (3-exponent) -> Fraction."""
-    return [Fraction(poly3.get(m, 0)) for m in CUBIC_MONOMIALS]
-
-
-def substitute_linear(poly3, g):
-    """Coefficients of P(g x) for a 3x3 integer matrix g."""
-    vals = {}
-    xs = [
-        {(1, 0, 0): Fraction(g[0][j]), (0, 1, 0): Fraction(g[1][j]), (0, 0, 1): Fraction(g[2][j])}
-        for j in range(3)
-    ]
-
-    def mul3(p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return {m: c for m, c in out.items() if c}
-
-    for mono, c in poly3.items():
-        term = {(0, 0, 0): Fraction(c)}
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = mul3(term, xs[i])
-        for m, cc in term.items():
-            vals[m] = vals.get(m, Fraction(0)) + cc
-    return {m: c for m, c in vals.items() if c}
-
-
-def det3(g):
-    return (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    )
-
-
-def _pmul13(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            acc = out.get(m, 0) + c1 * c2
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _pdiff13(p, var):
-    out = {}
-    for m, c in p.items():
-        e = m[var]
-        if e:
-            dm = list(m)
-            dm[var] = e - 1
-            out[tuple(dm)] = c * e
-    return out
-
-
-def hessian_coefficients():
-    """For symbolic c: coefficients h_m of det Hess(P) as 10-variable c-polynomials.
-
-    Works in a 13-variable ring: 10 coefficient symbols + 3 point coordinates.
-    Returns one c-polynomial per entry of CUBIC_MONOMIALS (exponents are
-    10-tuples over the coefficient symbols).
-    """
-    P = {}
-    for ci, mono in enumerate(CUBIC_MONOMIALS):
-        e = [0] * 13
-        e[ci] = 1
-        for i, v in enumerate(mono):
-            e[10 + i] = v
-        P[tuple(e)] = Fraction(1)
-
-    second = {}
-    for i in range(3):
-        for j in range(3):
-            second[(i, j)] = _pdiff13(_pdiff13(P, 10 + i), 10 + j)
-    H = {}
-    for perm in permutations(range(3)):
-        sign = perm_sign(perm)
-        prod = {(0,) * 13: Fraction(sign)}
-        for row, col in enumerate(perm):
-            prod = _pmul13(prod, second[(row, col)])
-        for m, c in prod.items():
-            acc = H.get(m, 0) + c
-            if acc:
-                H[m] = acc
-            else:
-                H.pop(m, None)
-    by_mono = {m: {} for m in CUBIC_MONOMIALS}
-    for m, c in H.items():
-        xm = tuple(m[10:])
-        by_mono[xm][m[:10]] = by_mono[xm].get(m[:10], Fraction(0)) + c
-    return [{m: c for m, c in by_mono[mono].items() if c} for mono in CUBIC_MONOMIALS]
+    """The (coefficient-exponent tuple, integer) entries of p, in ascending
+    order, scaled to coprime integers with the first one positive."""
+    monos = sorted(p.terms)
+    for m in monos:
+        assert not any(m[10:]), "x-variables did not fully contract"
+        assert sum(m) == arity
+    ints = integerized([p.terms[m] for m in monos])
+    sign = 1 if ints[0] > 0 else -1
+    return [(m[:10], sign * c) for m, c in zip(monos, ints)]
 
 
 def main():
     rng = random.Random(7)
 
     print("deriving the degree-4 invariant by symbolic contraction ...")
-    G = cubic_copy(0)
-    for b in (1, 2, 3):
-        G = pmul(G, cubic_copy(b))
+    G = prod(generic_cubic(b) for b in range(4))
     for blocks in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         G = omega(G, blocks)
-        print(f"  after omega{blocks}: {len(G)} terms")
+        print(f"  after omega{blocks}: {len(G.terms)} terms")
     s_table = normalize_table(G, 4)
     print(f"degree-4 table: {len(s_table)} terms")
 
     print("deriving the degree-6 invariant from the Hessian pencil ...")
-    h_coeffs = hessian_coefficients()  # h_m in the 10-variable c-ring
-    t_poly = {}
-    for expo, coeff in s_table:
-        for v, e in enumerate(expo):
-            if not e:
-                continue
-            base = tuple(expo[:v] + (e - 1,) + expo[v + 1 :])
-            for hm, hc in h_coeffs[v].items():
-                m = tuple(a + b for a, b in zip(base, hm))
-                acc = t_poly.get(m, 0) + Fraction(coeff * e) * hc
-                if acc:
-                    t_poly[m] = acc
-                else:
-                    t_poly.pop(m, None)
-    t_table = normalize_table({m + (0,) * 12: c for m, c in t_poly.items()}, 6)
+    F = generic_cubic(0)
+    H = det3([[F.derivative(i).derivative(j) for j in point(0)] for i in point(0)])
+    T = reduce(
+        add, (G.derivative(v) * taylor_coefficient(H, 0, mono) for v, mono in enumerate(CUBIC_MONOMIALS))
+    )
+    t_table = normalize_table(T, 6)
     print(f"degree-6 table: {len(t_table)} terms")
 
     # --- checks -------------------------------------------------------
-    def random_cubic():
-        return {m: Fraction(rng.randint(-4, 4)) for m in CUBIC_MONOMIALS}
+    def invariants(form):
+        v = form.coefficient_vector()
+        return _eval_table(s_table, v), _eval_table(t_table, v)
 
-    for trial in range(5):
-        P = random_cubic()
+    xyz = PolyRing("xyz")
+    for _ in range(5):
+        coeffs = [rng.randint(-4, 4) for _ in CUBIC_MONOMIALS]
+        P = CubicForm.from_polynomial(xyz.from_terms(dict(zip(CUBIC_MONOMIALS, coeffs))))
         g = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         d = det3(g)
         if d == 0:
             continue
-        Pg = substitute_linear(P, g)
-        s1 = eval_table(s_table, coeff_vector(Pg))
-        s0 = eval_table(s_table, coeff_vector(P))
-        assert s1 == Fraction(d) ** 4 * s0, "degree-4 covariance failed"
-        t1 = eval_table(t_table, coeff_vector(Pg))
-        t0 = eval_table(t_table, coeff_vector(P))
-        assert t1 == Fraction(d) ** 6 * t0, "degree-6 covariance failed"
+        # P(g x) sends variable j to sum_i g[i][j] x_i, so substitute by g transposed
+        (s1, t1), (s0, t0) = invariants(substitute(P, list(zip(*g)))), invariants(P)
+        assert s1 == d**4 * s0, "degree-4 covariance failed"
+        assert t1 == d**6 * t0, "degree-6 covariance failed"
     print("GL(3) covariance verified (weights 4 and 6)")
 
-    def hesse(sigma):
-        sigma = Fraction(sigma)
-        return {(3, 0, 0): Fraction(1), (0, 3, 0): Fraction(1), (0, 0, 3): Fraction(1), (1, 1, 1): 6 * sigma}
+    for sigma in (0, 1, 2, Fraction(-1, 2)):
+        s, t = invariants(hesse_form(sigma))
+        print(f"  Hesse({sigma}): S = {s}, T = {t}")
 
-    for s in (0, 1, 2, Fraction(-1, 2)):
-        v = coeff_vector(hesse(s))
-        print(f"  Hesse({s}): S = {eval_table(s_table, v)}, T = {eval_table(t_table, v)}")
-
-    sm12 = eval_table(s_table, coeff_vector(hesse(Fraction(-1, 2))))
-    tm12 = eval_table(t_table, coeff_vector(hesse(Fraction(-1, 2))))
-    kappa = tm12 ** 2 / sm12 ** 3
+    sm12, tm12 = invariants(hesse_form(Fraction(-1, 2)))
+    kappa = Fraction(tm12**2, sm12**3)
     print(f"discriminant combination: T^2 - ({kappa}) * S^3")
-    singular = [
-        {},  # 0 handled separately below
-        {(3, 0, 0): Fraction(1)},
-        {(2, 1, 0): Fraction(1)},
-        {(2, 1, 0): Fraction(1), (1, 2, 0): Fraction(-1)},
-        {(3, 0, 0): Fraction(1), (1, 2, 0): Fraction(1)},
-        {(1, 1, 1): Fraction(1)},
-        {(2, 0, 1): Fraction(1), (0, 2, 1): Fraction(1)},
-        {(2, 0, 1): Fraction(1), (1, 2, 0): Fraction(-1)},
-        {(2, 0, 1): Fraction(1), (0, 2, 1): Fraction(1), (0, 0, 3): Fraction(-1)},
-        {(3, 0, 0): Fraction(1), (1, 2, 0): Fraction(1), (1, 0, 2): Fraction(-1)},
-        {(3, 0, 0): Fraction(1), (1, 2, 0): Fraction(1), (1, 0, 2): Fraction(1)},
-        {(3, 0, 0): Fraction(1), (0, 2, 1): Fraction(-3)},
-        {(3, 0, 0): Fraction(1), (2, 0, 1): Fraction(3), (0, 2, 1): Fraction(-3)},
-        {(3, 0, 0): Fraction(1), (2, 0, 1): Fraction(-3), (0, 2, 1): Fraction(-3)},
-    ]
-    for P in singular:
-        v = coeff_vector(P)
-        s, t = eval_table(s_table, v), eval_table(t_table, v)
-        assert t * t == kappa * s ** 3, f"discriminant does not vanish on singular {P}"
+    # sullivan.cubic.discriminant computes t*t - s**3
+    assert kappa == 1, "the tables do not normalize the discriminant to T^2 - S^3"
+    for text in SINGULAR_FORMS:
+        s, t = invariants(CubicForm.from_polynomial(parse_polynomial(text, xyz)))
+        assert t * t == kappa * s**3, f"discriminant does not vanish on singular {text}"
     print("discriminant combination vanishes on all singular normal forms")
 
     print()
@@ -330,8 +167,6 @@ def main():
     for m in CUBIC_MONOMIALS:
         print(f"    {m!r},")
     print(")")
-    print()
-    print(f"DISCRIMINANT_FACTOR = ({kappa.numerator}, {kappa.denominator})")
     print()
     print("DEGREE4_TERMS = (")
     for m, c in s_table:
