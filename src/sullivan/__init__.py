@@ -6,7 +6,7 @@ exponent tables, cubic forms of six-manifolds, and the catalog of named
 model families in dimensions four through nine with their classifiers.
 """
 
-from .algebra import AlgebraElement, GeneratorTable, monomial_basis, multiply
+from .algebra import AlgebraElement, GeneratorTable, monomial_basis
 from .cubic import (
     CubicForm,
     QuadricSubspace,

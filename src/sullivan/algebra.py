@@ -17,7 +17,7 @@ from itertools import combinations
 from operator import add, itemgetter
 from typing import Iterable
 
-from .linalg import rational
+from .linalg import LinearCombination, rational
 
 
 class TableMismatchError(ValueError):
@@ -136,82 +136,22 @@ def _mul_monomials(table: GeneratorTable, m1, m2):
     return sign, tuple(map(add, m1, m2))
 
 
-class AlgebraElement:
+class AlgebraElement(LinearCombination):
     """Immutable Q-linear combination of monomials over a fixed generator table."""
 
     __slots__ = ("table", "terms")
+    _MISMATCH = (TableMismatchError, "elements live over different generator tables")
 
     def __init__(self, table: GeneratorTable, terms: dict[tuple[int, ...], Fraction]):
         self.table = table
         self.terms = terms  # owned; never mutated after construction
 
-    # -- basics -------------------------------------------------------
+    @property
+    def _parent(self) -> GeneratorTable:
+        return self.table
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.table == other.table
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.table, frozenset(self.terms.items())))
-
-    def _check(self, other: AlgebraElement) -> None:
-        if self.table != other.table:
-            raise TableMismatchError("elements live over different generator tables")
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, 0) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return AlgebraElement(self.table, terms)
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.table, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        return self + (-other)
-
-    def scale(self, value) -> AlgebraElement:
-        value = rational(value)
-        if value == 0:
-            return self.table.zero()
-        return AlgebraElement(self.table, {m: c * value for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, exponent: int) -> AlgebraElement:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.table.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+    def _times(self, m1, m2):
+        return _mul_monomials(self.table, m1, m2)
 
     # -- degree -------------------------------------------------------
 
@@ -227,9 +167,6 @@ class AlgebraElement:
     def is_homogeneous(self) -> bool:
         return self.degree() != "mixed"
 
-    def coefficient(self, mono: tuple[int, ...]) -> int | Fraction:
-        return self.terms.get(tuple(mono), 0)
-
     def min_word_length(self) -> int | None:
         if not self.terms:
             return None
@@ -241,26 +178,6 @@ class AlgebraElement:
         from .parsing import render_element  # local import to avoid a cycle
 
         return f"<{render_element(self)}>"
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Graded-commutative product with Koszul signs."""
-    if a.table != b.table:
-        raise TableMismatchError("elements live over different generator tables")
-    table = a.table
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            prod = _mul_monomials(table, m1, m2)
-            if prod is None:
-                continue
-            sign, mono = prod
-            acc = terms.get(mono, 0) + sign * c1 * c2
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-    return AlgebraElement(table, terms)
 
 
 def sorted_monomials(table: GeneratorTable, monos) -> list[tuple[int, ...]]:

@@ -332,8 +332,11 @@ def wall_invariants(form: CubicForm) -> tuple[int | Fraction, int | Fraction, in
 # -- ternary invariants and the diagonal family -----------------------------
 
 
-def _eval_table(table, values):
-    total = 0
+def _eval_table(table, values, zero):
+    """The sum of coeff * prod(values[i] ** e) over the (expo, coeff) terms of
+    an invariant table, from `zero` on: the value of the invariant at
+    numbers, or the invariant as a polynomial at polynomials."""
+    total = zero
     for expo, coeff in table:
         term = coeff
         for i, e in enumerate(expo):
@@ -346,13 +349,13 @@ def _eval_table(table, values):
 def degree4_invariant(form: CubicForm) -> int | Fraction:
     if form.dim != 3:
         raise ValueError("expected a ternary form")
-    return _eval_table(DEGREE4_TERMS, form.coefficient_vector())
+    return _eval_table(DEGREE4_TERMS, form.coefficient_vector(), 0)
 
 
 def degree6_invariant(form: CubicForm) -> int | Fraction:
     if form.dim != 3:
         raise ValueError("expected a ternary form")
-    return _eval_table(DEGREE6_TERMS, form.coefficient_vector())
+    return _eval_table(DEGREE6_TERMS, form.coefficient_vector(), 0)
 
 
 def discriminant(form: CubicForm) -> int | Fraction:
@@ -387,26 +390,16 @@ def is_singular_ternary(form: CubicForm) -> bool:
 
 
 @cache
-def _hesse_invariant_polys() -> tuple[roots.UPoly, roots.UPoly]:
+def _hesse_invariant_polys() -> tuple[Polynomial, Polynomial]:
     """Degree-4 and degree-6 invariants along the diagonal family, as polynomials in sigma."""
-    values = [()] * 10
-    one = roots.upoly([1])
+    ring = PolyRing(("sigma",))
+    values = [ring.zero()] * 10
     for idx, mono in enumerate(CUBIC_MONOMIALS):
         if mono in ((3, 0, 0), (0, 3, 0), (0, 0, 3)):
-            values[idx] = one
+            values[idx] = ring.one()
         elif mono == (1, 1, 1):
-            values[idx] = roots.upoly([0, 6])
-    invariants = []
-    for table in (DEGREE4_TERMS, DEGREE6_TERMS):
-        total: roots.UPoly = ()
-        for expo, coeff in table:
-            term = roots.upoly([coeff])
-            for i, e in enumerate(expo):
-                if e:
-                    term = roots.mul(term, roots.power(values[i], e))
-            total = roots.add(total, term)
-        invariants.append(total)
-    return tuple(invariants)
+            values[idx] = ring.monomial((1,), 6)
+    return tuple(_eval_table(table, values, ring.zero()) for table in (DEGREE4_TERMS, DEGREE6_TERMS))
 
 
 def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, Fraction]]:
@@ -427,10 +420,8 @@ def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, F
     s = degree4_invariant(form)
     t = degree6_invariant(form)
     # s^3 * T(sigma)^2 - t^2 * S(sigma)^3 = 0  <=>  absolute invariants agree
-    q = roots.sub(
-        roots.scale(roots.mul(t_h, t_h), s**3),
-        roots.scale(roots.mul(s_h, roots.mul(s_h, s_h)), t * t),
-    )
+    q = (t_h * t_h).scale(s**3) - (s_h * s_h * s_h).scale(t * t)
+    q = roots.upoly([q.coefficient((k,)) for k in range(q.degree() + 1)])
     if roots.degree(q) < 1:
         raise ArithmeticError("degenerate invariant equation")
     q = roots.squarefree_part(q)
@@ -455,7 +446,13 @@ def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, F
 
 
 def squarefree_part(q) -> int:
-    """Signed square-free integer representing q in Q*/(Q*)^2."""
+    """Signed square-free integer representing q in Q*/(Q*)^2.
+
+    Trial division of n = |num * den| runs up to its cube root, and no
+    further than 2**21.  The cofactor left then has no prime factor up to
+    the last divisor d, so when d**3 exceeds it, it is 1, p, p**2 or p*q.
+    Otherwise (a cofactor of about 2**63 or more) ``ValueError`` is raised.
+    """
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no class in Q*/(Q*)^2")
@@ -463,7 +460,7 @@ def squarefree_part(q) -> int:
     sign = 1 if q > 0 else -1
     result = 1
     d = 2
-    while d * d * d <= n:
+    while d * d * d <= n and d < 2**21:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -472,6 +469,11 @@ def squarefree_part(q) -> int:
             if e % 2:
                 result *= d
         d += 1 if d == 2 else 2
+    if d * d * d <= n:
+        raise ValueError(
+            f"the square class of {q} needs the factors of {n}, which has no prime "
+            f"factor below 2**21 and is too large for trial division"
+        )
     # n has no prime factor below d, and d**3 > n: n is 1, p, p**2 or p*q
     if isqrt(n) ** 2 != n:
         result *= n

@@ -38,11 +38,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import add, le, neg
 from typing import Iterable, Sequence
 
-from .linalg import rational
+from .linalg import LinearCombination, _clear_denominators, rational
 
 Monomial = tuple[int, ...]
 
@@ -54,10 +54,6 @@ def _grevlex_key(m: Monomial):
 
 def _divides(m1: Monomial, m2: Monomial) -> bool:
     return all(map(le, m1, m2))
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(add, m1, m2))
 
 
 # the least number of value bits per packed field: degrees up to 127 in
@@ -194,89 +190,23 @@ class PolyRing:
         return sorted(out, key=_grevlex_key, reverse=True)
 
 
-class Polynomial:
+class Polynomial(LinearCombination):
     """Sparse multivariate polynomial with rational coefficients: ``int``
     when whole, ``Fraction`` otherwise."""
 
     __slots__ = ("ring", "terms")
+    _MISMATCH = (ValueError, "polynomials live in different rings")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Fraction]):
         self.ring = ring
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def _parent(self) -> PolyRing:
+        return self.ring
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, 0) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ring, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scale(self, value) -> "Polynomial":
-        value = rational(value)
-        if value == 0:
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: c * value for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                acc = terms.get(m, 0) + c1 * c2
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.ring, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def _times(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial]:
+        return 1, tuple(map(add, m1, m2))
 
     # -- structure ------------------------------------------------------
 
@@ -293,9 +223,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, mono: Sequence[int]) -> int | Fraction:
-        return self.terms.get(tuple(mono), 0)
 
     def derivative(self, var: int) -> "Polynomial":
         terms: dict[Monomial, Fraction] = {}
@@ -331,12 +258,6 @@ class Polynomial:
 def _ratio(a: int, b: int) -> int | Fraction:
     """a/b for integers, b nonzero: an int when b divides a."""
     return a // b if a % b == 0 else Fraction(a, b)
-
-
-def _clear_denominators(terms: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """(den·terms as integers, den), den the least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def _primitive(terms: dict[int, int], lead: int) -> dict[int, int]:

@@ -8,6 +8,10 @@ no ``Fraction`` and no modular step.  ``rank`` stops after this forward
 pass.  ``_echelon`` back-eliminates to the reduced row echelon form, which
 is unique, so kernels come out in the canonical free-column form and
 subspace equality is plain tuple equality.
+
+``LinearCombination`` is the one implementation of sums, scalings and
+products of monomials with rational coefficients, shared by
+``algebra.AlgebraElement`` and ``groebner.Polynomial``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,95 @@ def _add_term(terms: dict, key, value) -> None:
         del terms[key]
 
 
+class LinearCombination:
+    """Immutable rational linear combination of monomials over a parent (a
+    polynomial ring or a generator table): ``terms`` maps each monomial to
+    its nonzero coefficient.  A subclass gives its slots and constructor,
+    ``_parent``, ``_MISMATCH`` (the exception type and message for mixing
+    parents) and ``_times(m1, m2)``, the product of two monomials as
+    ``(sign, monomial)``, or ``None`` when it is zero."""
+
+    __slots__ = ()
+
+    def _new(self, terms: dict):
+        return type(self)(self._parent, terms)
+
+    def _check(self, other) -> None:
+        if self._parent != other._parent:
+            kind, message = self._MISMATCH
+            raise kind(message)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._parent == other._parent and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self._parent, frozenset(self.terms.items())))
+
+    def coefficient(self, mono: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            _add_term(terms, m, c)
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        value = rational(value)
+        if value == 0:
+            return self._new({})
+        return self._new({m: c * value for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._check(other)
+        times = self._times
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                prod = times(m1, m2)
+                if prod is not None:
+                    sign, m = prod
+                    _add_term(terms, m, sign * c1 * c2)
+        return self._new(terms)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._parent.one()
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+
+def _clear_denominators(terms: dict) -> tuple[dict, int]:
+    """(den·terms as integers, den), den the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """A nonzero integer row divided by its content (the gcd of its entries)."""
     g = gcd(*row.values())
@@ -67,8 +160,7 @@ def _forward(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int
     for row in rows:
         if not row:
             continue
-        scale = lcm(*(x.denominator for x in row.values()))
-        row = _primitive({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+        row = _primitive(_clear_denominators(row)[0])
         while row:
             pivot = min(row)
             if pivot not in reduced:

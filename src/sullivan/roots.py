@@ -32,17 +32,8 @@ def degree(p: UPoly) -> int:
     return len(p) - 1
 
 
-def add(p: UPoly, q: UPoly) -> UPoly:
-    n = max(len(p), len(q))
-    return upoly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def neg(p: UPoly) -> UPoly:
     return tuple(-c for c in p)
-
-
-def sub(p: UPoly, q: UPoly) -> UPoly:
-    return add(p, neg(q))
 
 
 def mul(p: UPoly, q: UPoly) -> UPoly:
@@ -61,13 +52,6 @@ def scale(p: UPoly, c) -> UPoly:
     if c == 0:
         return ()
     return tuple(x * c for x in p)
-
-
-def power(p: UPoly, e: int) -> UPoly:
-    result = upoly([1])
-    for _ in range(e):
-        result = mul(result, p)
-    return result
 
 
 def evaluate(p: UPoly, x) -> Fraction:

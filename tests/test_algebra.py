@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import GeneratorTable, monomial_basis
 from sullivan.algebra import TableMismatchError, sorted_monomials
+from sullivan.groebner import PolyRing
+from sullivan.model import SullivanModel, even_element_to_polynomial, even_subalgebra_ring
 
 VT = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 5)])
 DL = GeneratorTable(
@@ -61,13 +65,54 @@ def test_monomial_basis_degree_one_empty():
 
 
 def test_table_mismatch_raises():
-    other = GeneratorTable([("x1", 2)])
-    try:
-        VT.generator("x1") * other.generator("x1")
-    except TableMismatchError:
-        pass
-    else:
-        raise AssertionError("expected a table mismatch error")
+    elements = (VT.generator("x1"), GeneratorTable([("x1", 2)]).generator("x1"), TableMismatchError)
+    polynomials = (PolyRing(("x", "y")).variable("x"), PolyRing(("x",)).variable("x"), ValueError)
+    for a, b, error in (elements, polynomials):
+        for op in (add, sub, mul):
+            with pytest.raises(error):
+                op(a, b)
+
+
+# polynomials in three variables, and elements over a table of even
+# generators, with small int and Fraction coefficients
+R3 = PolyRing(("x", "y", "z"))
+EVEN = SullivanModel(GeneratorTable([("a", 2), ("b", 4), ("c", 2)]), {})
+EVEN_RING = even_subalgebra_ring(EVEN)
+coefficients = st.integers(-4, 4) | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(R3.from_terms)
+even_elements = st.dictionaries(exponents, coefficients, max_size=4).map(EVEN.table.element)
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(st.just(R3.one()), polynomials, polynomials, polynomials)
+    | st.tuples(st.just(EVEN.table.one()), even_elements, even_elements, even_elements),
+    st.integers(0, 4),
+)
+def test_ring_axioms(values, e):
+    one, p, q, r = values
+    assert (p - p).is_zero() and not p - p
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert one * p == p
+    product = one
+    for _ in range(e):
+        product = product * p
+    assert p**e == product
+
+
+@settings(deadline=None)
+@given(even_elements, even_elements, st.integers(0, 3))
+def test_even_element_to_polynomial_is_a_ring_map(a, b, e):
+    def image(x):
+        return even_element_to_polynomial(EVEN, x, EVEN_RING)
+
+    assert image(a + b) == image(a) + image(b)
+    assert image(a * b) == image(a) * image(b)
+    assert image(a**e) == image(a) ** e
+    assert image(EVEN.table.one()) == EVEN_RING.one()
 
 
 def hilbert_series(table, limit):

@@ -263,6 +263,15 @@ def test_classify8_with_a_large_prime_parameter(tmp_path, capsys):
     assert code == 0 and out.strip() == "middle-class[2305843009213693951]"
 
 
+def test_classify8_with_an_unsplittable_parameter_exits_2(tmp_path, capsys):
+    path = tmp_path / "m8.txt"
+    code, out, _ = run(capsys, "catalog", "build", "dim8-middle", str((2**61 - 1) * (2**31 - 1)))
+    assert code == 0
+    path.write_text(out)
+    code, out, err = run(capsys, "classify8", str(path))
+    assert code == 2 and not out and "error" in err
+
+
 def test_verify_paper_json_schema(capsys):
     code, out, _ = run(capsys, "verify-paper", "--section", "4", "--json")
     assert code == 0

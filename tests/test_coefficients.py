@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.algebra import AlgebraElement, GeneratorTable, monomial_basis, multiply
+from sullivan.algebra import AlgebraElement, GeneratorTable, monomial_basis
 from sullivan.catalog import dim6_b2_model, dim6_b3_model, dim7_sigma_model
 from sullivan.cubic import CubicForm, hesse_form
 from sullivan.groebner import PolyRing, Polynomial, buchberger
@@ -117,7 +117,7 @@ def test_buchberger_and_normal_form_on_rationals_never_give_a_float(system, p):
 @given(elements(), elements(), st.integers(0, 3))
 def test_algebra_arithmetic_keeps_whole_coefficients_int(a, b, e):
     af, bf = _as_fractions(a), _as_fractions(b)
-    for value, twin in ((a * b, af * bf), (multiply(a, b), multiply(af, bf)), (a**e, af**e), (a - b, af - bf)):
+    for value, twin in ((a * b, af * bf), (a**e, af**e), (a - b, af - bf)):
         assert _exact(value.terms.values(), whole_inputs=True)
         assert value == twin
 

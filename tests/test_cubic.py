@@ -230,6 +230,10 @@ def test_squarefree_part_examples():
     assert squarefree_part(Fraction(-(2**61 - 1), 4)) == -(2**61 - 1)
     with pytest.raises(ValueError):
         squarefree_part(0)
+    # both prime factors lie above the last trial divisor, 2**21, and the
+    # product is too large to be known as p, p**2 or p*q
+    with pytest.raises(ValueError, match="trial division"):
+        squarefree_part((2**61 - 1) * (2**31 - 1))
 
 
 def _naive_squarefree_part(q):

@@ -129,7 +129,7 @@ def main():
     # --- checks -------------------------------------------------------
     def invariants(form):
         v = form.coefficient_vector()
-        return _eval_table(s_table, v), _eval_table(t_table, v)
+        return _eval_table(s_table, v, 0), _eval_table(t_table, v, 0)
 
     xyz = PolyRing("xyz")
     for _ in range(5):
