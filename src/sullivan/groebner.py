@@ -37,9 +37,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from math import comb, gcd
-from operator import add, le, neg
+from operator import add, le, mul, neg
 from typing import Iterable, Sequence
 
 from .linalg import LinearCombination, _clear_denominators, rational
@@ -356,12 +355,12 @@ def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
     return out
 
 
-def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) -> dict[int, int]:
-    """p + sign·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
+def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, factor: int) -> dict[int, int]:
+    """p + factor·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
     out = dict(p)
     for k, c in q.items():
         k += shift
-        c = out.get(k, 0) + sign * c
+        c = out.get(k, 0) + factor * c
         if c:
             out[k] = c
         else:
@@ -369,34 +368,76 @@ def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) ->
     return out
 
 
-def _hilbert_numerator(leads: Iterable[Monomial]) -> dict[int, int]:
-    """K(t) as {exponent: nonzero coefficient}, empty for K = 0, where
-    K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo the monomial
-    ideal generated by `leads`.
+def _components(gens: Sequence[Monomial]) -> list[list[Monomial]]:
+    """The monomials grouped so that two groups share no variable and no
+    group splits into two such groups."""
+    groups: list[tuple[set[int], list[Monomial]]] = []
+    for g in gens:
+        support = {i for i, e in enumerate(g) if e}
+        members = [g]
+        rest = []
+        for other, more in groups:
+            if other & support:
+                support |= other
+                members += more
+            else:
+                rest.append((other, more))
+        groups = rest + [(support, members)]
+    return [members for _, members in groups]
 
-    Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m)
-    for every monomial m.  Pairwise coprime generators give
-    prod (1 − t^{deg}).  Otherwise m = x_i^e, with x_i in the most
-    generators and e its least positive exponent among them: then
+
+def _hilbert_numerator(leads: Iterable[Monomial], weights: Sequence[int] | None = None) -> dict[int, int]:
+    """K(t) as {exponent: nonzero coefficient}, empty for K = 0, where
+    K(t)/prod (1 − t^{w_i}) is the Hilbert series of Q[x1..xn] modulo the
+    monomial ideal generated by `leads`, with x_i of positive weight w_i
+    (every w_i = 1, the standard grading, by default).
+
+    Generators in disjoint sets of variables give the product of the K's of
+    the sets; one generator m gives 1 − t^{deg m}, deg the weighted degree.
+    Otherwise Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) −
+    t^{deg m}·K(I : m) for every monomial m.  Take m = x_i^e, with x_i in
+    the most generators and e its least positive exponent among them: then
     I + (m) is (m) plus the generators free of x_i, coprime to m, and
     I : m lowers every x_i-exponent by e, which frees at least one
     generator of x_i, so the recursion ends.
     """
     gens = _minimal(leads)
-    if gens and not any(gens[0]):
+    if not gens:
+        return {0: 1}
+    if not any(gens[0]):
         return {}  # the unit ideal
-    n = len(gens[0]) if gens else 0
-    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
-    if all(c <= 1 for c in counts):
+    n = len(gens[0])
+    if weights is None:
+        weights = (1,) * n
+    if len(gens) == 1:
+        return {0: 1, sum(map(mul, gens[0], weights)): -1}
+    groups = _components(gens)
+    if len(groups) > 1:
         numerator = {0: 1}
-        for g in gens:
-            numerator = _shifted_sum(numerator, numerator, sum(g), -1)
+        for group in groups:
+            factor = _hilbert_numerator(group, weights)
+            product: dict[int, int] = {}
+            for k, c in factor.items():
+                product = _shifted_sum(product, numerator, k, c)
+            numerator = product
         return numerator
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
     i = max(range(n), key=counts.__getitem__)
     e = min(g[i] for g in gens if g[i])
-    free = _hilbert_numerator(g for g in gens if not g[i])
-    colon = _hilbert_numerator(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
-    return _shifted_sum(_shifted_sum(free, free, e, -1), colon, e, 1)
+    free = _hilbert_numerator((g for g in gens if not g[i]), weights)
+    colon = _hilbert_numerator((g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens), weights)
+    shift = e * weights[i]
+    return _shifted_sum(_shifted_sum(free, free, shift, -1), colon, shift, 1)
+
+
+def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degree: int) -> list[int]:
+    """The coefficients of t^0..t^max_degree in K(t)/prod (1 − t^{w_i}):
+    one running sum with stride w_i per weight."""
+    values = [numerator.get(k, 0) for k in range(max_degree + 1)]
+    for w in weights:
+        for k in range(w, max_degree + 1):
+            values[k] += values[k - w]
+    return values
 
 
 def _order_at_one(numerator: dict[int, int]) -> tuple[int, int]:
@@ -463,13 +504,10 @@ class GroebnerBasis:
         return [m for m in self.ring.monomials_of_degree(d) if not any(_divides(l, m) for l in lms)]
 
     def hilbert_function(self, max_degree: int) -> tuple[int, ...]:
-        """Dimensions of the quotient in degrees 0..max_degree: the series
-        K(t)/(1 − t)^n expanded by n running sums."""
-        numerator = _hilbert_numerator(self._leads)
-        values = [numerator.get(k, 0) for k in range(max_degree + 1)]
-        for _ in self.ring.variables:
-            values = list(accumulate(values))
-        return tuple(values)
+        """Dimensions of the quotient in degrees 0..max_degree: the
+        coefficients of the series K(t)/(1 − t)^n."""
+        weights = (1,) * len(self.ring.variables)
+        return tuple(_hilbert_values(_hilbert_numerator(self._leads), weights, max_degree))
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: n minus the order of t = 1 as a root of
@@ -619,7 +657,15 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 
 def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:
     """Whether Q[x1..xn] modulo the homogeneous inputs is finite-dimensional,
-    the same verdict as ``buchberger(polys, ring).is_finite_dimensional()``.
+    the same verdict as ``buchberger(polys, ring).is_finite_dimensional()``;
+    decided by `_finite_leads`."""
+    return _finite_leads(polys, ring) is not None
+
+
+def _finite_leads(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> list[Monomial] | None:
+    """The leading monomials of a Groebner basis of the ideal of the
+    homogeneous inputs when Q[x1..xn] modulo it is finite-dimensional, and
+    None when it is not.
 
     Fewer than n nonzero forms, none of them a constant, cut out a variety
     of dimension at least 1 (Krull's principal ideal theorem).  Otherwise,
@@ -630,22 +676,31 @@ def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = Non
     every variable has a pure power, or 1 is, among the leads of a basis
     truncated at degree D; the pair loop stops there, and neither
     interreduction nor the Hilbert series is needed.
+
+    When it is finite, that truncated basis G is a full Groebner basis, so
+    its leads need no second run.  Every S-polynomial of degree at most D
+    has been reduced, so the leads of G span the lead ideal in every degree
+    up to D.  The quotient is zero in degree D, so every monomial of degree
+    D is a lead of the ideal, hence a multiple of a lead of G; then so is
+    every monomial of higher degree, and the leads of G generate the whole
+    lead ideal.
     """
     polys, ring = _checked(polys, ring)
     n = len(ring.variables)
     degrees = sorted((p.degree() for p in polys), reverse=True)
     if len(polys) < n and 0 not in degrees:
-        return False
+        return None
     cap = sum(degrees[:n]) - n + 1
     code, _, leads = _pair_loop(polys, n, cap)
+    leads = [code.unpack(lead) for lead in leads]
     pure: set[int] = set()
-    for lead in map(code.unpack, leads):
+    for lead in leads:
         support = [i for i, e in enumerate(lead) if e]
         if not support:
-            return True  # the unit ideal
+            return leads  # the unit ideal
         if len(support) == 1:
             pure.add(support[0])
-    return len(pure) == n
+    return leads if len(pure) == n else None
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

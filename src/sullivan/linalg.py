@@ -292,7 +292,6 @@ def integerized(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
     """A rational vector scaled by a positive rational to coprime integers:
     the same direction and the same signs.  The zero vector comes back
     unchanged."""
-    scale = lcm(*(x.denominator for x in vector))
-    ints = [x.numerator * (scale // x.denominator) for x in vector]
+    ints = list(_clear_denominators(dict(enumerate(vector)))[0].values())
     g = gcd(*ints)
     return tuple(ints) if g <= 1 else tuple(x // g for x in ints)

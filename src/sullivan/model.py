@@ -2,7 +2,17 @@
 
 A model is a generator table plus a differential image per generator.  The
 differential extends by the graded Leibniz rule; cohomology in each degree
-is exact linear algebra on the monomial bases.
+is exact linear algebra on the monomial bases (`CochainComplex`).
+
+Betti numbers have a second exact route.  Take a pure model (ΛQ ⊗ ΛP, d):
+d is zero on the even generators x_1..x_n and sends the odd ones y_1..y_n,
+as many as the even ones, into Q[x].  When Q[x]/(dy_1, ..., dy_n) is
+finite-dimensional, dy_1..dy_n is a regular sequence, the model is the
+Koszul complex of that sequence, and H* ≅ Q[x]/(dy), concentrated in even
+degrees (Halperin, Trans. AMS 230, 1977; Félix, Halperin and Thomas,
+Rational Homotopy Theory, §32).  `betti_numbers` then reads b_k as the
+weighted Hilbert function of that quotient (`_quotient_betti`) and builds
+no cochain complex; every other model goes through the complex.
 """
 
 from __future__ import annotations
@@ -15,7 +25,14 @@ from typing import Iterator
 
 from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
-from .groebner import PolyRing, Polynomial, has_finite_quotient
+from .groebner import (
+    PolyRing,
+    Polynomial,
+    _finite_leads,
+    _hilbert_numerator,
+    _hilbert_values,
+    has_finite_quotient,
+)
 from .linalg import RationalMatrix, _add_term, _echelon, _kernel
 
 
@@ -151,6 +168,31 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
 
 # -- cohomology ---------------------------------------------------------------
 
+# the most monomials the cochain complex enumerates in one degree
+MAX_BASIS = 100_000
+
+
+def _check_cohomology_input(m: SullivanModel) -> None:
+    """Raise ValueError on the first violation of degree +1 or d^2 = 0;
+    minimality is not needed, a non-minimal model still has cohomology."""
+    bad = next((v for v in m._violations() if v.kind != "minimality"), None)
+    if bad is not None:
+        raise ValueError(bad.message)
+
+
+def _free_dimension(table: GeneratorTable, k: int) -> int:
+    """Dimension of the degree-k part of the free graded-commutative algebra
+    on the table: the coefficient of t^k in prod (1 + t^odd) / prod (1 − t^even)."""
+    dims = [1] + [0] * k
+    for d in table.degrees:
+        if d % 2:
+            for j in range(k, d - 1, -1):
+                dims[j] += dims[j - d]
+        else:
+            for j in range(d, k + 1):
+                dims[j] += dims[j - d]
+    return dims[k]
+
 
 class CochainComplex:
     """Per degree k: the monomial basis and its index, d_k, its rank and
@@ -170,10 +212,7 @@ class CochainComplex:
     """
 
     def __init__(self, m: SullivanModel):
-        # minimality is not needed: a non-minimal model still has cohomology
-        bad = next((v for v in m._violations() if v.kind != "minimality"), None)
-        if bad is not None:
-            raise ValueError(bad.message)
+        _check_cohomology_input(m)
         self.table = m.table
         self.images = tuple(image.terms for image in m.images)
         self._bases: dict[int, tuple] = {}
@@ -184,10 +223,18 @@ class CochainComplex:
         self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
 
     def basis(self, k: int) -> tuple:
-        """Monomials of degree k in canonical order (none below degree 0)."""
+        """Monomials of degree k in canonical order (none below degree 0).
+        A degree with more than MAX_BASIS monomials raises ValueError before
+        any is enumerated."""
         if k < 0:
             return ()
         if k not in self._bases:
+            size = _free_dimension(self.table, k)
+            if size > MAX_BASIS:
+                raise ValueError(
+                    f"degree {k} of the free algebra has {size} monomials, "
+                    f"more than the {MAX_BASIS} the cochain complex enumerates"
+                )
             self._bases[k] = tuple(monomial_basis(self.table, k))
         return self._bases[k]
 
@@ -266,10 +313,48 @@ class CochainComplex:
 
 
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
-    """(b_0, ..., b_max) by degreewise kernel/rank bookkeeping."""
+    """(b_0, ..., b_max): from the Groebner quotient when `_quotient_betti`
+    applies, otherwise by degreewise kernel/rank bookkeeping on the cochain
+    complex."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    return tuple(m.cochains().betti(k) for k in range(max_degree + 1))
+    betti = _quotient_betti(m, max_degree)
+    if betti is None:
+        cochains = m.cochains()
+        betti = tuple(cochains.betti(k) for k in range(max_degree + 1))
+    return betti
+
+
+def _quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None:
+    """(b_0, ..., b_max) of a pure model with as many odd generators as
+    even ones, at least one, whose images give a finite quotient
+    Q[x]/(dy); None for every other model.
+
+    Then H* ≅ Q[x]/(dy) (see the module docstring).  With step the gcd of
+    the even degrees and w_i = deg x_i / step, b_k is the coefficient of
+    t^{k/step} in the Hilbert series of Q[x]/(dy) with x_i of weight w_i,
+    and 0 when step does not divide k.  That series is read from the leads
+    of the Groebner basis that decides finiteness (`_finite_leads`), run on
+    the images with x_i sent to x_i^{w_i} (`_weighted_images`).  The pair
+    loop forms S-polynomials and reductions of elements of Q[x^w] by
+    elements of Q[x^w], which stay in Q[x^w]: there lcms of leads and
+    quotients of divisible monomials have every x_i-exponent a multiple of
+    w_i.  So the same run is Buchberger's algorithm in Q[x] under the
+    monomial order a < b iff a·w < b·w, and the leads divided by w are
+    the leads of (dy) in that order.
+    """
+    table = m.table
+    if not (len(table.even_indices()) == len(table.odd_indices()) >= 1 and m.is_pure()):
+        return None
+    _check_cohomology_input(m)
+    ring, images, step, weights = _weighted_images(m)
+    leads = _finite_leads(images, ring)
+    if leads is None:
+        return None
+    assert all(e % w == 0 for lead in leads for e, w in zip(lead, weights))
+    leads = [tuple(e // w for e, w in zip(lead, weights)) for lead in leads]
+    values = _hilbert_values(_hilbert_numerator(leads, weights), weights, max_degree // step)
+    return tuple(0 if k % step else values[k // step] for k in range(max_degree + 1))
 
 
 def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
@@ -380,21 +465,12 @@ def even_element_to_polynomial(m: SullivanModel, element: AlgebraElement, ring: 
     return ring.from_terms(terms)
 
 
-def pure_is_elliptic(m: SullivanModel) -> bool:
-    """Finite-dimensionality of (even subalgebra)/(images of the odd generators).
-
-    This is the ellipticity criterion for pure models (Halperin, Trans. AMS
-    230, 1977); for an equal number of even and odd generators it coincides
-    with the images forming a regular sequence.  The images are homogeneous
-    in the weighted degree, so each even generator x_i is sent to
-    x_i^{w_i}, w_i = deg x_i / gcd of the even degrees, which makes them
-    homogeneous in the ordinary sense.  Q[x] is free of rank prod w_i over
-    Q[x^w], so the quotient stays finite exactly when it was.  Finiteness
-    is then decided by `has_finite_quotient`, from a Groebner basis
-    truncated at Lazard's degree bound (d1 - 1) + ... + (dn - 1) + 1.
-    """
-    if not m.is_pure():
-        raise ValueError("the model is not pure")
+def _weighted_images(m: SullivanModel) -> tuple[PolyRing, list[Polynomial], int, list[int]]:
+    """The ring of the even generators, the images of the odd generators in
+    it with each x_i sent to x_i^{w_i}, the gcd `step` of the even degrees
+    and the weights w_i = deg x_i / step.  The images are homogeneous in
+    the weighted degree, so after the substitution they are homogeneous in
+    the ordinary sense."""
     ring = even_subalgebra_ring(m)
     degrees = [m.table.degrees[i] for i in m.table.even_indices()]
     step = gcd(*degrees)
@@ -405,5 +481,22 @@ def pure_is_elliptic(m: SullivanModel) -> bool:
         images.append(
             ring.from_terms({tuple(e * w for e, w in zip(mono, weights)): c for mono, c in image.terms.items()})
         )
-    return has_finite_quotient(images, ring)
+    return ring, images, step, weights
 
+
+def pure_is_elliptic(m: SullivanModel) -> bool:
+    """Finite-dimensionality of (even subalgebra)/(images of the odd generators).
+
+    This is the ellipticity criterion for pure models (Halperin, Trans. AMS
+    230, 1977); for an equal number of even and odd generators it coincides
+    with the images forming a regular sequence.  The images are made
+    homogeneous by `_weighted_images`, x_i -> x_i^{w_i}.  Q[x] is free of
+    rank prod w_i over Q[x^w], so the quotient stays finite exactly when it
+    was.  Finiteness is then decided by `has_finite_quotient`, from a
+    Groebner basis truncated at Lazard's degree bound
+    (d1 - 1) + ... + (dn - 1) + 1.
+    """
+    if not m.is_pure():
+        raise ValueError("the model is not pure")
+    ring, images, _, _ = _weighted_images(m)
+    return has_finite_quotient(images, ring)

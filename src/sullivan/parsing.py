@@ -14,13 +14,16 @@ and unary minus signs together nest at most MAX_NESTING deep, so no input
 exhausts the stack.  Model files are line oriented: `generator <name>
 <degree>` declarations followed by `d <name> = <expression>` lines;
 undeclared differentials are zero.  A power of a sum in `d <name>` that
-has a term above deg <name> + 1 is rejected before it is expanded.
+has a term above deg <name> + 1 is rejected before it is expanded, and so
+is a power of a sum in a polynomial that could have more than
+MAX_POWER_TERMS terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .algebra import AlgebraElement, GeneratorTable, sorted_monomials
 from .groebner import Polynomial, PolyRing, _grevlex_key
@@ -36,6 +39,9 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
+
+# the most terms a power of a sum in a polynomial may expand to
+MAX_POWER_TERMS = 1_000
 
 _TOKEN = re.compile(r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_']*)|([()+\-*/^]))")
 
@@ -212,9 +218,31 @@ def parse_element(
     return parser.parse()
 
 
+def _power_terms(base: Polynomial, exponent: int) -> int:
+    """An upper bound on the number of terms of base**exponent.  Each term
+    is a product of `exponent` terms of the base, so there are at most
+    C(t + e − 1, e) of them for t terms; and each is a monomial in the n
+    variables of the base whose degree lies between e times the least and
+    e times the greatest degree of its terms, of which there are
+    C(n + hi, n) − C(n + lo − 1, n)."""
+    n = sum(1 for i in range(len(base.ring)) if any(m[i] for m in base.terms))
+    degrees = [sum(m) for m in base.terms]
+    lo, hi = exponent * min(degrees), exponent * max(degrees)
+    return min(comb(len(base.terms) + exponent - 1, exponent), comb(n + hi, n) - comb(n + lo - 1, n))
+
+
 def parse_polynomial(text: str, ring: PolyRing, line: int | None = None) -> Polynomial:
+    """The polynomial written in text.  A power of a sum that could have
+    more than MAX_POWER_TERMS terms (`_power_terms`) is rejected before it
+    is expanded."""
+
+    def check_power(base: Polynomial, exponent: int) -> str | None:
+        if len(base.terms) >= 2 and _power_terms(base, exponent) > MAX_POWER_TERMS:
+            return f"a power of a sum with more than {MAX_POWER_TERMS} terms"
+        return None
+
     parser = _ExpressionParser(
-        _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line
+        _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power
     )
     return parser.parse()
 

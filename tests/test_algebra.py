@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sullivan import GeneratorTable, monomial_basis
-from sullivan.algebra import TableMismatchError, sorted_monomials
+from sullivan.algebra import AlgebraElement, TableMismatchError, sorted_monomials
 from sullivan.groebner import PolyRing
-from sullivan.model import SullivanModel, even_element_to_polynomial, even_subalgebra_ring
+from sullivan.model import SullivanModel, _free_dimension, even_element_to_polynomial, even_subalgebra_ring
 
 VT = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 5)])
 DL = GeneratorTable(
@@ -82,18 +82,33 @@ coefficients = st.integers(-4, 4) | st.builds(Fraction, st.integers(-4, 4), st.i
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(R3.from_terms)
 even_elements = st.dictionaries(exponents, coefficients, max_size=4).map(EVEN.table.element)
+# and over a table with odd generators, where products carry Koszul signs
+MIXED = GeneratorTable([("a", 2), ("u", 1), ("v", 3), ("w", 5)])
+mixed_exponents = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+mixed_elements = st.dictionaries(mixed_exponents, coefficients, max_size=4).map(MIXED.element)
+
+
+def odd_part(x):
+    """The terms of odd degree; none in a polynomial ring."""
+    if not isinstance(x, AlgebraElement):
+        return x.scale(0)
+    return x.table.element({m: c for m, c in x.terms.items() if x.table.monomial_degree(m) % 2})
 
 
 @settings(deadline=None)
 @given(
     st.tuples(st.just(R3.one()), polynomials, polynomials, polynomials)
-    | st.tuples(st.just(EVEN.table.one()), even_elements, even_elements, even_elements),
+    | st.tuples(st.just(EVEN.table.one()), even_elements, even_elements, even_elements)
+    | st.tuples(st.just(MIXED.one()), mixed_elements, mixed_elements, mixed_elements),
     st.integers(0, 4),
 )
 def test_ring_axioms(values, e):
     one, p, q, r = values
     assert (p - p).is_zero() and not p - p
-    assert p + q == q + p and p * q == q * p
+    assert p + q == q + p
+    # graded commutativity: ab = (-1)^{|a||b|} ba, so only the odd parts
+    # anticommute
+    assert p * q == q * p - (odd_part(q) * odd_part(p)).scale(2)
     assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert one * p == p
@@ -133,7 +148,7 @@ def test_basis_sizes_match_hilbert_series():
     for table in (VT, DL, GeneratorTable([("x", 4), ("y", 7), ("z", 3)])):
         series = hilbert_series(table, 20)
         for k in range(21):
-            assert len(monomial_basis(table, k)) == series[k]
+            assert len(monomial_basis(table, k)) == series[k] == _free_dimension(table, k)
 
 
 def _monomials_up_to(table, limit):

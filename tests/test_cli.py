@@ -117,6 +117,25 @@ def test_cohomology_rejects_a_huge_power_of_a_sum_before_expanding_it(tmp_path, 
     assert "line 4" in err and "a power of degree 4000 exceeds the expected degree 4" in err
 
 
+def test_groebner_rejects_a_power_of_a_sum_with_too_many_terms_at_once(capsys):
+    # (x + y + z)^300 has 45,451 terms; expanding it ran for minutes
+    start = time.perf_counter()
+    code, _, err = run(capsys, "groebner", "(x + y + z)^300")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "column 12: a power of a sum with more than 1000 terms" in err
+
+
+def test_cohomology_rejects_a_free_algebra_too_large_to_enumerate(tmp_path, capsys):
+    path = tmp_path / "free.txt"
+    path.write_text("".join(f"generator x{i} 2\n" for i in range(20)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", str(path), "--max-degree", "16")
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert "degree 12 of the free algebra has 177100 monomials" in err
+
+
 def test_groebner_rejects_deeply_nested_parentheses(capsys):
     code, _, err = run(capsys, "groebner", "(" * 3000 + "x" + ")" * 3000)
     assert code == 2

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sullivan.groebner as groebner
+from sullivan.algebra import _even_exponent_vectors
 from sullivan.cli import main
 from sullivan.groebner import (
     GroebnerBasis,
@@ -543,6 +544,25 @@ def test_hilbert_data_of_monomial_ideals(gb):
 
 
 @settings(deadline=None)
+@given(monomial_ideals(), st.data())
+def test_weighted_hilbert_series_counts_standard_monomials(gb, data):
+    """K(t)/prod (1 − t^{w_i}) against the monomials of each weighted degree
+    that no lead divides, enumerated by the algebra's own weighted walk."""
+    n = len(gb.ring.variables)
+    weights = data.draw(st.tuples(*[st.integers(1, 3)] * n))
+    top = 9
+    leads = gb.leading_monomials()
+    counts = [
+        sum(1 for m in _even_exponent_vectors(weights, k) if not any(all(map(le, g, m)) for g in leads))
+        for k in range(top + 1)
+    ]
+    numerator = groebner._hilbert_numerator(leads, weights)
+    assert groebner._hilbert_values(numerator, weights, top) == counts
+    if weights == (1,) * n:
+        assert numerator == groebner._hilbert_numerator(leads)
+
+
+@settings(deadline=None)
 @given(small_systems())
 @example((SMALL_RINGS[0], []))
 @example((SMALL_RINGS[3], [SMALL_RINGS[3].one()]))
@@ -635,6 +655,12 @@ def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
     ring, system = case
     gb = buchberger(system, ring)
     assert has_finite_quotient(system, ring) == gb.is_finite_dimensional()
+    # when finite, the truncated basis is a full one: its leads generate the
+    # lead ideal, whose minimal generators are the reduced basis's leads
+    leads = groebner._finite_leads(system, ring)
+    assert (leads is not None) == gb.is_finite_dimensional()
+    if leads is not None:
+        assert sorted(groebner._minimal(leads)) == sorted(gb.leading_monomials())
     n, k = len(ring.variables), len(system)
     assert is_regular_sequence(system, ring) == (gb.krull_dimension() == n - k)
 

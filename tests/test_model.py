@@ -5,8 +5,11 @@ import random
 import weakref
 from fractions import Fraction
 from functools import partial
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sullivan.model
 from sullivan import (
@@ -21,6 +24,7 @@ from sullivan import (
     poincare_duality_check,
     pure_is_elliptic,
 )
+from sullivan.algebra import _even_exponent_vectors
 from sullivan.catalog import (
     cp_model,
     dim4_sigma_model,
@@ -464,3 +468,119 @@ def test_betti_numbers_of_a_degree_16_triple_product():
 
 def test_poincare_duality_of_a_product_of_two_b3_models():
     assert poincare_duality_check(product_model(dim6_b3_model(2), dim6_b3_model(3)))
+
+
+# -- Betti numbers from the Groebner quotient ---------------------------------------
+
+
+def closed_form_betti(image_degrees, even_degrees, top):
+    """Coefficients of prod (1 − t^{|dy_j|}) / prod (1 − t^{|x_i|}) up to t^top:
+    the Poincare series of a pure model whose images form a regular sequence.
+    A test oracle only."""
+    series = [1] + [0] * top
+    for d in image_degrees:
+        series = [series[k] - (series[k - d] if k >= d else 0) for k in range(top + 1)]
+    for d in even_degrees:
+        for k in range(d, top + 1):
+            series[k] += series[k - d]
+    return tuple(series)
+
+
+def complex_betti(m, top):
+    cochains = m.cochains()
+    return tuple(cochains.betti(k) for k in range(top + 1))
+
+
+def assert_routes_agree(m, top):
+    """The quotient route, when it applies, against the cochain complex and
+    the closed form; betti_numbers against the complex always; and a pure
+    model with as many odd as even generators is elliptic exactly when the
+    quotient route applies."""
+    table = m.table
+    quotient = sullivan.model._quotient_betti(m, top)
+    direct = complex_betti(m, top)
+    assert betti_numbers(m, top) == direct
+    if len(table.even_indices()) == len(table.odd_indices()) >= 1:
+        assert (quotient is not None) == pure_is_elliptic(m)
+    if quotient is not None:
+        even_degrees = [table.degrees[i] for i in table.even_indices()]
+        image_degrees = [table.degrees[i] + 1 for i in table.odd_indices()]
+        assert quotient == direct == closed_form_betti(image_degrees, even_degrees, top)
+
+
+@st.composite
+def random_pure_models(draw):
+    """1-3 even generators of degrees 2 and 4 and as many odd ones, each
+    with a random homogeneous image of degree 2-8 (sparse, small integer
+    coefficients; possibly zero)."""
+    n = draw(st.integers(1, 3))
+    even = draw(st.lists(st.sampled_from((2, 4)), min_size=n, max_size=n))
+    step = gcd(*even)
+    reachable = [d for d in (2, 4, 6, 8) if d % step == 0]
+    image_degrees = draw(st.lists(st.sampled_from(reachable), min_size=n, max_size=n))
+    table = GeneratorTable(
+        [(f"x{i}", d) for i, d in enumerate(even)] + [(f"y{j}", d - 1) for j, d in enumerate(image_degrees)]
+    )
+    differential = {}
+    for j, d in enumerate(image_degrees):
+        terms = {}
+        for mono in _even_exponent_vectors(tuple(even), d):
+            c = draw(st.sampled_from((0, 0, 1, -1, 2, -3)))
+            if c:
+                terms[mono + (0,) * n] = c
+        differential[f"y{j}"] = table.element(terms)
+    return SullivanModel(table, differential)
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_pure_models())
+def test_betti_routes_agree_on_random_pure_models(m):
+    top = max(m.formal_dimension_claim(), 0) + 2
+    assert_routes_agree(m, top)
+
+
+PURE_FACTORS = [
+    st.builds(sphere_model, st.integers(2, 5)),
+    st.builds(cp_model, st.integers(1, 3)),
+    st.builds(dim6_b3_model, st.integers(-2, 3)),
+    st.builds(dim4_sigma_model, st.sampled_from((-1, 1, 2, Fraction(1, 2)))),
+    st.builds(dim7_sigma_model, st.sampled_from((1, 2))),
+    st.builds(dim8_middle_model, st.integers(-1, 2)),
+    st.builds(dim8_sigma_model, st.sampled_from((1, 3))),
+    st.builds(dim6_b2_model, st.integers(1, 2), st.sampled_from(((0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0)))),
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(PURE_FACTORS), st.one_of(PURE_FACTORS))
+def test_kuenneth_and_betti_routes_on_products_of_catalog_factors(m1, m2):
+    n = max(m1.formal_dimension_claim(), 0) + max(m2.formal_dimension_claim(), 0)
+    b1, b2 = betti_numbers(m1, n), betti_numbers(m2, n)
+    product = product_model(m1, m2)
+    assert betti_numbers(product, n) == tuple(sum(b1[i] * b2[k - i] for i in range(k + 1)) for k in range(n + 1))
+    assert_routes_agree(product, min(n, 9))
+
+
+def test_betti_numbers_of_an_elliptic_pure_model_build_no_cochain_complex():
+    m = product_model(dim6_b3_model(2), dim6_b3_model(3))
+    assert betti_numbers(m, 12) == (1, 0, 6, 0, 15, 0, 20, 0, 15, 0, 6, 0, 1)
+    assert m._cochains is None
+    # chi = 0 (one odd generator more) and a pure model with an infinite
+    # quotient both go through the complex
+    for m in (dim7_sigma_model(2), dim6_b3_model(1)):
+        betti_numbers(m, 7)
+        assert m._cochains is not None
+
+
+def test_free_algebra_past_the_basis_cap():
+    # 20 closed degree-2 generators: degree 12 has C(25, 6) = 177,100 monomials
+    closed = SullivanModel(GeneratorTable([(f"x{i}", 2) for i in range(20)]), {})
+    assert betti_numbers(closed, 10)[10] == 42504
+    with pytest.raises(ValueError, match=r"degree 12 of the free algebra has 177100 monomials"):
+        betti_numbers(closed, 16)
+    # the same 20 generators killed in degree 4 by 20 odd ones: a pure
+    # elliptic model, answered from the quotient without enumerating
+    table = GeneratorTable([(f"x{i}", 2) for i in range(20)] + [(f"y{i}", 3) for i in range(20)])
+    x = [table.generator(i) for i in range(20)]
+    elliptic = SullivanModel(table, {f"y{i}": x[i] * x[i] for i in range(20)})
+    assert betti_numbers(elliptic, 16) == tuple(0 if k % 2 else comb(20, k // 2) for k in range(17))

@@ -21,7 +21,9 @@ from sullivan.catalog import (
 )
 from sullivan.groebner import PolyRing
 from sullivan.parsing import (
+    MAX_POWER_TERMS,
     ParseError,
+    _power_terms,
     parse_element,
     parse_model,
     parse_polynomial,
@@ -99,6 +101,24 @@ def test_precedence_and_unary_minus():
     assert q.coefficient((2, 0)) == Fraction(3, 2)
     paren = parse_polynomial("(x + y)^3", ring)
     assert paren.coefficient((2, 1)) == 3
+
+
+def test_power_of_a_sum_is_bounded_before_it_is_expanded():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = (ring.variable(v) for v in "xyz")
+    # the bound is exact on a homogeneous sum of all the monomials of a
+    # degree, and on a sum of two terms in one variable
+    assert _power_terms(x + y + z, 43) == len(((x + y + z) ** 43).terms) == 990
+    assert _power_terms(ring.one() + x, 999) == 1000
+    # a sum of two monomials: at most e + 1 products
+    assert _power_terms(x * y + z * z, 7) == 8
+    assert len(parse_polynomial("(x + y + z)^43", ring).terms) == 990 <= MAX_POWER_TERMS
+    with pytest.raises(ParseError, match=f"column 12: a power of a sum with more than {MAX_POWER_TERMS} terms"):
+        parse_polynomial("(x + y + z)^44", ring)
+    with pytest.raises(ParseError, match="line 3, column 21"):
+        parse_polynomial("x * ((x + y + z)^10)^30", ring, line=3)
+    # a power of one term is never expanded term by term
+    assert parse_polynomial("(2*x*y)^100000", ring).coefficient((100000, 100000, 0)) == 2**100000
 
 
 def test_variables_in():
