@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
-from operator import add, le, mul, neg
+from operator import add, le, neg
 from typing import Iterable, Sequence
 
 from .linalg import LinearCombination, _clear_denominators, rational
@@ -355,12 +355,12 @@ def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
     return out
 
 
-def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, factor: int) -> dict[int, int]:
-    """p + factor·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
+def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) -> dict[int, int]:
+    """p + sign·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
     out = dict(p)
     for k, c in q.items():
         k += shift
-        c = out.get(k, 0) + factor * c
+        c = out.get(k, 0) + sign * c
         if c:
             out[k] = c
         else:
@@ -368,66 +368,41 @@ def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, factor: int) 
     return out
 
 
-def _components(gens: Sequence[Monomial]) -> list[list[Monomial]]:
-    """The monomials grouped so that two groups share no variable and no
-    group splits into two such groups."""
-    groups: list[tuple[set[int], list[Monomial]]] = []
-    for g in gens:
-        support = {i for i, e in enumerate(g) if e}
-        members = [g]
-        rest = []
-        for other, more in groups:
-            if other & support:
-                support |= other
-                members += more
-            else:
-                rest.append((other, more))
-        groups = rest + [(support, members)]
-    return [members for _, members in groups]
-
-
-def _hilbert_numerator(leads: Iterable[Monomial], weights: Sequence[int] | None = None) -> dict[int, int]:
+def _hilbert_numerator(leads: Iterable[Monomial]) -> dict[int, int]:
     """K(t) as {exponent: nonzero coefficient}, empty for K = 0, where
-    K(t)/prod (1 − t^{w_i}) is the Hilbert series of Q[x1..xn] modulo the
-    monomial ideal generated by `leads`, with x_i of positive weight w_i
-    (every w_i = 1, the standard grading, by default).
+    K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo the monomial
+    ideal generated by `leads`.
 
-    Generators in disjoint sets of variables give the product of the K's of
-    the sets; one generator m gives 1 − t^{deg m}, deg the weighted degree.
-    Otherwise Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) −
-    t^{deg m}·K(I : m) for every monomial m.  Take m = x_i^e, with x_i in
-    the most generators and e its least positive exponent among them: then
+    Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m)
+    for every monomial m.  Pairwise coprime generators give
+    prod (1 − t^{deg}).  Otherwise m = x_i^e, with x_i in the most
+    generators and e its least positive exponent among them: then
     I + (m) is (m) plus the generators free of x_i, coprime to m, and
     I : m lowers every x_i-exponent by e, which frees at least one
     generator of x_i, so the recursion ends.
+
+    Weights come free.  Let every x_i-exponent of the leads be a multiple
+    of a positive w_i, and give x_i weight w_i.  Then K(t)/prod (1 − t^{w_i})
+    is the Hilbert series of Q[x] modulo the leads divided by w: the
+    recursion picks only such exponents e, and x^{w·a} has degree the
+    weighted degree of x^a, so it runs step for step as it would on the
+    leads divided by w in the weighted grading (`_hilbert_values` expands it).
     """
     gens = _minimal(leads)
-    if not gens:
-        return {0: 1}
-    if not any(gens[0]):
+    if gens and not any(gens[0]):
         return {}  # the unit ideal
-    n = len(gens[0])
-    if weights is None:
-        weights = (1,) * n
-    if len(gens) == 1:
-        return {0: 1, sum(map(mul, gens[0], weights)): -1}
-    groups = _components(gens)
-    if len(groups) > 1:
-        numerator = {0: 1}
-        for group in groups:
-            factor = _hilbert_numerator(group, weights)
-            product: dict[int, int] = {}
-            for k, c in factor.items():
-                product = _shifted_sum(product, numerator, k, c)
-            numerator = product
-        return numerator
+    n = len(gens[0]) if gens else 0
     counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if all(c <= 1 for c in counts):
+        numerator = {0: 1}
+        for g in gens:
+            numerator = _shifted_sum(numerator, numerator, sum(g), -1)
+        return numerator
     i = max(range(n), key=counts.__getitem__)
     e = min(g[i] for g in gens if g[i])
-    free = _hilbert_numerator((g for g in gens if not g[i]), weights)
-    colon = _hilbert_numerator((g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens), weights)
-    shift = e * weights[i]
-    return _shifted_sum(_shifted_sum(free, free, shift, -1), colon, shift, 1)
+    free = _hilbert_numerator(g for g in gens if not g[i])
+    colon = _hilbert_numerator(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    return _shifted_sum(_shifted_sum(free, free, e, -1), colon, e, 1)
 
 
 def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degree: int) -> list[int]:

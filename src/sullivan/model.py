@@ -31,6 +31,7 @@ from .groebner import (
     _finite_leads,
     _hilbert_numerator,
     _hilbert_values,
+    _shifted_sum,
     has_finite_quotient,
 )
 from .linalg import RationalMatrix, _add_term, _echelon, _kernel
@@ -183,15 +184,12 @@ def _check_cohomology_input(m: SullivanModel) -> None:
 def _free_dimension(table: GeneratorTable, k: int) -> int:
     """Dimension of the degree-k part of the free graded-commutative algebra
     on the table: the coefficient of t^k in prod (1 + t^odd) / prod (1 − t^even)."""
-    dims = [1] + [0] * k
+    numerator = {0: 1}
     for d in table.degrees:
         if d % 2:
-            for j in range(k, d - 1, -1):
-                dims[j] += dims[j - d]
-        else:
-            for j in range(d, k + 1):
-                dims[j] += dims[j - d]
-    return dims[k]
+            numerator = _shifted_sum(numerator, numerator, d, 1)
+    even = [d for d in table.degrees if d % 2 == 0]
+    return _hilbert_values(numerator, even, k)[k]
 
 
 class CochainComplex:
@@ -341,7 +339,9 @@ def _quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None
     quotients of divisible monomials have every x_i-exponent a multiple of
     w_i.  So the same run is Buchberger's algorithm in Q[x] under the
     monomial order a < b iff a·w < b·w, and the leads divided by w are
-    the leads of (dy) in that order.
+    the leads of (dy) in that order.  The numerator of the leads as they
+    are is the weighted numerator of the leads divided by w
+    (`_hilbert_numerator`), so no division is needed.
     """
     table = m.table
     if not (len(table.even_indices()) == len(table.odd_indices()) >= 1 and m.is_pure()):
@@ -352,8 +352,7 @@ def _quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None
     if leads is None:
         return None
     assert all(e % w == 0 for lead in leads for e, w in zip(lead, weights))
-    leads = [tuple(e // w for e, w in zip(lead, weights)) for lead in leads]
-    values = _hilbert_values(_hilbert_numerator(leads, weights), weights, max_degree // step)
+    values = _hilbert_values(_hilbert_numerator(leads), weights, max_degree // step)
     return tuple(0 if k % step else values[k // step] for k in range(max_degree + 1))
 
 
