@@ -41,7 +41,7 @@ from math import comb, gcd
 from operator import add, le, neg
 from typing import Iterable, Sequence
 
-from .linalg import LinearCombination, _clear_denominators, rational
+from .linalg import LinearCombination, _clear_denominators, _ratio, rational
 
 Monomial = tuple[int, ...]
 
@@ -252,11 +252,6 @@ class Polynomial(LinearCombination):
         from .parsing import render_polynomial
 
         return f"<{render_polynomial(self)}>"
-
-
-def _ratio(a: int, b: int) -> int | Fraction:
-    """a/b for integers, b nonzero: an int when b divides a."""
-    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def _primitive(terms: dict[int, int], lead: int) -> dict[int, int]:

@@ -5,9 +5,14 @@ fraction-free elimination over ``int`` (``_forward``), in the manner of
 Bareiss (*Math. Comp.* 22, 1968): each row is scaled to primitive
 integers on input and cleared by gcd-reduced ``a·row − b·pivot_row``, with
 no ``Fraction`` and no modular step.  ``rank`` stops after this forward
-pass.  ``_echelon`` back-eliminates to the reduced row echelon form, which
-is unique, so kernels come out in the canonical free-column form and
-subspace equality is plain tuple equality.
+pass.  ``_echelon`` back-eliminates to the reduced row echelon form, kept
+in integer form: each row primitive and positive at its pivot, so the
+RREF row is that row divided by its pivot value.  That form is unique, so
+kernels come out in the canonical free-column form (``_kernel``, again as
+primitive integer vectors, positive at their free column) and subspace
+equality is plain equality.  A ``Fraction`` is made only where the public
+API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis``,
+``in_span`` and ``row_space_rref`` divide the integer rows at the end.
 
 ``LinearCombination`` is the one implementation of sums, scalings and
 products of monomials with rational coefficients, shared by
@@ -129,8 +134,16 @@ class LinearCombination:
         return result
 
 
+def _ratio(a: int, b: int) -> int | Fraction:
+    """a/b for integers, b nonzero: an int when b divides a."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
 def _clear_denominators(terms: dict) -> tuple[dict, int]:
-    """(den·terms as integers, den), den the least common denominator."""
+    """(den·terms as integers, den), den the least common denominator; terms
+    itself, with den 1, when every value is already an ``int``."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
     den = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
@@ -155,7 +168,8 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[i
 def _forward(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
     """Primitive integer rows in echelon form, keyed by pivot: each row, its
     denominators cleared, is reduced leading column first by the pivot rows
-    so far, and what is left is a new pivot row; their number is the rank."""
+    so far, and what is left is a new pivot row; their number is the rank.
+    An input row that needs no scaling is kept as it is, not copied."""
     reduced: dict[int, dict[int, int]] = {}
     for row in rows:
         if not row:
@@ -170,31 +184,50 @@ def _forward(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int
     return reduced
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, Fraction]]:
-    """Sparse RREF, the nonzero rows as {column: Fraction} keyed by increasing
-    pivot: the forward pass, then from the last pivot up each row is cleared
-    by the already reduced rows below it and divided by its leading entry."""
+def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int, int]]:
+    """Sparse RREF in integer form: the nonzero rows keyed by increasing
+    pivot, each primitive with a positive entry at its pivot; row p divided
+    by that entry is the RREF row with pivot p, so this form is canonical
+    too.  The forward pass, then from the last pivot up each row is cleared
+    by the already reduced rows below it.  Rows may be the input's own
+    dicts: read them, never change them."""
     reduced = _forward(rows)
     for p in sorted(reduced, reverse=True):
         row = reduced[p]
         for c in [c for c in row if c != p and c in reduced]:
             row = _eliminate(row, reduced[c], c)
-        reduced[p] = row
-    return {p: {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(reduced.items())}
+        reduced[p] = row if row[p] > 0 else {j: -x for j, x in row.items()}
+    return dict(sorted(reduced.items()))
 
 
-def _kernel(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> list[dict[int, Fraction]]:
+def _kernel(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> list[dict[int, int]]:
     """Canonical basis of the right null space of `cols`-wide sparse rows,
-    one sparse vector per free column in increasing order: 1 at its free
-    column and −x at the pivot of each RREF row with x in that column."""
+    one sparse integer vector per free column in increasing order.  The
+    rational vector is 1 at its free column and −x/p at the pivot of each
+    RREF row with x in that column and p at its pivot; it is kept scaled to
+    primitive integers, positive at the free column.  An RREF row has
+    entries only at its pivot and in later free columns, so each vector's
+    entries come in increasing column order, the free column last."""
     rows = _echelon(rows)
-    basis = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in rows}
-    # off its pivot, an RREF row has entries in free columns only
+    # free column -> {pivot column: entry} of the rows that meet it
+    meets: dict[int, dict[int, int]] = {fc: {} for fc in range(cols) if fc not in rows}
     for pc, row in rows.items():
         for fc, x in row.items():
             if fc != pc:
-                basis[fc][pc] = -x
-    return [dict(sorted(v.items())) for v in basis.values()]
+                meets[fc][pc] = x
+    basis = []
+    for fc, column in meets.items():
+        scale = lcm(*(rows[pc][pc] for pc in column))
+        vector = {pc: -x * (scale // rows[pc][pc]) for pc, x in column.items()}
+        vector[fc] = scale
+        basis.append(_primitive(vector))
+    return basis
+
+
+def _fractions(row: Mapping[int, int], den: int) -> dict[int, Fraction]:
+    """An integer row divided by den, every entry a ``Fraction``: the form
+    the public API returns."""
+    return {j: Fraction(x, den) for j, x in row.items()}
 
 
 def _dense(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[Vector, ...]:
@@ -235,7 +268,7 @@ class RationalMatrix:
     @property
     def data(self) -> tuple[Vector, ...]:
         """Dense read-only view of the entries, row by row."""
-        return _dense(({j: Fraction(x) for j, x in row.items()} for row in self._entries), self.cols)
+        return _dense((_fractions(row, 1) for row in self._entries), self.cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -256,11 +289,12 @@ class RationalMatrix:
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         """Reduced row echelon form (nonzero rows only) and its pivot columns."""
         rows = _echelon(self._entries)
-        return _dense(rows.values(), self.cols), tuple(rows)
+        return _dense((_fractions(row, row[p]) for p, row in rows.items()), self.cols), tuple(rows)
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Canonical basis of the right null space (one vector per free column)."""
-        return _dense(_kernel(self._entries, self.cols), self.cols)
+        kernel = _kernel(self._entries, self.cols)
+        return _dense((_fractions(v, v[max(v)]) for v in kernel), self.cols)
 
 
 def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
@@ -274,12 +308,12 @@ def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None
     aug = RationalMatrix.from_rows(
         [[b[i] for b in basis] + [v[i]] for i in range(len(v))], len(basis) + 1
     )
-    rref, pivots = aug.rref()
-    if len(basis) in pivots:
+    rows = _echelon(aug._entries)
+    if len(basis) in rows:
         return (False, None)
     coords = [Fraction(0)] * len(basis)
-    for r, pc in enumerate(pivots):
-        coords[pc] = rref[r][len(basis)]
+    for pc, row in rows.items():
+        coords[pc] = Fraction(row.get(len(basis), 0), row[pc])
     return (True, tuple(coords))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
@@ -34,7 +34,17 @@ from .groebner import (
     _shifted_sum,
     has_finite_quotient,
 )
-from .linalg import RationalMatrix, _add_term, _echelon, _kernel
+from .linalg import (
+    RationalMatrix,
+    _add_term,
+    _clear_denominators,
+    _echelon,
+    _fractions,
+    _kernel,
+    _primitive,
+    _ratio,
+    rational,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,9 @@ class SullivanModel:
     # -- validation ------------------------------------------------------
 
     def _violations(self) -> Iterator[Violation]:
-        """Violations of (degree +1, minimality, d^2 = 0), lazily and in that order."""
+        """Violations of (degree +1, minimality, d^2 = 0), lazily and in that
+        order.  A pure model has d^2 = 0 already: d sends each odd generator
+        into the even subalgebra, on which d vanishes."""
         table = self.table
         for i, name in enumerate(table.names):
             image = self.images[i]
@@ -88,6 +100,8 @@ class SullivanModel:
                 yield Violation("degree", name, f"d({name}) has degree {deg}, expected {expected}")
             elif image.min_word_length() < 2:
                 yield Violation("minimality", name, f"d({name}) has a word-length-one term")
+        if self.is_pure():
+            return
         for i, name in enumerate(table.names):
             if not extend_differential(self, self.images[i]).is_zero():
                 yield Violation("d-squared", name, f"d(d({name})) is nonzero")
@@ -200,10 +214,17 @@ class CochainComplex:
     (``_leibniz_monomial``) straight into sparse columns, whole
     coefficients as ``int``, and stays sparse up to the elimination.  The
     rank is the forward pass of the fraction-free kernel on the columns
-    (the rows of the transpose).  The image keeps their sparse RREF rows
-    keyed by pivot, which ``reduce`` and ``class_generator`` subtract from
-    sparse vectors.  The kernel eliminates the rows of d_k, transposed
-    entry by entry, and keeps its canonical basis as sparse vectors.
+    (the rows of the transpose).  The image keeps their RREF in integer
+    form: primitive rows keyed by pivot, each with its positive pivot
+    value.  The kernel eliminates the rows of d_k, transposed entry by
+    entry, and keeps its canonical basis as primitive integer vectors.
+
+    Coset reduction modulo the image is fraction-free (``_reduced``): it
+    returns integer coordinates and a positive multiplier, the reduced
+    vector times that multiplier.  A ``Fraction`` is made only where an
+    exact value leaves the complex: ``reduce`` and ``class_generator``, and
+    the entries that ``pairing_determinant``, ``cup_product_cubic_form``
+    and ``poincare_duality_check`` read off a reduced vector.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -217,8 +238,8 @@ class CochainComplex:
         self._indices: dict[int, dict] = {}
         self._columns: dict[int, tuple[dict[int, Fraction | int], ...]] = {}
         self._ranks: dict[int, int] = {}
-        self._kernels: dict[int, tuple[dict[int, Fraction], ...]] = {}
-        self._images: dict[int, dict[int, dict[int, Fraction]]] = {}
+        self._kernels: dict[int, tuple[dict[int, int], ...]] = {}
+        self._images: dict[int, dict[int, dict[int, int]]] = {}
 
     def basis(self, k: int) -> tuple:
         """Monomials of degree k in canonical order (none below degree 0).
@@ -244,7 +265,8 @@ class CochainComplex:
 
     def d(self, k: int) -> tuple[dict[int, Fraction | int], ...]:
         """d_k as sparse columns: per degree-k basis monomial, target row -> coefficient
-        (an int when it is whole)."""
+        (an int when it is whole).  The image's RREF may hold these dicts: read them,
+        never change them."""
         if k not in self._columns:
             index = self.index(k + 1)
             self._columns[k] = tuple(
@@ -262,9 +284,10 @@ class CochainComplex:
     def betti(self, k: int) -> int:
         return len(self.basis(k)) - self.rank(k) - self.rank(k - 1)
 
-    def kernel(self, k: int) -> tuple[dict[int, Fraction], ...]:
+    def kernel(self, k: int) -> tuple[dict[int, int], ...]:
         """Canonical basis of ker d_k over basis(k), one vector per free column,
-        each as {basis position: nonzero coefficient} in increasing position."""
+        each as {basis position: nonzero int} in increasing position: primitive,
+        and positive at its free column, its last position."""
         if k not in self._kernels:
             columns = self.d(k)
             rows = [{} for _ in self.basis(k + 1)]
@@ -274,40 +297,62 @@ class CochainComplex:
             self._kernels[k] = tuple(_kernel(rows, len(columns)))
         return self._kernels[k]
 
-    def image(self, k: int) -> dict[int, dict[int, Fraction]]:
-        """Canonical RREF of im d_{k-1} over basis(k): sparse rows keyed by pivot column."""
+    def image(self, k: int) -> dict[int, dict[int, int]]:
+        """Canonical RREF of im d_{k-1} over basis(k) in integer form: primitive
+        rows keyed by pivot column, each positive at its pivot."""
         if k not in self._images:
             self._images[k] = _echelon(self.d(k - 1))
         return self._images[k]
 
-    def coordinates(self, k: int, element: AlgebraElement) -> dict[int, Fraction]:
+    def coordinates(self, k: int, element: AlgebraElement) -> dict[int, int | Fraction]:
         """Coordinates of a degree-k element over basis(k), as {basis position: coefficient}."""
         index = self.index(k)
         return {index[mono]: c for mono, c in element.terms.items()}
 
-    def reduce(self, k: int, element: AlgebraElement) -> dict[int, Fraction]:
-        """Coordinates of a degree-k element reduced modulo im d_{k-1}."""
-        return self._reduced(k, self.coordinates(k, element))
+    def reduce(self, k: int, element: AlgebraElement) -> dict[int, int | Fraction]:
+        """Exact coordinates of a degree-k element reduced modulo im d_{k-1},
+        an int where whole."""
+        vec, den = _clear_denominators(self.coordinates(k, element))
+        vec, multiplier = self._reduced(k, vec)
+        return {j: _ratio(x, den * multiplier) for j, x in vec.items()}
 
-    def _reduced(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        # an RREF row is zero at every other pivot, so one pass over the
-        # pivots present in vec clears them all
+    def _reduced(self, k: int, vec: dict[int, int]) -> tuple[dict[int, int], int]:
+        """The integer vector vec reduced modulo im d_{k-1}, fraction-free:
+        integer coordinates and a positive multiplier m, the reduced vector
+        times m.  vec is consumed.
+
+        An RREF row is zero at every other pivot, so the entries of vec at
+        the pivots it meets stay as they are while rows are subtracted, and
+        one scaling clears them all: by the lcm m of p/gcd(c, p) over those
+        pivots, with c the entry of vec and p that of the row, then
+        subtracting (m·c/p)·row for each."""
         image = self.image(k)
-        for pc in [pc for pc in vec if pc in image]:
-            factor = vec[pc]
-            for j, x in image[pc].items():
+        pivots = [pc for pc in vec if pc in image]
+        scale = lcm(*(image[pc][pc] // gcd(vec[pc], image[pc][pc]) for pc in pivots))
+        if scale != 1:
+            vec = {j: scale * x for j, x in vec.items()}
+        for pc in pivots:
+            row = image[pc]
+            factor = vec[pc] // row[pc]
+            for j, x in row.items():
                 _add_term(vec, j, -factor * x)
-        return vec
+        return vec, scale
+
+    def _representative(self, k: int) -> dict[int, int]:
+        """Reduced representative of a nonzero class in H^k as a primitive
+        integer vector, positive at its first position."""
+        for vec in self.kernel(k):
+            reduced, _ = self._reduced(k, dict(vec))
+            if reduced:
+                reduced = _primitive(reduced)
+                return reduced if reduced[min(reduced)] > 0 else {j: -x for j, x in reduced.items()}
+        raise ArithmeticError(f"H^{k} is zero")
 
     def class_generator(self, k: int) -> dict[int, Fraction]:
         """Reduced representative of a nonzero class in H^k, as {basis position:
         coefficient}, with its first nonzero coordinate +1."""
-        for vec in self.kernel(k):
-            reduced = self._reduced(k, dict(vec))
-            if reduced:
-                lead = reduced[min(reduced)]
-                return {j: Fraction(c, lead) for j, c in reduced.items()}
-        raise ArithmeticError(f"H^{k} is zero")
+        rep = self._representative(k)
+        return _fractions(rep, rep[min(rep)])
 
 
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
@@ -373,15 +418,17 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     cochains = m.cochains()
     if cochains.betti(6) != 1:
         raise ValueError("dim H^6 must be 1")
-    generator = cochains.class_generator(6)
-    lead = min(generator)
+    rep = cochains._representative(6)
+    lead = min(rep)
     coeffs = {}
     for a, b, c in combinations_with_replacement(range(len(xs)), 3):
         product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
-        reduced = cochains.reduce(6, product)
-        coeff = coeffs[(a, b, c)] = reduced.get(lead, 0)
-        if reduced != ({j: coeff * g for j, g in generator.items()} if coeff else {}):
+        reduced, multiplier = cochains._reduced(6, cochains.coordinates(6, product))
+        top = reduced.get(lead, 0)
+        # a multiple of rep: reduced · rep[lead] = top · rep
+        if {j: x * rep[lead] for j, x in reduced.items()} != {j: top * r for j, r in rep.items() if top}:
             raise ArithmeticError("degree-6 class is not a multiple of the generator")
+        coeffs[(a, b, c)] = _ratio(top, multiplier)
     return CubicForm(len(xs), coeffs)
 
 
@@ -399,7 +446,7 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     if not xs or n < 4:
         return True
     cochains = m.cochains()
-    lead = min(cochains.class_generator(n))
+    lead = min(cochains._representative(n))
     basis = cochains.basis(n - 2)
     index = cochains.index(n)
     cocycles = cochains.kernel(n - 2)
@@ -410,11 +457,12 @@ def poincare_duality_check(m: SullivanModel) -> bool:
         for z in cocycles:
             # x_i · z over basis(n): x_i is even, so no product of monomials
             # vanishes and distinct monomials go to distinct ones
-            product: dict[int, Fraction] = {}
+            product: dict[int, int] = {}
             for j, c in z.items():
                 sign, target = _mul_monomials(m.table, x, basis[j])
                 product[index[target]] = sign * c
-            row.append(cochains._reduced(n, product).get(lead, 0))
+            reduced, multiplier = cochains._reduced(n, product)
+            row.append(_ratio(reduced.get(lead, 0), multiplier))
         rows.append(row)
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
@@ -430,12 +478,12 @@ def pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fr
     cochains = m.cochains()
     if cochains.betti(k) != 1:
         raise ValueError(f"dim H^{k} must be 1")
-    lead = min(cochains.class_generator(k))
+    lead = min(cochains._representative(k))
     (a, b), (c, d) = (
         [cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, 0) for j in xs]
         for i in xs
     )
-    return a * d - b * c
+    return rational(a * d - b * c)
 
 
 def h4_pairing_discriminant(m: SullivanModel, generator_degree: int = 2) -> int:

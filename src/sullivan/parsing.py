@@ -16,7 +16,8 @@ exhausts the stack.  Model files are line oriented: `generator <name>
 undeclared differentials are zero.  A power of a sum in `d <name>` that
 has a term above deg <name> + 1 is rejected before it is expanded, and so
 is a power of a sum in a polynomial that could have more than
-MAX_POWER_TERMS terms.
+MAX_POWER_TERMS terms, or a product in a polynomial whose factors' term
+counts multiply to more than that.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class ParseError(ValueError):
 
 MAX_NESTING = 100
 
-# the most terms a power of a sum in a polynomial may expand to
+# the most terms a power of a sum in a polynomial may expand to, and the
+# most pairs of terms a product in a polynomial may multiply out
 MAX_POWER_TERMS = 1_000
 
 _TOKEN = re.compile(r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_']*)|([()+\-*/^]))")
@@ -76,16 +78,18 @@ class _ExpressionParser:
     The symbols dict maps names to elements; `scalar` embeds a rational.
     Elements must support +, -, * and ** with integer exponents.
     `check_power(base, exponent)`, if given, runs before each power is
-    expanded and returns an error message or None.
+    expanded, and `check_product(lhs, rhs)` before each product is
+    multiplied out; each returns an error message or None.
     """
 
-    def __init__(self, tokens, symbols, scalar, line=None, check_power=None):
+    def __init__(self, tokens, symbols, scalar, line=None, check_power=None, check_product=None):
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
         self.scalar = scalar
         self.line = line
         self.check_power = check_power
+        self.check_product = check_product
         self.depth = 0
 
     def peek(self):
@@ -127,7 +131,11 @@ class _ExpressionParser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                value = value * self.unary()
+                rhs = self.unary()
+                problem = self.check_product and self.check_product(value, rhs)
+                if problem:
+                    raise ParseError(problem, self.line, tok[2])
+                value = value * rhs
             else:
                 return value
 
@@ -234,15 +242,21 @@ def _power_terms(base: Polynomial, exponent: int) -> int:
 def parse_polynomial(text: str, ring: PolyRing, line: int | None = None) -> Polynomial:
     """The polynomial written in text.  A power of a sum that could have
     more than MAX_POWER_TERMS terms (`_power_terms`) is rejected before it
-    is expanded."""
+    is expanded, and so is a product whose factors' term counts multiply
+    to more than MAX_POWER_TERMS, before it is multiplied out."""
 
     def check_power(base: Polynomial, exponent: int) -> str | None:
         if len(base.terms) >= 2 and _power_terms(base, exponent) > MAX_POWER_TERMS:
             return f"a power of a sum with more than {MAX_POWER_TERMS} terms"
         return None
 
+    def check_product(lhs: Polynomial, rhs: Polynomial) -> str | None:
+        if len(lhs.terms) * len(rhs.terms) > MAX_POWER_TERMS:
+            return f"a product of sums with more than {MAX_POWER_TERMS} pairs of terms"
+        return None
+
     parser = _ExpressionParser(
-        _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power
+        _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power, check_product
     )
     return parser.parse()
 

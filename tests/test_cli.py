@@ -126,6 +126,15 @@ def test_groebner_rejects_a_power_of_a_sum_with_too_many_terms_at_once(capsys):
     assert "column 12: a power of a sum with more than 1000 terms" in err
 
 
+def test_groebner_rejects_a_product_of_sums_with_too_many_terms_at_once(capsys):
+    # each factor passes the power check; multiplying them out took 4.1 s
+    start = time.perf_counter()
+    code, _, err = run(capsys, "groebner", "(x + y)^999 * (x + y)^999")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "column 13: a product of sums with more than 1000 pairs of terms" in err
+
+
 def test_cohomology_rejects_a_free_algebra_too_large_to_enumerate(tmp_path, capsys):
     path = tmp_path / "free.txt"
     path.write_text("".join(f"generator x{i} 2\n" for i in range(20)))

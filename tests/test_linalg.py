@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.linalg import RationalMatrix, in_span
+from sullivan.linalg import RationalMatrix, _echelon, _kernel, in_span
 
 
 def test_rank_examples():
@@ -316,3 +316,59 @@ def test_forward_rank_agrees_with_the_full_rref(matrix):
 def test_rank_modulo_a_prime_is_at_most_the_rank(matrix):
     data, cols = matrix
     assert _rank_mod_p(data, cols) <= RationalMatrix.from_rows(data, cols).rank()
+
+
+# -- the integer forms behind the public Fraction ones --------------------------
+
+
+@st.composite
+def mixed_sparse_rows(draw):
+    """Sparse rows whose nonzero entries are ints or Fractions, as the
+    elimination kernel reads them."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    value = st.integers(-6, 6).filter(bool) | nonzero
+    if not cols:
+        return [{} for _ in range(rows)], cols
+    row = st.dictionaries(st.integers(0, cols - 1), value, max_size=cols)
+    return [draw(row) for _ in range(rows)], cols
+
+
+def _scaled(vector, den, cols):
+    return tuple(Fraction(vector.get(j, 0), den) for j in range(cols))
+
+
+@properties
+@given(mixed_sparse_rows())
+def test_integer_rref_rows_are_the_rref_scaled_to_primitive_integers(matrix):
+    rows, cols = matrix
+    before = [dict(row) for row in rows]
+    echelon = _echelon(rows)
+    rref, pivots = RationalMatrix(len(rows), cols, rows).rref()
+    assert tuple(echelon) == pivots
+    for (p, row), expected in zip(echelon.items(), rref):
+        assert all(type(x) is int for x in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert _scaled(row, row[p], cols) == expected
+    # the integer rows may be the input's own dicts, which stay as they were
+    assert rows == before
+
+
+@properties
+@given(mixed_sparse_rows())
+def test_integer_kernel_vectors_are_the_canonical_kernel_scaled_to_primitive_integers(matrix):
+    rows, cols = matrix
+    kernel = _kernel(rows, cols)
+    m = RationalMatrix(len(rows), cols, rows)
+    free = [c for c in range(cols) if c not in m.rref()[1]]
+    assert [max(v) for v in kernel] == free
+    assert len(kernel) == len(m.kernel_basis())
+    for v, expected in zip(kernel, m.kernel_basis()):
+        fc = max(v)
+        assert all(type(x) is int for x in v.values())
+        assert v[fc] > 0 and gcd(*v.values()) == 1
+        assert list(v) == sorted(v)
+        assert _scaled(v, v[fc], cols) == expected
+        # canonical: 1 at its own free column, 0 at every other one
+        assert all(expected[c] == (c == fc) for c in free)
+        assert all(sum(x * v.get(j, 0) for j, x in row.items()) == 0 for row in rows)

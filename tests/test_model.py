@@ -1,5 +1,6 @@
 """Sullivan models: Leibniz extension, validation, cohomology, cup products."""
 
+import copy
 import gc
 import random
 import weakref
@@ -21,6 +22,7 @@ from sullivan import (
     extend_differential,
     h4_pairing_discriminant,
     monomial_basis,
+    pairing_determinant,
     poincare_duality_check,
     pure_is_elliptic,
 )
@@ -99,12 +101,19 @@ def test_validate_degree_violation():
 
 
 def test_validate_d_squared_violation():
+    # neither model is pure, so the d^2 check runs
     table = GeneratorTable([("x1", 2), ("y1", 3), ("w", 4)])
     x1, y1 = table.generator("x1"), table.generator("y1")
     m = SullivanModel(table, {"y1": x1 * x1, "w": x1 * y1})
     violation = m.validate()
     assert violation is not None and violation.kind == "d-squared"
     assert violation.generator == "w"
+    # d(v) = x·y with v even, so d(d(v)) = x·d(y) = x^3
+    table = GeneratorTable([("x", 2), ("y", 3), ("v", 4)])
+    x, y = table.generator("x"), table.generator("y")
+    m = SullivanModel(table, {"y": x * x, "v": x * y})
+    assert not m.is_pure()
+    assert [(v.kind, v.generator) for v in m._violations()] == [("d-squared", "v")]
 
 
 def test_betti_s3_x_s3():
@@ -411,6 +420,92 @@ def test_reduce_is_constant_on_cosets_of_the_image(name, factory):
                 difference[j] = difference.get(j, 0) - c
             rows = list(image.values()) + [difference]
             assert RationalMatrix(len(rows), len(basis), rows).rank() == len(image)
+
+
+# -- the fraction-free complex against plain Fraction arithmetic ----------------
+
+
+def _fraction_rref(vectors, length):
+    """Textbook Gauss-Jordan over Fraction on dense copies of the sparse
+    vectors: the RREF rows of their span, keyed by pivot."""
+    reduced = {}
+    for vector in vectors:
+        row = [Fraction(vector.get(j, 0)) for j in range(length)]
+        for p, other in reduced.items():
+            row = [a - row[p] * b for a, b in zip(row, other)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        for p, other in reduced.items():
+            reduced[p] = [a - other[lead] * b for a, b in zip(other, row)]
+        reduced[lead] = row
+    return reduced
+
+
+COSET_MODELS = [
+    dim6_b3_model(Fraction(1, 3)),
+    dim7_sigma_model(Fraction(-2, 5)),
+    dim8_sigma_model(3),
+    vt_model(p=2, cubic=(1, 0, Fraction(1, 2), 1)),
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(COSET_MODELS), st.data())
+def test_reduce_matches_a_fraction_coset_reduction(m, data):
+    cochains = m.cochains()
+    k = data.draw(st.integers(1, m.formal_dimension_claim()))
+    basis = cochains.basis(k)
+    coefficient = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    terms = data.draw(st.dictionaries(st.sampled_from(basis), coefficient, max_size=6)) if basis else {}
+    element = m.table.element(terms)
+    vec = [Fraction(element.terms.get(mono, 0)) for mono in basis]
+    for p, row in _fraction_rref(cochains.d(k - 1), len(basis)).items():
+        vec = [a - vec[p] * b for a, b in zip(vec, row)]
+    reduced = cochains.reduce(k, element)
+    assert reduced == {j: x for j, x in enumerate(vec) if x}
+    assert all(type(x) is int for x in reduced.values() if x.denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "m", [dim7_sigma_model(2), dim6_b3_model(Fraction(1, 3)), vt_model()], ids=["dim7-sigma(2)", "b3(1/3)", "vt"]
+)
+def test_cached_columns_are_unchanged_by_kernels_images_and_reductions(m):
+    # the elimination keeps all-int columns as they are, not copies of them
+    cochains = m.cochains()
+    n = m.formal_dimension_claim()
+    columns = {k: cochains.d(k) for k in range(-1, n + 1)}
+    snapshot = copy.deepcopy(columns)
+    rng = random.Random(n)
+    for k in range(n + 1):
+        cochains.kernel(k)
+        cochains.image(k)
+        if cochains.betti(k):
+            cochains.class_generator(k)
+        for _ in range(3):
+            cochains.reduce(k, _random_element(rng, m.table, cochains.basis(k)))
+    assert poincare_duality_check(m)
+    assert all(cochains.d(k) is columns[k] for k in columns)
+    assert columns == snapshot
+
+
+@pytest.mark.parametrize(
+    "m,degree,expected",
+    [
+        (dim4_sigma_model(3), 2, 3),
+        (dim7_sigma_model(2), 2, 2),
+        (dim7_sigma_model(-5), 2, -5),
+        (dim7_sigma_model(Fraction(1, 3)), 2, Fraction(1, 3)),
+        (dim8_middle_model(2), 4, 2),
+        (dim8_middle_model(Fraction(-3, 2)), 4, Fraction(-3, 2)),
+    ],
+    ids=["x-sigma(3)", "dim7-sigma(2)", "dim7-sigma(-5)", "dim7-sigma(1/3)", "dim8-middle(2)", "dim8-middle(-3/2)"],
+)
+def test_pairing_determinant_is_an_int_when_whole(m, degree, expected):
+    det = pairing_determinant(m, degree)
+    assert det == expected
+    assert type(det) is (int if det.denominator == 1 else Fraction)
 
 
 def test_rank_kernel_and_image_agree():

@@ -121,6 +121,19 @@ def test_power_of_a_sum_is_bounded_before_it_is_expanded():
     assert parse_polynomial("(2*x*y)^100000", ring).coefficient((100000, 100000, 0)) == 2**100000
 
 
+def test_product_of_sums_is_bounded_before_it_is_multiplied_out():
+    ring = PolyRing(("x", "y", "z"))
+    # 40 · 25 pairs of terms is at the bound, 41 · 25 is past it
+    assert len(parse_polynomial("(x + y)^39 * (x + z)^24", ring).terms) == 40 * 25
+    with pytest.raises(ParseError, match=f"column 12: a product of sums with more than {MAX_POWER_TERMS} pairs"):
+        parse_polynomial("(x + y)^40 * (x + z)^24", ring)
+    # the running product is checked against each further factor
+    with pytest.raises(ParseError, match="line 2, column 23"):
+        parse_polynomial("(x + y)^9 * (x + z)^9 * (y + z)^99", ring, line=2)
+    # a factor of one term multiplies nothing out
+    assert len(parse_polynomial("3 * x * (x + y)^999 * y", ring).terms) == 1000
+
+
 def test_variables_in():
     assert variables_in("z*(x^2 + y^2)") == ["x", "y", "z"]
 
