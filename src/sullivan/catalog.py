@@ -20,6 +20,7 @@ from .algebra import GeneratorTable
 from .cubic import (
     CubicForm,
     QuadricSubspace,
+    _triple,
     associated_subspace,
     binary_classify,
     cubic_form_of_quadric_ideal,
@@ -450,30 +451,20 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
     """
     if len(ring.variables) != 3:
         raise ValueError("expected a presentation on three degree-two generators")
-    monos2 = ring.monomials_of_degree(2)
-    rows = []
-    for rel in relations:
-        if rel.is_zero():
-            continue
-        if not rel.is_homogeneous() or rel.degree() != 2:
-            raise ValueError("relations must be homogeneous quadrics")
-        rows.append([rel.coefficient(mono) for mono in monos2])
-    rref, pivots = RationalMatrix.from_rows(rows, len(monos2)).rref()
     aring = PolyRing(("a1", "a2", "a3"))
     a = [aring.variable(i) for i in range(3)]
-    entries = []
-    for mono in monos2:
-        support = [i for i, e in enumerate(mono) for _ in range(e)]
-        i, j = support
-        entries.append(a[i] * a[j] if i == j else 2 * (a[i] * a[j]))
-    for row, pc in zip(rref, pivots):
-        factor = entries[pc]
-        if factor.is_zero():
-            continue
-        entries = [
-            e - factor.scale(row[k]) if row[k] else e for k, e in enumerate(entries)
-        ]
-    gb = buchberger([e for e in entries if not e.is_zero()], aring)
+    # the coefficient of each quadric monomial in (a1 x1 + a2 x2 + a3 x3)^2
+    entries = {}
+    for mono in ring.monomials_of_degree(2):
+        i, j = _triple(mono)
+        entries[mono] = a[i] * a[j] if i == j else 2 * (a[i] * a[j])
+    # each canonical relation is monic at its lead, where no other one has a term
+    for rel in QuadricSubspace(ring, relations).basis:
+        factor = entries[rel.leading_monomial()]
+        if not factor.is_zero():
+            for mono, c in rel.terms.items():
+                entries[mono] -= factor.scale(c)
+    gb = buchberger([e for e in entries.values() if not e.is_zero()], aring)
     return (gb.krull_dimension(), gb.multiplicity())
 
 

@@ -39,10 +39,6 @@ def _multinomial(i: int, j: int, k: int) -> int:
     return 6
 
 
-def _index_triples(dim: int):
-    return list(combinations_with_replacement(range(dim), 3))
-
-
 def _triple(mono: Sequence[int]) -> tuple[int, ...]:
     """The index triple of a cubic exponent vector: (1, 2, 0) -> (0, 1, 1)."""
     return tuple(var for var, e in enumerate(mono) for _ in range(e))
@@ -125,7 +121,7 @@ class CubicForm:
         """Rescale so the F_ijk are coprime integers, first nonzero positive."""
         if not self.coeffs:
             return self
-        order = _index_triples(self.dim)
+        order = list(combinations_with_replacement(range(self.dim), 3))
         vec = [self[t] for t in order]
         ints = integerized(vec)
         first = next(x for x in ints if x)
@@ -285,21 +281,17 @@ def binary_classify(form: CubicForm) -> str:
 
     One of "zero", "cube", "square-times-line", "one-real-root",
     "three-real-roots"; decided exactly from the Hessian and the
-    discriminant.
+    discriminant.  A nonzero form is a cube exactly when its Hessian
+    vanishes, and the Hessian is 36 times the quadric whose coefficients
+    are the `wall_invariants`.
     """
     if form.dim != 2:
         raise ValueError("binary classification needs a binary form")
     if form.is_zero():
         return "zero"
-    p0, p1, p2, p3 = form.coefficient_vector()
-    ring = PolyRing(("x", "y"))
-    P = form.polynomial(ring)
-    pxx = P.derivative(0).derivative(0)
-    pyy = P.derivative(1).derivative(1)
-    pxy = P.derivative(0).derivative(1)
-    hess = pxx * pyy - pxy * pxy
-    if hess.is_zero():
+    if not any(wall_invariants(form)):
         return "cube"
+    p0, p1, p2, p3 = form.coefficient_vector()
     disc = (
         18 * p0 * p1 * p2 * p3
         - 4 * p1**3 * p3
@@ -433,12 +425,8 @@ def hesse_sigma_candidates(form: CubicForm, tolerance) -> list[tuple[Fraction, F
             if exact != minus_half:
                 out.append((exact, exact))
             continue
-        lo, hi = roots.refine_interval(q, lo, hi, tolerance)
-        if lo == hi:
-            if lo != minus_half:
-                out.append((lo, hi))
-            continue
-        out.append((lo, hi))
+        # the root is irrational, so bisection never lands on it
+        out.append(roots.refine_interval(q, lo, hi, tolerance))
     return sorted(out)
 
 
@@ -511,15 +499,10 @@ def cubic_form_of_ring(relations: Sequence[Polynomial], ring: PolyRing) -> Cubic
     profile = gb.hilbert_function(4)
     if profile != (1, n, n, 1, 0):
         raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
-    std = gb.standard_monomials(3)
-    top = std[0]
+    top = gb.standard_monomials(3)[0]
     coeffs = {}
-    for i, j, k in _index_triples(n):
-        expo = [0] * n
-        for v in (i, j, k):
-            expo[v] += 1
-        nf = gb.normal_form(ring.monomial(expo))
-        coeffs[(i, j, k)] = nf.coefficient(top)
+    for mono in ring.monomials_of_degree(3):
+        coeffs[_triple(mono)] = gb.normal_form(ring.monomial(mono)).coefficient(top)
     return CubicForm(n, coeffs)
 
 

@@ -41,6 +41,7 @@ from math import comb, gcd
 from operator import add, le, neg
 from typing import Iterable, Sequence
 
+from .algebra import _even_exponent_vectors
 from .linalg import LinearCombination, _clear_denominators, _ratio, rational
 
 Monomial = tuple[int, ...]
@@ -173,20 +174,7 @@ class PolyRing:
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All degree-d monomials, descending grevlex."""
-        n = len(self.variables)
-        if n == 0:
-            return [()] if d == 0 else []
-        out = []
-
-        def rec(prefix, remaining, slot):
-            if slot == n - 1:
-                out.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining, -1, -1):
-                rec(prefix + [e], remaining - e, slot + 1)
-
-        rec([], d, 0)
-        return sorted(out, key=_grevlex_key, reverse=True)
+        return sorted(_even_exponent_vectors((1,) * len(self.variables), d), key=_grevlex_key, reverse=True)
 
 
 class Polynomial(LinearCombination):

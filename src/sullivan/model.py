@@ -222,9 +222,10 @@ class CochainComplex:
     Coset reduction modulo the image is fraction-free (``_reduced``): it
     returns integer coordinates and a positive multiplier, the reduced
     vector times that multiplier.  A ``Fraction`` is made only where an
-    exact value leaves the complex: ``reduce`` and ``class_generator``, and
-    the entries that ``pairing_determinant``, ``cup_product_cubic_form``
-    and ``poincare_duality_check`` read off a reduced vector.
+    exact value leaves the complex: ``reduce``, ``class_generator`` and
+    ``_top_coordinate``, the one reading of a class in a one-dimensional
+    H^k, which ``pairing_determinant``, ``cup_product_cubic_form`` and
+    ``poincare_duality_check`` share.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -240,6 +241,7 @@ class CochainComplex:
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, tuple[dict[int, int], ...]] = {}
         self._images: dict[int, dict[int, dict[int, int]]] = {}
+        self._representatives: dict[int, dict[int, int]] = {}
 
     def basis(self, k: int) -> tuple:
         """Monomials of degree k in canonical order (none below degree 0).
@@ -341,12 +343,26 @@ class CochainComplex:
     def _representative(self, k: int) -> dict[int, int]:
         """Reduced representative of a nonzero class in H^k as a primitive
         integer vector, positive at its first position."""
-        for vec in self.kernel(k):
-            reduced, _ = self._reduced(k, dict(vec))
-            if reduced:
-                reduced = _primitive(reduced)
-                return reduced if reduced[min(reduced)] > 0 else {j: -x for j, x in reduced.items()}
-        raise ArithmeticError(f"H^{k} is zero")
+        if k not in self._representatives:
+            for vec in self.kernel(k):
+                reduced, _ = self._reduced(k, dict(vec))
+                if reduced:
+                    reduced = _primitive(reduced)
+                    if reduced[min(reduced)] < 0:
+                        reduced = {j: -x for j, x in reduced.items()}
+                    self._representatives[k] = reduced
+                    break
+            else:
+                raise ArithmeticError(f"H^{k} is zero")
+        return self._representatives[k]
+
+    def _top_coordinate(self, k: int, vec: dict[int, int]) -> int | Fraction:
+        """The class of the integer cocycle vec over basis(k) as a multiple
+        of class_generator(k), when dim H^k = 1: its reduced vector is that
+        multiple of the generator, which is 1 at the representative's first
+        position, so the multiple is the entry there.  vec is consumed."""
+        reduced, multiplier = self._reduced(k, vec)
+        return _ratio(reduced.get(min(self._representative(k)), 0), multiplier)
 
     def class_generator(self, k: int) -> dict[int, Fraction]:
         """Reduced representative of a nonzero class in H^k, as {basis position:
@@ -418,17 +434,10 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     cochains = m.cochains()
     if cochains.betti(6) != 1:
         raise ValueError("dim H^6 must be 1")
-    rep = cochains._representative(6)
-    lead = min(rep)
     coeffs = {}
     for a, b, c in combinations_with_replacement(range(len(xs)), 3):
         product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
-        reduced, multiplier = cochains._reduced(6, cochains.coordinates(6, product))
-        top = reduced.get(lead, 0)
-        # a multiple of rep: reduced · rep[lead] = top · rep
-        if {j: x * rep[lead] for j, x in reduced.items()} != {j: top * r for j, r in rep.items() if top}:
-            raise ArithmeticError("degree-6 class is not a multiple of the generator")
-        coeffs[(a, b, c)] = _ratio(top, multiplier)
+        coeffs[(a, b, c)] = cochains._top_coordinate(6, cochains.coordinates(6, product))
     return CubicForm(len(xs), coeffs)
 
 
@@ -446,7 +455,6 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     if not xs or n < 4:
         return True
     cochains = m.cochains()
-    lead = min(cochains._representative(n))
     basis = cochains.basis(n - 2)
     index = cochains.index(n)
     cocycles = cochains.kernel(n - 2)
@@ -461,8 +469,7 @@ def poincare_duality_check(m: SullivanModel) -> bool:
             for j, c in z.items():
                 sign, target = _mul_monomials(m.table, x, basis[j])
                 product[index[target]] = sign * c
-            reduced, multiplier = cochains._reduced(n, product)
-            row.append(_ratio(reduced.get(lead, 0), multiplier))
+            row.append(cochains._top_coordinate(n, product))
         rows.append(row)
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
@@ -478,9 +485,8 @@ def pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fr
     cochains = m.cochains()
     if cochains.betti(k) != 1:
         raise ValueError(f"dim H^{k} must be 1")
-    lead = min(cochains._representative(k))
     (a, b), (c, d) = (
-        [cochains.reduce(k, table.generator(i) * table.generator(j)).get(lead, 0) for j in xs]
+        [cochains._top_coordinate(k, cochains.coordinates(k, table.generator(i) * table.generator(j))) for j in xs]
         for i in xs
     )
     return rational(a * d - b * c)

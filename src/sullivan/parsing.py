@@ -13,11 +13,12 @@ Expression grammar (whitespace insignificant, `#` starts a comment):
 and unary minus signs together nest at most MAX_NESTING deep, so no input
 exhausts the stack.  Model files are line oriented: `generator <name>
 <degree>` declarations followed by `d <name> = <expression>` lines;
-undeclared differentials are zero.  A power of a sum in `d <name>` that
-has a term above deg <name> + 1 is rejected before it is expanded, and so
-is a power of a sum in a polynomial that could have more than
-MAX_POWER_TERMS terms, or a product in a polynomial whose factors' term
-counts multiply to more than that.
+undeclared differentials are zero.  In `d <name>`, a power of a sum, and
+a product with a sum among its factors, is rejected before it is expanded
+when it has a term above deg <name> + 1.  In a polynomial, so is a power
+of a sum that could have more than MAX_POWER_TERMS terms, a product whose
+factors' term counts multiply to more than that, and any power or product
+of sums after which those estimates add up to more than twice that.
 """
 
 from __future__ import annotations
@@ -198,31 +199,36 @@ class _ExpressionParser:
 def parse_element(
     text: str, table: GeneratorTable, line: int | None = None, max_degree: int | None = None
 ) -> AlgebraElement:
-    """The element written in text.  With max_degree, a power of a sum that
-    has a term above that degree is rejected before it is expanded.  The
-    monomials without odd factors span a polynomial ring, which has no zero
-    divisors, so if the sum's terms of that kind reach degree t, its e-th
-    power has a nonzero term of degree t·e (which only another summand of
-    the expression could cancel)."""
+    """The element written in text.  With max_degree, a power of a sum,
+    and a product with a sum among its factors, is rejected before it is
+    expanded when it has a term above that degree.  The monomials without
+    odd factors span a polynomial ring, which has no zero divisors, and a
+    product with an odd factor has one too or vanishes.  So the terms
+    without odd factors of the factors multiply to a nonzero part whose
+    top degree is the sum of theirs: e·t for the e-th power of a sum whose
+    terms of that kind reach degree t (only another summand of the
+    expression could cancel it)."""
     odd = table.odd_indices()
 
-    def check_power(base: AlgebraElement, exponent: int) -> str | None:
-        if len(base.terms) < 2:
-            return None  # a power of one term is one term: no expansion
-        top = exponent * max(
-            (table.monomial_degree(m) for m in base.terms if not any(m[i] for i in odd)), default=0
-        )
-        if top > max_degree:
-            return f"a power of degree {top} exceeds the expected degree {max_degree}"
+    def check(kind: str, *factors: tuple[AlgebraElement, int]) -> str | None:
+        """The error for a product of factors (element, exponent) with a
+        term above max_degree, or None."""
+        if all(len(element.terms) < 2 for element, _ in factors):
+            return None  # a product of single terms is one term: no expansion
+        degree = 0
+        for element, exponent in factors:
+            even = [table.monomial_degree(m) for m in element.terms if not any(m[i] for i in odd)]
+            if not even:
+                return None  # every term of the product has an odd factor
+            degree += exponent * max(even)
+        if degree > max_degree:
+            return f"a {kind} of degree {degree} exceeds the expected degree {max_degree}"
         return None
 
-    parser = _ExpressionParser(
-        _tokenize(text, line),
-        lambda name: table.generator(name),
-        table.scalar,
-        line,
-        None if max_degree is None else check_power,
-    )
+    parser = _ExpressionParser(_tokenize(text, line), lambda name: table.generator(name), table.scalar, line)
+    if max_degree is not None:
+        parser.check_power = lambda base, exponent: check("power", (base, exponent))
+        parser.check_product = lambda lhs, rhs: check("product", (lhs, 1), (rhs, 1))
     return parser.parse()
 
 
@@ -243,17 +249,32 @@ def parse_polynomial(text: str, ring: PolyRing, line: int | None = None) -> Poly
     """The polynomial written in text.  A power of a sum that could have
     more than MAX_POWER_TERMS terms (`_power_terms`) is rejected before it
     is expanded, and so is a product whose factors' term counts multiply
-    to more than MAX_POWER_TERMS, before it is multiplied out."""
+    to more than MAX_POWER_TERMS, before it is multiplied out.  Those
+    estimates, for every power of a sum and every product of two sums in
+    the text, may add up to at most twice MAX_POWER_TERMS, so a long text
+    cannot chain many expansions that each pass."""
+    total = 0
+
+    def spend(estimate: int) -> str | None:
+        nonlocal total
+        total += estimate
+        if total > 2 * MAX_POWER_TERMS:
+            return f"powers and products of sums with more than {2 * MAX_POWER_TERMS} terms in all"
+        return None
 
     def check_power(base: Polynomial, exponent: int) -> str | None:
-        if len(base.terms) >= 2 and _power_terms(base, exponent) > MAX_POWER_TERMS:
+        if len(base.terms) < 2:
+            return None
+        terms = _power_terms(base, exponent)
+        if terms > MAX_POWER_TERMS:
             return f"a power of a sum with more than {MAX_POWER_TERMS} terms"
-        return None
+        return spend(terms)
 
     def check_product(lhs: Polynomial, rhs: Polynomial) -> str | None:
-        if len(lhs.terms) * len(rhs.terms) > MAX_POWER_TERMS:
+        pairs = len(lhs.terms) * len(rhs.terms)
+        if pairs > MAX_POWER_TERMS:
             return f"a product of sums with more than {MAX_POWER_TERMS} pairs of terms"
-        return None
+        return spend(pairs) if len(lhs.terms) > 1 and len(rhs.terms) > 1 else None
 
     parser = _ExpressionParser(
         _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power, check_product

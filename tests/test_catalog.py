@@ -1,5 +1,6 @@
 """Catalog constructors, classifiers, biquotient rings, square-zero profiles."""
 
+import random
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -183,6 +184,30 @@ def test_square_zero_profiles():
     assert square_zero_profile(msig, ring) == (1, 3)
     n7s2 = [parse_polynomial(t, ring) for t in ("x1^2", "x2^2", "x1*x2", "s^2")]
     assert square_zero_profile(n7s2, ring)[0] == 2
+
+
+def test_square_zero_profile_depends_only_on_the_span_of_the_relations():
+    ring = PolyRing(("x1", "x2", "s"))
+    cases = [
+        (fragment.ring, list(fragment.relations))
+        for fragment in ring_fragments()
+        if len(fragment.ring.variables) == 3 and all(r.degree() == 2 for r in fragment.relations)
+    ]
+    cases += [
+        (ring, [parse_polynomial(t, ring) for t in texts])
+        for texts in (("x1*x2", "x1^2 - 2*x2^2", "s^2"), ("x1^2", "x2^2", "x1*x2", "s^2"))
+    ]
+    assert len(cases) == 3
+    rng = random.Random(5)
+    for r, relations in cases:
+        reference = square_zero_profile(relations, r)
+        for _ in range(4):
+            scaled = [q.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))) for q in relations]
+            rng.shuffle(scaled)
+            combination = sum((q.scale(rng.randint(-2, 2)) for q in relations), r.zero())
+            padded = scaled + [r.zero(), combination]
+            rng.shuffle(padded)
+            assert square_zero_profile(padded, r) == reference
 
 
 def test_verify_entry_pass_and_fail():

@@ -135,6 +135,26 @@ def test_groebner_rejects_a_product_of_sums_with_too_many_terms_at_once(capsys):
     assert "column 13: a product of sums with more than 1000 pairs of terms" in err
 
 
+def test_groebner_rejects_many_powers_of_sums_in_one_polynomial(capsys):
+    # each power passes its own check; expanding all eight took 4.5 s
+    start = time.perf_counter()
+    code, _, err = run(capsys, "groebner", " + ".join(["(x + y)^999"] * 8))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "column 36: powers and products of sums with more than 2000 terms in all" in err
+
+
+def test_cohomology_rejects_a_long_product_of_sums_before_multiplying_it_out(tmp_path, capsys):
+    # multiplying out the 3,000 factors took 16 s before the degree check
+    path = tmp_path / "product.txt"
+    path.write_text("generator x 2\ngenerator z 2\ngenerator y 3\nd y = " + " * ".join(["(x + z)"] * 3000) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cohomology", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "line 4, column 19: a product of degree 6 exceeds the expected degree 4" in err
+
+
 def test_cohomology_rejects_a_free_algebra_too_large_to_enumerate(tmp_path, capsys):
     path = tmp_path / "free.txt"
     path.write_text("".join(f"generator x{i} 2\n" for i in range(20)))

@@ -125,6 +125,29 @@ def test_wall_invariants_examples():
     assert wall_invariants(CubicForm(2, {})) == (0, 0, 0)
 
 
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def binary_forms(draw):
+    """Random binary cubics, half of them cubes (a*x + b*y)^3 scaled."""
+    if draw(st.booleans()):
+        a, b, c = (draw(small_rationals) for _ in range(3))
+        return CubicForm.from_polynomial(((RXY.variable(0).scale(a) + RXY.variable(1).scale(b)) ** 3).scale(c))
+    return CubicForm(2, {t: draw(small_rationals) for t in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))})
+
+
+@settings(deadline=None)
+@given(binary_forms())
+def test_hessian_of_a_binary_form_is_36_times_the_wall_quadric(form):
+    p = form.polynomial(RXY)
+    pxx, pxy, pyy = p.derivative(0).derivative(0), p.derivative(0).derivative(1), p.derivative(1).derivative(1)
+    hessian = pxx * pyy - pxy * pxy
+    w_xy, w_xx, w_yy = wall_invariants(form)
+    assert hessian == RXY.from_terms({(2, 0): 36 * w_xx, (1, 1): 36 * w_xy, (0, 2): 36 * w_yy})
+    assert (binary_classify(form) == "cube") == (not form.is_zero() and hessian.is_zero())
+
+
 def test_is_singular_examples():
     assert is_singular_ternary(form3("x^3 + y^3 + z^3 - 3*x*y*z"))  # divisible by x+y+z
     assert not is_singular_ternary(form3("x^3 + y^3 + z^3"))

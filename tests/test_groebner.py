@@ -4,7 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import add, le, sub
 
@@ -34,6 +34,25 @@ R2 = PolyRing(("x1", "x2"))
 
 def polys(ring, *texts):
     return [parse_polynomial(t, ring) for t in texts]
+
+
+def _grevlex_greater(a, b) -> bool:
+    """a > b in graded reverse lexicographic order: the higher degree, or at
+    equal degree the smaller exponent at the last variable where they differ."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    last = [i for i in range(len(a)) if a[i] != b[i]]
+    return bool(last) and a[last[-1]] < b[last[-1]]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_monomials_of_degree_is_every_exponent_vector_in_descending_grevlex(n):
+    ring = PolyRing(tuple(f"v{i}" for i in range(n)))
+    for d in range(7):
+        monos = ring.monomials_of_degree(d)
+        brute = {m for m in product(range(d + 1), repeat=n) if sum(m) == d}
+        assert len(monos) == len(set(monos)) and set(monos) == brute
+        assert all(_grevlex_greater(a, b) for a, b in zip(monos, monos[1:]))
 
 
 def test_buchberger_one_reduction():

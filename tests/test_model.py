@@ -6,6 +6,7 @@ import random
 import weakref
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -338,6 +339,57 @@ def test_cochains_is_built_once_per_model():
     m = dim7_sigma_model(2)
     assert m.cochains() is m.cochains()
     assert dim7_sigma_model(2).cochains() is not m.cochains()
+
+
+def test_top_class_reading_is_the_coordinate_along_the_class_generator():
+    # d(x·y1) = x^3 and d(x·y2) = 2x^3: H^5 is spanned by the class of
+    # x·(2y1 − y2), whose representative has two entries of different sizes
+    table = GeneratorTable([("x", 2), ("y1", 3), ("y2", 3)])
+    x, y1, y2 = (table.generator(name) for name in table.names)
+    m = SullivanModel(table, {"y1": x * x, "y2": 2 * (x * x)})
+    assert poincare_duality_check(m)
+    cochains = m.cochains()
+    generator = cochains.class_generator(5)
+    assert sorted(map(abs, generator.values())) == [Fraction(1, 2), 1]
+    for c in (1, -3, 4):
+        element = c * (x * (2 * y1 - y2))
+        t = cochains._top_coordinate(5, cochains.coordinates(5, element))
+        assert t != 0 and cochains.reduce(5, element) == {j: t * g for j, g in generator.items()}
+
+
+@pytest.mark.parametrize(
+    "m", [vt_model(), dim6_b3_model(2), dim6_b3_model(Fraction(-1, 3))], ids=["vt", "b3(2)", "b3(-1/3)"]
+)
+def test_cup_products_are_multiples_of_the_top_class(m):
+    form = cup_product_cubic_form(m)
+    cochains = m.cochains()
+    generator = cochains.class_generator(6)
+    xs = [m.table.generator(i) for i, d in enumerate(m.table.degrees) if d == 2]
+    for a, b, c in combinations_with_replacement(range(len(xs)), 3):
+        f = form[(a, b, c)]
+        assert cochains.reduce(6, xs[a] * xs[b] * xs[c]) == {j: f * g for j, g in generator.items() if f}
+
+
+def test_representative_search_runs_at_most_once_per_degree(monkeypatch):
+    # each search makes the representative it finds primitive, once
+    searches = []
+    original = sullivan.model._primitive
+
+    def counting_primitive(vec):
+        searches.append(vec)
+        return original(vec)
+
+    monkeypatch.setattr(sullivan.model, "_primitive", counting_primitive)
+    # S^2 × S^2 × S^6: b2 = 2 with b4 = b6 = 1, formal dimension 10
+    m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
+    cochains = m.cochains()
+    for _ in range(2):
+        assert cup_product_cubic_form(m).is_zero()
+        assert pairing_determinant(m) == -1
+        assert poincare_duality_check(m)
+        for k in (4, 6, 10):
+            assert list(cochains.class_generator(k).values()) == [1]
+    assert len(searches) == 3
 
 
 def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):

@@ -134,6 +134,41 @@ def test_product_of_sums_is_bounded_before_it_is_multiplied_out():
     assert len(parse_polynomial("3 * x * (x + y)^999 * y", ring).terms) == 1000
 
 
+def test_expansions_in_one_polynomial_are_bounded_in_all():
+    ring = PolyRing(("x", "y", "z"))
+    # eight powers of 250 terms each reach twice MAX_POWER_TERMS, a ninth passes it
+    eight = " + ".join(["(x + y)^249"] * 8)
+    assert parse_polynomial(eight, ring) == parse_polynomial("8*(x + y)^249", ring)
+    message = f"powers and products of sums with more than {2 * MAX_POWER_TERMS} terms in all"
+    with pytest.raises(ParseError, match=f"column 120: {message}"):
+        parse_polynomial(eight + " + (x + y)^249", ring)
+    # a product of two sums counts its pairs of terms: 7·250 + 10 + 30 + 10·30
+    seven = " + ".join(["(x + y)^249"] * 7)
+    with pytest.raises(ParseError, match=f"column 109: {message}"):
+        parse_polynomial(seven + " + (x + z)^9 * (y + z)^29", ring)
+    # a product with a factor of one term counts nothing: 5·250 in all
+    once = parse_polynomial("(x + y)^249 * z", ring)
+    five = " + ".join(["(x + y)^249 * z", "z * (x + y)^249"] * 2 + ["(x + y)^249 * z"])
+    assert parse_polynomial(five, ring) == once.scale(5)
+
+
+def test_parse_model_products_of_sums():
+    header = "generator x 2\ngenerator z 2\ngenerator y 3\n"
+    m = parse_model(header + "d y = (x + z)*(x - z)\n")
+    assert m.images[2] == parse_element("x^2 - z^2", m.table)
+    with pytest.raises(ParseError, match="line 4, column 19: a product of degree 6 exceeds the expected degree 4"):
+        parse_model(header + "d y = (x + z) * (x + z) * (x + z)\n")
+    # the degree rule reads the terms without odd factors of both factors
+    with pytest.raises(ParseError, match="line 4, column 8: a product of degree 6"):
+        parse_model(header + "d y = (x + y)*(x^2 + z)\n")
+    # a factor whose every term has an odd factor leaves the product to validation
+    with pytest.raises(ParseError, match=r"invalid model \(degree\): d\(y\) has degree 7, expected 4"):
+        parse_model(header + "d y = (x*y + z*y) * (x + z)\n")
+    # products of single terms are one term: validation reports their degree
+    with pytest.raises(ParseError, match=r"invalid model \(degree\): d\(y\) has degree 6, expected 4"):
+        parse_model(header + "d y = x*x*z\n")
+
+
 def test_variables_in():
     assert variables_in("z*(x^2 + y^2)") == ["x", "y", "z"]
 
