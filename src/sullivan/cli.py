@@ -28,6 +28,7 @@ from .model import betti_numbers
 from .parsing import (
     parse_model,
     parse_polynomial,
+    parse_polynomials,
     render_fraction,
     render_model,
     render_polynomial,
@@ -109,7 +110,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_regseq(args) -> int:
     ring = _ring_for(args.polys, args.vars)
-    polys = [parse_polynomial(text, ring) for text in args.polys]
+    polys = parse_polynomials(args.polys, ring)
     regular = is_regular_sequence(polys, ring)
     print(f"variables: {', '.join(ring.variables)}")
     print("regular" if regular else "not regular")
@@ -118,7 +119,7 @@ def _cmd_regseq(args) -> int:
 
 def _cmd_groebner(args) -> int:
     ring = _ring_for(args.polys, args.vars)
-    polys = [parse_polynomial(text, ring) for text in args.polys]
+    polys = parse_polynomials(args.polys, ring)
     gb = buchberger(polys, ring)
     print(f"variables: {', '.join(ring.variables)}")
     if not gb.generators:

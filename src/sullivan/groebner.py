@@ -507,10 +507,11 @@ def _pair_loop(
     integer terms on packed monomials, not interreduced, with its packing
     and its packed leading monomials.
 
-    The packing starts wide enough for twice the largest input degree.  A
-    pair whose lcm has outgrown it restarts the loop at twice the width.
+    The packing starts wide enough for twice the largest input degree and
+    for the cap, so a capped loop never outgrows it.  A pair whose lcm has
+    outgrown it restarts the loop at twice the width.
     """
-    code = _Packing(n, _width(2 * max((p.degree() for p in polys), default=0)))
+    code = _Packing(n, _width(max(2 * max((p.degree() for p in polys), default=0), cap or 0)))
     while (found := _pairs(polys, code, cap)) is None:
         code = _Packing(n, 2 * code.width)
     return (code, *found)
@@ -616,14 +617,17 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
 def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:
     """Whether Q[x1..xn] modulo the homogeneous inputs is finite-dimensional,
     the same verdict as ``buchberger(polys, ring).is_finite_dimensional()``;
-    decided by `_finite_leads`."""
-    return _finite_leads(polys, ring) is not None
+    decided by `_finite_basis`."""
+    return _finite_basis(polys, ring) is not None
 
 
-def _finite_leads(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> list[Monomial] | None:
-    """The leading monomials of a Groebner basis of the ideal of the
-    homogeneous inputs when Q[x1..xn] modulo it is finite-dimensional, and
-    None when it is not.
+def _finite_basis(
+    polys: Iterable[Polynomial], ring: PolyRing | None = None
+) -> tuple[_Packing, list[dict[int, int]], list[int]] | None:
+    """A Groebner basis of the ideal of the homogeneous inputs, as `_pair_loop`
+    returns it (packing, primitive integer terms, packed leads), when
+    Q[x1..xn] modulo the ideal is finite-dimensional, and None when it is not.
+    Normal forms are `_reduce` on it, under its packing, up to its cap.
 
     Fewer than n nonzero forms, none of them a constant, cut out a variety
     of dimension at least 1 (Krull's principal ideal theorem).  Otherwise,
@@ -636,10 +640,10 @@ def _finite_leads(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
     interreduction nor the Hilbert series is needed.
 
     When it is finite, that truncated basis G is a full Groebner basis, so
-    its leads need no second run.  Every S-polynomial of degree at most D
-    has been reduced, so the leads of G span the lead ideal in every degree
-    up to D.  The quotient is zero in degree D, so every monomial of degree
-    D is a lead of the ideal, hence a multiple of a lead of G; then so is
+    it needs no second run.  Every S-polynomial of degree at most D has
+    been reduced, so the leads of G span the lead ideal in every degree up
+    to D.  The quotient is zero in degree D, so every monomial of degree D
+    is a lead of the ideal, hence a multiple of a lead of G; then so is
     every monomial of higher degree, and the leads of G generate the whole
     lead ideal.
     """
@@ -649,16 +653,15 @@ def _finite_leads(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
     if len(polys) < n and 0 not in degrees:
         return None
     cap = sum(degrees[:n]) - n + 1
-    code, _, leads = _pair_loop(polys, n, cap)
-    leads = [code.unpack(lead) for lead in leads]
+    found = code, _, leads = _pair_loop(polys, n, cap)
     pure: set[int] = set()
-    for lead in leads:
+    for lead in map(code.unpack, leads):
         support = [i for i, e in enumerate(lead) if e]
         if not support:
-            return leads  # the unit ideal
+            return found  # the unit ideal
         if len(support) == 1:
             pure.add(support[0])
-    return leads if len(pure) == n else None
+    return found if len(pure) == n else None
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

@@ -10,9 +10,12 @@ as many as the even ones, into Q[x].  When Q[x]/(dy_1, ..., dy_n) is
 finite-dimensional, dy_1..dy_n is a regular sequence, the model is the
 Koszul complex of that sequence, and H* ≅ Q[x]/(dy), concentrated in even
 degrees (Halperin, Trans. AMS 230, 1977; Félix, Halperin and Thomas,
-Rational Homotopy Theory, §32).  `betti_numbers` then reads b_k as the
-weighted Hilbert function of that quotient (`_quotient_betti`) and builds
-no cochain complex; every other model goes through the complex.
+Rational Homotopy Theory, §32), and the isomorphism is one of graded
+rings.  The model keeps that quotient (`SullivanModel.quotient`, a
+`PureQuotient`): `betti_numbers` reads b_k as its weighted Hilbert
+function, and `poincare_duality_check` reads the pairing of degree two
+against degree n - 2 from its normal forms, with no cochain complex.
+Every other model goes through the complex.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterator
 
-from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
+from .algebra import AlgebraElement, GeneratorTable, _even_exponent_vectors, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import (
     PolyRing,
     Polynomial,
-    _finite_leads,
+    _finite_basis,
     _hilbert_numerator,
     _hilbert_values,
+    _reduce,
     _shifted_sum,
     has_finite_quotient,
 )
@@ -57,7 +61,7 @@ class Violation:
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
 
-    __slots__ = ("table", "images", "_cochains", "__weakref__")
+    __slots__ = ("table", "images", "_cochains", "_quotient", "__weakref__")
 
     def __init__(self, table: GeneratorTable, differential: dict[str, AlgebraElement]):
         self.table = table
@@ -75,6 +79,7 @@ class SullivanModel:
                 raise KeyError(f"differential given for unknown generator {name!r}")
         self.images = tuple(images)
         self._cochains = None
+        self._quotient = _UNDECIDED
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,6 +120,14 @@ class SullivanModel:
         if self._cochains is None:
             self._cochains = CochainComplex(self)
         return self._cochains
+
+    def quotient(self) -> "PureQuotient | None":
+        """The Groebner quotient that H* is read from, or None when the model
+        is not of its kind (see `PureQuotient`); decided on first use and
+        kept on the model."""
+        if self._quotient is _UNDECIDED:
+            self._quotient = PureQuotient.of(self)
+        return self._quotient
 
     # -- structure ---------------------------------------------------------
 
@@ -183,6 +196,9 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
 
 # -- cohomology ---------------------------------------------------------------
 
+# SullivanModel._quotient before the route is decided
+_UNDECIDED = object()
+
 # the most monomials the cochain complex enumerates in one degree
 MAX_BASIS = 100_000
 
@@ -225,7 +241,8 @@ class CochainComplex:
     exact value leaves the complex: ``reduce``, ``class_generator`` and
     ``_top_coordinate``, the one reading of a class in a one-dimensional
     H^k, which ``pairing_determinant``, ``cup_product_cubic_form`` and
-    ``poincare_duality_check`` share.
+    ``poincare_duality_check`` share; the last reads its pairing from the
+    model's `PureQuotient` instead whenever there is one.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -371,50 +388,90 @@ class CochainComplex:
         return _fractions(rep, rep[min(rep)])
 
 
+class PureQuotient:
+    """Q[x]/(dy) for a pure model with as many odd generators as even ones,
+    at least one, whose images give a finite quotient: H* as a graded ring
+    (see the module docstring), x_i standing for the class of x_i.
+
+    With step the gcd of the even degrees and w_i = deg x_i / step, the
+    quotient is held as the Groebner basis of the images with x_i sent to
+    x_i^{w_i} (`_weighted_images`) that decides finiteness (`_finite_basis`):
+    its packing, primitive integer terms and packed leads.  H^k is zero
+    when step does not divide k, and otherwise has as its basis the standard
+    monomials x^{w·a} with sum a_i·w_i = k / step.  The pair loop forms
+    S-polynomials and reductions of elements of Q[x^w] by elements of
+    Q[x^w], which stay in Q[x^w]: there lcms of leads and quotients of
+    divisible monomials have every x_i-exponent a multiple of w_i.  So the
+    same run is Buchberger's algorithm in Q[x] under the monomial order
+    a < b iff a·w < b·w, the leads divided by w are the leads of (dy) in
+    that order, and a normal form of an element of Q[x^w] stays in Q[x^w].
+    """
+
+    __slots__ = ("step", "weights", "code", "basis", "leads")
+
+    def __init__(self, step: int, weights: list[int], code, basis: list[dict[int, int]], leads: list[int]) -> None:
+        self.step = step
+        self.weights = weights
+        self.code = code
+        self.basis = basis
+        self.leads = leads
+
+    @classmethod
+    def of(cls, m: SullivanModel) -> "PureQuotient | None":
+        """The quotient of m, after `_check_cohomology_input`; None for a
+        model not of its kind, without checking it."""
+        table = m.table
+        if not (len(table.even_indices()) == len(table.odd_indices()) >= 1 and m.is_pure()):
+            return None
+        _check_cohomology_input(m)
+        ring, images, step, weights = _weighted_images(m)
+        found = _finite_basis(images, ring)
+        return None if found is None else cls(step, weights, *found)
+
+    def betti(self, max_degree: int) -> tuple[int, ...]:
+        """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the
+        Hilbert series of Q[x]/(dy) with x_i of weight w_i.  The numerator
+        of the leads as they are is the weighted numerator of the leads
+        divided by w (`_hilbert_numerator`), so no division is needed."""
+        leads = [self.code.unpack(lead) for lead in self.leads]
+        assert all(e % w == 0 for lead in leads for e, w in zip(lead, self.weights))
+        values = _hilbert_values(_hilbert_numerator(leads), self.weights, max_degree // self.step)
+        return tuple(0 if k % self.step else values[k // self.step] for k in range(max_degree + 1))
+
+    def pairing(self, positions: list[int], n: int) -> RationalMatrix:
+        """The pairing of the degree-two generators x_p, p in positions,
+        against H^{n-2} into H^n, when dim H^n = 1: row p, column s, is the
+        normal form of x_p·s, for s the basis of H^{n-2}, as a multiple of
+        the one standard monomial of Q[x^w] in degree n / step.  A degree-two
+        generator makes step 2 and its weight 1, and the normal form of x_p·s
+        lies in Q[x^w] in that degree, so it has at most that one term."""
+        code, basis, leads = self.code, self.basis, self.leads
+        standard = []
+        for a in _even_exponent_vectors(tuple(self.weights), (n - 2) // self.step):
+            s = code.pack(tuple(e * w for e, w in zip(a, self.weights)))
+            if all((s - lead) & code.guard for lead in leads):
+                standard.append(s)
+        rows = []
+        for p in positions:
+            x = code.pack(tuple(int(j == p) for j in range(code.n)))
+            row = []
+            for s in standard:
+                remainder, multiplier = _reduce({x + s: 1}, basis, leads, code.guard)
+                row.append(_ratio(sum(remainder.values()), multiplier))
+            rows.append(row)
+        return RationalMatrix.from_rows(rows, len(standard))
+
+
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
-    """(b_0, ..., b_max): from the Groebner quotient when `_quotient_betti`
-    applies, otherwise by degreewise kernel/rank bookkeeping on the cochain
-    complex."""
+    """(b_0, ..., b_max): from the model's `PureQuotient` when it has one,
+    otherwise by degreewise kernel/rank bookkeeping on the cochain complex."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    betti = _quotient_betti(m, max_degree)
-    if betti is None:
-        cochains = m.cochains()
-        betti = tuple(cochains.betti(k) for k in range(max_degree + 1))
-    return betti
-
-
-def _quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None:
-    """(b_0, ..., b_max) of a pure model with as many odd generators as
-    even ones, at least one, whose images give a finite quotient
-    Q[x]/(dy); None for every other model.
-
-    Then H* ≅ Q[x]/(dy) (see the module docstring).  With step the gcd of
-    the even degrees and w_i = deg x_i / step, b_k is the coefficient of
-    t^{k/step} in the Hilbert series of Q[x]/(dy) with x_i of weight w_i,
-    and 0 when step does not divide k.  That series is read from the leads
-    of the Groebner basis that decides finiteness (`_finite_leads`), run on
-    the images with x_i sent to x_i^{w_i} (`_weighted_images`).  The pair
-    loop forms S-polynomials and reductions of elements of Q[x^w] by
-    elements of Q[x^w], which stay in Q[x^w]: there lcms of leads and
-    quotients of divisible monomials have every x_i-exponent a multiple of
-    w_i.  So the same run is Buchberger's algorithm in Q[x] under the
-    monomial order a < b iff a·w < b·w, and the leads divided by w are
-    the leads of (dy) in that order.  The numerator of the leads as they
-    are is the weighted numerator of the leads divided by w
-    (`_hilbert_numerator`), so no division is needed.
-    """
-    table = m.table
-    if not (len(table.even_indices()) == len(table.odd_indices()) >= 1 and m.is_pure()):
-        return None
-    _check_cohomology_input(m)
-    ring, images, step, weights = _weighted_images(m)
-    leads = _finite_leads(images, ring)
-    if leads is None:
-        return None
-    assert all(e % w == 0 for lead in leads for e, w in zip(lead, weights))
-    values = _hilbert_values(_hilbert_numerator(leads), weights, max_degree // step)
-    return tuple(0 if k % step else values[k // step] for k in range(max_degree + 1))
+    quotient = m.quotient()
+    if quotient is not None:
+        return quotient.betti(max_degree)
+    cochains = m.cochains()
+    return tuple(cochains.betti(k) for k in range(max_degree + 1))
 
 
 def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
@@ -444,7 +501,8 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
 def poincare_duality_check(m: SullivanModel) -> bool:
     """At the claimed formal dimension n: Betti symmetry, one-dimensional
     top degree, and a nondegenerate pairing of degree two against degree
-    n-2 when b2 > 0."""
+    n-2 when b2 > 0.  The pairing comes from the model's `PureQuotient`
+    when it has one, and from the cochain complex otherwise."""
     n = m.formal_dimension_claim()
     if n < 0:
         return False
@@ -454,6 +512,10 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     xs = [i for i, d in enumerate(m.table.degrees) if d == 2]
     if not xs or n < 4:
         return True
+    quotient = m.quotient()
+    if quotient is not None:
+        evens = m.table.even_indices()
+        return quotient.pairing([evens.index(i) for i in xs], n).rank() == len(xs)
     cochains = m.cochains()
     basis = cochains.basis(n - 2)
     index = cochains.index(n)

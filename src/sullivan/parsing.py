@@ -18,7 +18,8 @@ a product with a sum among its factors, is rejected before it is expanded
 when it has a term above deg <name> + 1.  In a polynomial, so is a power
 of a sum that could have more than MAX_POWER_TERMS terms, a product whose
 factors' term counts multiply to more than that, and any power or product
-of sums after which those estimates add up to more than twice that.
+of sums after which those estimates add up to more than twice that, over
+the polynomial or over all the polynomials parsed together.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .algebra import AlgebraElement, GeneratorTable, sorted_monomials
 from .groebner import Polynomial, PolyRing, _grevlex_key
@@ -253,6 +255,13 @@ def parse_polynomial(text: str, ring: PolyRing, line: int | None = None) -> Poly
     estimates, for every power of a sum and every product of two sums in
     the text, may add up to at most twice MAX_POWER_TERMS, so a long text
     cannot chain many expansions that each pass."""
+    return parse_polynomials([text], ring, line)[0]
+
+
+def parse_polynomials(texts: Iterable[str], ring: PolyRing, line: int | None = None) -> list[Polynomial]:
+    """The polynomials written in texts, each checked as by
+    `parse_polynomial`, but under one allowance: the estimates add up over
+    all the texts, so many texts cannot chain many expansions either."""
     total = 0
 
     def spend(estimate: int) -> str | None:
@@ -276,10 +285,12 @@ def parse_polynomial(text: str, ring: PolyRing, line: int | None = None) -> Poly
             return f"a product of sums with more than {MAX_POWER_TERMS} pairs of terms"
         return spend(pairs) if len(lhs.terms) > 1 and len(rhs.terms) > 1 else None
 
-    parser = _ExpressionParser(
-        _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power, check_product
-    )
-    return parser.parse()
+    return [
+        _ExpressionParser(
+            _tokenize(text, line), lambda name: ring.variable(name), ring.scalar, line, check_power, check_product
+        ).parse()
+        for text in texts
+    ]
 
 
 def variables_in(text: str) -> list[str]:

@@ -144,6 +144,17 @@ def test_groebner_rejects_many_powers_of_sums_in_one_polynomial(capsys):
     assert "column 36: powers and products of sums with more than 2000 terms in all" in err
 
 
+@pytest.mark.parametrize("command", ["groebner", "regseq"])
+def test_arguments_share_one_expansion_allowance(command, capsys):
+    # each argument is within the allowance of one polynomial; parsing all
+    # four took 4.3 s
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, *["(x + y)^999 + (x + y)^999"] * 4)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "column 8: powers and products of sums with more than 2000 terms in all" in err
+
+
 def test_cohomology_rejects_a_long_product_of_sums_before_multiplying_it_out(tmp_path, capsys):
     # multiplying out the 3,000 factors took 16 s before the degree check
     path = tmp_path / "product.txt"

@@ -675,11 +675,18 @@ def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
     gb = buchberger(system, ring)
     assert has_finite_quotient(system, ring) == gb.is_finite_dimensional()
     # when finite, the truncated basis is a full one: its leads generate the
-    # lead ideal, whose minimal generators are the reduced basis's leads
-    leads = groebner._finite_leads(system, ring)
-    assert (leads is not None) == gb.is_finite_dimensional()
-    if leads is not None:
-        assert sorted(groebner._minimal(leads)) == sorted(gb.leading_monomials())
+    # lead ideal, whose minimal generators are the reduced basis's leads,
+    # and reducing by it gives the reduced basis's normal forms
+    found = groebner._finite_basis(system, ring)
+    assert (found is not None) == gb.is_finite_dimensional()
+    if found is not None:
+        code, basis, leads = found
+        assert sorted(groebner._minimal(map(code.unpack, leads))) == sorted(gb.leading_monomials())
+        for d in range(max(p.degree() for p in system) + 2):
+            for mono in ring.monomials_of_degree(d):
+                remainder, multiplier = groebner._reduce({code.pack(mono): 1}, basis, leads, code.guard)
+                normal_form = {code.unpack(m): Fraction(c, multiplier) for m, c in remainder.items()}
+                assert normal_form == gb.normal_form(ring.monomial(mono)).terms
     n, k = len(ring.variables), len(system)
     assert is_regular_sequence(system, ring) == (gb.krull_dimension() == n - k)
 

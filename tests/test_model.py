@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sullivan.model
@@ -41,6 +41,7 @@ from sullivan.catalog import (
     sphere_model,
 )
 from sullivan.exponents import ExponentPair
+from sullivan.groebner import _divides, buchberger
 from sullivan.linalg import RationalMatrix
 
 
@@ -644,7 +645,7 @@ def assert_routes_agree(m, top):
     model with as many odd as even generators is elliptic exactly when the
     quotient route applies."""
     table = m.table
-    quotient = sullivan.model._quotient_betti(m, top)
+    quotient = None if m.quotient() is None else m.quotient().betti(top)
     direct = complex_betti(m, top)
     assert betti_numbers(m, top) == direct
     if len(table.even_indices()) == len(table.odd_indices()) >= 1:
@@ -717,6 +718,130 @@ def test_betti_numbers_of_an_elliptic_pure_model_build_no_cochain_complex():
     for m in (dim7_sigma_model(2), dim6_b3_model(1)):
         betti_numbers(m, 7)
         assert m._cochains is not None
+
+
+# -- Poincare duality from the Groebner quotient --------------------------------------
+
+
+def complex_pairing_rank(m, n):
+    """Rank of the pairing of the degree-two generators against the cocycles
+    of degree n - 2 into the one-dimensional H^n, on the cochain complex:
+    each product reduced modulo the image and read at the first position of
+    H^n's class generator, where that is 1.  A test oracle only."""
+    cochains = m.cochains()
+    basis = cochains.basis(n - 2)
+    lead = min(cochains.class_generator(n))
+    cocycles = [m.table.element({basis[j]: c for j, c in z.items()}) for z in cochains.kernel(n - 2)]
+    rows = [
+        [cochains.reduce(n, m.table.generator(i) * z).get(lead, 0) for z in cocycles]
+        for i, d in enumerate(m.table.degrees)
+        if d == 2
+    ]
+    return RationalMatrix.from_rows(rows, len(cocycles)).rank()
+
+
+def reduced_basis_pairing(m, xs, n):
+    """The pairing of PureQuotient.pairing, its columns in the same order,
+    from normal forms by the reduced Groebner basis of the weighted images.
+    A test oracle only."""
+    ring, images, step, weights = sullivan.model._weighted_images(m)
+    gb = buchberger(images, ring)
+    standard = []
+    for a in _even_exponent_vectors(tuple(weights), (n - 2) // step):
+        mono = tuple(e * w for e, w in zip(a, weights))
+        if not any(_divides(lead, mono) for lead in gb.leading_monomials()):
+            standard.append(mono)
+    return tuple(
+        tuple(sum(gb.normal_form(ring.variable(p) * ring.monomial(s)).terms.values()) for s in standard) for p in xs
+    )
+
+
+def assert_duality_routes_agree(m):
+    """poincare_duality_check gives the same answer as on a copy of the model
+    whose quotient is set aside.  When the quotient route applies and reaches
+    the pairing, its pairing is that of the reduced Groebner basis and has
+    the complex's rank."""
+    on_complex = copy.copy(m)
+    on_complex._quotient = None
+    assert poincare_duality_check(m) == poincare_duality_check(on_complex)
+    quotient = m.quotient()
+    n = m.formal_dimension_claim()
+    xs = [m.table.even_indices().index(i) for i, d in enumerate(m.table.degrees) if d == 2]
+    if quotient is None or not xs or n < 4:
+        return
+    assert quotient.betti(n)[n] == 1
+    pairing = quotient.pairing(xs, n)
+    assert pairing.data == reduced_basis_pairing(m, xs, n)
+    assert pairing.rank() == complex_pairing_rank(m, n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_pure_models())
+def test_duality_routes_agree_on_random_pure_models(m):
+    assert_duality_routes_agree(m)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(PURE_FACTORS), st.one_of(PURE_FACTORS))
+def test_duality_routes_agree_on_products_of_catalog_factors(m1, m2):
+    product = product_model(m1, m2)
+    assume(product.formal_dimension_claim() <= 12)
+    assert_duality_routes_agree(product)
+
+
+def degenerate_pairing_models():
+    """Pure models on the quotient route with b = (1, 0, 1, 0, 1) whose two
+    degree-two generators span one class: dy1 kills x1, or x1 - x2."""
+    table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 1), ("y2", 5)])
+    x1, x2 = table.generator("x1"), table.generator("x2")
+    yield SullivanModel(table, {"y1": x1, "y2": x2**3})
+    yield SullivanModel(table, {"y1": x1 - x2, "y2": x1**3})
+    yield SullivanModel(table, {"y1": x1 - x2, "y2": x1**3 + 2 * x1 * x2 * x2})
+
+
+@pytest.mark.parametrize("m", degenerate_pairing_models())
+def test_a_degenerate_pairing_fails_duality_on_both_routes(m):
+    assert m.quotient() is not None
+    assert betti_numbers(m, 4) == (1, 0, 1, 0, 1)
+    assert complex_pairing_rank(m, 4) == 1
+    assert not poincare_duality_check(m)
+    assert_duality_routes_agree(m)
+
+
+def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
+    calls = []
+    pair_loop = sullivan.groebner._pair_loop
+    monkeypatch.setattr(sullivan.groebner, "_pair_loop", lambda *args: calls.append(1) or pair_loop(*args))
+    built = []
+    complex_class = sullivan.model.CochainComplex
+    monkeypatch.setattr(sullivan.model, "CochainComplex", lambda m: built.append(1) or complex_class(m))
+    m = product_model(dim6_b3_model(2), cp_model(2))
+    n = m.formal_dimension_claim()
+    assert betti_numbers(m, n + 7)[: n + 1] == (1, 0, 4, 0, 7, 0, 7, 0, 4, 0, 1)
+    assert poincare_duality_check(m)
+    assert len(calls) == 1
+    assert m._cochains is None and not built
+    # a model off the route builds its complex once and runs no pair loop
+    m = dim7_sigma_model(2)
+    betti_numbers(m, 14)
+    assert poincare_duality_check(m)
+    assert len(built) == 1 and len(calls) == 1
+
+
+def test_duality_checks_the_model_first():
+    # a pure model of the route's shape with an image of the wrong degree
+    table = GeneratorTable([("x", 2), ("y", 3)])
+    m = SullivanModel(table, {"y": table.generator("x")})
+    assert m.formal_dimension_claim() == 2
+    with pytest.raises(ValueError, match=r"^d\(y\) has degree 2, expected 4$"):
+        poincare_duality_check(m)
+    # d(d(w)) = x1^3 where d is not pure
+    table = GeneratorTable([("x1", 2), ("y1", 3), ("w", 4), ("z", 7)])
+    x1, y1 = table.generator("x1"), table.generator("y1")
+    m = SullivanModel(table, {"y1": x1 * x1, "w": x1 * y1})
+    assert m.formal_dimension_claim() == 6
+    with pytest.raises(ValueError, match=r"^d\(d\(w\)\) is nonzero$"):
+        poincare_duality_check(m)
 
 
 def test_free_algebra_past_the_basis_cap():

@@ -27,6 +27,7 @@ from sullivan.parsing import (
     parse_element,
     parse_model,
     parse_polynomial,
+    parse_polynomials,
     render_element,
     render_model,
     render_polynomial,
@@ -150,6 +151,16 @@ def test_expansions_in_one_polynomial_are_bounded_in_all():
     once = parse_polynomial("(x + y)^249 * z", ring)
     five = " + ".join(["(x + y)^249 * z", "z * (x + y)^249"] * 2 + ["(x + y)^249 * z"])
     assert parse_polynomial(five, ring) == once.scale(5)
+
+
+def test_polynomials_parsed_together_share_one_allowance():
+    ring = PolyRing(("x", "y", "z"))
+    texts = ["(x + y)^249", "x*z", "(y + z)^249 + (x + z)^249"] * 2 + ["(x + y)^124 * (x - y) + (x + z)^124"]
+    # 6·250 + 125 + 125·2 + 125 reach twice MAX_POWER_TERMS
+    assert parse_polynomials(texts, ring) == [parse_polynomial(text, ring) for text in texts]
+    message = f"column 16: powers and products of sums with more than {2 * MAX_POWER_TERMS} terms in all"
+    with pytest.raises(ParseError, match=message):
+        parse_polynomials(texts + ["z - x + (y + z)^1"], ring)
 
 
 def test_parse_model_products_of_sums():
