@@ -17,14 +17,14 @@ from itertools import combinations
 from operator import add, itemgetter
 from typing import Iterable
 
-from .linalg import LinearCombination, rational
+from .linalg import LinearCombination, Parent, rational
 
 
 class TableMismatchError(ValueError):
     """Two elements over different generator tables were combined."""
 
 
-class GeneratorTable:
+class GeneratorTable(Parent):
     """Ordered table of generators; the order fixes all canonical monomial orders."""
 
     __slots__ = ("names", "degrees", "_positions", "_even", "_odd")
@@ -77,18 +77,6 @@ class GeneratorTable:
         return self._odd
 
     # -- element constructors ----------------------------------------
-
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
-
-    def one(self) -> AlgebraElement:
-        return AlgebraElement(self, {(0,) * len(self.names): 1})
-
-    def scalar(self, value) -> AlgebraElement:
-        value = rational(value)
-        if value == 0:
-            return self.zero()
-        return AlgebraElement(self, {(0,) * len(self.names): value})
 
     def generator(self, name_or_index) -> AlgebraElement:
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
@@ -178,6 +166,9 @@ class AlgebraElement(LinearCombination):
         from .parsing import render_element  # local import to avoid a cycle
 
         return f"<{render_element(self)}>"
+
+
+GeneratorTable._element = AlgebraElement
 
 
 def sorted_monomials(table: GeneratorTable, monos) -> list[tuple[int, ...]]:

@@ -271,9 +271,18 @@ def _generator_rank(m: SullivanModel, degree: int) -> int:
     return RationalMatrix(len(rows), len(cochains.basis(degree + 1)), rows).rank()
 
 
+def _checked_exponents(m: SullivanModel) -> ExponentPair:
+    """The exponents of m, after raising ValueError with its first violation
+    of (degree +1, minimality, d^2 = 0): the classifiers' precondition."""
+    violation = m.validate()
+    if violation is not None:
+        raise ValueError(violation.message)
+    return exponents_of_model(m)
+
+
 def classify_dim7(m: SullivanModel) -> Classification:
-    """Rational type of a validated 7-dimensional model, by exponent dispatch."""
-    pair = exponents_of_model(m)
+    """Rational type of a 7-dimensional model, by exponent dispatch."""
+    pair = _checked_exponents(m)
     if pair == ExponentPair((), (4,)):
         return Classification("S7")
     if pair == ExponentPair((1,), (2, 3)):
@@ -301,7 +310,7 @@ def classify_dim8_middle(m: SullivanModel) -> Classification:
     planes, [-1] the product of two 4-spheres; any other class is reported
     as-is (those members are not manifold types).
     """
-    pair = exponents_of_model(m)
+    pair = _checked_exponents(m)
     if pair != ExponentPair((2, 2), (4, 4)):
         raise ValueError(f"exponents {pair} do not match the middle-pairing case")
     if _generator_rank(m, 7) < 2:
@@ -339,7 +348,7 @@ def _degree_le3_submodel(m: SullivanModel) -> SullivanModel:
 
 def classify_dim8_sigma(m: SullivanModel) -> Classification:
     """Classify the (1,1,2; 2,2,4) exponent case by the degree-2 pairing class."""
-    pair = exponents_of_model(m)
+    pair = _checked_exponents(m)
     if pair != ExponentPair((1, 1, 2), (2, 2, 4)):
         raise ValueError(f"exponents {pair} do not match the dimension-8 sigma case")
     if _generator_rank(m, 3) != 2:
@@ -358,7 +367,7 @@ def classify_dim9_product_case(m: SullivanModel) -> Classification:
     degree-2 pairing either has a nonzero class (diagonal family times the
     5-sphere) or degenerates to the circle-bundle type.
     """
-    pair = exponents_of_model(m)
+    pair = _checked_exponents(m)
     if pair != ExponentPair((1, 1), (2, 2, 3)):
         raise ValueError(f"exponents {pair} do not match the dimension-9 product case")
     if _generator_rank(m, 3) < 2:
@@ -605,7 +614,8 @@ def subject_claims(
     """Claims ``name.prop`` that one object's properties have their recorded values.
 
     The object is built on first use and shared by its claims, so Betti
-    numbers, cup form and Poincare window reuse one cochain complex.
+    numbers, cup form and Poincare window reuse what the model keeps: its
+    Groebner quotient (`SullivanModel.quotient`) and its cochain complex.
     """
     build = cache(builder)
     for prop, value in expected:

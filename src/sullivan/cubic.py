@@ -218,23 +218,11 @@ def associated_subspace(form: CubicForm) -> QuadricSubspace:
     """Quadrics annihilated by the pairing: the degree-two relations of the ring."""
     if form.dim != 3:
         raise ValueError("the associated subspace is defined for ternary forms")
-    pairs = list(combinations_with_replacement(range(3), 2))
-    # rows indexed by e_k, columns by quadric coefficients c_ij
-    matrix = RationalMatrix.from_rows(
-        [[form[(i, j, k)] for (i, j) in pairs] for k in range(3)], len(pairs)
-    )
     ring = PolyRing(("x1", "x2", "x3"))
-    kernel = matrix.kernel_basis()
-    quadrics = []
-    for vec in kernel:
-        terms = {}
-        for (i, j), c in zip(pairs, vec):
-            if c:
-                expo = [0, 0, 0]
-                expo[i] += 1
-                expo[j] += 1
-                terms[tuple(expo)] = c
-        quadrics.append(ring.from_terms(terms))
+    monos = ring.monomials_of_degree(2)
+    # rows indexed by e_k, columns by the coefficients of the quadric monomials
+    matrix = RationalMatrix.from_rows([[form[_triple(m) + (k,)] for m in monos] for k in range(3)], len(monos))
+    quadrics = [ring.from_terms(dict(zip(monos, vec))) for vec in matrix.kernel_basis()]
     return QuadricSubspace(ring, quadrics)
 
 

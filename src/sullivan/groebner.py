@@ -42,7 +42,7 @@ from operator import add, le, neg
 from typing import Iterable, Sequence
 
 from .algebra import _even_exponent_vectors
-from .linalg import LinearCombination, _clear_denominators, _ratio, rational
+from .linalg import LinearCombination, Parent, _clear_denominators, _primitive, _ratio, rational
 
 Monomial = tuple[int, ...]
 
@@ -114,7 +114,7 @@ class _Packing:
         return {self.pack(m): c for m, c in terms.items()}
 
 
-class PolyRing:
+class PolyRing(Parent):
     """Polynomial ring Q[x1..xn] with the grevlex monomial order baked in."""
 
     __slots__ = ("variables",)
@@ -136,18 +136,6 @@ class PolyRing:
 
     def __repr__(self) -> str:
         return f"PolyRing({', '.join(self.variables)})"
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
-
-    def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * len(self.variables): 1})
-
-    def scalar(self, value) -> "Polynomial":
-        value = rational(value)
-        if value == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * len(self.variables): value})
 
     def variable(self, name_or_index) -> "Polynomial":
         if isinstance(name_or_index, int):
@@ -242,14 +230,7 @@ class Polynomial(LinearCombination):
         return f"<{render_polynomial(self)}>"
 
 
-def _primitive(terms: dict[int, int], lead: int) -> dict[int, int]:
-    """Nonzero integer terms divided by their content, signed so that the
-    coefficient at `lead` is positive (then reducing by them never scales
-    by a negative factor, and a monic element needs no scaling at all)."""
-    g = gcd(*terms.values())
-    if terms[lead] < 0:
-        g = -g
-    return terms if g == 1 else {m: c // g for m, c in terms.items()}
+PolyRing._element = Polynomial
 
 
 def _s_polynomial(f: dict[int, int], lf: int, g: dict[int, int], lg: int, lcm: int) -> dict[int, int]:
@@ -280,7 +261,9 @@ def _reduce(
     the factor by which it is a multiple of the true remainder.  Monomials
     are packed, with exponent guard bits `guard`.  The basis elements are
     primitive integer terms with positive coefficients at their leading
-    monomials `leads`; `work` is consumed in place.
+    monomials `leads` (`linalg._primitive` with its lead), so no scaling is
+    by a negative factor and a monic element needs none; `work` is
+    consumed in place.
 
     Fraction-free: to remove a term c·x^lm by a basis element g, what is
     left of `work` and the remainder so far are scaled by a = lc(g)/gcd,

@@ -16,7 +16,9 @@ API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis``,
 
 ``LinearCombination`` is the one implementation of sums, scalings and
 products of monomials with rational coefficients, shared by
-``algebra.AlgebraElement`` and ``groebner.Polynomial``.
+``algebra.AlgebraElement`` and ``groebner.Polynomial``; ``Parent`` is the
+one implementation of the constants of their parents,
+``algebra.GeneratorTable`` and ``groebner.PolyRing``.
 """
 
 from __future__ import annotations
@@ -51,13 +53,32 @@ def _add_term(terms: dict, key, value) -> None:
         del terms[key]
 
 
+class Parent:
+    """The parent of a ``LinearCombination`` (a polynomial ring or a
+    generator table) and its constant elements.  A subclass gives
+    ``__len__``, the length of its monomials, and ``_element``, its element
+    class, called as ``_element(parent, terms)``."""
+
+    __slots__ = ()
+
+    def zero(self):
+        return self._element(self, {})
+
+    def one(self):
+        return self._element(self, {(0,) * len(self): 1})
+
+    def scalar(self, value):
+        value = rational(value)
+        return self._element(self, {(0,) * len(self): value} if value else {})
+
+
 class LinearCombination:
-    """Immutable rational linear combination of monomials over a parent (a
-    polynomial ring or a generator table): ``terms`` maps each monomial to
-    its nonzero coefficient.  A subclass gives its slots and constructor,
-    ``_parent``, ``_MISMATCH`` (the exception type and message for mixing
-    parents) and ``_times(m1, m2)``, the product of two monomials as
-    ``(sign, monomial)``, or ``None`` when it is zero."""
+    """Immutable rational linear combination of monomials over a ``Parent``:
+    ``terms`` maps each monomial to its nonzero coefficient.  A subclass
+    gives its slots and constructor, ``_parent``, ``_MISMATCH`` (the
+    exception type and message for mixing parents) and ``_times(m1, m2)``,
+    the product of two monomials as ``(sign, monomial)``, or ``None`` when
+    it is zero."""
 
     __slots__ = ()
 
@@ -148,9 +169,12 @@ def _clear_denominators(terms: dict) -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """A nonzero integer row divided by its content (the gcd of its entries)."""
+def _primitive(row: dict, lead=None) -> dict:
+    """A nonzero integer row divided by its content (the gcd of its entries),
+    and, when `lead` is given, signed so that its entry at `lead` is positive."""
     g = gcd(*row.values())
+    if lead is not None and row[lead] < 0:
+        g = -g
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
@@ -196,7 +220,7 @@ def _echelon(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, dict[int
         row = reduced[p]
         for c in [c for c in row if c != p and c in reduced]:
             row = _eliminate(row, reduced[c], c)
-        reduced[p] = row if row[p] > 0 else {j: -x for j, x in row.items()}
+        reduced[p] = _primitive(row, p)
     return dict(sorted(reduced.items()))
 
 

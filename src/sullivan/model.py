@@ -45,7 +45,6 @@ from .linalg import (
     _echelon,
     _fractions,
     _kernel,
-    _primitive,
     _ratio,
     rational,
 )
@@ -242,7 +241,9 @@ class CochainComplex:
     ``_top_coordinate``, the one reading of a class in a one-dimensional
     H^k, which ``pairing_determinant``, ``cup_product_cubic_form`` and
     ``poincare_duality_check`` share; the last reads its pairing from the
-    model's `PureQuotient` instead whenever there is one.
+    model's `PureQuotient` instead whenever there is one.  That reading
+    needs the reduced cocycle alone: no kernel and no search for a
+    representative, which only ``class_generator`` makes.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -258,7 +259,6 @@ class CochainComplex:
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, tuple[dict[int, int], ...]] = {}
         self._images: dict[int, dict[int, dict[int, int]]] = {}
-        self._representatives: dict[int, dict[int, int]] = {}
 
     def basis(self, k: int) -> tuple:
         """Monomials of degree k in canonical order (none below degree 0).
@@ -357,35 +357,25 @@ class CochainComplex:
                 _add_term(vec, j, -factor * x)
         return vec, scale
 
-    def _representative(self, k: int) -> dict[int, int]:
-        """Reduced representative of a nonzero class in H^k as a primitive
-        integer vector, positive at its first position."""
-        if k not in self._representatives:
-            for vec in self.kernel(k):
-                reduced, _ = self._reduced(k, dict(vec))
-                if reduced:
-                    reduced = _primitive(reduced)
-                    if reduced[min(reduced)] < 0:
-                        reduced = {j: -x for j, x in reduced.items()}
-                    self._representatives[k] = reduced
-                    break
-            else:
-                raise ArithmeticError(f"H^{k} is zero")
-        return self._representatives[k]
-
     def _top_coordinate(self, k: int, vec: dict[int, int]) -> int | Fraction:
         """The class of the integer cocycle vec over basis(k) as a multiple
-        of class_generator(k), when dim H^k = 1: its reduced vector is that
-        multiple of the generator, which is 1 at the representative's first
-        position, so the multiple is the entry there.  vec is consumed."""
+        of class_generator(k), when dim H^k = 1.  Reduced cocycles are zero
+        at every image pivot, so they form one line, through the generator;
+        the generator is 1 at its first position, so every nonzero reduced
+        cocycle starts there too, and the multiple is its entry there.  No
+        kernel is needed.  vec is consumed."""
         reduced, multiplier = self._reduced(k, vec)
-        return _ratio(reduced.get(min(self._representative(k)), 0), multiplier)
+        return _ratio(reduced[min(reduced)], multiplier) if reduced else 0
 
     def class_generator(self, k: int) -> dict[int, Fraction]:
         """Reduced representative of a nonzero class in H^k, as {basis position:
-        coefficient}, with its first nonzero coordinate +1."""
-        rep = self._representative(k)
-        return _fractions(rep, rep[min(rep)])
+        coefficient}, with its first nonzero coordinate +1: the first kernel
+        vector that does not reduce to zero."""
+        for vec in self.kernel(k):
+            reduced, _ = self._reduced(k, dict(vec))
+            if reduced:
+                return _fractions(reduced, reduced[min(reduced)])
+        raise ArithmeticError(f"H^{k} is zero")
 
 
 class PureQuotient:
@@ -585,17 +575,17 @@ def _weighted_images(m: SullivanModel) -> tuple[PolyRing, list[Polynomial], int,
     it with each x_i sent to x_i^{w_i}, the gcd `step` of the even degrees
     and the weights w_i = deg x_i / step.  The images are homogeneous in
     the weighted degree, so after the substitution they are homogeneous in
-    the ordinary sense."""
-    ring = even_subalgebra_ring(m)
-    degrees = [m.table.degrees[i] for i in m.table.even_indices()]
+    the ordinary sense.  The model must be pure (both callers check), so
+    each image's terms are mapped once, with no check for odd factors."""
+    evens = m.table.even_indices()
+    degrees = [m.table.degrees[i] for i in evens]
     step = gcd(*degrees)
     weights = [d // step for d in degrees]
-    images = []
-    for i in m.table.odd_indices():
-        image = even_element_to_polynomial(m, m.images[i], ring)
-        images.append(
-            ring.from_terms({tuple(e * w for e, w in zip(mono, weights)): c for mono, c in image.terms.items()})
-        )
+    ring = even_subalgebra_ring(m)
+    images = [
+        ring.from_terms({tuple(mono[i] * w for i, w in zip(evens, weights)): c for mono, c in image.terms.items()})
+        for image in map(m.images.__getitem__, m.table.odd_indices())
+    ]
     return ring, images, step, weights
 
 

@@ -222,3 +222,14 @@ def test_power_is_repeated_product():
             for e in range(7):
                 assert a**e == product
                 product = product * a
+
+
+@pytest.mark.parametrize(
+    "parent", [GeneratorTable([("x", 2), ("y", 3)]), PolyRing(("x", "y"))], ids=["table", "ring"]
+)
+def test_parent_constants(parent):
+    two = parent.scalar(Fraction(4, 2))
+    assert two.terms == {(0, 0): 2} and type(two.terms[(0, 0)]) is int
+    assert parent.scalar(0) == parent.zero() and parent.zero().terms == {}
+    assert parent.one() == parent.scalar(1) and two == parent.one() + parent.one()
+    assert parent.scalar(Fraction(1, 2)).terms == {(0, 0): Fraction(1, 2)}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan import betti_numbers, catalog, cup_product_cubic_form, pure_is_elliptic
+from sullivan import GeneratorTable, SullivanModel, betti_numbers, catalog, cup_product_cubic_form, pure_is_elliptic
 from sullivan.catalog import (
     Classification,
     NOT_ELLIPTIC,
@@ -148,6 +148,38 @@ def test_classify_dim9_cases():
     assert classify_dim9_product_case(product) == Classification("sigma-family-times-s5", 3)
     with_s3 = product_model(dim6_b2_model(1, (0, 0, 0, 1)), sphere_model(3))
     assert classify_dim9_product_case(with_s3) == Classification("six-manifold-times-s3")
+
+
+def test_classify_dim7_checks_the_model_first():
+    # exponents (2; 2, 4) dispatch to S3xS4 with no cohomology computed
+    table = GeneratorTable([("y", 3), ("x", 4), ("z", 7)])
+    g = table.generator
+    with pytest.raises(ValueError, match=r"^d\(z\) has degree 7, expected 8$"):
+        classify_dim7(SullivanModel(table, {"z": g("x") * g("y")}))
+
+
+def test_classify_dim8_middle_checks_the_model_first():
+    table = GeneratorTable([("x1", 4), ("x2", 4), ("y1", 7), ("y2", 7)])
+    g = table.generator
+    with pytest.raises(ValueError, match=r"^d\(y1\) has degree 12, expected 8$"):
+        classify_dim8_middle(SullivanModel(table, {"y1": g("x1") * g("x2") ** 2}))
+
+
+def test_classify_dim8_sigma_checks_the_model_first():
+    # the cochain complex accepts a non-minimal model, the classifier does not
+    table = GeneratorTable([("x1", 2), ("x2", 2), ("x3", 4), ("y1", 3), ("y2", 3), ("z", 7)])
+    g = table.generator
+    m = SullivanModel(table, {"y1": g("x3") + g("x1") ** 2, "y2": g("x2") ** 2})
+    with pytest.raises(ValueError, match=r"^d\(y1\) has a word-length-one term$"):
+        classify_dim8_sigma(m)
+
+
+def test_classify_dim9_product_case_checks_the_model_first():
+    table = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3), ("z", 5)])
+    g = table.generator
+    m = SullivanModel(table, {"x1": g("y1"), "y2": g("x2") ** 2, "z": g("x2") ** 3})
+    with pytest.raises(ValueError, match=r"^d\(x1\) has a word-length-one term$"):
+        classify_dim9_product_case(m)
 
 
 def test_biquotient_parameter_constraints():

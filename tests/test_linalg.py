@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.linalg import RationalMatrix, _echelon, _kernel, in_span
+from sullivan.linalg import RationalMatrix, _echelon, _kernel, _primitive, in_span
 
 
 def test_rank_examples():
@@ -372,3 +372,12 @@ def test_integer_kernel_vectors_are_the_canonical_kernel_scaled_to_primitive_int
         # canonical: 1 at its own free column, 0 at every other one
         assert all(expected[c] == (c == fc) for c in free)
         assert all(sum(x * v.get(j, 0) for j, x in row.items()) == 0 for row in rows)
+
+
+def test_primitive_divides_out_the_content_and_signs_the_lead():
+    assert _primitive({0: -4, 3: 6}) == {0: -2, 3: 3}
+    assert _primitive({0: -4, 3: 6}, 0) == {0: 2, 3: -3}
+    assert _primitive({0: -4, 3: 6}, 3) == {0: -2, 3: 3}
+    assert _primitive({2: -1, 5: 1}, 2) == {2: 1, 5: -1}
+    row = {1: 3, 2: -5}
+    assert _primitive(row) is row and _primitive(row, 1) is row

@@ -371,26 +371,61 @@ def test_cup_products_are_multiples_of_the_top_class(m):
         assert cochains.reduce(6, xs[a] * xs[b] * xs[c]) == {j: f * g for j, g in generator.items() if f}
 
 
-def test_representative_search_runs_at_most_once_per_degree(monkeypatch):
-    # each search makes the representative it finds primitive, once
-    searches = []
-    original = sullivan.model._primitive
+def test_top_class_readings_need_no_kernel_and_no_search(monkeypatch):
+    # a class in a one-dimensional H^k is read off its reduced cocycle alone
+    kernels, searches = [], []
+    cochain_complex = sullivan.model.CochainComplex
+    kernel, class_generator = cochain_complex.kernel, cochain_complex.class_generator
 
-    def counting_primitive(vec):
-        searches.append(vec)
-        return original(vec)
+    def counting_kernel(self, k):
+        kernels.append(k)
+        return kernel(self, k)
 
-    monkeypatch.setattr(sullivan.model, "_primitive", counting_primitive)
+    def counting_class_generator(self, k):
+        searches.append(k)
+        return class_generator(self, k)
+
+    monkeypatch.setattr(cochain_complex, "kernel", counting_kernel)
+    monkeypatch.setattr(cochain_complex, "class_generator", counting_class_generator)
     # S^2 × S^2 × S^6: b2 = 2 with b4 = b6 = 1, formal dimension 10
     m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
+    assert cup_product_cubic_form(m).is_zero()
+    assert pairing_determinant(m) == -1
+    assert poincare_duality_check(m)
+    assert kernels == [] and searches == []
     cochains = m.cochains()
-    for _ in range(2):
-        assert cup_product_cubic_form(m).is_zero()
-        assert pairing_determinant(m) == -1
-        assert poincare_duality_check(m)
-        for k in (4, 6, 10):
-            assert list(cochains.class_generator(k).values()) == [1]
-    assert len(searches) == 3
+    for k in (4, 6, 10):
+        assert list(cochains.class_generator(k).values()) == [1]
+    assert kernels == [4, 6, 10]
+
+
+@st.composite
+def one_dimensional_classes(draw):
+    """A random pure model, a degree k with dim H^k = 1 and a random integer
+    cocycle over basis(k): a combination of kernel vectors."""
+    m = draw(random_pure_models())
+    cochains = m.cochains()
+    degrees = [k for k in range(1, max(m.formal_dimension_claim(), 0) + 3) if cochains.betti(k) == 1]
+    assume(degrees)
+    k = draw(st.sampled_from(degrees))
+    cocycle: dict[int, int] = {}
+    for vec in cochains.kernel(k):
+        c = draw(st.integers(-3, 3))
+        for j, x in vec.items():
+            cocycle[j] = cocycle.get(j, 0) + c * x
+    return m, k, {j: x for j, x in cocycle.items() if x}
+
+
+@settings(deadline=None, max_examples=60)
+@given(one_dimensional_classes())
+def test_top_coordinate_is_the_coordinate_along_the_class_generator(case):
+    m, k, cocycle = case
+    cochains = m.cochains()
+    basis = cochains.basis(k)
+    reduced = cochains.reduce(k, m.table.element({basis[j]: x for j, x in cocycle.items()}))
+    generator = cochains.class_generator(k)
+    t = cochains._top_coordinate(k, dict(cocycle))
+    assert reduced == {j: t * g for j, g in generator.items() if t}
 
 
 def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
