@@ -261,14 +261,14 @@ class Classification:
 
 
 def _generator_rank(m: SullivanModel, degree: int) -> int:
-    """Rank of the differential restricted to the generators of one degree."""
-    cochains = m.cochains()
+    """Rank of the images of the generators of one degree, over their monomials in any order."""
+    columns: dict[tuple[int, ...], int] = {}
     rows = [
-        cochains.coordinates(degree + 1, m.images[i])
+        {columns.setdefault(mono, len(columns)): c for mono, c in m.images[i].terms.items()}
         for i, d in enumerate(m.table.degrees)
         if d == degree
     ]
-    return RationalMatrix(len(rows), len(cochains.basis(degree + 1)), rows).rank()
+    return RationalMatrix(len(rows), len(columns), rows).rank()
 
 
 def _checked_exponents(m: SullivanModel) -> ExponentPair:

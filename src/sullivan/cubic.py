@@ -22,7 +22,8 @@ from ._invariant_tables import CUBIC_MONOMIALS, DEGREE4_TERMS, DEGREE6_TERMS
 from .groebner import (
     PolyRing,
     Polynomial,
-    buchberger,
+    _checked,
+    _pair_loop,
     has_finite_quotient,
     is_regular_sequence,
 )
@@ -162,10 +163,9 @@ def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
 
 
 def _pairing_matrix(form: CubicForm) -> RationalMatrix:
-    """Rows indexed by quadric monomials x_i x_j (i <= j), columns by e_k."""
-    pairs = list(combinations_with_replacement(range(form.dim), 2))
-    data = [[form[(i, j, k)] for k in range(form.dim)] for (i, j) in pairs]
-    return RationalMatrix.from_rows(data, form.dim)
+    """Rows indexed by the quadric monomials, columns by e_k."""
+    monos = PolyRing(("x", "y", "z")[: form.dim]).monomials_of_degree(2)
+    return RationalMatrix.from_rows([[form[_triple(m) + (k,)] for k in range(form.dim)] for m in monos], form.dim)
 
 
 def pairing_rank(form: CubicForm) -> int:
@@ -483,15 +483,11 @@ def cubic_form_of_ring(relations: Sequence[Polynomial], ring: PolyRing) -> Cubic
     n = len(ring.variables)
     if n not in (2, 3):
         raise ValueError("expected a ring on 2 or 3 degree-two generators")
-    gb = buchberger(list(relations), ring)
-    profile = gb.hilbert_function(4)
+    quotient = _pair_loop(_checked(relations, ring)[0], n, 4)
+    profile = quotient.hilbert(4)
     if profile != (1, n, n, 1, 0):
         raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
-    top = gb.standard_monomials(3)[0]
-    coeffs = {}
-    for mono in ring.monomials_of_degree(3):
-        coeffs[_triple(mono)] = gb.normal_form(ring.monomial(mono)).coefficient(top)
-    return CubicForm(n, coeffs)
+    return CubicForm(n, {_triple(mono): quotient.coordinate(mono) for mono in ring.monomials_of_degree(3)})
 
 
 def cubic_form_of_quadric_ideal(subspace: QuadricSubspace) -> CubicForm:

@@ -14,7 +14,8 @@ Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
 d1 >= d2 >= ... vanishes from degree (d1 - 1) + ... + (dn - 1) + 1 on
 (Lazard, EUROCAL '83, LNCS 162), so a Buchberger run stopped at that
-degree has the leads that decide it.
+degree has the leads that decide it.  A run stopped at a degree is kept
+as a `Quotient`, which reads Hilbert values and normal forms up to it.
 
 Inside the engine (the pair loop, S-polynomials, reduction, interreduction,
 the finiteness test and normal forms) each monomial is one ``int``, packed
@@ -35,6 +36,7 @@ the way in and unpacked on the way out.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
@@ -401,9 +403,9 @@ class GroebnerBasis:
         self.generators = tuple(generators)
         self._leads = tuple(g.leading_monomial() for g in self.generators)
         self._degree = max((g.degree() for g in self.generators), default=0)
-        # field width -> (packing, primitive integer generators, their leads),
-        # what _reduce works on, made at the first normal form that needs it
-        self._packed: dict[int, tuple[_Packing, list[dict[int, int]], list[int]]] = {}
+        # field width -> the generators as a `Quotient` under that packing,
+        # made at the first normal form that needs it
+        self._packed: dict[int, Quotient] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -429,12 +431,12 @@ class GroebnerBasis:
                 _primitive(_clear_denominators(code.pack_terms(g.terms))[0], lead)
                 for g, lead in zip(self.generators, leads)
             ]
-            self._packed[width] = code, basis, leads
-        code, basis, leads = self._packed[width]
-        work, den = _clear_denominators(code.pack_terms(p.terms))
-        remainder, multiplier = _reduce(work, basis, leads, code.guard)
+            self._packed[width] = Quotient(code, basis, leads)
+        q = self._packed[width]
+        work, den = _clear_denominators(q.code.pack_terms(p.terms))
+        remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
-        return Polynomial(self.ring, {code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
+        return Polynomial(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
 
     def is_finite_dimensional(self) -> bool:
         """Whether the quotient is a finite-dimensional vector space."""
@@ -483,12 +485,40 @@ def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[P
     return polys, ring
 
 
-def _pair_loop(
-    polys: Sequence[Polynomial], n: int, cap: int | None = None
-) -> tuple[_Packing, list[dict[int, int]], list[int]]:
-    """A Groebner basis of the homogeneous inputs in n variables as primitive
-    integer terms on packed monomials, not interreduced, with its packing
-    and its packed leading monomials.
+@dataclass(slots=True, eq=False)
+class Quotient:
+    """Q[x1..xn] modulo a homogeneous ideal, held as a Groebner basis: primitive
+    integer terms on packed monomials with their packing and packed leads.
+    The basis of a pair loop capped at D has the leads of the ideal up to
+    degree D, so the readings are exact up to D, and the Hilbert values of
+    a finite quotient (`_finite_basis`) in every degree."""
+
+    code: _Packing
+    basis: list[dict[int, int]]
+    leads: list[int]
+
+    def hilbert(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
+        """Dimensions in degrees 0..max_degree, x_i of weight weights[i] (1 by
+        default) dividing every x_i-exponent of the leads (`_hilbert_numerator`)."""
+        weights = weights or (1,) * self.code.n
+        leads = [self.code.unpack(lead) for lead in self.leads]
+        assert all(e % w == 0 for lead in leads for e, w in zip(lead, weights))
+        return tuple(_hilbert_values(_hilbert_numerator(leads), weights, max_degree))
+
+    def is_standard(self, m: Monomial) -> bool:
+        k = self.code.pack(m)
+        return all((k - lead) & self.code.guard for lead in self.leads)
+
+    def coordinate(self, m: Monomial) -> int | Fraction:
+        """The normal form of the monomial m, in a degree of dimension at most one,
+        as a multiple of its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
+        remainder, multiplier = _reduce({self.code.pack(m): 1}, self.basis, self.leads, self.code.guard)
+        return _ratio(sum(remainder.values()), multiplier)
+
+
+def _pair_loop(polys: Sequence[Polynomial], n: int, cap: int | None = None) -> Quotient:
+    """A Groebner basis of the homogeneous inputs in n variables, as the
+    `Quotient` it holds, up to the cap when one is given.
 
     The packing starts wide enough for twice the largest input degree and
     for the cap, so a capped loop never outgrows it.  A pair whose lcm has
@@ -497,7 +527,7 @@ def _pair_loop(
     code = _Packing(n, _width(max(2 * max((p.degree() for p in polys), default=0), cap or 0)))
     while (found := _pairs(polys, code, cap)) is None:
         code = _Packing(n, 2 * code.width)
-    return (code, *found)
+    return Quotient(code, *found)
 
 
 def _pairs(
@@ -572,7 +602,8 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     throughout, and made monic only once interreduced.
     """
     polys, ring = _checked(polys, ring)
-    code, basis, leads = _pair_loop(polys, len(ring.variables))
+    found = _pair_loop(polys, len(ring.variables))
+    code, basis, leads = found.code, found.basis, found.leads
     guard = code.guard
     # interreduce to the unique reduced basis, smallest lead first: a term
     # below a lead can only be divisible by a smaller lead
@@ -604,13 +635,9 @@ def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = Non
     return _finite_basis(polys, ring) is not None
 
 
-def _finite_basis(
-    polys: Iterable[Polynomial], ring: PolyRing | None = None
-) -> tuple[_Packing, list[dict[int, int]], list[int]] | None:
-    """A Groebner basis of the ideal of the homogeneous inputs, as `_pair_loop`
-    returns it (packing, primitive integer terms, packed leads), when
-    Q[x1..xn] modulo the ideal is finite-dimensional, and None when it is not.
-    Normal forms are `_reduce` on it, under its packing, up to its cap.
+def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Quotient | None:
+    """Q[x1..xn] modulo the ideal of the homogeneous inputs as a `Quotient`,
+    when it is finite-dimensional, and None when it is not.
 
     Fewer than n nonzero forms, none of them a constant, cut out a variety
     of dimension at least 1 (Krull's principal ideal theorem).  Otherwise,
@@ -636,9 +663,9 @@ def _finite_basis(
     if len(polys) < n and 0 not in degrees:
         return None
     cap = sum(degrees[:n]) - n + 1
-    found = code, _, leads = _pair_loop(polys, n, cap)
+    found = _pair_loop(polys, n, cap)
     pure: set[int] = set()
-    for lead in map(code.unpack, leads):
+    for lead in map(found.code.unpack, found.leads):
         support = [i for i, e in enumerate(lead) if e]
         if not support:
             return found  # the unit ideal

@@ -13,9 +13,11 @@ degrees (Halperin, Trans. AMS 230, 1977; Félix, Halperin and Thomas,
 Rational Homotopy Theory, §32), and the isomorphism is one of graded
 rings.  The model keeps that quotient (`SullivanModel.quotient`, a
 `PureQuotient`): `betti_numbers` reads b_k as its weighted Hilbert
-function, and `poincare_duality_check` reads the pairing of degree two
-against degree n - 2 from its normal forms, with no cochain complex.
-Every other model goes through the complex.
+function, `poincare_duality_check` reads the pairing of degree two
+against degree n - 2 from its normal forms, and, when all even degrees
+are equal, `cup_product_cubic_form` and `pairing_determinant` read their
+products there too, with no cochain complex.  Everything else goes
+through the complex.
 """
 
 from __future__ import annotations
@@ -23,18 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
-from typing import Iterator
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Callable, Iterator
 
 from .algebra import AlgebraElement, GeneratorTable, _even_exponent_vectors, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import (
     PolyRing,
     Polynomial,
+    Quotient,
     _finite_basis,
-    _hilbert_numerator,
     _hilbert_values,
-    _reduce,
     _shifted_sum,
     has_finite_quotient,
 )
@@ -239,9 +241,8 @@ class CochainComplex:
     vector times that multiplier.  A ``Fraction`` is made only where an
     exact value leaves the complex: ``reduce``, ``class_generator`` and
     ``_top_coordinate``, the one reading of a class in a one-dimensional
-    H^k, which ``pairing_determinant``, ``cup_product_cubic_form`` and
-    ``poincare_duality_check`` share; the last reads its pairing from the
-    model's `PureQuotient` instead whenever there is one.  That reading
+    H^k, for the models whose `PureQuotient` does not give it
+    (``_top_class_reader`` and ``poincare_duality_check``).  That reading
     needs the reduced cocycle alone: no kernel and no search for a
     representative, which only ``class_generator`` makes.
 
@@ -378,33 +379,28 @@ class CochainComplex:
         raise ArithmeticError(f"H^{k} is zero")
 
 
-class PureQuotient:
+@dataclass(slots=True, eq=False)
+class PureQuotient(Quotient):
     """Q[x]/(dy) for a pure model with as many odd generators as even ones,
     at least one, whose images give a finite quotient: H* as a graded ring
     (see the module docstring), x_i standing for the class of x_i.
 
     With step the gcd of the even degrees and w_i = deg x_i / step, the
-    quotient is held as the Groebner basis of the images with x_i sent to
-    x_i^{w_i} (`_weighted_images`) that decides finiteness (`_finite_basis`):
-    its packing, primitive integer terms and packed leads.  H^k is zero
-    when step does not divide k, and otherwise has as its basis the standard
-    monomials x^{w·a} with sum a_i·w_i = k / step.  The pair loop forms
-    S-polynomials and reductions of elements of Q[x^w] by elements of
-    Q[x^w], which stay in Q[x^w]: there lcms of leads and quotients of
-    divisible monomials have every x_i-exponent a multiple of w_i.  So the
-    same run is Buchberger's algorithm in Q[x] under the monomial order
-    a < b iff a·w < b·w, the leads divided by w are the leads of (dy) in
-    that order, and a normal form of an element of Q[x^w] stays in Q[x^w].
+    quotient is the `Quotient` of the images with x_i sent to x_i^{w_i}
+    (`_weighted_images`) that decides finiteness (`_finite_basis`), with
+    step and the weights on top.  H^k is zero when step does not divide k,
+    and otherwise has as its basis the standard monomials x^{w·a} with
+    sum a_i·w_i = k / step.  The pair loop forms S-polynomials and
+    reductions of elements of Q[x^w] by elements of Q[x^w], which stay in
+    Q[x^w]: there lcms of leads and quotients of divisible monomials have
+    every x_i-exponent a multiple of w_i.  So the same run is Buchberger's
+    algorithm in Q[x] under the monomial order a < b iff a·w < b·w, the
+    leads divided by w are the leads of (dy) in that order, and a normal
+    form of an element of Q[x^w] stays in Q[x^w].
     """
 
-    __slots__ = ("step", "weights", "code", "basis", "leads")
-
-    def __init__(self, step: int, weights: list[int], code, basis: list[dict[int, int]], leads: list[int]) -> None:
-        self.step = step
-        self.weights = weights
-        self.code = code
-        self.basis = basis
-        self.leads = leads
+    step: int
+    weights: list[int]
 
     @classmethod
     def of(cls, m: SullivanModel) -> "PureQuotient | None":
@@ -416,16 +412,12 @@ class PureQuotient:
         _check_cohomology_input(m)
         ring, images, step, weights = _weighted_images(m)
         found = _finite_basis(images, ring)
-        return None if found is None else cls(step, weights, *found)
+        return None if found is None else cls(found.code, found.basis, found.leads, step, weights)
 
     def betti(self, max_degree: int) -> tuple[int, ...]:
         """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the
-        Hilbert series of Q[x]/(dy) with x_i of weight w_i.  The numerator
-        of the leads as they are is the weighted numerator of the leads
-        divided by w (`_hilbert_numerator`), so no division is needed."""
-        leads = [self.code.unpack(lead) for lead in self.leads]
-        assert all(e % w == 0 for lead in leads for e, w in zip(lead, self.weights))
-        values = _hilbert_values(_hilbert_numerator(leads), self.weights, max_degree // self.step)
+        Hilbert series of Q[x]/(dy) with x_i of weight w_i."""
+        values = self.hilbert(max_degree // self.step, self.weights)
         return tuple(0 if k % self.step else values[k // self.step] for k in range(max_degree + 1))
 
     def pairing(self, positions: list[int], n: int) -> RationalMatrix:
@@ -435,20 +427,9 @@ class PureQuotient:
         the one standard monomial of Q[x^w] in degree n / step.  A degree-two
         generator makes step 2 and its weight 1, and the normal form of x_p·s
         lies in Q[x^w] in that degree, so it has at most that one term."""
-        code, basis, leads = self.code, self.basis, self.leads
-        standard = []
-        for a in _even_exponent_vectors(tuple(self.weights), (n - 2) // self.step):
-            s = code.pack(tuple(e * w for e, w in zip(a, self.weights)))
-            if all((s - lead) & code.guard for lead in leads):
-                standard.append(s)
-        rows = []
-        for p in positions:
-            x = code.pack(tuple(int(j == p) for j in range(code.n)))
-            row = []
-            for s in standard:
-                remainder, multiplier = _reduce({x + s: 1}, basis, leads, code.guard)
-                row.append(_ratio(sum(remainder.values()), multiplier))
-            rows.append(row)
+        exponents = _even_exponent_vectors(tuple(self.weights), (n - 2) // self.step)
+        standard = [s for s in (tuple(map(mul, a, self.weights)) for a in exponents) if self.is_standard(s)]
+        rows = [[self.coordinate(tuple(e + (j == p) for j, e in enumerate(s))) for s in standard] for p in positions]
         return RationalMatrix.from_rows(rows, len(standard))
 
 
@@ -464,12 +445,32 @@ def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
     return tuple(cochains.betti(k) for k in range(max_degree + 1))
 
 
+def _top_class_reader(m: SullivanModel, degree: int, k: int) -> Callable[[tuple[int, ...]], int | Fraction]:
+    """Reads a product of generators of the given degree, by table index, in
+    H^k as a multiple of its generator; ValueError unless dim H^k = 1.  From
+    the model's `PureQuotient` by `Quotient.coordinate` when every even
+    generator has that degree (all weights 1: `monomial_basis` is then in
+    grevlex and d splits by odd word length, so the complex reads the same),
+    and otherwise from the cochain complex by `_top_coordinate`."""
+    table = m.table
+    evens = table.even_indices()
+    quotient = m.quotient() if all(table.degrees[i] == degree for i in evens) else None
+    if quotient is not None:
+        if quotient.betti(k)[k] != 1:
+            raise ValueError(f"dim H^{k} must be 1")
+        return lambda factors: quotient.coordinate(tuple(map(factors.count, evens)))
+    cochains = m.cochains()
+    if cochains.betti(k) != 1:
+        raise ValueError(f"dim H^{k} must be 1")
+    return lambda factors: cochains._top_coordinate(k, cochains.coordinates(k, prod(map(table.generator, factors))))
+
+
 def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     """Cubic form of triple products of degree-two generators into H^6 (up to scale).
 
     Requires dim H^6 = 1 and two or three degree-two generators, all
-    cocycles.  The H^6 generator is the first reduced cocycle-basis vector,
-    scaled so its first nonzero coordinate is +1.
+    cocycles.  Each product is read as a multiple of the generator of H^6
+    by `_top_class_reader`.
     """
     table = m.table
     xs = [i for i, d in enumerate(table.degrees) if d == 2]
@@ -478,14 +479,8 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
     for i in xs:
         if not m.images[i].is_zero():
             raise ValueError("degree-two generators must be cocycles")
-    cochains = m.cochains()
-    if cochains.betti(6) != 1:
-        raise ValueError("dim H^6 must be 1")
-    coeffs = {}
-    for a, b, c in combinations_with_replacement(range(len(xs)), 3):
-        product = table.generator(xs[a]) * table.generator(xs[b]) * table.generator(xs[c])
-        coeffs[(a, b, c)] = cochains._top_coordinate(6, cochains.coordinates(6, product))
-    return CubicForm(len(xs), coeffs)
+    read = _top_class_reader(m, 2, 6)
+    return CubicForm(len(xs), {tuple(map(xs.index, t)): read(t) for t in combinations_with_replacement(xs, 3)})
 
 
 def poincare_duality_check(m: SullivanModel) -> bool:
@@ -506,41 +501,23 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     if quotient is not None:
         evens = m.table.even_indices()
         return quotient.pairing([evens.index(i) for i in xs], n).rank() == len(xs)
-    cochains = m.cochains()
+    table, cochains = m.table, m.cochains()
     basis = cochains.basis(n - 2)
-    index = cochains.index(n)
-    cocycles = cochains.kernel(n - 2)
-    rows = []
-    for i in xs:
-        x = tuple(int(j == i) for j in range(len(m.table.degrees)))
-        row = []
-        for z in cocycles:
-            # x_i · z over basis(n): x_i is even, so no product of monomials
-            # vanishes and distinct monomials go to distinct ones
-            product: dict[int, int] = {}
-            for j, c in z.items():
-                sign, target = _mul_monomials(m.table, x, basis[j])
-                product[index[target]] = sign * c
-            row.append(cochains._top_coordinate(n, product))
-        rows.append(row)
+    cocycles = [table.element({basis[j]: c for j, c in z.items()}) for z in cochains.kernel(n - 2)]
+    products = [[table.generator(i) * z for z in cocycles] for i in xs]
+    rows = [[cochains._top_coordinate(n, cochains.coordinates(n, p)) for p in row] for row in products]
     return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
 
 
 def pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fraction:
     """Determinant of the multiplication pairing of the two degree-d generators
-    into H^{2d}, read off the lead coordinate of H^{2d}'s class generator."""
+    into H^{2d}, each product read by `_top_class_reader`."""
     table = m.table
     xs = [i for i, d in enumerate(table.degrees) if d == generator_degree]
     if len(xs) != 2:
         raise ValueError(f"need exactly two generators of degree {generator_degree}")
-    k = 2 * generator_degree
-    cochains = m.cochains()
-    if cochains.betti(k) != 1:
-        raise ValueError(f"dim H^{k} must be 1")
-    (a, b), (c, d) = (
-        [cochains._top_coordinate(k, cochains.coordinates(k, table.generator(i) * table.generator(j))) for j in xs]
-        for i in xs
-    )
+    read = _top_class_reader(m, generator_degree, 2 * generator_degree)
+    (a, b), (c, d) = ([read((i, j)) for j in xs] for i in xs)
     return rational(a * d - b * c)
 
 

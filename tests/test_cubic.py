@@ -8,16 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sullivan.catalog import biquotient_ring
 from sullivan.cubic import (
     CubicForm,
     QuadricSubspace,
+    _triple,
     associated_subspace,
     binary_classify,
     cubic_form_of_quadric_ideal,
+    cubic_form_of_ring,
     degree4_invariant,
     degree6_invariant,
     discriminant,
@@ -31,7 +33,7 @@ from sullivan.cubic import (
     substitute,
     wall_invariants,
 )
-from sullivan.groebner import PolyRing
+from sullivan.groebner import PolyRing, buchberger
 from sullivan.parsing import parse_polynomial
 
 RXYZ = PolyRing(("x", "y", "z"))
@@ -341,6 +343,58 @@ def test_cubic_form_of_quadric_ideal_profile_violation():
     bad = QuadricSubspace(R123, quadrics("x1^2", "x1*x2", "x2^2"))
     with pytest.raises(ValueError):
         cubic_form_of_quadric_ideal(bad)
+
+
+def reduced_basis_cubic_form(relations, ring):
+    """cubic_form_of_ring read from the reduced Groebner basis: the profile
+    from its Hilbert function, and each cubic monomial's normal form at its
+    first standard cubic monomial.  A test oracle only."""
+    n = len(ring.variables)
+    gb = buchberger(relations, ring)
+    profile = gb.hilbert_function(4)
+    if profile != (1, n, n, 1, 0):
+        raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
+    top = gb.standard_monomials(3)[0]
+    monos = ring.monomials_of_degree(3)
+    return CubicForm(n, {_triple(m): gb.normal_form(ring.monomial(m)).coefficient(top) for m in monos})
+
+
+@st.composite
+def relation_systems(draw):
+    """Three quadrics in three variables, or a quadric and a cubic in two
+    (the degrees of the profiles (1, 3, 3, 1) and (1, 2, 2, 1)), with
+    random small coefficients, some zero."""
+    ring, degrees = draw(st.sampled_from(((R123, (2, 2, 2)), (RXY, (2, 3)))))
+    coefficients = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2)))
+    return [ring.from_terms({m: draw(coefficients) for m in ring.monomials_of_degree(d)}) for d in degrees], ring
+
+
+@st.composite
+def biquotient_relations(draw):
+    """The relations of a biquotient ring at random small parameters."""
+    kind, count = draw(st.sampled_from((("b1", 2), ("b2", 2), ("b3", 3), ("bsp", 0))))
+    params = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+    try:
+        subspace = biquotient_ring(kind, *params)
+    except ValueError:
+        assume(False)
+    return list(subspace.basis), subspace.ring
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(relation_systems(), biquotient_relations()))
+# a non-finite ring, whose profile the pair loop capped at degree 4 reads too
+@example((quadrics("x1^2", "x1*x2", "x2^2"), R123))
+def test_cubic_form_of_ring_is_the_reduced_basis_reading(case):
+    relations, ring = case
+    assert outcome(cubic_form_of_ring, relations, ring) == outcome(reduced_basis_cubic_form, relations, ring)
 
 
 def test_round_trip_ideal_and_subspace():

@@ -676,17 +676,24 @@ def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
     assert has_finite_quotient(system, ring) == gb.is_finite_dimensional()
     # when finite, the truncated basis is a full one: its leads generate the
     # lead ideal, whose minimal generators are the reduced basis's leads,
-    # and reducing by it gives the reduced basis's normal forms
-    found = groebner._finite_basis(system, ring)
-    assert (found is not None) == gb.is_finite_dimensional()
-    if found is not None:
-        code, basis, leads = found
+    # and reducing by it gives the reduced basis's normal forms; the
+    # quotient's readings are those of the reduced basis
+    quotient = groebner._finite_basis(system, ring)
+    assert (quotient is not None) == gb.is_finite_dimensional()
+    if quotient is not None:
+        code, basis, leads = quotient.code, quotient.basis, quotient.leads
         assert sorted(groebner._minimal(map(code.unpack, leads))) == sorted(gb.leading_monomials())
-        for d in range(max(p.degree() for p in system) + 2):
+        top = max(p.degree() for p in system) + 1
+        assert quotient.hilbert(top) == gb.hilbert_function(top)
+        for d in range(top + 1):
+            standard = gb.standard_monomials(d)
             for mono in ring.monomials_of_degree(d):
                 remainder, multiplier = groebner._reduce({code.pack(mono): 1}, basis, leads, code.guard)
                 normal_form = {code.unpack(m): Fraction(c, multiplier) for m, c in remainder.items()}
                 assert normal_form == gb.normal_form(ring.monomial(mono)).terms
+                assert quotient.is_standard(mono) == (mono in standard)
+                if len(standard) <= 1:
+                    assert quotient.coordinate(mono) == sum(normal_form.values())
     n, k = len(ring.variables), len(system)
     assert is_regular_sequence(system, ring) == (gb.krull_dimension() == n - k)
 

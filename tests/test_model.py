@@ -29,6 +29,9 @@ from sullivan import (
 )
 from sullivan.algebra import _even_exponent_vectors
 from sullivan.catalog import (
+    Classification,
+    biquotient_ring,
+    classify_dim8_middle,
     cp_model,
     dim4_sigma_model,
     dim6_b2_model,
@@ -40,9 +43,11 @@ from sullivan.catalog import (
     product_model,
     sphere_model,
 )
+from sullivan.cubic import CubicForm, cubic_form_of_quadric_ideal
 from sullivan.exponents import ExponentPair
 from sullivan.groebner import _divides, buchberger
 from sullivan.linalg import RationalMatrix
+from sullivan.parsing import parse_model, render_model
 
 
 def vt_model(p=1, cubic=(0, 0, 0, 1)):
@@ -692,12 +697,12 @@ def assert_routes_agree(m, top):
 
 
 @st.composite
-def random_pure_models(draw):
-    """1-3 even generators of degrees 2 and 4 and as many odd ones, each
-    with a random homogeneous image of degree 2-8 (sparse, small integer
-    coefficients; possibly zero)."""
-    n = draw(st.integers(1, 3))
-    even = draw(st.lists(st.sampled_from((2, 4)), min_size=n, max_size=n))
+def random_pure_models(draw, even_degrees=(2, 4), min_even=1):
+    """min_even-3 even generators of the given degrees (2 and 4 by default)
+    and as many odd ones, each with a random homogeneous image of degree
+    2-8 (sparse, small integer coefficients; possibly zero)."""
+    n = draw(st.integers(min_even, 3))
+    even = draw(st.lists(st.sampled_from(even_degrees), min_size=n, max_size=n))
     step = gcd(*even)
     reachable = [d for d in (2, 4, 6, 8) if d % step == 0]
     image_degrees = draw(st.lists(st.sampled_from(reachable), min_size=n, max_size=n))
@@ -861,6 +866,57 @@ def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
     betti_numbers(m, 14)
     assert poincare_duality_check(m)
     assert len(built) == 1 and len(calls) == 1
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_pure_models(even_degrees=(2,), min_even=2))
+def test_top_class_readings_of_equal_weight_route_models_are_the_complex_readings(m):
+    """Cup forms and pairing determinants read from the quotient when every
+    even generator has degree two equal those read on a copy of the model
+    whose quotient is set aside, errors included, and build no complex."""
+    assume(m.quotient() is not None)
+    on_complex = copy.copy(m)
+    on_complex._quotient = None
+    for reader in (cup_product_cubic_form, pairing_determinant):
+        assert outcome(reader, m) == outcome(reader, on_complex)
+    assert m._cochains is None
+
+
+def test_top_class_readings_build_no_complex_and_no_reduced_basis(monkeypatch):
+    built, reduced = [], []
+    complex_init, basis_init = sullivan.model.CochainComplex.__init__, sullivan.groebner.GroebnerBasis.__init__
+
+    def counting_complex(self, m):
+        built.append(m)
+        complex_init(self, m)
+
+    def counting_basis(self, ring, generators):
+        reduced.append(ring)
+        basis_init(self, ring, generators)
+
+    monkeypatch.setattr(sullivan.model.CochainComplex, "__init__", counting_complex)
+    monkeypatch.setattr(sullivan.groebner.GroebnerBasis, "__init__", counting_basis)
+    assert cup_product_cubic_form(dim6_b3_model(2)) == CubicForm(
+        3, {(0, 0, 0): 1, (0, 1, 2): Fraction(1, 2), (1, 1, 1): 1, (2, 2, 2): 1}
+    )
+    # the model as `sullivan catalog build dim8-middle 2` writes it and `classify8` reads it
+    m = parse_model(render_model(dim8_middle_model(2)))
+    assert classify_dim8_middle(m) == Classification("middle-class", 2)
+    assert pairing_determinant(m, 4) == 2 and h4_pairing_discriminant(m, 4) == 2
+    assert not cubic_form_of_quadric_ideal(biquotient_ring("bsp")).is_zero()
+    assert built == [] and reduced == []
+    # S^2 × S^2 × S^6 is on the quotient route, but with even degrees 2, 2 and
+    # 6 the complex orders its monomials otherwise, so it reads there
+    m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
+    assert m.quotient() is not None and pairing_determinant(m) == -1
+    assert len(built) == 1
 
 
 def test_duality_checks_the_model_first():
