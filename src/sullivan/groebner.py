@@ -8,7 +8,8 @@ Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
 the regular-sequence decision.  Reduction is fraction-free, on primitive
 integer terms.  All Hilbert data is read from the Hilbert series of the
-lead-term ideal, whose numerator comes from the Bayer-Stillman recursion.
+lead-term ideal, whose numerator comes from the Bayer-Stillman recursion
+on the packed leads, cut at the degree whose Hilbert values are asked for.
 
 Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
@@ -18,20 +19,20 @@ degree has the leads that decide it.  A run stopped at a degree is kept
 as a `Quotient`, which reads Hilbert values and normal forms up to it.
 
 Inside the engine (the pair loop, S-polynomials, reduction, interreduction,
-the finiteness test and normal forms) each monomial is one ``int``, packed
-as in Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors" (CASC 2007, LNCS 4770).  Every field has
-`width` value bits and a guard bit on top.  The low n fields hold the
-exponents of x1..xn, and the high n fields their prefix sums x1, x1 + x2,
-..., with the degree highest.  The prefix sums decide grevlex, so integer
-``<`` is the monomial order, a product is ``+``, b divided by a is ``b - a``,
-and a divides b exactly when ``b - a`` has no exponent guard bit set.  The
-width is worked out from the inputs: at least `_MIN_WIDTH`, and enough for
-twice the largest input degree in the pair loop, or for the largest degree
-of basis and argument in a normal form.  A pair whose lcm outgrows the width
-restarts the pair loop at twice the width.  The public ``Polynomial`` and
-``GroebnerBasis`` API keeps tuple exponent vectors; monomials are packed on
-the way in and unpacked on the way out.
+the finiteness test, normal forms and Hilbert data) each monomial is one
+``int``, packed as in Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors" (CASC 2007, LNCS 4770).  Every
+field has `width` value bits and a guard bit on top.  The low n fields hold
+the exponents of x1..xn, and the high n fields their prefix sums x1,
+x1 + x2, ..., with the degree highest.  The prefix sums decide grevlex, so
+integer ``<`` is the monomial order, a product is ``+``, b divided by a is
+``b - a``, and a divides b exactly when ``b - a`` has no exponent guard bit
+set.  The width is worked out from the inputs: at least `_MIN_WIDTH`, and
+enough for twice the largest input degree in the pair loop, or for the
+largest degree of basis and argument in a normal form or Hilbert reading.  A
+pair whose lcm outgrows the width restarts the pair loop at twice the width.
+The public ``Polynomial`` and ``GroebnerBasis`` API keeps tuple exponent
+vectors; monomials are packed on the way in and unpacked on the way out.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
-from operator import add, le, neg
+from operator import add, neg
 from typing import Iterable, Sequence
 
 from .algebra import _even_exponent_vectors
@@ -52,10 +53,6 @@ Monomial = tuple[int, ...]
 def _grevlex_key(m: Monomial):
     # ascending in this key == ascending in graded reverse-lexicographic order
     return (sum(m), tuple(map(neg, reversed(m))))
-
-
-def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(map(le, m1, m2))
 
 
 # the least number of value bits per packed field: degrees up to 127 in
@@ -74,12 +71,13 @@ class _Packing:
     monomial has degree below 2**width; products of two of them and their
     lcm stay exact in their fields, whose guard bits then show the overflow."""
 
-    __slots__ = ("n", "width", "field", "guard", "low", "spread", "full", "degree_shift")
+    __slots__ = ("n", "width", "field", "mask", "guard", "low", "spread", "full", "degree_shift")
 
     def __init__(self, n: int, width: int):
         self.n = n
         self.width = width
         self.field = field = width + 1
+        self.mask = (1 << width) - 1  # the value bits of a field
         ones = sum(1 << (field * i) for i in range(n))
         self.guard = ones << width  # the guard bits of the exponent fields
         self.low = (1 << (field * n)) - 1  # the exponent fields
@@ -96,8 +94,7 @@ class _Packing:
         return (e * self.spread) & self.full
 
     def unpack(self, k: int) -> Monomial:
-        mask = (1 << self.width) - 1
-        return tuple((k >> (self.field * i)) & mask for i in range(self.n))
+        return tuple((k >> (self.field * i)) & self.mask for i in range(self.n))
 
     def degree(self, k: int) -> int:
         return k >> self.degree_shift
@@ -314,20 +311,23 @@ def _reduce(
     return remainder, multiplier
 
 
-def _minimal(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Minimal generators of the monomial ideal: no one divides another."""
-    out: list[Monomial] = []
-    for m in sorted(set(monomials), key=sum):
-        if not any(_divides(g, m) for g in out):
+def _minimal(leads: Iterable[int], guard: int) -> list[int]:
+    """Minimal generators, no one dividing another, of the ideal of the packed `leads` with exponent
+    guard bits `guard`.  Ascending packed order is grevlex, which refines degree, so divisors come first."""
+    out: list[int] = []
+    for m in sorted(set(leads)):
+        if all((m - g) & guard for g in out):
             out.append(m)
     return out
 
 
-def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) -> dict[int, int]:
-    """p + sign·t^shift·q on polynomials in t given as {exponent: nonzero coefficient}."""
+def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int, top: int) -> dict[int, int]:
+    """p + sign·t^shift·q mod t^(top + 1), p of degree at most top, on polynomials in t as {exponent: coefficient}."""
     out = dict(p)
     for k, c in q.items():
         k += shift
+        if k > top:
+            continue
         c = out.get(k, 0) + sign * c
         if c:
             out[k] = c
@@ -336,10 +336,13 @@ def _shifted_sum(p: dict[int, int], q: dict[int, int], shift: int, sign: int) ->
     return out
 
 
-def _hilbert_numerator(leads: Iterable[Monomial]) -> dict[int, int]:
-    """K(t) as {exponent: nonzero coefficient}, empty for K = 0, where
-    K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo the monomial
-    ideal generated by `leads`.
+def _hilbert_numerator(leads: Iterable[int], code: _Packing, top: int) -> dict[int, int]:
+    """K(t) mod t^(top + 1) as {exponent: nonzero coefficient}, empty when
+    it is 0, where K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo
+    the monomial ideal generated by the leads, packed by `code`.  K mod
+    t^(top + 1) is fixed by the Hilbert values up to top, which the leads of
+    degree above top leave alone, so every such lead and every term above
+    top is dropped, and the colon below recurses at top − e.
 
     Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m)
     for every monomial m.  Pairwise coprime generators give
@@ -356,21 +359,24 @@ def _hilbert_numerator(leads: Iterable[Monomial]) -> dict[int, int]:
     weighted degree of x^a, so it runs step for step as it would on the
     leads divided by w in the weighted grading (`_hilbert_values` expands it).
     """
-    gens = _minimal(leads)
-    if gens and not any(gens[0]):
-        return {}  # the unit ideal
-    n = len(gens[0]) if gens else 0
-    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
-    if all(c <= 1 for c in counts):
+    limit = (top + 1) << code.degree_shift  # the least packed monomial of degree above top
+    gens = _minimal([g for g in leads if g < limit], code.guard)
+    if top < 0 or gens and not gens[0]:
+        return {}  # no degree up to top, or the unit ideal
+    shifts = range(0, code.field * code.n, code.field)
+    counts = [sum(1 for g in gens if g >> s & code.mask) for s in shifts]
+    if max(counts, default=0) <= 1:
         numerator = {0: 1}
         for g in gens:
-            numerator = _shifted_sum(numerator, numerator, sum(g), -1)
+            numerator = _shifted_sum(numerator, numerator, code.degree(g), -1, top)
         return numerator
-    i = max(range(n), key=counts.__getitem__)
-    e = min(g[i] for g in gens if g[i])
-    free = _hilbert_numerator(g for g in gens if not g[i])
-    colon = _hilbert_numerator(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
-    return _shifted_sum(_shifted_sum(free, free, e, -1), colon, e, 1)
+    s = shifts[counts.index(max(counts))]
+    fields = [g >> s & code.mask for g in gens]
+    e = min(x for x in fields if x)
+    unit = ((1 << s) * code.spread) & code.full  # x_i packed
+    free = _hilbert_numerator([g for g, x in zip(gens, fields) if not x], code, top)
+    colon = _hilbert_numerator([g - min(x, e) * unit for g, x in zip(gens, fields)], code, top - e)
+    return _shifted_sum(_shifted_sum(free, free, e, -1, top), colon, e, 1, top)
 
 
 def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degree: int) -> list[int]:
@@ -381,16 +387,6 @@ def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degre
         for k in range(w, max_degree + 1):
             values[k] += values[k - w]
     return values
-
-
-def _order_at_one(numerator: dict[int, int]) -> tuple[int, int]:
-    """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0, for a nonzero K:
-    the j-th Taylor coefficient of K at t = 1 is the sum of c·C(k, j) over
-    its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
-    s = 0
-    while not (value := sum(c * comb(k, s) for k, c in numerator.items())):
-        s += 1
-    return s, (-1) ** s * value
 
 
 class GroebnerBasis:
@@ -404,7 +400,7 @@ class GroebnerBasis:
         self._leads = tuple(g.leading_monomial() for g in self.generators)
         self._degree = max((g.degree() for g in self.generators), default=0)
         # field width -> the generators as a `Quotient` under that packing,
-        # made at the first normal form that needs it
+        # made at the first reading that needs it
         self._packed: dict[int, Quotient] = {}
 
     def __eq__(self, other) -> bool:
@@ -420,10 +416,9 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return self._leads
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.ring != self.ring:
-            raise ValueError("polynomial lives in a different ring")
-        width = _width(max(p.degree(), self._degree))
+    def _quotient(self, degree: int) -> Quotient:
+        """The generators as a `Quotient`, packed wide enough for them and for degree."""
+        width = _width(max(degree, self._degree))
         if width not in self._packed:
             code = _Packing(len(self.ring.variables), width)
             leads = [code.pack(lead) for lead in self._leads]
@@ -432,7 +427,12 @@ class GroebnerBasis:
                 for g, lead in zip(self.generators, leads)
             ]
             self._packed[width] = Quotient(code, basis, leads)
-        q = self._packed[width]
+        return self._packed[width]
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        if p.ring != self.ring:
+            raise ValueError("polynomial lives in a different ring")
+        q = self._quotient(p.degree())
         work, den = _clear_denominators(q.code.pack_terms(p.terms))
         remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
@@ -443,30 +443,38 @@ class GroebnerBasis:
         return self.krull_dimension() <= 0
 
     def standard_monomials(self, d: int) -> list[Monomial]:
-        lms = self.leading_monomials()
-        return [m for m in self.ring.monomials_of_degree(d) if not any(_divides(l, m) for l in lms)]
+        return list(filter(self._quotient(d).is_standard, self.ring.monomials_of_degree(d)))
 
     def hilbert_function(self, max_degree: int) -> tuple[int, ...]:
-        """Dimensions of the quotient in degrees 0..max_degree: the
-        coefficients of the series K(t)/(1 − t)^n."""
-        weights = (1,) * len(self.ring.variables)
-        return tuple(_hilbert_values(_hilbert_numerator(self._leads), weights, max_degree))
+        """Dimensions of the quotient in degrees 0..max_degree, from the series K(t)/(1 − t)^n."""
+        return self._quotient(0).hilbert(max_degree)
+
+    def _order_at_one(self) -> tuple[int, int] | None:
+        """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0 for the whole numerator K, of degree at most
+        the sum of the lead degrees; None for K = 0.  The j-th Taylor coefficient of K at t = 1 is the sum
+        of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
+        q = self._quotient(0)
+        numerator = _hilbert_numerator(q.leads, q.code, sum(map(q.code.degree, q.leads)))
+        if not numerator:
+            return None
+        s = 0
+        while not (value := sum(c * comb(k, s) for k, c in numerator.items())):
+            s += 1
+        return s, (-1) ** s * value
 
     def krull_dimension(self) -> int:
         """Dimension of the quotient: n minus the order of t = 1 as a root of
         K(t), the Hilbert series numerator; -1 for the unit ideal."""
-        numerator = _hilbert_numerator(self._leads)
-        if not numerator:
-            return -1
-        return len(self.ring.variables) - _order_at_one(numerator)[0]
+        order = self._order_at_one()
+        return -1 if order is None else len(self.ring.variables) - order[0]
 
     def multiplicity(self) -> int:
         """Degree of the quotient: Q(1), where K(t) = (1 − t)^(n − dim)·Q(t)
         is the Hilbert series numerator.  That is the vector-space dimension
         when it is finite, and otherwise (dim − 1)! times the leading
         coefficient of the Hilbert polynomial; 0 for the unit ideal."""
-        numerator = _hilbert_numerator(self._leads)
-        return _order_at_one(numerator)[1] if numerator else 0
+        order = self._order_at_one()
+        return 0 if order is None else order[1]
 
 
 def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[Polynomial], PolyRing]:
@@ -498,12 +506,11 @@ class Quotient:
     leads: list[int]
 
     def hilbert(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Dimensions in degrees 0..max_degree, x_i of weight weights[i] (1 by
-        default) dividing every x_i-exponent of the leads (`_hilbert_numerator`)."""
+        """Dimensions in degrees 0..max_degree, from the numerator truncated there, x_i of weight
+        weights[i] (1 by default) dividing every x_i-exponent of the leads (`_hilbert_numerator`)."""
         weights = weights or (1,) * self.code.n
-        leads = [self.code.unpack(lead) for lead in self.leads]
-        assert all(e % w == 0 for lead in leads for e, w in zip(lead, weights))
-        return tuple(_hilbert_values(_hilbert_numerator(leads), weights, max_degree))
+        assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
+        return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
 
     def is_standard(self, m: Monomial) -> bool:
         k = self.code.pack(m)
@@ -607,18 +614,11 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     guard = code.guard
     # interreduce to the unique reduced basis, smallest lead first: a term
     # below a lead can only be divisible by a smaller lead
-    minimal = []
-    for i, lead in enumerate(leads):
-        if not any(
-            k != i and not (lead - other) & guard and (other != lead or k < i) for k, other in enumerate(leads)
-        ):
-            minimal.append(i)
-    minimal.sort(key=leads.__getitem__)
     reduced: list[dict[int, int]] = []
     reduced_leads: list[int] = []
-    for i in minimal:
-        reduced.append(_primitive(_reduce(dict(basis[i]), reduced, reduced_leads, guard)[0], leads[i]))
-        reduced_leads.append(leads[i])
+    for lead in _minimal(leads, guard):
+        reduced.append(_primitive(_reduce(dict(basis[leads.index(lead)]), reduced, reduced_leads, guard)[0], lead))
+        reduced_leads.append(lead)
     return GroebnerBasis(
         ring,
         [
@@ -664,14 +664,14 @@ def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
         return None
     cap = sum(degrees[:n]) - n + 1
     found = _pair_loop(polys, n, cap)
-    pure: set[int] = set()
-    for lead in map(found.code.unpack, found.leads):
-        support = [i for i, e in enumerate(lead) if e]
-        if not support:
-            return found  # the unit ideal
-        if len(support) == 1:
-            pure.add(support[0])
-    return found if len(pure) == n else None
+    code = found.code
+    pure: set[int] = set()  # the guard bit of each pure power's one nonzero field; 0 for the lead 1
+    for lead in found.leads:
+        # guard bits of the nonzero fields: v + 2**width - 1 sets the guard bit iff v > 0
+        support = ((lead & code.low) + code.guard - (code.guard >> code.width)) & code.guard
+        if not support & (support - 1):
+            pure.add(support)
+    return found if 0 in pure or len(pure) == n else None
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

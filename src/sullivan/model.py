@@ -218,7 +218,7 @@ def _free_dimension(table: GeneratorTable, k: int) -> int:
     numerator = {0: 1}
     for d in table.degrees:
         if d % 2:
-            numerator = _shifted_sum(numerator, numerator, d, 1)
+            numerator = _shifted_sum(numerator, numerator, d, 1, k)
     even = [d for d in table.degrees if d % 2 == 0]
     return _hilbert_values(numerator, even, k)[k]
 

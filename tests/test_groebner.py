@@ -577,8 +577,43 @@ def test_weighted_hilbert_series_counts_standard_monomials(gb, data):
         for k in range(top + 1)
     ]
     substituted = [tuple(e * w for e, w in zip(g, weights)) for g in leads]
-    numerator = groebner._hilbert_numerator(substituted)
+    code = _Packing(n, _width(3 * 3))
+    numerator = groebner._hilbert_numerator(map(code.pack, substituted), code, top)
     assert groebner._hilbert_values(numerator, weights, top) == counts
+
+
+@st.composite
+def weighted_monomial_ideals(draw):
+    """Up to 6 monomials of degree 0-4 in 0-6 variables, weights 1-3 for the
+    variables, and a degree top from -1 to 12."""
+    n = draw(st.integers(0, 6))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 4), max_size=6))
+    return leads, draw(st.tuples(*[st.integers(1, 3)] * n)), draw(st.integers(-1, 12))
+
+
+@settings(deadline=None)
+@given(weighted_monomial_ideals())
+# a lead of degree exactly top; a colon that recurses at top - 1
+@example(([(2,)], (1,), 2))
+@example(([(2, 0), (1, 1)], (1, 1), 2))
+def test_truncated_numerator_reads_the_hilbert_values_up_to_top(case):
+    """The numerator truncated at top, of the leads with x_i sent to
+    x_i^{w_i}, against the monomials of each weighted degree up to top that
+    no lead divides and against the untruncated numerator; nothing at all
+    for top = -1."""
+    leads, weights, top = case
+    code = _Packing(len(weights), _width(4 * 3))
+    packed = [code.pack(tuple(e * w for e, w in zip(g, weights))) for g in leads]
+    counts = [
+        sum(1 for m in _even_exponent_vectors(weights, k) if not any(all(map(le, g, m)) for g in leads))
+        for k in range(top + 1)
+    ]
+    numerator = groebner._hilbert_numerator(packed, code, top)
+    values = groebner._hilbert_values(numerator, weights, top)
+    whole = groebner._hilbert_numerator(packed, code, sum(map(code.degree, packed)))
+    assert values == counts == groebner._hilbert_values(whole, weights, top)
+    if top == -1:
+        assert numerator == {} and tuple(values) == ()
 
 
 @settings(deadline=None)
@@ -682,7 +717,7 @@ def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
     assert (quotient is not None) == gb.is_finite_dimensional()
     if quotient is not None:
         code, basis, leads = quotient.code, quotient.basis, quotient.leads
-        assert sorted(groebner._minimal(map(code.unpack, leads))) == sorted(gb.leading_monomials())
+        assert sorted(map(code.unpack, groebner._minimal(leads, code.guard))) == sorted(gb.leading_monomials())
         top = max(p.degree() for p in system) + 1
         assert quotient.hilbert(top) == gb.hilbert_function(top)
         for d in range(top + 1):

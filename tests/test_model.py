@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, gcd
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,7 +46,7 @@ from sullivan.catalog import (
 )
 from sullivan.cubic import CubicForm, cubic_form_of_quadric_ideal
 from sullivan.exponents import ExponentPair
-from sullivan.groebner import _divides, buchberger
+from sullivan.groebner import buchberger
 from sullivan.linalg import RationalMatrix
 from sullivan.parsing import parse_model, render_model
 
@@ -727,6 +728,19 @@ def test_betti_routes_agree_on_random_pure_models(m):
     assert_routes_agree(m, top)
 
 
+@settings(deadline=None, max_examples=60)
+@given(random_pure_models())
+def test_quotient_betti_up_to_each_degree_is_a_prefix(m):
+    """Betti numbers read up to each k, below the socle too, from a numerator
+    truncated at k, are the first k + 1 of those read up to top."""
+    quotient = m.quotient()
+    if quotient is not None:
+        top = max(m.formal_dimension_claim(), 0) + 2
+        full = quotient.betti(top)
+        for k in range(top + 1):
+            assert quotient.betti(k) == full[: k + 1]
+
+
 PURE_FACTORS = [
     st.builds(sphere_model, st.integers(2, 5)),
     st.builds(cp_model, st.integers(1, 3)),
@@ -789,7 +803,7 @@ def reduced_basis_pairing(m, xs, n):
     standard = []
     for a in _even_exponent_vectors(tuple(weights), (n - 2) // step):
         mono = tuple(e * w for e, w in zip(a, weights))
-        if not any(_divides(lead, mono) for lead in gb.leading_monomials()):
+        if not any(all(map(le, lead, mono)) for lead in gb.leading_monomials()):
             standard.append(mono)
     return tuple(
         tuple(sum(gb.normal_form(ring.variable(p) * ring.monomial(s)).terms.values()) for s in standard) for p in xs
