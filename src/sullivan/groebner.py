@@ -400,7 +400,7 @@ class GroebnerBasis:
         self._leads = tuple(g.leading_monomial() for g in self.generators)
         self._degree = max((g.degree() for g in self.generators), default=0)
         # field width -> the generators as a `Quotient` under that packing,
-        # made at the first reading that needs it
+        # handed over by `buchberger` or made at the first reading that needs it
         self._packed: dict[int, Quotient] = {}
 
     def __eq__(self, other) -> bool:
@@ -619,13 +619,16 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     for lead in _minimal(leads, guard):
         reduced.append(_primitive(_reduce(dict(basis[leads.index(lead)]), reduced, reduced_leads, guard)[0], lead))
         reduced_leads.append(lead)
-    return GroebnerBasis(
+    gb = GroebnerBasis(
         ring,
         [
             Polynomial(ring, {code.unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
             for g, lead in zip(reduced, reduced_leads)
         ],
     )
+    # primitive with positive leads, as `GroebnerBasis._quotient` packs the monic generators
+    gb._packed[code.width] = Quotient(code, reduced, reduced_leads)
+    return gb
 
 
 def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:

@@ -16,8 +16,15 @@ rings.  The model keeps that quotient (`SullivanModel.quotient`, a
 function, `poincare_duality_check` reads the pairing of degree two
 against degree n - 2 from its normal forms, and, when all even degrees
 are equal, `cup_product_cubic_form` and `pairing_determinant` read their
-products there too, with no cochain complex.  Everything else goes
-through the complex.
+products there too, with no cochain complex.
+
+A pure model with one odd generator more than a regular sequence needs
+no complex for its Betti numbers either.  When m - 1 of its m images are
+certified regular (none, one nonzero form, or n forms with a finite
+quotient), the Koszul complex of those resolves their quotient A, and H*
+is that of A ⊗ Λy with dy the image left out: b_k is read from the
+Hilbert functions of A and of the quotient B by all m images
+(`_sub_quotient_betti`).  Everything else goes through the complex.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .algebra import AlgebraElement, GeneratorTable, _even_exponent_vectors, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
@@ -37,6 +44,7 @@ from .groebner import (
     Quotient,
     _finite_basis,
     _hilbert_values,
+    _pair_loop,
     _shifted_sum,
     has_finite_quotient,
 )
@@ -212,15 +220,25 @@ def _check_cohomology_input(m: SullivanModel) -> None:
         raise ValueError(bad.message)
 
 
-def _free_dimension(table: GeneratorTable, k: int) -> int:
-    """Dimension of the degree-k part of the free graded-commutative algebra
-    on the table: the coefficient of t^k in prod (1 + t^odd) / prod (1 − t^even)."""
+def _free_dimensions(table: GeneratorTable, top: int) -> list[int]:
+    """Dimensions of degrees 0..top of the free graded-commutative algebra
+    on the table: the coefficients of prod (1 + t^odd) / prod (1 − t^even)."""
     numerator = {0: 1}
     for d in table.degrees:
         if d % 2:
-            numerator = _shifted_sum(numerator, numerator, d, 1, k)
+            numerator = _shifted_sum(numerator, numerator, d, 1, top)
     even = [d for d in table.degrees if d % 2 == 0]
-    return _hilbert_values(numerator, even, k)[k]
+    return _hilbert_values(numerator, even, top)
+
+
+def _check_enumerable(k: int, size: int) -> None:
+    """Raise ValueError when degree k of the free algebra, of the given size,
+    has more than MAX_BASIS monomials."""
+    if size > MAX_BASIS:
+        raise ValueError(
+            f"degree {k} of the free algebra has {size} monomials, "
+            f"more than the {MAX_BASIS} the cochain complex enumerates"
+        )
 
 
 class CochainComplex:
@@ -268,12 +286,7 @@ class CochainComplex:
         if k < 0:
             return ()
         if k not in self._bases:
-            size = _free_dimension(self.table, k)
-            if size > MAX_BASIS:
-                raise ValueError(
-                    f"degree {k} of the free algebra has {size} monomials, "
-                    f"more than the {MAX_BASIS} the cochain complex enumerates"
-                )
+            _check_enumerable(k, _free_dimensions(self.table, k)[k])
             self._bases[k] = tuple(monomial_basis(self.table, k))
         return self._bases[k]
 
@@ -417,8 +430,7 @@ class PureQuotient(Quotient):
     def betti(self, max_degree: int) -> tuple[int, ...]:
         """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the
         Hilbert series of Q[x]/(dy) with x_i of weight w_i."""
-        values = self.hilbert(max_degree // self.step, self.weights)
-        return tuple(0 if k % self.step else values[k // self.step] for k in range(max_degree + 1))
+        return tuple(_by_model_degree(self.hilbert(max_degree // self.step, self.weights), self.step, max_degree))
 
     def pairing(self, positions: list[int], n: int) -> RationalMatrix:
         """The pairing of the degree-two generators x_p, p in positions,
@@ -433,14 +445,82 @@ class PureQuotient(Quotient):
         return RationalMatrix.from_rows(rows, len(standard))
 
 
+def _by_model_degree(values: Sequence[int], step: int, top: int) -> list[int]:
+    """Hilbert values by weighted degree as dimensions in degrees 0..top:
+    value k / step in degree k, and 0 where step does not divide k."""
+    return [0 if k % step else values[k // step] for k in range(top + 1)]
+
+
+def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None:
+    """(b_0, ..., b_max) of a pure model whose images f_1..f_m (weighted as
+    in `_weighted_images`) include m - 1 certified regular, from two
+    Hilbert functions; None for a model not of this kind.
+
+    Certified regular are the empty sequence (m = 1), one nonzero form
+    (m = 2), and n forms whose quotient `_finite_basis` finds finite
+    (m = n + 1, with n even generators): n forms in n variables with a
+    finite quotient are a regular sequence.  The odd generator y left out
+    is tried last first, then the earlier ones.  With A = Q[x]/(the m - 1
+    forms), B = Q[x]/(all m) and f = dy,
+
+        b_k = B_k + B_{k+1} + A_{k-|y|} - A_{k+1},
+
+    every value 0 in degrees that the gcd `step` of the even degrees does
+    not divide.  Proof: the model without y is the Koszul complex of the
+    m - 1 forms, which resolves A because they are regular (Bruns and
+    Herzog, Cohen-Macaulay Rings, §1.6).  Pushing the relative algebra
+    (ΛQ ⊗ Λ(others)) ⊗ Λy forward along that quasi-isomorphism gives
+    A ⊗ Λy with dy = f̄ (Félix, Halperin and Thomas, Rational Homotopy
+    Theory, §14 and §32), whose cohomology is A/fA ⊕ Ann_A(f)·y.  Here
+    (A/fA)_k = B_k, and Ann_A(f)_j, the kernel of multiplication by f from
+    A_j onto (fA)_{j+|f|}, has dimension A_j - A_{j+|f|} + B_{j+|f|}; for
+    the class a·y of degree k, j = k - |y| and j + |f| = k + 1.
+
+    A of the finite certificate is its own `Quotient`, exact in every
+    degree; the other A and B come from `_pair_loop` capped at the largest
+    degree read, (max_degree + 1) / step.  The route answers only where
+    the cochain complex would: the model is validated first, and a degree
+    up to max_degree + 1, each of which the complex enumerates, past
+    MAX_BASIS raises the complex's ValueError.
+    """
+    table = m.table
+    n, odds = len(table.even_indices()), table.odd_indices()
+    if not (n and len(odds) in (1, 2, n + 1) and m.is_pure()):
+        return None
+    _check_cohomology_input(m)
+    for k, size in enumerate(_free_dimensions(table, max_degree + 1)):
+        _check_enumerable(k, size)
+    ring, images, step, weights = _weighted_images(m)
+    top = (max_degree + 1) // step
+    for left in reversed(range(len(odds))):
+        kept = images[:left] + images[left + 1 :]
+        if len(odds) > 2:
+            a = _finite_basis(kept, ring)
+        else:
+            a = None if any(f.is_zero() for f in kept) else _pair_loop(kept, n, top)
+        if a is not None:
+            break
+    else:
+        return None
+    b = _pair_loop([f for f in images if not f.is_zero()], n, top)
+    A, B = (_by_model_degree(q.hilbert(top, weights), step, max_degree + 1) for q in (a, b))
+    y = table.degrees[odds[left]]
+    return tuple(B[k] + B[k + 1] + (A[k - y] if k >= y else 0) - A[k + 1] for k in range(max_degree + 1))
+
+
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
     """(b_0, ..., b_max): from the model's `PureQuotient` when it has one,
-    otherwise by degreewise kernel/rank bookkeeping on the cochain complex."""
+    then from two Hilbert functions when `_sub_quotient_betti` applies,
+    and otherwise by degreewise kernel/rank bookkeeping on the cochain
+    complex."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     quotient = m.quotient()
     if quotient is not None:
         return quotient.betti(max_degree)
+    betti = _sub_quotient_betti(m, max_degree)
+    if betti is not None:
+        return betti
     cochains = m.cochains()
     return tuple(cochains.betti(k) for k in range(max_degree + 1))
 

@@ -626,6 +626,16 @@ def test_hilbert_data_of_homogeneous_systems(case):
 
 
 @settings(deadline=None)
+@given(small_systems())
+def test_buchberger_hands_over_the_packed_basis_its_generators_pack_to(case):
+    ring, system = case
+    gb = buchberger(system, ring)
+    q, fresh = gb._quotient(0), GroebnerBasis(ring, gb.generators)._quotient(0)
+    assert list(gb._packed) == [q.code.width]
+    assert (q.code.width, q.basis, q.leads) == (fresh.code.width, fresh.basis, fresh.leads)
+
+
+@settings(deadline=None)
 @given(small_systems(), st.data())
 def test_buchberger_is_invariant_under_scaling_the_inputs(case, data):
     ring, system = case
