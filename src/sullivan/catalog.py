@@ -33,7 +33,7 @@ from .cubic import (
     squarefree_part,
 )
 from .exponents import ExponentPair, enumerate_exponents, exponents_of_model
-from .groebner import PolyRing, Polynomial, buchberger, is_regular_sequence
+from .groebner import PolyRing, Polynomial, _pair_loop, is_regular_sequence
 from .linalg import RationalMatrix, rational
 from .model import (
     SullivanModel,
@@ -473,7 +473,7 @@ def square_zero_profile(relations: Sequence[Polynomial], ring: PolyRing) -> tupl
         if not factor.is_zero():
             for mono, c in rel.terms.items():
                 entries[mono] -= factor.scale(c)
-    gb = buchberger([e for e in entries.values() if not e.is_zero()], aring)
+    gb = _pair_loop(entries.values(), aring)
     return (gb.krull_dimension(), gb.multiplicity())
 
 
@@ -598,7 +598,7 @@ _PROPERTIES: dict[str, Callable[[object, str], object]] = {
     "poincare-window": lambda m, arg: _poincare_window(m),
     "cup-form": lambda m, arg: _render(cup_product_cubic_form(m)),
     "classify7": lambda m, arg: str(classify_dim7(m)),
-    "hilbert": lambda f, arg: buchberger(list(f.relations), f.ring).hilbert_function(int(arg)),
+    "hilbert": lambda f, arg: _pair_loop(f.relations, f.ring).hilbert_function(int(arg)),
     "square-zero": lambda f, arg: _fragment_square_zero(f),
     "ring-elliptic": lambda q, arg: bool(is_elliptic_form(cubic_form_of_quadric_ideal(q), 3)),
 }

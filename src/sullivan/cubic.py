@@ -22,7 +22,6 @@ from ._invariant_tables import CUBIC_MONOMIALS, DEGREE4_TERMS, DEGREE6_TERMS
 from .groebner import (
     PolyRing,
     Polynomial,
-    _checked,
     _pair_loop,
     has_finite_quotient,
     is_regular_sequence,
@@ -483,8 +482,8 @@ def cubic_form_of_ring(relations: Sequence[Polynomial], ring: PolyRing) -> Cubic
     n = len(ring.variables)
     if n not in (2, 3):
         raise ValueError("expected a ring on 2 or 3 degree-two generators")
-    quotient = _pair_loop(_checked(relations, ring)[0], n, 4)
-    profile = quotient.hilbert(4)
+    quotient = _pair_loop(relations, ring, 4)
+    profile = quotient.hilbert_function(4)
     if profile != (1, n, n, 1, 0):
         raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
     return CubicForm(n, {_triple(mono): quotient.coordinate(mono) for mono in ring.monomials_of_degree(3)})

@@ -15,8 +15,9 @@ Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
 d1 >= d2 >= ... vanishes from degree (d1 - 1) + ... + (dn - 1) + 1 on
 (Lazard, EUROCAL '83, LNCS 162), so a Buchberger run stopped at that
-degree has the leads that decide it.  A run stopped at a degree is kept
-as a `Quotient`, which reads Hilbert values and normal forms up to it.
+degree has the leads that decide it.  A run, stopped at a degree or not,
+is kept as a `GroebnerBasis`, which reads Hilbert values and normal forms
+up to that degree; only `buchberger` interreduces it.
 
 Inside the engine (the pair loop, S-polynomials, reduction, interreduction,
 the finiteness test, normal forms and Hilbert data) each monomial is one
@@ -28,9 +29,10 @@ x1 + x2, ..., with the degree highest.  The prefix sums decide grevlex, so
 integer ``<`` is the monomial order, a product is ``+``, b divided by a is
 ``b - a``, and a divides b exactly when ``b - a`` has no exponent guard bit
 set.  The width is worked out from the inputs: at least `_MIN_WIDTH`, and
-enough for twice the largest input degree in the pair loop, or for the
-largest degree of basis and argument in a normal form or Hilbert reading.  A
-pair whose lcm outgrows the width restarts the pair loop at twice the width.
+enough for twice the largest input degree and for the cap in the pair loop.
+A pair whose lcm outgrows the width restarts the pair loop at twice the
+width, and a normal form or standard-monomial reading of a degree that
+outgrows a basis's width packs its generators again, wide enough (`_pack`).
 The public ``Polynomial`` and ``GroebnerBasis`` API keeps tuple exponent
 vectors; monomials are packed on the way in and unpacked on the way out.
 """
@@ -389,21 +391,24 @@ def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degre
     return values
 
 
+@dataclass(slots=True, eq=False)
 class GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal under grevlex."""
+    """Q[x1..xn] modulo a homogeneous ideal, held as a Groebner basis under
+    grevlex: primitive integer terms on packed monomials, with their packing
+    and packed leads.  `buchberger` interreduces it to the reduced basis;
+    `_pair_loop` returns it as its pair loop leaves it.  Normal forms and
+    Hilbert data depend only on the lead ideal, so they read the same off
+    either.  A pair loop capped at D has the leads of the ideal up to
+    degree D, so its readings are exact up to D, and the Hilbert values of
+    a finite quotient (`_finite_basis`) in every degree."""
 
-    __slots__ = ("ring", "generators", "_leads", "_degree", "_packed")
-
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
-        self.ring = ring
-        self.generators = tuple(generators)
-        self._leads = tuple(g.leading_monomial() for g in self.generators)
-        self._degree = max((g.degree() for g in self.generators), default=0)
-        # field width -> the generators as a `Quotient` under that packing,
-        # handed over by `buchberger` or made at the first reading that needs it
-        self._packed: dict[int, Quotient] = {}
+    ring: PolyRing
+    code: _Packing
+    basis: list[dict[int, int]]
+    leads: list[int]
 
     def __eq__(self, other) -> bool:
+        """The same ring and generators, in order: for reduced bases, the same ideal."""
         return (
             isinstance(other, GroebnerBasis)
             and self.ring == other.ring
@@ -411,28 +416,29 @@ class GroebnerBasis:
         )
 
     def __repr__(self) -> str:
-        return f"GroebnerBasis({len(self.generators)} generators over {self.ring!r})"
+        return f"GroebnerBasis({len(self.basis)} generators over {self.ring!r})"
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The basis as monic polynomials."""
+        unpack = self.code.unpack
+        return tuple(
+            Polynomial(self.ring, {unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
+            for g, lead in zip(self.basis, self.leads)
+        )
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return self._leads
+        return tuple(map(self.code.unpack, self.leads))
 
-    def _quotient(self, degree: int) -> Quotient:
-        """The generators as a `Quotient`, packed wide enough for them and for degree."""
-        width = _width(max(degree, self._degree))
-        if width not in self._packed:
-            code = _Packing(len(self.ring.variables), width)
-            leads = [code.pack(lead) for lead in self._leads]
-            basis = [
-                _primitive(_clear_denominators(code.pack_terms(g.terms))[0], lead)
-                for g, lead in zip(self.generators, leads)
-            ]
-            self._packed[width] = Quotient(code, basis, leads)
-        return self._packed[width]
+    def _fitting(self, degree: int) -> GroebnerBasis:
+        """This basis, or, when degree outgrows its packing, its generators packed wide enough for it."""
+        width = _width(degree)
+        return self if width <= self.code.width else _pack(self.generators, self.ring, width)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        q = self._quotient(p.degree())
+        q = self._fitting(p.degree())
         work, den = _clear_denominators(q.code.pack_terms(p.terms))
         remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
@@ -442,19 +448,33 @@ class GroebnerBasis:
         """Whether the quotient is a finite-dimensional vector space."""
         return self.krull_dimension() <= 0
 
-    def standard_monomials(self, d: int) -> list[Monomial]:
-        return list(filter(self._quotient(d).is_standard, self.ring.monomials_of_degree(d)))
+    def is_standard(self, m: Monomial) -> bool:
+        """Whether no lead divides the monomial m, of degree below 2**width."""
+        k = self.code.pack(m)
+        return all((k - lead) & self.code.guard for lead in self.leads)
 
-    def hilbert_function(self, max_degree: int) -> tuple[int, ...]:
-        """Dimensions of the quotient in degrees 0..max_degree, from the series K(t)/(1 − t)^n."""
-        return self._quotient(0).hilbert(max_degree)
+    def standard_monomials(self, d: int) -> list[Monomial]:
+        return list(filter(self._fitting(d).is_standard, self.ring.monomials_of_degree(d)))
+
+    def coordinate(self, m: Monomial) -> int | Fraction:
+        """The normal form of the monomial m, of degree below 2**width and in a degree of dimension at
+        most one, as a multiple of its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
+        remainder, multiplier = _reduce({self.code.pack(m): 1}, self.basis, self.leads, self.code.guard)
+        return _ratio(sum(remainder.values()), multiplier)
+
+    def hilbert_function(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
+        """Dimensions of the quotient in degrees 0..max_degree, from the series K(t)/prod (1 − t^{w_i})
+        with K truncated there, x_i of weight weights[i] (1 by default) dividing every x_i-exponent of
+        the leads (`_hilbert_numerator`)."""
+        weights = weights or (1,) * self.code.n
+        assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
+        return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
 
     def _order_at_one(self) -> tuple[int, int] | None:
         """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0 for the whole numerator K, of degree at most
         the sum of the lead degrees; None for K = 0.  The j-th Taylor coefficient of K at t = 1 is the sum
         of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
-        q = self._quotient(0)
-        numerator = _hilbert_numerator(q.leads, q.code, sum(map(q.code.degree, q.leads)))
+        numerator = _hilbert_numerator(self.leads, self.code, sum(map(self.code.degree, self.leads)))
         if not numerator:
             return None
         s = 0
@@ -466,7 +486,7 @@ class GroebnerBasis:
         """Dimension of the quotient: n minus the order of t = 1 as a root of
         K(t), the Hilbert series numerator; -1 for the unit ideal."""
         order = self._order_at_one()
-        return -1 if order is None else len(self.ring.variables) - order[0]
+        return -1 if order is None else self.code.n - order[0]
 
     def multiplicity(self) -> int:
         """Degree of the quotient: Q(1), where K(t) = (1 − t)^(n − dim)·Q(t)
@@ -493,55 +513,35 @@ def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[P
     return polys, ring
 
 
-@dataclass(slots=True, eq=False)
-class Quotient:
-    """Q[x1..xn] modulo a homogeneous ideal, held as a Groebner basis: primitive
-    integer terms on packed monomials with their packing and packed leads.
-    The basis of a pair loop capped at D has the leads of the ideal up to
-    degree D, so the readings are exact up to D, and the Hilbert values of
-    a finite quotient (`_finite_basis`) in every degree."""
-
-    code: _Packing
-    basis: list[dict[int, int]]
-    leads: list[int]
-
-    def hilbert(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Dimensions in degrees 0..max_degree, from the numerator truncated there, x_i of weight
-        weights[i] (1 by default) dividing every x_i-exponent of the leads (`_hilbert_numerator`)."""
-        weights = weights or (1,) * self.code.n
-        assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
-        return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
-
-    def is_standard(self, m: Monomial) -> bool:
-        k = self.code.pack(m)
-        return all((k - lead) & self.code.guard for lead in self.leads)
-
-    def coordinate(self, m: Monomial) -> int | Fraction:
-        """The normal form of the monomial m, in a degree of dimension at most one,
-        as a multiple of its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
-        remainder, multiplier = _reduce({self.code.pack(m): 1}, self.basis, self.leads, self.code.guard)
-        return _ratio(sum(remainder.values()), multiplier)
+def _pack(polys: Sequence[Polynomial], ring: PolyRing, width: int) -> GroebnerBasis:
+    """The nonzero polynomials of degree below 2**width as they are, each
+    as primitive integer terms packed `width` bits wide: a Groebner basis
+    when they are one, and the generators that `_pairs` starts from."""
+    code = _Packing(len(ring.variables), width)
+    terms = [_clear_denominators(code.pack_terms(p.terms))[0] for p in polys]
+    leads = list(map(max, terms))
+    return GroebnerBasis(ring, code, list(map(_primitive, terms, leads)), leads)
 
 
-def _pair_loop(polys: Sequence[Polynomial], n: int, cap: int | None = None) -> Quotient:
-    """A Groebner basis of the homogeneous inputs in n variables, as the
-    `Quotient` it holds, up to the cap when one is given.
+def _pair_loop(polys: Iterable[Polynomial], ring: PolyRing | None, cap: int | None = None) -> GroebnerBasis:
+    """A Groebner basis, not interreduced, of the homogeneous inputs, up to
+    the cap when one is given; zero inputs are dropped, and the ring is
+    that of the inputs when none is given.
 
     The packing starts wide enough for twice the largest input degree and
     for the cap, so a capped loop never outgrows it.  A pair whose lcm has
     outgrown it restarts the loop at twice the width.
     """
-    code = _Packing(n, _width(max(2 * max((p.degree() for p in polys), default=0), cap or 0)))
-    while (found := _pairs(polys, code, cap)) is None:
-        code = _Packing(n, 2 * code.width)
-    return Quotient(code, *found)
+    polys, ring = _checked(polys, ring)
+    width = _width(max(2 * max((p.degree() for p in polys), default=0), cap or 0))
+    while (found := _pairs(_pack(polys, ring, width), cap)) is None:
+        width *= 2
+    return found
 
 
-def _pairs(
-    polys: Sequence[Polynomial], code: _Packing, cap: int | None
-) -> tuple[list[dict[int, int]], list[int]] | None:
-    """The body of `_pair_loop` under one packing; None once a pair to be
-    reduced has an lcm of degree 2**width or more.
+def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
+    """The body of `_pair_loop` from the packed inputs `start`; None once a
+    pair to be reduced has an lcm of degree 2**width or more.
 
     Pairs are taken by the normal strategy: the pending pair whose lcm is
     least in grevlex goes first, ties broken by index, so pairs leave the
@@ -550,6 +550,7 @@ def _pairs(
     the cap has then been reduced, so the leads are those of the ideal in
     every degree up to the cap (a basis truncated at that degree).
     """
+    code = start.code
     basis: list[dict[int, int]] = []
     leads: list[int] = []
     queue: list[tuple[int, int, int]] = []  # heap of (lcm, i, j)
@@ -557,10 +558,9 @@ def _pairs(
     guard = code.guard
     overflow = 1 << (code.degree_shift + code.width)  # the least packed monomial of degree 2**width
 
-    def add_generator(terms: dict[int, int]) -> None:
-        lead = max(terms)
+    def add_generator(g: dict[int, int], lead: int) -> None:
         j = len(basis)
-        basis.append(_primitive(terms, lead))
+        basis.append(g)
         leads.append(lead)
         for i in range(j):
             heappush(queue, (code.lcm(leads[i], lead), i, j))
@@ -576,8 +576,8 @@ def _pairs(
             for k, lead in enumerate(leads)
         )
 
-    for p in polys:
-        add_generator(_clear_denominators(code.pack_terms(p.terms))[0])
+    for g, lead in zip(start.basis, start.leads):
+        add_generator(g, lead)
     while queue:
         if cap is not None and code.degree(queue[0][0]) > cap:
             break
@@ -591,8 +591,9 @@ def _pairs(
             return None
         r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads, guard)[0]
         if r:
-            add_generator(r)
-    return basis, leads
+            lead = max(r)
+            add_generator(_primitive(r, lead), lead)
+    return GroebnerBasis(start.ring, code, basis, leads)
 
 
 def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
@@ -606,12 +607,10 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     1988): its leading monomials are coprime, or some third leading
     monomial divides its lcm and neither of that element's pairs with the
     two is pending.  Basis elements are kept as primitive integer terms
-    throughout, and made monic only once interreduced.
+    throughout, and `generators` makes them monic.
     """
-    polys, ring = _checked(polys, ring)
-    found = _pair_loop(polys, len(ring.variables))
-    code, basis, leads = found.code, found.basis, found.leads
-    guard = code.guard
+    found = _pair_loop(polys, ring)
+    basis, leads, guard = found.basis, found.leads, found.code.guard
     # interreduce to the unique reduced basis, smallest lead first: a term
     # below a lead can only be divisible by a smaller lead
     reduced: list[dict[int, int]] = []
@@ -619,16 +618,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     for lead in _minimal(leads, guard):
         reduced.append(_primitive(_reduce(dict(basis[leads.index(lead)]), reduced, reduced_leads, guard)[0], lead))
         reduced_leads.append(lead)
-    gb = GroebnerBasis(
-        ring,
-        [
-            Polynomial(ring, {code.unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
-            for g, lead in zip(reduced, reduced_leads)
-        ],
-    )
-    # primitive with positive leads, as `GroebnerBasis._quotient` packs the monic generators
-    gb._packed[code.width] = Quotient(code, reduced, reduced_leads)
-    return gb
+    return GroebnerBasis(found.ring, found.code, reduced, reduced_leads)
 
 
 def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:
@@ -638,9 +628,10 @@ def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = Non
     return _finite_basis(polys, ring) is not None
 
 
-def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Quotient | None:
-    """Q[x1..xn] modulo the ideal of the homogeneous inputs as a `Quotient`,
-    when it is finite-dimensional, and None when it is not.
+def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis | None:
+    """A Groebner basis, not interreduced, of the ideal of the homogeneous
+    inputs when Q[x1..xn] modulo it is finite-dimensional, and None when
+    it is not.
 
     Fewer than n nonzero forms, none of them a constant, cut out a variety
     of dimension at least 1 (Krull's principal ideal theorem).  Otherwise,
@@ -666,7 +657,7 @@ def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
     if len(polys) < n and 0 not in degrees:
         return None
     cap = sum(degrees[:n]) - n + 1
-    found = _pair_loop(polys, n, cap)
+    found = _pair_loop(polys, ring, cap)
     code = found.code
     pure: set[int] = set()  # the guard bit of each pure power's one nonzero field; 0 for the lead 1
     for lead in found.leads:
@@ -684,8 +675,9 @@ def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
     the quotient has Krull dimension n - k.  For k = n that says the
     quotient is finite, which `has_finite_quotient` decides from a basis
     truncated at Lazard's degree (d1 - 1) + ... + (dn - 1) + 1; for k < n
-    the dimension is read from the full reduced basis.  The empty sequence
-    is regular; zero entries or more entries than variables are not.
+    the dimension is read from the leads of a whole pair loop, with no
+    interreduction.  The empty sequence is regular; zero entries or more
+    entries than variables are not.
     """
     polys = list(polys)
     for p in polys:
@@ -705,4 +697,4 @@ def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
         return False
     if k == n:
         return has_finite_quotient(polys, ring)
-    return buchberger(polys, ring).krull_dimension() == n - k
+    return _pair_loop(polys, ring).krull_dimension() == n - k

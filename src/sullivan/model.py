@@ -39,9 +39,9 @@ from typing import Callable, Iterator, Sequence
 from .algebra import AlgebraElement, GeneratorTable, _even_exponent_vectors, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import (
+    GroebnerBasis,
     PolyRing,
     Polynomial,
-    Quotient,
     _finite_basis,
     _hilbert_values,
     _pair_loop,
@@ -393,13 +393,13 @@ class CochainComplex:
 
 
 @dataclass(slots=True, eq=False)
-class PureQuotient(Quotient):
+class PureQuotient(GroebnerBasis):
     """Q[x]/(dy) for a pure model with as many odd generators as even ones,
     at least one, whose images give a finite quotient: H* as a graded ring
     (see the module docstring), x_i standing for the class of x_i.
 
     With step the gcd of the even degrees and w_i = deg x_i / step, the
-    quotient is the `Quotient` of the images with x_i sent to x_i^{w_i}
+    quotient is the `GroebnerBasis` of the images with x_i sent to x_i^{w_i}
     (`_weighted_images`) that decides finiteness (`_finite_basis`), with
     step and the weights on top.  H^k is zero when step does not divide k,
     and otherwise has as its basis the standard monomials x^{w·a} with
@@ -425,12 +425,13 @@ class PureQuotient(Quotient):
         _check_cohomology_input(m)
         ring, images, step, weights = _weighted_images(m)
         found = _finite_basis(images, ring)
-        return None if found is None else cls(found.code, found.basis, found.leads, step, weights)
+        return None if found is None else cls(ring, found.code, found.basis, found.leads, step, weights)
 
     def betti(self, max_degree: int) -> tuple[int, ...]:
         """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the
         Hilbert series of Q[x]/(dy) with x_i of weight w_i."""
-        return tuple(_by_model_degree(self.hilbert(max_degree // self.step, self.weights), self.step, max_degree))
+        values = self.hilbert_function(max_degree // self.step, self.weights)
+        return tuple(_by_model_degree(values, self.step, max_degree))
 
     def pairing(self, positions: list[int], n: int) -> RationalMatrix:
         """The pairing of the degree-two generators x_p, p in positions,
@@ -476,7 +477,7 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | 
     A_j onto (fA)_{j+|f|}, has dimension A_j - A_{j+|f|} + B_{j+|f|}; for
     the class a·y of degree k, j = k - |y| and j + |f| = k + 1.
 
-    A of the finite certificate is its own `Quotient`, exact in every
+    A of the finite certificate is its own `GroebnerBasis`, exact in every
     degree; the other A and B come from `_pair_loop` capped at the largest
     degree read, (max_degree + 1) / step.  The route answers only where
     the cochain complex would: the model is validated first, and a degree
@@ -497,13 +498,13 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | 
         if len(odds) > 2:
             a = _finite_basis(kept, ring)
         else:
-            a = None if any(f.is_zero() for f in kept) else _pair_loop(kept, n, top)
+            a = None if any(f.is_zero() for f in kept) else _pair_loop(kept, ring, top)
         if a is not None:
             break
     else:
         return None
-    b = _pair_loop([f for f in images if not f.is_zero()], n, top)
-    A, B = (_by_model_degree(q.hilbert(top, weights), step, max_degree + 1) for q in (a, b))
+    b = _pair_loop(images, ring, top)
+    A, B = (_by_model_degree(q.hilbert_function(top, weights), step, max_degree + 1) for q in (a, b))
     y = table.degrees[odds[left]]
     return tuple(B[k] + B[k + 1] + (A[k - y] if k >= y else 0) - A[k + 1] for k in range(max_degree + 1))
 
@@ -528,7 +529,7 @@ def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
 def _top_class_reader(m: SullivanModel, degree: int, k: int) -> Callable[[tuple[int, ...]], int | Fraction]:
     """Reads a product of generators of the given degree, by table index, in
     H^k as a multiple of its generator; ValueError unless dim H^k = 1.  From
-    the model's `PureQuotient` by `Quotient.coordinate` when every even
+    the model's `PureQuotient` by `GroebnerBasis.coordinate` when every even
     generator has that degree (all weights 1: `monomial_basis` is then in
     grevlex and d splits by odd word length, so the complex reads the same),
     and otherwise from the cochain complex by `_top_coordinate`."""

@@ -16,7 +16,6 @@ import sullivan.groebner as groebner
 from sullivan.algebra import _even_exponent_vectors
 from sullivan.cli import main
 from sullivan.groebner import (
-    GroebnerBasis,
     PolyRing,
     _grevlex_key,
     _Packing,
@@ -34,6 +33,11 @@ R2 = PolyRing(("x1", "x2"))
 
 def polys(ring, *texts):
     return [parse_polynomial(t, ring) for t in texts]
+
+
+def packed(ring, basis):
+    """The nonzero polynomials as they are, as a basis packed wide enough for them."""
+    return groebner._pack(basis, ring, _width(max((p.degree() for p in basis), default=0)))
 
 
 def _grevlex_greater(a, b) -> bool:
@@ -503,7 +507,7 @@ def monomial_ideals(draw):
     leads = draw(
         st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3), max_size=5)
     )
-    return GroebnerBasis(ring, [ring.monomial(m) for m in leads])
+    return packed(ring, [ring.monomial(m) for m in leads])
 
 
 def _krull_dimension_by_subsets(gb):
@@ -543,10 +547,10 @@ def test_hilbert_data_of_zero_unit_and_complete_intersection_ideals():
     q, r4 = SMALL_RINGS[0], SMALL_RINGS[4]
     x = [r4.variable(i) for i in range(4)]
     cases = [
-        (GroebnerBasis(q, []), (1, 0, 0), 0, 1),  # Q itself
-        (GroebnerBasis(q, [q.one()]), (0, 0, 0), -1, 0),
-        (GroebnerBasis(r4, []), (1, 4, 10), 4, 1),
-        (GroebnerBasis(r4, [r4.scalar(3)]), (0, 0, 0), -1, 0),
+        (packed(q, []), (1, 0, 0), 0, 1),  # Q itself
+        (packed(q, [q.one()]), (0, 0, 0), -1, 0),
+        (packed(r4, []), (1, 4, 10), 4, 1),
+        (packed(r4, [r4.scalar(3)]), (0, 0, 0), -1, 0),
         # degrees 2 and 3: multiplicity 6
         (buchberger([x[0] * x[1], x[2] * x[2] * x[3]]), (1, 4, 9), 2, 6),
     ]
@@ -627,12 +631,11 @@ def test_hilbert_data_of_homogeneous_systems(case):
 
 @settings(deadline=None)
 @given(small_systems())
-def test_buchberger_hands_over_the_packed_basis_its_generators_pack_to(case):
+def test_buchberger_basis_is_the_basis_packed_from_its_generators(case):
     ring, system = case
     gb = buchberger(system, ring)
-    q, fresh = gb._quotient(0), GroebnerBasis(ring, gb.generators)._quotient(0)
-    assert list(gb._packed) == [q.code.width]
-    assert (q.code.width, q.basis, q.leads) == (fresh.code.width, fresh.basis, fresh.leads)
+    fresh = packed(ring, gb.generators)
+    assert (gb.code.width, gb.basis, gb.leads) == (fresh.code.width, fresh.basis, fresh.leads)
 
 
 @settings(deadline=None)
@@ -654,7 +657,7 @@ def test_normal_form_is_linear_and_ignores_the_scale_of_generators(case, data):
     nf = gb.normal_form(p)
     assert gb.normal_form(p.scale(c)) == nf.scale(c)
     assert _remainder(p, gb.generators) == nf
-    scaled = GroebnerBasis(ring, [g.scale(data.draw(SCALARS)) for g in gb.generators])
+    scaled = packed(ring, [g.scale(data.draw(SCALARS)) for g in gb.generators])
     assert scaled.normal_form(p) == nf
 
 
@@ -665,7 +668,7 @@ def test_normal_form_of_a_non_monic_basis_is_the_division_remainder(case, data):
     ring, system = case
     degree = data.draw(st.integers(0, 3)) if ring.variables else 0
     p = data.draw(small_polynomials(ring, degree))
-    assert GroebnerBasis(ring, system).normal_form(p) == _remainder(p, system)
+    assert packed(ring, system).normal_form(p) == _remainder(p, system)
 
 
 # -- finiteness from a basis truncated at Lazard's degree bound -----------------
@@ -729,7 +732,7 @@ def test_finite_quotient_from_the_truncated_basis_matches_the_full_basis(case):
         code, basis, leads = quotient.code, quotient.basis, quotient.leads
         assert sorted(map(code.unpack, groebner._minimal(leads, code.guard))) == sorted(gb.leading_monomials())
         top = max(p.degree() for p in system) + 1
-        assert quotient.hilbert(top) == gb.hilbert_function(top)
+        assert quotient.hilbert_function(top) == gb.hilbert_function(top)
         for d in range(top + 1):
             standard = gb.standard_monomials(d)
             for mono in ring.monomials_of_degree(d):
@@ -767,6 +770,39 @@ def test_finite_quotient_edge_cases():
         has_finite_quotient(polys(R3, "x1^2", "x2^2", "x3^2"), R2)
     with pytest.raises(ValueError):
         has_finite_quotient([])
+
+
+@settings(deadline=None)
+@given(st.one_of(small_systems(), finiteness_systems()), st.data())
+def test_the_pair_loop_basis_reads_as_the_reduced_basis(case, data):
+    """The basis a whole pair loop leaves, not interreduced, generates the
+    lead ideal of the reduced basis, so it has the same Hilbert data and
+    standard monomials, and divides to the same normal forms."""
+    ring, system = case
+    loop, gb = groebner._pair_loop(system, ring), buchberger(system, ring)
+    assert loop.hilbert_function(5) == gb.hilbert_function(5)
+    assert loop.krull_dimension() == gb.krull_dimension()
+    assert loop.multiplicity() == gb.multiplicity()
+    assert loop.is_finite_dimensional() == gb.is_finite_dimensional()
+    for d in range(5):
+        assert loop.standard_monomials(d) == gb.standard_monomials(d)
+    for _ in range(3):
+        degrees = data.draw(st.lists(st.integers(0, 4), max_size=2)) if ring.variables else [0]
+        p = sum((data.draw(small_polynomials(ring, d)) for d in degrees), ring.zero())
+        assert loop.normal_form(p) == gb.normal_form(p)
+
+
+def test_readings_past_the_width_of_a_basis_pack_its_generators_wider():
+    """The basis of two quadrics packs 7 bits wide, too narrow for degree
+    200 and more; its normal forms and standard monomials there are those
+    of the textbook division, and the basis keeps its packing."""
+    gb = buchberger(polys(R3, "x1^2 - x2^2", "x1*x2"))
+    assert gb.code.width == 7
+    (p,) = polys(R3, "x1^200*x2 + x2^201 + 3*x1^2*x3^199 - x1*x3^200 + x1")
+    assert gb.normal_form(p) == _remainder(p, gb.generators) != p
+    standard = [m for m in R3.monomials_of_degree(200) if _remainder(R3.monomial(m), gb.generators).terms == {m: 1}]
+    assert gb.standard_monomials(200) == standard
+    assert len(standard) == 4 and gb.code.width == 7
 
 
 # -- packed monomials ---------------------------------------------------------
@@ -828,9 +864,9 @@ def test_pair_loop_widens_the_packing_when_degrees_outgrow_it(monkeypatch):
     widths = []
     pairs = groebner._pairs
 
-    def recording(polys, code, cap):
-        widths.append(code.width)
-        return pairs(polys, code, cap)
+    def recording(start, cap):
+        widths.append(start.code.width)
+        return pairs(start, cap)
 
     monkeypatch.setattr(groebner, "_pairs", recording)
     r = PolyRing(("x", "y", "z"))

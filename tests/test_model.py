@@ -3,6 +3,7 @@
 import copy
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -44,6 +45,7 @@ from sullivan.catalog import (
     product_model,
     sphere_model,
 )
+from sullivan.cli import main
 from sullivan.cubic import CubicForm, cubic_form_of_quadric_ideal
 from sullivan.exponents import ExponentPair
 from sullivan.groebner import buchberger
@@ -910,20 +912,39 @@ def test_top_class_readings_of_equal_weight_route_models_are_the_complex_reading
     assert m._cochains is None
 
 
+def count_buchberger_calls(monkeypatch) -> list:
+    """Rebinds `buchberger` in every sullivan module that binds it to a
+    wrapper that records each call in the list returned."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sullivan" and getattr(module, "buchberger", None) is buchberger:
+            monkeypatch.setattr(module, "buchberger", counting)
+    return calls
+
+
+def test_verify_paper_interreduces_no_basis(monkeypatch, capsys):
+    """Hilbert data, Krull dimension and multiplicity depend only on the
+    lead ideal, so every claim reads them off a pair loop."""
+    calls = count_buchberger_calls(monkeypatch)
+    assert main(["verify-paper"]) == 0
+    assert calls == []
+
+
 def test_top_class_readings_build_no_complex_and_no_reduced_basis(monkeypatch):
-    built, reduced = [], []
-    complex_init, basis_init = sullivan.model.CochainComplex.__init__, sullivan.groebner.GroebnerBasis.__init__
+    built = []
+    complex_init = sullivan.model.CochainComplex.__init__
 
     def counting_complex(self, m):
         built.append(m)
         complex_init(self, m)
 
-    def counting_basis(self, ring, generators):
-        reduced.append(ring)
-        basis_init(self, ring, generators)
-
     monkeypatch.setattr(sullivan.model.CochainComplex, "__init__", counting_complex)
-    monkeypatch.setattr(sullivan.groebner.GroebnerBasis, "__init__", counting_basis)
+    reduced = count_buchberger_calls(monkeypatch)
     assert cup_product_cubic_form(dim6_b3_model(2)) == CubicForm(
         3, {(0, 0, 0): 1, (0, 1, 2): Fraction(1, 2), (1, 1, 1): 1, (2, 2, 2): 1}
     )
