@@ -614,8 +614,13 @@ def subject_claims(
     """Claims ``name.prop`` that one object's properties have their recorded values.
 
     The object is built on first use and shared by its claims, so Betti
-    numbers, cup form and Poincare window reuse what the model keeps: its
-    Groebner quotient (`SullivanModel.quotient`) and its cochain complex.
+    numbers, cup form, classification and Poincare window reuse what the
+    model keeps: its Groebner quotient (`SullivanModel.quotient`) and its
+    cochain complex.  A pure model one odd generator past a regular
+    sequence keeps neither: each of those claims reruns the capped pair
+    loops of `model._sub_quotient_betti`, a few quadrics in two variables
+    for the paper's models, and only the pairing of its Poincare window
+    builds the complex.
     """
     build = cache(builder)
     for prop, value in expected:

@@ -4,27 +4,27 @@ A model is a generator table plus a differential image per generator.  The
 differential extends by the graded Leibniz rule; cohomology in each degree
 is exact linear algebra on the monomial bases (`CochainComplex`).
 
-Betti numbers have a second exact route.  Take a pure model (ΛQ ⊗ ΛP, d):
-d is zero on the even generators x_1..x_n and sends the odd ones y_1..y_n,
-as many as the even ones, into Q[x].  When Q[x]/(dy_1, ..., dy_n) is
-finite-dimensional, dy_1..dy_n is a regular sequence, the model is the
-Koszul complex of that sequence, and H* ≅ Q[x]/(dy), concentrated in even
-degrees (Halperin, Trans. AMS 230, 1977; Félix, Halperin and Thomas,
-Rational Homotopy Theory, §32), and the isomorphism is one of graded
-rings.  The model keeps that quotient (`SullivanModel.quotient`, a
-`PureQuotient`): `betti_numbers` reads b_k as its weighted Hilbert
-function, `poincare_duality_check` reads the pairing of degree two
-against degree n - 2 from its normal forms, and, when all even degrees
-are equal, `cup_product_cubic_form` and `pairing_determinant` read their
-products there too, with no cochain complex.
+Pure models have a second exact route.  Take a pure model (ΛQ ⊗ ΛP, d):
+d is zero on the even generators x_1..x_n and sends the odd ones y_j into
+Q[x].  Its cohomology contains B = Q[x]/(all dy_j), the classes of the
+polynomials in x (Halperin, Trans. AMS 230, 1977; Félix, Halperin and
+Thomas, Rational Homotopy Theory, §32).  With as many odd generators as
+even ones and B finite-dimensional, dy_1..dy_n is a regular sequence, the
+model is the Koszul complex of that sequence, and H* ≅ B, concentrated in
+even degrees, as graded rings.  The model keeps that quotient
+(`SullivanModel.quotient`, a `PureQuotient`), and `poincare_duality_check`
+reads the pairing of degree two against degree n - 2 from its normal
+forms.  A pure model with one odd generator more than a regular sequence
+has H* = A/fA ⊕ Ann_A(f)·y, with A the quotient by the regular images and
+f = dy the image left out; there A/fA = B.
 
-A pure model with one odd generator more than a regular sequence needs
-no complex for its Betti numbers either.  When m - 1 of its m images are
-certified regular (none, one nonzero form, or n forms with a finite
-quotient), the Koszul complex of those resolves their quotient A, and H*
-is that of A ⊗ Λy with dy the image left out: b_k is read from the
-Hilbert functions of A and of the quotient B by all m images
-(`_sub_quotient_betti`).  Everything else goes through the complex.
+One function, `_sub_quotient_betti`, decides which pure models take this
+route: it returns the Betti numbers, read from the Hilbert functions of B
+(and of A), together with B, and None for every other model.
+`betti_numbers` reads the Betti numbers from it, and when all even degrees
+equal the degree read, `cup_product_cubic_form` and `pairing_determinant`
+read their products in B, with no cochain complex (`_top_class_reader`).
+Everything else goes through the complex.
 """
 
 from __future__ import annotations
@@ -259,8 +259,9 @@ class CochainComplex:
     vector times that multiplier.  A ``Fraction`` is made only where an
     exact value leaves the complex: ``reduce``, ``class_generator`` and
     ``_top_coordinate``, the one reading of a class in a one-dimensional
-    H^k, for the models whose `PureQuotient` does not give it
-    (``_top_class_reader`` and ``poincare_duality_check``).  That reading
+    H^k where no quotient gives it: ``_top_class_reader`` off the route of
+    `_sub_quotient_betti` or with unequal even degrees, and the pairing of
+    ``poincare_duality_check`` for a model with no `PureQuotient`.  That reading
     needs the reduced cocycle alone: no kernel and no search for a
     representative, which only ``class_generator`` makes.
 
@@ -452,15 +453,18 @@ def _by_model_degree(values: Sequence[int], step: int, top: int) -> list[int]:
     return [0 if k % step else values[k // step] for k in range(top + 1)]
 
 
-def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | None:
-    """(b_0, ..., b_max) of a pure model whose images f_1..f_m (weighted as
-    in `_weighted_images`) include m - 1 certified regular, from two
-    Hilbert functions; None for a model not of this kind.
+def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[tuple[int, ...], GroebnerBasis] | None:
+    """The one route rule for pure models: (b_0, ..., b_max) with the
+    quotient B = Q[x]/(all images) they were read from, or None for a model
+    that only the cochain complex answers.  The model's `PureQuotient`,
+    when it has one, is its own B; otherwise the route below.
 
-    Certified regular are the empty sequence (m = 1), one nonzero form
-    (m = 2), and n forms whose quotient `_finite_basis` finds finite
-    (m = n + 1, with n even generators): n forms in n variables with a
-    finite quotient are a regular sequence.  The odd generator y left out
+    A pure model whose images f_1..f_m (weighted as in `_weighted_images`)
+    include m - 1 certified regular has its Betti numbers from two Hilbert
+    functions.  Certified regular are the empty sequence (m = 1), one
+    nonzero form (m = 2), and n forms whose quotient `_finite_basis` finds
+    finite (m = n + 1, with n even generators): n forms in n variables with
+    a finite quotient are a regular sequence.  The odd generator y left out
     is tried last first, then the earlier ones.  With A = Q[x]/(the m - 1
     forms), B = Q[x]/(all m) and f = dy,
 
@@ -479,11 +483,14 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | 
 
     A of the finite certificate is its own `GroebnerBasis`, exact in every
     degree; the other A and B come from `_pair_loop` capped at the largest
-    degree read, (max_degree + 1) / step.  The route answers only where
-    the cochain complex would: the model is validated first, and a degree
-    up to max_degree + 1, each of which the complex enumerates, past
-    MAX_BASIS raises the complex's ValueError.
+    degree read, (max_degree + 1) / step, and B is A when f is zero.  The
+    route answers only where the cochain complex would: the model is
+    validated first, and a degree up to max_degree + 1, each of which the
+    complex enumerates, past MAX_BASIS raises the complex's ValueError.
     """
+    quotient = m.quotient()
+    if quotient is not None:
+        return quotient.betti(max_degree), quotient
     table = m.table
     n, odds = len(table.even_indices()), table.odd_indices()
     if not (n and len(odds) in (1, 2, n + 1) and m.is_pure()):
@@ -503,46 +510,56 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[int, ...] | 
             break
     else:
         return None
-    b = _pair_loop(images, ring, top)
+    b = a if images[left].is_zero() else _pair_loop(images, ring, top)
     A, B = (_by_model_degree(q.hilbert_function(top, weights), step, max_degree + 1) for q in (a, b))
     y = table.degrees[odds[left]]
-    return tuple(B[k] + B[k + 1] + (A[k - y] if k >= y else 0) - A[k + 1] for k in range(max_degree + 1))
+    return tuple(B[k] + B[k + 1] + (A[k - y] if k >= y else 0) - A[k + 1] for k in range(max_degree + 1)), b
 
 
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
-    """(b_0, ..., b_max): from the model's `PureQuotient` when it has one,
-    then from two Hilbert functions when `_sub_quotient_betti` applies,
-    and otherwise by degreewise kernel/rank bookkeeping on the cochain
-    complex."""
+    """(b_0, ..., b_max): from the quotient of `_sub_quotient_betti` when
+    the model has that route, and otherwise by degreewise kernel/rank
+    bookkeeping on the cochain complex."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    quotient = m.quotient()
-    if quotient is not None:
-        return quotient.betti(max_degree)
-    betti = _sub_quotient_betti(m, max_degree)
-    if betti is not None:
-        return betti
+    route = _sub_quotient_betti(m, max_degree)
+    if route is not None:
+        return route[0]
     cochains = m.cochains()
     return tuple(cochains.betti(k) for k in range(max_degree + 1))
 
 
 def _top_class_reader(m: SullivanModel, degree: int, k: int) -> Callable[[tuple[int, ...]], int | Fraction]:
     """Reads a product of generators of the given degree, by table index, in
-    H^k as a multiple of its generator; ValueError unless dim H^k = 1.  From
-    the model's `PureQuotient` by `GroebnerBasis.coordinate` when every even
-    generator has that degree (all weights 1: `monomial_basis` is then in
-    grevlex and d splits by odd word length, so the complex reads the same),
-    and otherwise from the cochain complex by `_top_coordinate`."""
+    H^k as a multiple of its generator; ValueError unless dim H^k = 1.
+
+    dim H^k comes from `_sub_quotient_betti` when the model has that route,
+    and from the cochain complex otherwise.  On the route, when every even
+    generator has the given degree, a product is read from the route's
+    quotient B by `GroebnerBasis.coordinate`; every other reading is
+    `_top_coordinate` on the complex.
+
+    The two readings agree.  The even products of degree k span B_k, which
+    H^k contains, so B_k is 0 or 1.  When it is 0, every such product lies
+    in the ideal, so it is a coboundary, and both read 0.  When it is 1,
+    the complex reads the normal form.  d lowers odd word length by exactly
+    1, so the RREF of the image splits into blocks of one word length, and
+    an even product is reduced by the word-length-0 block alone: the
+    ideal's part of degree k.  With all weights 1, `monomial_basis` lists
+    the word-length-0 monomials of degree k in descending grevlex, so the
+    pivots of that block are the leads of B, the reduced cocycle is the
+    normal form, and its first position, where the complex reads it, is
+    the one standard monomial.
+    """
     table = m.table
     evens = table.even_indices()
-    quotient = m.quotient() if all(table.degrees[i] == degree for i in evens) else None
-    if quotient is not None:
-        if quotient.betti(k)[k] != 1:
-            raise ValueError(f"dim H^{k} must be 1")
-        return lambda factors: quotient.coordinate(tuple(map(factors.count, evens)))
-    cochains = m.cochains()
-    if cochains.betti(k) != 1:
+    route = _sub_quotient_betti(m, k)
+    if (route[0][k] if route else m.cochains().betti(k)) != 1:
         raise ValueError(f"dim H^{k} must be 1")
+    if route and all(table.degrees[i] == degree for i in evens):
+        b = route[1]
+        return lambda factors: b.coordinate(tuple(map(factors.count, evens)))
+    cochains = m.cochains()
     return lambda factors: cochains._top_coordinate(k, cochains.coordinates(k, prod(map(table.generator, factors))))
 
 
