@@ -7,7 +7,8 @@ as a ``Fraction``, never a float; the ring's constructors normalise with
 Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
 the regular-sequence decision.  Reduction is fraction-free, on primitive
-integer terms.  All Hilbert data is read from the Hilbert series of the
+integer terms, and the pair loop queues only pairs whose leads share a
+variable.  All Hilbert data is read from the Hilbert series of the
 lead-term ideal, whose numerator comes from the Bayer-Stillman recursion
 on the packed leads, cut at the degree whose Hilbert values are asked for.
 
@@ -110,6 +111,10 @@ class _Packing:
         diff = (a | self.guard) - b
         at_least = diff & self.guard
         return ((b + (diff & (at_least - (at_least >> self.width)))) * self.spread) & self.full
+
+    def support(self, k: int) -> int:
+        """The guard bits of the nonzero exponent fields of k: v + 2**width − 1 sets the guard bit iff v > 0."""
+        return ((k & self.low) + self.guard - (self.guard >> self.width)) & self.guard
 
     def pack_terms(self, terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
         return {self.pack(m): c for m, c in terms.items()}
@@ -343,16 +348,8 @@ def _hilbert_numerator(leads: Iterable[int], code: _Packing, top: int) -> dict[i
     it is 0, where K(t)/(1 − t)^n is the Hilbert series of Q[x1..xn] modulo
     the monomial ideal generated by the leads, packed by `code`.  K mod
     t^(top + 1) is fixed by the Hilbert values up to top, which the leads of
-    degree above top leave alone, so every such lead and every term above
-    top is dropped, and the colon below recurses at top − e.
-
-    Bayer and Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m)
-    for every monomial m.  Pairwise coprime generators give
-    prod (1 − t^{deg}).  Otherwise m = x_i^e, with x_i in the most
-    generators and e its least positive exponent among them: then
-    I + (m) is (m) plus the generators free of x_i, coprime to m, and
-    I : m lowers every x_i-exponent by e, which frees at least one
-    generator of x_i, so the recursion ends.
+    degree above top leave alone, so every such lead is dropped, and the
+    minimal generators of the rest go to `_minimal_numerator`.
 
     Weights come free.  Let every x_i-exponent of the leads be a multiple
     of a positive w_i, and give x_i weight w_i.  Then K(t)/prod (1 − t^{w_i})
@@ -361,22 +358,49 @@ def _hilbert_numerator(leads: Iterable[int], code: _Packing, top: int) -> dict[i
     weighted degree of x^a, so it runs step for step as it would on the
     leads divided by w in the weighted grading (`_hilbert_values` expands it).
     """
+    if top < 0:
+        return {}  # no degree up to top
     limit = (top + 1) << code.degree_shift  # the least packed monomial of degree above top
-    gens = _minimal([g for g in leads if g < limit], code.guard)
-    if top < 0 or gens and not gens[0]:
-        return {}  # no degree up to top, or the unit ideal
-    shifts = range(0, code.field * code.n, code.field)
-    counts = [sum(1 for g in gens if g >> s & code.mask) for s in shifts]
-    if max(counts, default=0) <= 1:
+    return _minimal_numerator(_minimal([g for g in leads if g < limit], code.guard), code, top)
+
+
+def _minimal_numerator(gens: list[int], code: _Packing, top: int) -> dict[int, int]:
+    """`_hilbert_numerator` of minimal generators `gens` of degree at most
+    top >= 0, in ascending packed order, by the recursion of Bayer and
+    Stillman (JSC 1992): K(I + (m)) = K(I) − t^{deg m}·K(I : m) for every
+    monomial m, with every term above top dropped.
+
+    Pairwise coprime generators, whose supports (`_Packing.support`) share
+    no bit, give prod (1 − t^{deg}).  Otherwise m = x_i^e, with x_i in the
+    most generators (the lowest i on a tie) and e its least positive
+    exponent among them: then I + (m) is (m) plus the generators free of
+    x_i, coprime to m and still minimal, and I : m lowers every x_i-exponent
+    by e, which frees at least one generator of x_i, so the recursion ends.
+    Only the colon is filtered at top − e and made minimal again.
+    """
+    if gens and not gens[0]:
+        return {}  # the unit ideal
+    supports = list(map(code.support, gens))
+    seen = shared = 0  # the variables of some generator, and of two
+    for support in supports:
+        shared |= seen & support
+        seen |= support
+    if not shared:
         numerator = {0: 1}
         for g in gens:
             numerator = _shifted_sum(numerator, numerator, code.degree(g), -1, top)
         return numerator
-    s = shifts[counts.index(max(counts))]
+    best = 0
+    while shared:
+        bit = shared & -shared  # lowest index first, so a tie keeps it
+        if (count := sum(1 for support in supports if support & bit)) > best:
+            best, pivot = count, bit
+        shared ^= bit
+    s = (pivot >> code.width).bit_length() - 1  # the shift of x_i's field
     fields = [g >> s & code.mask for g in gens]
     e = min(x for x in fields if x)
     unit = ((1 << s) * code.spread) & code.full  # x_i packed
-    free = _hilbert_numerator([g for g, x in zip(gens, fields) if not x], code, top)
+    free = _minimal_numerator([g for g, x in zip(gens, fields) if not x], code, top)
     colon = _hilbert_numerator([g - min(x, e) * unit for g, x in zip(gens, fields)], code, top - e)
     return _shifted_sum(_shifted_sum(free, free, e, -1, top), colon, e, 1, top)
 
@@ -467,7 +491,8 @@ class GroebnerBasis:
         with K truncated there, x_i of weight weights[i] (1 by default) dividing every x_i-exponent of
         the leads (`_hilbert_numerator`)."""
         weights = weights or (1,) * self.code.n
-        assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
+        if max(weights, default=1) > 1:  # every exponent is a multiple of 1
+            assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
         return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
 
     def _order_at_one(self) -> tuple[int, int] | None:
@@ -553,6 +578,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     code = start.code
     basis: list[dict[int, int]] = []
     leads: list[int] = []
+    supports: list[int] = []  # code.support of each lead
     queue: list[tuple[int, int, int]] = []  # heap of (lcm, i, j)
     pending: set[tuple[int, int]] = set()
     guard = code.guard
@@ -562,9 +588,11 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
         j = len(basis)
         basis.append(g)
         leads.append(lead)
+        supports.append(support := code.support(lead))
         for i in range(j):
-            heappush(queue, (code.lcm(leads[i], lead), i, j))
-            pending.add((i, j))
+            if supports[i] & support:  # leads that share no variable make no pair
+                heappush(queue, (code.lcm(leads[i], lead), i, j))
+                pending.add((i, j))
 
     def chain(i: int, j: int, lcm: int) -> bool:
         return any(
@@ -583,9 +611,9 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             break
         lcm, i, j = heappop(queue)
         pending.remove((i, j))
-        # the lcm's exponent fields never overflow, so both criteria hold
-        # at any degree; the S-polynomial's terms need the width
-        if lcm == leads[i] + leads[j] or chain(i, j, lcm):
+        # the lcm's exponent fields never overflow, so the chain criterion
+        # holds at any degree; the S-polynomial's terms need the width
+        if chain(i, j, lcm):
             continue  # the S-polynomial reduces to zero
         if lcm >= overflow:
             return None
@@ -602,12 +630,15 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     Zero polynomials are dropped; an empty list yields the zero ideal.
     All inputs must be homogeneous (the only case this package needs).
 
-    Pairs are taken by the normal strategy (least lcm in grevlex first).  A
-    pair is skipped by Buchberger's two criteria (Gebauer and Moeller, JSC
-    1988): its leading monomials are coprime, or some third leading
-    monomial divides its lcm and neither of that element's pairs with the
-    two is pending.  Basis elements are kept as primitive integer terms
-    throughout, and `generators` makes them monic.
+    Pairs are taken by the normal strategy (least lcm in grevlex first) and
+    dropped by Buchberger's two criteria (Gebauer and Moeller, JSC 1988).  A
+    pair with coprime leading monomials is never queued: its S-polynomial
+    has an lcm representation once the pair is formed (Cox, Little and
+    O'Shea, §2.9), so it is never pending and the chain criterion may count
+    it as treated.  A queued pair is skipped when a third leading monomial
+    divides its lcm and neither of that element's pairs with the two is
+    pending.  Basis elements are primitive integer terms throughout, and
+    `generators` makes them monic.
     """
     found = _pair_loop(polys, ring)
     basis, leads, guard = found.basis, found.leads, found.code.guard
@@ -658,13 +689,8 @@ def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
         return None
     cap = sum(degrees[:n]) - n + 1
     found = _pair_loop(polys, ring, cap)
-    code = found.code
-    pure: set[int] = set()  # the guard bit of each pure power's one nonzero field; 0 for the lead 1
-    for lead in found.leads:
-        # guard bits of the nonzero fields: v + 2**width - 1 sets the guard bit iff v > 0
-        support = ((lead & code.low) + code.guard - (code.guard >> code.width)) & code.guard
-        if not support & (support - 1):
-            pure.add(support)
+    # the guard bit of each pure power's one nonzero field; 0 for the lead 1
+    pure = {s for s in map(found.code.support, found.leads) if not s & (s - 1)}
     return found if 0 in pure or len(pure) == n else None
 
 

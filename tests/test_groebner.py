@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sullivan.groebner as groebner
 from sullivan.algebra import _even_exponent_vectors
+from sullivan.catalog import dim6_b3_model, product_model
 from sullivan.cli import main
 from sullivan.groebner import (
     PolyRing,
@@ -25,6 +26,7 @@ from sullivan.groebner import (
     is_regular_sequence,
 )
 from sullivan.linalg import RationalMatrix
+from sullivan.model import _weighted_images
 from sullivan.parsing import parse_polynomial, render_polynomial
 
 R3 = PolyRing(("x1", "x2", "x3"))
@@ -468,6 +470,45 @@ def test_dense_quadrics_in_six_variables(count):
         assert hf[d] == comb(d + 5, d) - _ideal_slice_rank(quadrics, ring, d)
 
 
+def _seeded_dense_systems(n, count=4):
+    """Seeded systems of n − 1 or n forms in n variables, each dense in one
+    of two blocks of the variables, split at a drawn index (in all of them
+    when it is 0): quadrics, and cubics too in up to 3 variables, with
+    coefficients in [−5, 5]."""
+    rng = random.Random(n)
+    ring = SMALL_RINGS[n]
+    for _ in range(count):
+        split = rng.randint(0, n - 1)
+        forms = []
+        for _ in range(rng.choice((n - 1, n))):
+            block = set(rng.choice((range(split), range(split, n))) or range(n))
+            monos = ring.monomials_of_degree(rng.choice((2, 2, 3) if n <= 3 else (2,)))
+            monos = [m for m in monos if block.issuperset(i for i, e in enumerate(m) if e)]
+            forms.append(ring.from_terms({m: rng.randint(-5, 5) for m in monos}))
+        yield ring, forms
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2, "a345e5861b061e48d32cf9f8e9d64f21a954141d587fcf61895d5dd59e0e509c"),
+        (3, "b724ad03d5d6abeedc0c00152489a885ee505244021b0ec161bd75d2dcd08b4d"),
+        (4, "73d07fb9ee63f55ed96d3df0f0cc2ecde28419c98fd3f1b4e79b1a1fa56a9447"),
+        (5, "ffb7bd502accff52dccb7cdeae37baf06afe613cf1a0258b3c57238264948457"),
+    ],
+)
+def test_pair_loop_bases_of_seeded_dense_systems_are_pinned(n, expected):
+    """The pair loop's packed basis and leads, element by element, capped
+    and not, on dense systems, some of them in two blocks of variables
+    whose leads make coprime pairs."""
+    digest = hashlib.sha256()
+    for ring, forms in _seeded_dense_systems(n):
+        for cap in (None, 2, 3, 4):
+            gb = groebner._pair_loop(forms, ring, cap)
+            digest.update(repr([(sorted(g.items()), lead) for g, lead in zip(gb.basis, gb.leads)]).encode())
+    assert digest.hexdigest() == expected
+
+
 # -- Hilbert data from the series against the standard monomials, and exact
 # -- reduction against scaling, in 0-5 variables ------------------------------
 
@@ -618,6 +659,16 @@ def test_truncated_numerator_reads_the_hilbert_values_up_to_top(case):
     assert values == counts == groebner._hilbert_values(whole, weights, top)
     if top == -1:
         assert numerator == {} and tuple(values) == ()
+
+
+def test_hilbert_function_checks_the_weights_above_one():
+    """A weight that does not divide an exponent of the leads is refused;
+    weights of all 1 read as no weights."""
+    gb = packed(R3, polys(R3, "x1^2*x2", "x2^3", "x3^4"))
+    with pytest.raises(AssertionError):
+        gb.hilbert_function(6, (1, 2, 1))
+    assert gb.hilbert_function(6, (2, 1, 2)) == (1, 1, 3, 1, 3, 0, 2)
+    assert gb.hilbert_function(6, (1, 1, 1)) == gb.hilbert_function(6) == (1, 3, 6, 8, 8, 7, 5)
 
 
 @settings(deadline=None)
@@ -837,6 +888,18 @@ def test_packed_monomials_agree_with_exponent_vectors(pair):
             assert py - px == code.pack(tuple(map(sub, y, x)))
 
 
+@settings(deadline=None)
+@given(st.integers(0, 6), st.sampled_from((7, 14, 42)), st.data())
+def test_support_is_the_nonzero_exponents(n, width, data):
+    """The bits of `support` are the guard bits of the nonzero exponents,
+    also for exponents of 2**width − 1, whose field would carry; the low
+    fields of a packed monomial are its exponents whatever its degree."""
+    code = _Packing(n, width)
+    top = 2**width - 1
+    e = data.draw(st.tuples(*[st.one_of(st.just(0), st.just(top), st.integers(0, top))] * n))
+    assert code.support(code.pack(e)) == sum(1 << (code.field * i + width) for i, x in enumerate(e) if x)
+
+
 HUGE = ("x^1099511627776*y - y^1099511627777", "x*y^2")
 
 
@@ -878,3 +941,27 @@ def test_pair_loop_widens_the_packing_when_degrees_outgrow_it(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1342d965ee62bc5fec7c5e387cac878842f971cc21ef343f0bd2caa04b14e21c"
     )
+
+
+def test_pairs_of_leads_with_no_common_variable_are_never_formed(monkeypatch):
+    """A pair's lcm is formed only when its leads share a variable.  The
+    images of a product live in disjoint blocks of variables, so its pair
+    loop forms the pairs of each factor and no more: 18 of the 66 pairs of
+    its 12 leads.  Pure powers form none."""
+    calls = []
+    lcm = _Packing.lcm
+
+    def counting(code, a, b):
+        calls.append((a, b))
+        return lcm(code, a, b)
+
+    def lcms(ring, forms):
+        calls.clear()
+        assert groebner._finite_basis(forms, ring) is not None
+        return len(calls)
+
+    monkeypatch.setattr(_Packing, "lcm", counting)
+    b3 = [_weighted_images(dim6_b3_model(lam))[:2] for lam in (2, 3)]
+    assert lcms(*b3[0]) == lcms(*b3[1]) == 9
+    assert lcms(*_weighted_images(product_model(dim6_b3_model(2), dim6_b3_model(3)))[:2]) == 18
+    assert lcms(R3, polys(R3, "x1^2", "x2^2", "x3^2")) == 0
