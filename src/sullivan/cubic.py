@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Sequence
@@ -26,7 +26,7 @@ from .groebner import (
     has_finite_quotient,
     is_regular_sequence,
 )
-from .linalg import RationalMatrix, integerized, rational, row_space_rref
+from .linalg import _echelon, _forward, _kernel, _ratio, integerized, rational
 
 BINARY_MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -42,6 +42,12 @@ def _multinomial(i: int, j: int, k: int) -> int:
 def _triple(mono: Sequence[int]) -> tuple[int, ...]:
     """The index triple of a cubic exponent vector: (1, 2, 0) -> (0, 1, 1)."""
     return tuple(var for var, e in enumerate(mono) for _ in range(e))
+
+
+@lru_cache(maxsize=8)
+def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """`PolyRing.monomials_of_degree(d)` in n variables, listed once per n for the quadrics and cubics."""
+    return tuple(PolyRing(f"x{i}" for i in range(n)).monomials_of_degree(d))
 
 
 class CubicForm:
@@ -153,7 +159,7 @@ def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
     """Form of P(Mx); exact, requires an invertible matrix."""
     ring = PolyRing(("x", "y", "z")[: form.dim])
     images = _linear_substitution(ring, matrix)
-    if RationalMatrix.from_rows(matrix, form.dim).rank() < form.dim:
+    if len(_forward({j: c for j, x in enumerate(row) if (c := rational(x))} for row in matrix)) < form.dim:
         raise ValueError("substitution matrix is singular")
     return CubicForm.from_polynomial(form.polynomial(ring).compose(images))
 
@@ -161,38 +167,40 @@ def substitute(form: CubicForm, matrix: Sequence[Sequence]) -> CubicForm:
 # -- the pairing into the dual of degree two --------------------------------
 
 
-def _pairing_matrix(form: CubicForm) -> RationalMatrix:
-    """Rows indexed by the quadric monomials, columns by e_k."""
-    monos = PolyRing(("x", "y", "z")[: form.dim]).monomials_of_degree(2)
-    return RationalMatrix.from_rows([[form[_triple(m) + (k,)] for k in range(form.dim)] for m in monos], form.dim)
+def _pairing_rows(form: CubicForm) -> list[dict[int, int | Fraction]]:
+    """Row k holds F(e_k, m) at the position of each quadric monomial m, nonzero entries only."""
+    monos = _monomials(form.dim, 2)
+    return [{j: c for j, m in enumerate(monos) if (c := form[_triple(m) + (k,)])} for k in range(form.dim)]
 
 
 def pairing_rank(form: CubicForm) -> int:
-    return _pairing_matrix(form).rank()
+    return len(_forward(_pairing_rows(form)))
 
 
 class QuadricSubspace:
-    """Subspace of the degree-two part of Q[x1..xn], held in canonical echelon form."""
+    """Subspace of the degree-two part of Q[x1..xn], held as `_echelon`'s canonical integer rows."""
 
     __slots__ = ("ring", "basis", "_coords")
 
     def __init__(self, ring: PolyRing, quadrics: Sequence[Polynomial]):
-        self.ring = ring
-        monos = ring.monomials_of_degree(2)
+        column = {m: j for j, m in enumerate(_monomials(len(ring), 2))}
         rows = []
         for q in quadrics:
             if q.ring != ring:
                 raise ValueError("quadric lives in a different ring")
-            if q.is_zero():
-                continue
-            if not q.is_homogeneous() or q.degree() != 2:
+            if q and (not q.is_homogeneous() or q.degree() != 2):  # a zero row spans nothing
                 raise ValueError("basis entries must be homogeneous of degree 2")
-            rows.append([q.coefficient(m) for m in monos])
-        canonical = row_space_rref(rows, len(monos))
-        self._coords = canonical
-        self.basis = tuple(
-            ring.from_terms({m: c for m, c in zip(monos, row) if c}) for row in canonical
-        )
+            rows.append({column[m]: c for m, c in q.terms.items()})
+        self._span(ring, rows)
+
+    def _span(self, ring: PolyRing, rows) -> "QuadricSubspace":
+        """Hold the span of sparse rows on the columns of `monomials_of_degree(2)`; returns self."""
+        monos = _monomials(len(ring), 2)
+        self.ring = ring
+        # each row in column order, pivot first, so the basis lists its terms as the monomials come
+        self._coords = tuple(tuple(sorted(row.items())) for row in _echelon(rows).values())
+        self.basis = tuple(Polynomial(ring, {monos[j]: _ratio(x, row[0][1]) for j, x in row}) for row in self._coords)
+        return self
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -217,12 +225,8 @@ def associated_subspace(form: CubicForm) -> QuadricSubspace:
     """Quadrics annihilated by the pairing: the degree-two relations of the ring."""
     if form.dim != 3:
         raise ValueError("the associated subspace is defined for ternary forms")
-    ring = PolyRing(("x1", "x2", "x3"))
-    monos = ring.monomials_of_degree(2)
-    # rows indexed by e_k, columns by the coefficients of the quadric monomials
-    matrix = RationalMatrix.from_rows([[form[_triple(m) + (k,)] for m in monos] for k in range(3)], len(monos))
-    quadrics = [ring.from_terms(dict(zip(monos, vec))) for vec in matrix.kernel_basis()]
-    return QuadricSubspace(ring, quadrics)
+    kernel = _kernel(_pairing_rows(form), 6)
+    return QuadricSubspace.__new__(QuadricSubspace)._span(PolyRing(("x1", "x2", "x3")), kernel)
 
 
 @dataclass(frozen=True)
@@ -486,7 +490,7 @@ def cubic_form_of_ring(relations: Sequence[Polynomial], ring: PolyRing) -> Cubic
     profile = quotient.hilbert_function(4)
     if profile != (1, n, n, 1, 0):
         raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
-    return CubicForm(n, {_triple(mono): quotient.coordinate(mono) for mono in ring.monomials_of_degree(3)})
+    return CubicForm(n, {_triple(mono): quotient.coordinate(mono) for mono in _monomials(n, 3)})
 
 
 def cubic_form_of_quadric_ideal(subspace: QuadricSubspace) -> CubicForm:

@@ -11,8 +11,8 @@ RREF row is that row divided by its pivot value.  That form is unique, so
 kernels come out in the canonical free-column form (``_kernel``, again as
 primitive integer vectors, positive at their free column) and subspace
 equality is plain equality.  A ``Fraction`` is made only where the public
-API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis``,
-``in_span`` and ``row_space_rref`` divide the integer rows at the end.
+API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis``
+and ``in_span`` divide the integer rows at the end.
 
 ``LinearCombination`` is the one implementation of sums, scalings and
 products of monomials with rational coefficients, shared by
@@ -339,11 +339,6 @@ def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None
     for pc, row in rows.items():
         coords[pc] = Fraction(row.get(len(basis), 0), row[pc])
     return (True, tuple(coords))
-
-
-def row_space_rref(rows: Iterable[Sequence], cols: int) -> tuple[Vector, ...]:
-    """Canonical (RREF) basis of the row space; the canonical form of a subspace."""
-    return RationalMatrix.from_rows(rows, cols).rref()[0]
 
 
 def integerized(vector: Sequence[int | Fraction]) -> tuple[int, ...]:

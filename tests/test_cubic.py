@@ -34,6 +34,7 @@ from sullivan.cubic import (
     wall_invariants,
 )
 from sullivan.groebner import PolyRing, buchberger
+from sullivan.linalg import RationalMatrix
 from sullivan.parsing import parse_polynomial
 
 RXYZ = PolyRing(("x", "y", "z"))
@@ -85,6 +86,123 @@ def test_associated_subspace_examples():
     assert associated_subspace(hesse_form(sigma)) == QuadricSubspace(
         R123, quadrics("5*x1^2 - x2*x3", "5*x2^2 - x1*x3", "5*x3^2 - x1*x2")
     )
+
+
+# -- quadric subspaces and the pairing against the public RationalMatrix ---------
+
+coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def rref_basis(ring, rows):
+    """The RREF of dense rows over `monomials_of_degree(2)`, read back as quadrics, and the RREF rows."""
+    monos = ring.monomials_of_degree(2)
+    rref = RationalMatrix.from_rows(rows, len(monos)).rref()[0]
+    return [ring.from_terms({m: c for m, c in zip(monos, row) if c}) for row in rref], rref
+
+
+def terms_with_types(polys):
+    """Each polynomial's terms in order, each coefficient with its type: ``1`` and ``Fraction(1)`` differ."""
+    return [[(m, type(c), c) for m, c in p.terms.items()] for p in polys]
+
+
+@st.composite
+def quadric_lists(draw, ring):
+    """Quadrics in `ring`, among them zero, repeated and dependent entries."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("new", "zero", "repeat", "combination")))
+        if kind == "zero":
+            out.append(ring.zero())
+        elif kind == "new" or not out:
+            out.append(ring.from_terms({m: draw(coefficients) for m in ring.monomials_of_degree(2)}))
+        elif kind == "repeat":
+            out.append(draw(st.sampled_from(out)))
+        else:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(a.scale(draw(coefficients)) + b.scale(draw(coefficients)))
+    return out
+
+
+@st.composite
+def quadric_list_pairs(draw):
+    """Two quadric lists in 1-3 variables; the second is either drawn on its own or an invertible
+    recombination of the first with each entry's terms in a drawn order, so that both equal and
+    different spans come up, and equal ones from rows whose entries come in different orders."""
+    ring = (PolyRing(("x",)), RXY, RXYZ)[draw(st.integers(0, 2))]
+    first = draw(quadric_lists(ring))
+    if draw(st.booleans()):
+        return ring, first, draw(quadric_lists(ring))
+    second = first[::-1]
+    for i in range(1, len(second)):
+        nonzero = draw(coefficients.filter(bool))
+        second[i] = second[i].scale(nonzero) + second[i - 1].scale(draw(coefficients))
+    second = [ring.from_terms(dict(draw(st.permutations(list(q.terms.items()))))) for q in second]
+    return ring, first, second + [ring.zero()] * draw(st.integers(0, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(quadric_list_pairs())
+@example((RXYZ, [RXYZ.from_terms({(0, 1, 1): 1, (1, 1, 0): 2, (0, 0, 2): Fraction(1, 2)})], []))
+@example((RXY, [RXY.from_terms({(0, 2): 2, (1, 1): 1})], [RXY.from_terms({(1, 1): 1, (0, 2): 2})]))
+def test_quadric_subspace_is_the_rref_of_its_coefficient_rows(case):
+    ring, first, second = case
+    oracles = []
+    for quads in (first, second):
+        subspace = QuadricSubspace(ring, quads)
+        basis, rref = rref_basis(ring, [[q.coefficient(m) for m in ring.monomials_of_degree(2)] for q in quads])
+        assert terms_with_types(subspace.basis) == terms_with_types(basis)
+        oracles.append((subspace, rref))
+    (a, rref_a), (b, rref_b) = oracles
+    assert (a == b) == (rref_a == rref_b)
+
+
+def pairing_entries(form):
+    """F(e_k, m) for each quadric monomial m (rows) and each k (columns), dense."""
+    monos = PolyRing(("x", "y", "z")[: form.dim]).monomials_of_degree(2)
+    return [[form[_triple(m) + (k,)] for k in range(form.dim)] for m in monos]
+
+
+@st.composite
+def cubic_forms(draw):
+    """Binary and ternary forms: the zero form, forms in fewer variables than the dimension, cubes
+    of a linear form, and sparse forms with small coefficients."""
+    dim = draw(st.sampled_from((2, 3)))
+    ring = (RXY, RXYZ)[dim - 2]
+    kind = draw(st.sampled_from(("zero", "fewer variables", "cube", "sparse")))
+    if kind == "zero":
+        return CubicForm(dim, {})
+    if kind == "cube":
+        linear = ring.from_terms({m: draw(coefficients) for m in ring.monomials_of_degree(1)})
+        return CubicForm.from_polynomial(linear**3)
+    left_out = draw(st.integers(0, dim - 1)) if kind == "fewer variables" else None
+    monos = [m for m in ring.monomials_of_degree(3) if left_out is None or not m[left_out]]
+    return CubicForm.from_polynomial(ring.from_terms({m: draw(coefficients) for m in monos}))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cubic_forms())
+def test_pairing_rank_and_associated_subspace_against_rational_matrix(form):
+    entries = pairing_entries(form)
+    assert pairing_rank(form) == RationalMatrix.from_rows(entries, form.dim).rank()
+    if form.dim == 3:
+        kernel = RationalMatrix.from_rows(list(zip(*entries)), len(entries)).kernel_basis()
+        basis, _ = rref_basis(R123, kernel)
+        subspace = associated_subspace(form)
+        assert subspace.ring == R123
+        assert terms_with_types(subspace.basis) == terms_with_types(basis)
+
+
+def test_elliptic_decision_builds_no_rational_matrix(monkeypatch):
+    built = []
+    init = RationalMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalMatrix, "__init__", counting)
+    assert is_elliptic_form(cubic_form_of_quadric_ideal(biquotient_ring("b1", 7, 6)), 3).elliptic
+    assert built == []
 
 
 def test_is_elliptic_form_examples():
