@@ -8,9 +8,12 @@ Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
 the regular-sequence decision.  Reduction is fraction-free, on primitive
 integer terms, and the pair loop queues only pairs whose leads share a
-variable.  All Hilbert data is read from the Hilbert series of the
-lead-term ideal, whose numerator comes from the Bayer-Stillman recursion
-on the packed leads, cut at the degree whose Hilbert values are asked for.
+variable.  It stops once its leads contain every monomial of the degree of
+the least pending pair, as every pair left would then reduce to zero;
+only the leads of a finite quotient can do that.  All Hilbert data is read
+from the Hilbert series of the lead-term ideal, whose numerator comes from
+the Bayer-Stillman recursion on the packed leads, cut at the degree whose
+Hilbert values are asked for.
 
 Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
@@ -424,7 +427,9 @@ class GroebnerBasis:
     Hilbert data depend only on the lead ideal, so they read the same off
     either.  A pair loop capped at D has the leads of the ideal up to
     degree D, so its readings are exact up to D, and the Hilbert values of
-    a finite quotient (`_finite_basis`) in every degree."""
+    a finite quotient (`_finite_basis`) in every degree.  A pair loop that
+    ends because its leads cover a whole degree (`_pairs`) holds the same
+    basis as one run to the end."""
 
     ring: PolyRing
     code: _Packing
@@ -574,6 +579,26 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     pending lcm has degree above it: every S-polynomial of degree at most
     the cap has then been reduced, so the leads are those of the ideal in
     every degree up to the cap (a basis truncated at that degree).
+
+    The loop also stops once every monomial of the pending degree d, the
+    degree of the least pending lcm, is a multiple of a lead.  This is
+    exact.  Every pair left has degree at least d, and every monomial of
+    degree at least d is then a multiple of a lead too.  A pair's
+    S-polynomial is homogeneous of its degree, and each step of its
+    reduction removes its leading term and leaves only terms of that same
+    degree, each again a multiple of a lead; so it reduces to zero.  No
+    pair left would add an element, so the basis is element for element
+    the one the whole loop returns, and when there is no cap, or d is at
+    most the cap, it is a full Groebner basis.
+
+    The test needs 1, or a pure power of every variable, among the leads
+    (a finite quotient has them), and it runs at most once per degree and
+    number of leads.  A capped loop runs it only at the cap: the quotient
+    of n forms, when finite, is nonzero in every degree below Lazard's
+    bound, the cap of `_finite_basis`, so no lower degree can be covered.
+    It looks at no more monomials than there are pairs pending, each in one
+    pass over the other leads, as a pair's chain test passes over the
+    leads; past them it gives up, with no stop.
     """
     code = start.code
     basis: list[dict[int, int]] = []
@@ -583,8 +608,13 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     pending: set[tuple[int, int]] = set()
     guard = code.guard
     overflow = 1 << (code.degree_shift + code.width)  # the least packed monomial of degree 2**width
+    powers: dict[int, int] = {}  # support bit of x_i -> least a with x_i^a a lead; 0 -> 0 for the lead 1
+    others: list[int] = []  # the leads that are neither 1 nor a pure power
+    boxed = False  # whether 1 or a pure power of every variable is a lead
+    tested = None  # (degree, number of leads) of the last coverage test
 
     def add_generator(g: dict[int, int], lead: int) -> None:
+        nonlocal boxed
         j = len(basis)
         basis.append(g)
         leads.append(lead)
@@ -593,6 +623,45 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             if supports[i] & support:  # leads that share no variable make no pair
                 heappush(queue, (code.lcm(leads[i], lead), i, j))
                 pending.add((i, j))
+        if support & (support - 1):
+            others.append(lead)
+        else:
+            a = code.degree(lead)
+            powers[support] = min(a, powers.get(support, a))
+            boxed = 0 in powers or len(powers) == code.n
+
+    def covered(d: int) -> bool:
+        """Whether every monomial of degree d, below 2**width, is a multiple
+        of a lead, once `boxed`; False also when more than len(pending)
+        monomials would have to be looked at.  With x_i^{a_i} the least pure
+        power of x_i among the leads, only the e with e_i < a_i for every i
+        can be standard, and there is none of degree d when d exceeds the
+        sum of the a_i − 1."""
+        if 0 in powers:
+            return True  # the unit ideal
+        n = code.n
+        tops = [powers[1 << (code.field * i + code.width)] - 1 for i in range(n)]
+        if d > sum(tops):
+            return True
+        after = [sum(tops[i + 1 :]) for i in range(n)]  # the room left past x_i
+        units = [((1 << code.field * i) * code.spread) & code.full for i in range(n)]  # x_i packed
+
+        def points(i: int, r: int, k: int):
+            # k times each monomial of degree r in the box on the variables
+            # from index i on; e_i leaves no more than the room past it, so
+            # every branch ends in a point
+            if i == n - 1:
+                yield k + r * units[i]
+                return
+            for e in range(max(0, r - after[i]), min(tops[i], r) + 1):
+                yield from points(i + 1, r - e, k + e * units[i])
+
+        budget = len(pending)
+        for k in points(0, d, 0):
+            if not budget or all((k - g) & guard for g in others):
+                return False  # a standard monomial, or the budget spent
+            budget -= 1
+        return True
 
     def chain(i: int, j: int, lcm: int) -> bool:
         return any(
@@ -609,6 +678,12 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     while queue:
         if cap is not None and code.degree(queue[0][0]) > cap:
             break
+        if boxed and queue[0][0] < overflow:
+            d = code.degree(queue[0][0])
+            if (cap is None or d == cap) and (d, len(leads)) != tested:
+                tested = d, len(leads)
+                if covered(d):
+                    break  # every pair left reduces to zero
         lcm, i, j = heappop(queue)
         pending.remove((i, j))
         # the lcm's exponent fields never overflow, so the chain criterion
@@ -637,7 +712,9 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     O'Shea, §2.9), so it is never pending and the chain criterion may count
     it as treated.  A queued pair is skipped when a third leading monomial
     divides its lcm and neither of that element's pairs with the two is
-    pending.  Basis elements are primitive integer terms throughout, and
+    pending.  The loop ends early once the leads contain every monomial of
+    the least pending degree, since every pair left then reduces to zero
+    (`_pairs`).  Basis elements are primitive integer terms throughout, and
     `generators` makes them monic.
     """
     found = _pair_loop(polys, ring)
@@ -680,7 +757,9 @@ def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
     to D.  The quotient is zero in degree D, so every monomial of degree D
     is a lead of the ideal, hence a multiple of a lead of G; then so is
     every monomial of higher degree, and the leads of G generate the whole
-    lead ideal.
+    lead ideal.  The pair loop may end before the pairs of degree D are
+    popped, once the leads of G already cover every monomial of D (see
+    `_pairs`); G is then the same basis and still a full one.
     """
     polys, ring = _checked(polys, ring)
     n = len(ring.variables)

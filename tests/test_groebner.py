@@ -1,12 +1,16 @@
 """Groebner bases: reduction, finiteness, Hilbert data, regular sequences."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import add, le, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +33,7 @@ from sullivan.linalg import RationalMatrix
 from sullivan.model import _weighted_images
 from sullivan.parsing import parse_polynomial, render_polynomial
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 R3 = PolyRing(("x1", "x2", "x3"))
 R2 = PolyRing(("x1", "x2"))
 
@@ -965,3 +970,134 @@ def test_pairs_of_leads_with_no_common_variable_are_never_formed(monkeypatch):
     assert lcms(*b3[0]) == lcms(*b3[1]) == 9
     assert lcms(*_weighted_images(product_model(dim6_b3_model(2), dim6_b3_model(3)))[:2]) == 18
     assert lcms(R3, polys(R3, "x1^2", "x2^2", "x3^2")) == 0
+
+
+# -- the pair loop's early stop -----------------------------------------------
+
+
+@st.composite
+def stopping_systems(draw):
+    """A ring of 1-4 variables, 1..n + 2 nonzero forms of degree 1-3, and a
+    cap: None or 2-5.  A form is sparse, dense, or a power of x1, x2, ...
+    in turn, so that pure powers of every variable come early and the
+    loop is often boxed well before its leads cover a degree."""
+    ring = SMALL_RINGS[draw(st.integers(1, 4))]
+    n = len(ring.variables)
+    forms = []
+    for k in range(draw(st.integers(1, n + 2))):
+        degree = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("sparse", "dense", "power")))
+        if kind == "dense":
+            monos = ring.monomials_of_degree(degree)
+            forms.append(ring.from_terms(dict(zip(monos, draw(st.lists(st.integers(-3, 3), min_size=len(monos)))))))
+        elif kind == "power":
+            forms.append(ring.variable(k % n) ** degree)
+        else:
+            forms.append(draw(small_polynomials(ring, degree)))
+    forms = [f for f in forms if not f.is_zero()]
+    return ring, forms or [ring.variable(0)], draw(st.sampled_from((None, 2, 3, 4, 5)))
+
+
+def _interreduced(gens):
+    """The monic, reduced basis of the same lead ideal: one element per
+    minimal lead, its tail divided by the others (textbook division)."""
+    leads = [_lead(g)[0] for g in gens]
+    first = {}
+    for g, lm in zip(gens, leads):
+        if not any(l != lm and all(map(le, l, lm)) for l in leads):
+            first.setdefault(lm, g)
+    minimal = list(first.values())
+    out = {}
+    for g in minimal:
+        r = _remainder(g, [h for h in minimal if h is not g])
+        out[_lead(r)[0]] = r.scale(Fraction(1, _lead(r)[1])).terms
+    return out
+
+
+@settings(deadline=None)
+@given(stopping_systems())
+@example((R3, polys(R3, "x1*x2", "x1^2 - x2^2", "x3^2"), None))
+# boxed from the start, while the degree-3 pair (x1*x2, x1^2) still adds the lead x2^2*x3
+@example((R3, polys(R3, "x1^3", "x2^3", "x3^3", "x1*x2 - x1*x3", "x1^2 - x2*x3"), None))
+@example((R3, polys(R3, "x1^2", "x2^2", "x3^2", "x1*x2 + x2*x3 + x1*x3"), 4))
+def test_the_pair_loop_that_stops_early_is_a_groebner_basis_up_to_its_cap(case):
+    """However early the pair loop stops, every S-pair of its basis of
+    degree at most the cap (all of them with no cap) divides to zero by
+    that basis; interreduced, its elements up to the cap are those of the
+    reduced basis; and the finiteness verdict is the reduced basis's."""
+    ring, forms, cap = case
+    loop, gb = groebner._pair_loop(forms, ring, cap), buchberger(forms, ring)
+    integral = [_cleared(g)[0] for g in loop.generators]
+    for f, g in combinations(integral, 2):
+        top = tuple(map(max, _grevlex_lead(f), _grevlex_lead(g)))
+        if cap is None or sum(top) <= cap:
+            assert not _divide(_s_poly(f, g), integral)[0]
+    low = [g for g in loop.generators if cap is None or g.degree() <= cap]
+    assert _interreduced(low) == {
+        _lead(g)[0]: g.terms for g in gb.generators if cap is None or g.degree() <= cap
+    }
+    assert has_finite_quotient(forms, ring) == gb.is_finite_dimensional()
+
+
+def test_the_pair_loop_stops_once_its_leads_cover_the_pending_degree(monkeypatch):
+    """S-polynomial reductions per pair loop; a loop that pops every pair
+    makes 8, 6, 2, 2 and 1.  The leads of the b3 images cover degree 4 once
+    x3^4 joins x1^2, x2^2, x1*x2, x2*x3^2 and x1*x3^2, capped there or not;
+    the ring fragment's inputs already cover degree 3, the degree of all
+    its pairs; and two forms sharing x1 have no finite quotient, so their
+    loop never stops early."""
+    calls = []
+    reduce = groebner._reduce
+
+    def counting(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    def reductions(ring, forms, cap=None):
+        calls.clear()
+        groebner._pair_loop(forms, ring, cap)
+        return len(calls)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    b3 = _weighted_images(dim6_b3_model(2))[:2]
+    assert reductions(*b3) == 4
+    assert reductions(*b3, 4) == 4
+    assert reductions(R3, polys(R3, "x1*x2", "x1^2 - x2^2", "x3^2")) == 1
+    assert reductions(R3, polys(R3, "x1^2", "x2^2", "x3^2", "x1*x2 + x2*x3 + x1*x3")) == 0
+    assert reductions(R3, polys(R3, "x1*x2", "x1*x3")) == 1
+
+
+def test_the_pair_loop_of_no_variables_and_of_the_unit_ideal():
+    """With no variables every nonzero input is the lead 1 and no pair is
+    formed.  A constant among the inputs makes the unit ideal, whose lead
+    1 covers every degree: the loop keeps the inputs as they are, capped
+    or not."""
+    q = SMALL_RINGS[0]
+    assert groebner._pair_loop([q.scalar(5), q.scalar(Fraction(1, 3))], q).leads == [0, 0]
+    assert groebner._pair_loop([], q).basis == []
+    assert buchberger([q.scalar(5)], q).generators == (q.one(),)
+    assert buchberger([], q).generators == ()
+    unit = polys(R3, "x1*x2", "x1*x3", "2")
+    for cap in (None, 3):
+        loop = groebner._pair_loop(unit, R3, cap)
+        assert loop.generators == tuple(p.scale(Fraction(1, _lead(p)[1])) for p in unit)
+        assert loop.hilbert_function(3) == (0, 0, 0, 0)
+    assert buchberger(unit, R3).generators == (R3.one(),)
+    assert groebner._finite_basis(unit, R3) is not None
+
+
+def test_the_coverage_test_gives_up_after_as_many_points_as_pending_pairs(capsys):
+    """Pure powers of degree 2**40 leave about 2**40 points of the pending
+    degree 2**40 + 1 in the box: the coverage test gives up after two of
+    them, as two pairs are pending, and the two pairs reduce to zero, as
+    in the loop that pops every pair."""
+    run = subprocess.run(
+        [sys.executable, "-m", "sullivan.cli", "groebner", "x^1099511627776", "y^1099511627776", "x*y"],
+        capture_output=True,
+        timeout=20,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))),
+    )
+    assert run.returncode == 0
+    assert run.stdout == b"variables: x, y\nx*y\ny^1099511627776\nx^1099511627776\n"
+    assert main(["regseq", "x^1099511627776", "y^1099511627776"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "regular"
