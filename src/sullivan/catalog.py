@@ -34,7 +34,7 @@ from .cubic import (
 )
 from .exponents import ExponentPair, enumerate_exponents, exponents_of_model
 from .groebner import PolyRing, Polynomial, _pair_loop, is_regular_sequence
-from .linalg import RationalMatrix, rational
+from .linalg import _forward, rational
 from .model import (
     SullivanModel,
     betti_numbers,
@@ -268,7 +268,7 @@ def _generator_rank(m: SullivanModel, degree: int) -> int:
         for i, d in enumerate(m.table.degrees)
         if d == degree
     ]
-    return RationalMatrix(len(rows), len(columns), rows).rank()
+    return len(_forward(rows))
 
 
 def _checked_exponents(m: SullivanModel) -> ExponentPair:
@@ -619,8 +619,9 @@ def subject_claims(
     cochain complex.  A pure model one odd generator past a regular
     sequence keeps neither: each of those claims reruns the capped pair
     loops of `model._sub_quotient_betti`, a few quadrics in two variables
-    for the paper's models, and only the pairing of its Poincare window
-    builds the complex.
+    for the paper's models.  No claim builds a complex: the pairing of a
+    Poincare window on an elliptic pure model follows from Halperin's
+    theorem (`model.poincare_duality_check`).
     """
     build = cache(builder)
     for prop, value in expected:

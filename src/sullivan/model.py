@@ -12,11 +12,10 @@ Thomas, Rational Homotopy Theory, §32).  With as many odd generators as
 even ones and B finite-dimensional, dy_1..dy_n is a regular sequence, the
 model is the Koszul complex of that sequence, and H* ≅ B, concentrated in
 even degrees, as graded rings.  The model keeps that quotient
-(`SullivanModel.quotient`, a `PureQuotient`), and `poincare_duality_check`
-reads the pairing of degree two against degree n - 2 from its normal
-forms.  A pure model with one odd generator more than a regular sequence
-has H* = A/fA ⊕ Ann_A(f)·y, with A the quotient by the regular images and
-f = dy the image left out; there A/fA = B.
+(`SullivanModel.quotient`, a `PureQuotient`).  A pure model with one odd
+generator more than a regular sequence has H* = A/fA ⊕ Ann_A(f)·y, with A
+the quotient by the regular images and f = dy the image left out; there
+A/fA = B.
 
 One function, `_sub_quotient_betti`, decides which pure models take this
 route: it returns the Betti numbers, read from the Hilbert functions of B
@@ -24,6 +23,9 @@ route: it returns the Betti numbers, read from the Hilbert functions of B
 `betti_numbers` reads the Betti numbers from it, and when all even degrees
 equal the degree read, `cup_product_cubic_form` and `pairing_determinant`
 read their products in B, with no cochain complex (`_top_class_reader`).
+The duality pairing of a pure elliptic model needs no computation at all:
+by Halperin's theorem its cohomology satisfies Poincaré duality, so
+`poincare_duality_check` reads the pairing off the degree-one generators.
 Everything else goes through the complex.
 """
 
@@ -33,10 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .algebra import AlgebraElement, GeneratorTable, _even_exponent_vectors, _mul_monomials, monomial_basis
+from .algebra import AlgebraElement, GeneratorTable, _mul_monomials, monomial_basis
 from .cubic import CubicForm, squarefree_part
 from .groebner import (
     GroebnerBasis,
@@ -49,10 +50,10 @@ from .groebner import (
     has_finite_quotient,
 )
 from .linalg import (
-    RationalMatrix,
     _add_term,
     _clear_denominators,
     _echelon,
+    _forward,
     _fractions,
     _kernel,
     _ratio,
@@ -261,9 +262,9 @@ class CochainComplex:
     ``_top_coordinate``, the one reading of a class in a one-dimensional
     H^k where no quotient gives it: ``_top_class_reader`` off the route of
     `_sub_quotient_betti` or with unequal even degrees, and the pairing of
-    ``poincare_duality_check`` for a model with no `PureQuotient`.  That reading
-    needs the reduced cocycle alone: no kernel and no search for a
-    representative, which only ``class_generator`` makes.
+    ``poincare_duality_check`` for a model that is not pure or not
+    elliptic.  That reading needs the reduced cocycle alone: no kernel and
+    no search for a representative, which only ``class_generator`` makes.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -311,8 +312,7 @@ class CochainComplex:
 
     def rank(self, k: int) -> int:
         if k not in self._ranks:
-            columns = self.d(k)
-            self._ranks[k] = RationalMatrix(len(columns), len(self.basis(k + 1)), columns).rank()
+            self._ranks[k] = len(_forward(self.d(k)))
         return self._ranks[k]
 
     def betti(self, k: int) -> int:
@@ -433,18 +433,6 @@ class PureQuotient(GroebnerBasis):
         Hilbert series of Q[x]/(dy) with x_i of weight w_i."""
         values = self.hilbert_function(max_degree // self.step, self.weights)
         return tuple(_by_model_degree(values, self.step, max_degree))
-
-    def pairing(self, positions: list[int], n: int) -> RationalMatrix:
-        """The pairing of the degree-two generators x_p, p in positions,
-        against H^{n-2} into H^n, when dim H^n = 1: row p, column s, is the
-        normal form of x_p·s, for s the basis of H^{n-2}, as a multiple of
-        the one standard monomial of Q[x^w] in degree n / step.  A degree-two
-        generator makes step 2 and its weight 1, and the normal form of x_p·s
-        lies in Q[x^w] in that degree, so it has at most that one term."""
-        exponents = _even_exponent_vectors(tuple(self.weights), (n - 2) // self.step)
-        standard = [s for s in (tuple(map(mul, a, self.weights)) for a in exponents) if self.is_standard(s)]
-        rows = [[self.coordinate(tuple(e + (j == p) for j, e in enumerate(s))) for s in standard] for p in positions]
-        return RationalMatrix.from_rows(rows, len(standard))
 
 
 def _by_model_degree(values: Sequence[int], step: int, top: int) -> list[int]:
@@ -583,28 +571,59 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
 
 def poincare_duality_check(m: SullivanModel) -> bool:
     """At the claimed formal dimension n: Betti symmetry, one-dimensional
-    top degree, and a nondegenerate pairing of degree two against degree
-    n-2 when b2 > 0.  The pairing comes from the model's `PureQuotient`
-    when it has one, and from the cochain complex otherwise."""
+    top degree, and, when there are degree-two generators x_p and n >= 4,
+    a pairing of them against H^{n-2} into H^n of rank #x_p.
+
+    A pure elliptic model passes the pairing check exactly when every
+    degree-one generator is closed, once the Betti checks pass:
+
+    - Halperin (Trans. AMS 230, 1977; Félix, Halperin and Thomas, Rational
+      Homotopy Theory, §32 and §38) proves that the cohomology of an
+      elliptic Sullivan algebra is a Poincaré duality algebra of formal
+      dimension N = Σ_odd |y| - Σ_even (|x| - 1), which is
+      `formal_dimension_claim`.  A pure model is elliptic exactly when
+      Q[x]/(all images) is finite (`pure_is_elliptic`).
+    - Degree-one generators and linear terms do not spoil this.  In a pure
+      model the image of a degree-one generator y is a linear combination
+      of degree-two generators.  If it is nonzero, a linear change of the
+      even generators makes it one generator x', and replacing every other
+      odd y_j by y_j - g_j·y, with g_j chosen so that d of it is free of
+      x', makes (y, x') a contractible pair.  If it is zero, y splits off
+      a factor Λ(y).  A linear term of a higher image splits off a
+      contractible pair in the same way.  So ΛV is (contractible) ⊗
+      Λ(closed degree-one generators) ⊗ (a simply connected minimal pure
+      elliptic model); Poincaré duality survives ⊗, and N is additive.
+    - So H^2 × H^{N-2} -> H^N is a perfect pairing, and the matrix of the
+      x_p against any spanning set of H^{N-2} has rank dim span{[x_p]}.
+    - The degree-two coboundaries are d(V^1) = span{dy : |y| = 1}, which
+      lies in span{x_p}, the degree-two part of Q[x].  So dim span{[x_p]}
+      = #x_p - rank{dy : |y| = 1}, which is #x_p exactly when every
+      degree-one generator is closed.
+
+    The model is pure and elliptic when it has a `PureQuotient`, which
+    `betti_numbers` has decided already, or when `pure_is_elliptic` says
+    so.  Every other model reads the pairing on the cochain complex:
+    entry (p, z) is the class of x_p·z in H^n, for z the canonical cocycles
+    of degree n - 2.
+    """
     n = m.formal_dimension_claim()
     if n < 0:
         return False
     betti = betti_numbers(m, n)
     if betti[n] != 1 or any(betti[k] != betti[n - k] for k in range(n + 1)):
         return False
-    xs = [i for i, d in enumerate(m.table.degrees) if d == 2]
+    table = m.table
+    xs = [i for i, d in enumerate(table.degrees) if d == 2]
     if not xs or n < 4:
         return True
-    quotient = m.quotient()
-    if quotient is not None:
-        evens = m.table.even_indices()
-        return quotient.pairing([evens.index(i) for i in xs], n).rank() == len(xs)
-    table, cochains = m.table, m.cochains()
+    if m.quotient() is not None or (m.is_pure() and pure_is_elliptic(m)):
+        return all(m.images[i].is_zero() for i, d in enumerate(table.degrees) if d == 1)
+    cochains = m.cochains()
     basis = cochains.basis(n - 2)
     cocycles = [table.element({basis[j]: c for j, c in z.items()}) for z in cochains.kernel(n - 2)]
-    products = [[table.generator(i) * z for z in cocycles] for i in xs]
-    rows = [[cochains._top_coordinate(n, cochains.coordinates(n, p)) for p in row] for row in products]
-    return RationalMatrix.from_rows(rows, len(cocycles)).rank() == len(xs)
+    products = ([cochains.coordinates(n, table.generator(i) * z) for z in cocycles] for i in xs)
+    rows = [{j: c for j, p in enumerate(row) if (c := cochains._top_coordinate(n, p))} for row in products]
+    return len(_forward(rows)) == len(xs)
 
 
 def pairing_determinant(m: SullivanModel, generator_degree: int = 2) -> int | Fraction:

@@ -789,7 +789,37 @@ def test_betti_numbers_of_an_elliptic_pure_model_build_no_cochain_complex():
     assert m._cochains is not None
 
 
-# -- Poincare duality from the Groebner quotient --------------------------------------
+@st.composite
+def models_past_a_regular_sequence(draw, even_degrees=(2, 4), min_even=1):
+    """min_even-3 even generators of the given degrees (2 and 4 by default)
+    and 1, 2, n or n + 1 odd ones, n the number of even ones, with random
+    images of degree 2-8, sparse (possibly zero) or dense, all of them
+    sometimes multiples of one common form."""
+    n = draw(st.integers(min_even, 3))
+    even = draw(st.lists(st.sampled_from(even_degrees), min_size=n, max_size=n))
+    step = gcd(*even)
+    reachable = [d for d in (2, 4, 6, 8) if d % step == 0]
+    odd = draw(st.sampled_from(list(dict.fromkeys((n + 1, n, 2, 1)))))
+    image_degrees = draw(st.lists(st.sampled_from(reachable), min_size=odd, max_size=odd))
+    table = GeneratorTable(
+        [(f"x{i}", d) for i, d in enumerate(even)] + [(f"y{j}", d - 1) for j, d in enumerate(image_degrees)]
+    )
+    pad = (0,) * len(image_degrees)
+    coefficients = draw(st.sampled_from(((0, 0, 1, -1, 2, -3), (1, -1, 2, -3))))
+
+    def form(d):
+        terms = {mono + pad: draw(st.sampled_from(coefficients)) for mono in _even_exponent_vectors(tuple(even), d)}
+        return table.element({mono: c for mono, c in terms.items() if c})
+
+    common = draw(st.sampled_from([None, None, None] + reachable[:2]))
+    factor = form(common) if common else None
+    differential = {}
+    for j, d in enumerate(image_degrees):
+        differential[f"y{j}"] = form(d - common) * factor if common and d >= common else form(d)
+    return SullivanModel(table, differential)
+
+
+# -- Poincare duality of pure elliptic models from Halperin's theorem ---------------
 
 
 def complex_pairing_rank(m, n):
@@ -809,44 +839,63 @@ def complex_pairing_rank(m, n):
     return RationalMatrix.from_rows(rows, len(cocycles)).rank()
 
 
-def reduced_basis_pairing(m, xs, n):
-    """The pairing of PureQuotient.pairing, its columns in the same order,
-    from normal forms by the reduced Groebner basis of the weighted images.
-    A test oracle only."""
-    ring, images, step, weights = sullivan.model._weighted_images(m)
-    gb = buchberger(images, ring)
-    standard = []
-    for a in _even_exponent_vectors(tuple(weights), (n - 2) // step):
-        mono = tuple(e * w for e, w in zip(a, weights))
-        if not any(all(map(le, lead, mono)) for lead in gb.leading_monomials()):
-            standard.append(mono)
-    return tuple(
-        tuple(sum(gb.normal_form(ring.variable(p) * ring.monomial(s)).terms.values()) for s in standard) for p in xs
-    )
+def complex_duality_verdict(m):
+    """poincare_duality_check read on the cochain complex alone, of a copy of
+    the model whose quotient is set aside: Betti symmetry, b_n = 1 and a
+    pairing of the degree-two generators of full rank.  A test oracle only."""
+    n = m.formal_dimension_claim()
+    if n < 0:
+        return False
+    on_complex = copy.copy(m)
+    on_complex._quotient = None
+    betti = complex_betti(on_complex, n)
+    if betti[n] != 1 or betti != betti[::-1]:
+        return False
+    xs = [i for i, d in enumerate(m.table.degrees) if d == 2]
+    return not xs or n < 4 or complex_pairing_rank(on_complex, n) == len(xs)
 
 
 def assert_duality_routes_agree(m):
-    """poincare_duality_check gives the same answer as on a copy of the model
-    whose quotient is set aside.  When the quotient route applies and reaches
-    the pairing, its pairing is that of the reduced Groebner basis and has
-    the complex's rank."""
-    on_complex = copy.copy(m)
-    on_complex._quotient = None
-    assert poincare_duality_check(m) == poincare_duality_check(on_complex)
-    quotient = m.quotient()
-    n = m.formal_dimension_claim()
-    xs = [m.table.even_indices().index(i) for i, d in enumerate(m.table.degrees) if d == 2]
-    if quotient is None or not xs or n < 4:
-        return
-    assert quotient.betti(n)[n] == 1
-    pairing = quotient.pairing(xs, n)
-    assert pairing.data == reduced_basis_pairing(m, xs, n)
-    assert pairing.rank() == complex_pairing_rank(m, n)
+    """poincare_duality_check gives the verdict of the cochain complex alone."""
+    assert poincare_duality_check(m) == complex_duality_verdict(m)
 
 
-@settings(deadline=None, max_examples=100)
+@st.composite
+def models_with_a_degree_one_generator(draw):
+    """A model of `models_past_a_regular_sequence` with a degree-two
+    generator and one more odd generator u of degree 1, whose image is a
+    random combination of the degree-two generators, often zero: up to
+    n + 2 odd generators, and a linear term that a contractible pair
+    splits off."""
+    m = draw(models_past_a_regular_sequence())
+    names, degrees = m.table.names, m.table.degrees
+    xs = [i for i, d in enumerate(degrees) if d == 2]
+    assume(xs)
+    table = GeneratorTable(list(zip(names, degrees)) + [("u", 1)])
+    differential = {
+        name: table.element({mono + (0,): c for mono, c in image.terms.items()}) for name, image in zip(names, m.images)
+    }
+    differential["u"] = table.zero()
+    for i in xs:
+        differential["u"] += draw(st.sampled_from((0, 0, 0, 1, -1, 2))) * table.generator(i)
+    return SullivanModel(table, differential)
+
+
+@settings(deadline=None, max_examples=80)
 @given(random_pure_models())
 def test_duality_routes_agree_on_random_pure_models(m):
+    assert_duality_routes_agree(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(models_past_a_regular_sequence())
+def test_duality_routes_agree_past_a_regular_sequence(m):
+    assert_duality_routes_agree(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(models_with_a_degree_one_generator())
+def test_duality_routes_agree_with_a_degree_one_generator(m):
     assert_duality_routes_agree(m)
 
 
@@ -877,6 +926,29 @@ def test_a_degenerate_pairing_fails_duality_on_both_routes(m):
     assert_duality_routes_agree(m)
 
 
+def non_elliptic_pure_models():
+    """Pure models that are not elliptic, whose pairing is read on the
+    cochain complex: x of degree 2 and a closed y of degree 5, with
+    b = (1, 0, 1, 0, 1) to the claimed formal dimension 4; and two images
+    with the common factor x0, whose Betti numbers pass."""
+    table = GeneratorTable([("x", 2), ("y", 5)])
+    yield SullivanModel(table, {}), True
+    table = GeneratorTable([("x0", 2), ("x1", 4), ("y0", 5), ("y1", 7)])
+    x0, x1 = table.generator("x0"), table.generator("x1")
+    yield SullivanModel(table, {"y0": -3 * x0**3 + 2 * x0 * x1, "y1": 2 * x0**4 + x0**2 * x1}), False
+
+
+@pytest.mark.parametrize("m, verdict", non_elliptic_pure_models())
+def test_a_non_elliptic_pure_model_reads_its_pairing_on_one_complex(monkeypatch, m, verdict):
+    assert m.is_pure() and not pure_is_elliptic(m)
+    built = []
+    complex_class = sullivan.model.CochainComplex
+    monkeypatch.setattr(sullivan.model, "CochainComplex", lambda m: built.append(1) or complex_class(m))
+    assert poincare_duality_check(m) == verdict
+    assert len(built) == 1
+    assert_duality_routes_agree(m)
+
+
 def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
     calls = count_calls(monkeypatch, _pair_loop)
     built = []
@@ -889,14 +961,15 @@ def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
     assert len(calls) == 1
     assert m._cochains is None and not built
     # a model off the quotient route reads its Betti numbers from two Hilbert
-    # functions, and builds its complex once, for the pairing; its closed y3
-    # makes the quotient by all images the one by the other two, so one loop
+    # functions; its closed y3 makes the quotient by all images the one by
+    # the other two, so one loop; and it is elliptic, so its pairing needs
+    # no complex
     m = dim7_sigma_model(2)
     calls.clear()
     betti_numbers(m, 14)
     assert len(calls) == 1 and not built
     assert poincare_duality_check(m)
-    assert len(built) == 1
+    assert not built
 
 
 def outcome(f, *args):
@@ -959,10 +1032,10 @@ def test_top_class_readings_build_no_complex_and_no_reduced_basis(monkeypatch, c
     m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
     assert m.quotient() is not None and pairing_determinant(m) == -1
     assert len(built) == 1
-    # verify-paper builds a complex only for the pairings of two duality checks
+    # verify-paper builds none: its duality checks are all on elliptic pure models
     built.clear()
     assert main(["verify-paper"]) == 0
-    assert built == [dim7_sigma_model(2), dim7_rank3_model()]
+    assert built == []
 
 
 def test_duality_checks_the_model_first():
@@ -1034,36 +1107,6 @@ def test_three_images_with_no_finite_pair_fall_back_to_the_complex():
     assert sullivan.model._sub_quotient_betti(m, 7) is None
     assert betti_numbers(m, 7) == complex_betti(copy.copy(m), 7)
     assert m._cochains is not None
-
-
-@st.composite
-def models_past_a_regular_sequence(draw, even_degrees=(2, 4), min_even=1):
-    """min_even-3 even generators of the given degrees (2 and 4 by default)
-    and 1, 2, n or n + 1 odd ones, n the number of even ones, with random
-    images of degree 2-8, sparse (possibly zero) or dense, all of them
-    sometimes multiples of one common form."""
-    n = draw(st.integers(min_even, 3))
-    even = draw(st.lists(st.sampled_from(even_degrees), min_size=n, max_size=n))
-    step = gcd(*even)
-    reachable = [d for d in (2, 4, 6, 8) if d % step == 0]
-    odd = draw(st.sampled_from(list(dict.fromkeys((n + 1, n, 2, 1)))))
-    image_degrees = draw(st.lists(st.sampled_from(reachable), min_size=odd, max_size=odd))
-    table = GeneratorTable(
-        [(f"x{i}", d) for i, d in enumerate(even)] + [(f"y{j}", d - 1) for j, d in enumerate(image_degrees)]
-    )
-    pad = (0,) * len(image_degrees)
-    coefficients = draw(st.sampled_from(((0, 0, 1, -1, 2, -3), (1, -1, 2, -3))))
-
-    def form(d):
-        terms = {mono + pad: draw(st.sampled_from(coefficients)) for mono in _even_exponent_vectors(tuple(even), d)}
-        return table.element({mono: c for mono, c in terms.items() if c})
-
-    common = draw(st.sampled_from([None, None, None] + reachable[:2]))
-    factor = form(common) if common else None
-    differential = {}
-    for j, d in enumerate(image_degrees):
-        differential[f"y{j}"] = form(d - common) * factor if common and d >= common else form(d)
-    return SullivanModel(table, differential)
 
 
 @settings(deadline=None, max_examples=120)
