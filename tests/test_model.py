@@ -881,7 +881,7 @@ def models_with_a_degree_one_generator(draw):
     return SullivanModel(table, differential)
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=100)
 @given(random_pure_models())
 def test_duality_routes_agree_on_random_pure_models(m):
     assert_duality_routes_agree(m)
