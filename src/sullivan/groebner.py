@@ -7,10 +7,12 @@ as a ``Fraction``, never a float; the ring's constructors normalise with
 Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
 the regular-sequence decision.  Reduction is fraction-free, on primitive
-integer terms, and the pair loop queues only pairs whose leads share a
-variable.  It stops once its leads contain every monomial of the degree of
-the least pending pair, as every pair left would then reduce to zero;
-only the leads of a finite quotient can do that.  All Hilbert data is read
+integer terms.  The pair loop starts from the inputs, each reduced by the
+earlier ones when an earlier lead divides its lead, so a duplicate drops
+out, and it queues only pairs whose leads share a variable.  It stops
+once its leads contain every monomial of the degree of the least pending
+pair, as every pair left would then reduce to zero; only the leads of a
+finite quotient can do that.  All Hilbert data is read
 from the Hilbert series of the lead-term ideal, whose numerator comes from
 the Bayer-Stillman recursion on the packed leads, cut at the degree whose
 Hilbert values are asked for.
@@ -423,7 +425,9 @@ class GroebnerBasis:
     """Q[x1..xn] modulo a homogeneous ideal, held as a Groebner basis under
     grevlex: primitive integer terms on packed monomials, with their packing
     and packed leads.  `buchberger` interreduces it to the reduced basis;
-    `_pair_loop` returns it as its pair loop leaves it.  Normal forms and
+    `_pair_loop` returns it not interreduced: the inputs, each reduced by
+    the earlier ones when an earlier lead divides its lead, and the reduced
+    S-polynomials.  Normal forms and
     Hilbert data depend only on the lead ideal, so they read the same off
     either.  A pair loop capped at D has the leads of the ideal up to
     degree D, so its readings are exact up to D, and the Hilbert values of
@@ -527,43 +531,57 @@ class GroebnerBasis:
         return 0 if order is None else order[1]
 
 
-def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[Polynomial], PolyRing]:
-    """The nonzero inputs and their ring, after checking that they share
-    the ring and are homogeneous."""
+def _form_degree(p: Polynomial) -> int | None:
+    """The degree of p when it is homogeneous, -1 when it is zero, and None otherwise."""
+    degrees = {sum(m) for m in p.terms}
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else -1
+
+
+def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[Polynomial], PolyRing, list[int]]:
+    """The nonzero inputs, their ring and their degrees, after checking that
+    they share the ring and are homogeneous."""
     polys = [p for p in polys if not p.is_zero()]
     if ring is None:
         if not polys:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = polys[0].ring
+    degrees = []
     for p in polys:
         if p.ring != ring:
             raise ValueError("generators live in different rings")
-        if not p.is_homogeneous():
+        if (degree := _form_degree(p)) is None:
             raise ValueError("generators must be homogeneous")
-    return polys, ring
+        degrees.append(degree)
+    return polys, ring, degrees
 
 
 def _pack(polys: Sequence[Polynomial], ring: PolyRing, width: int) -> GroebnerBasis:
     """The nonzero polynomials of degree below 2**width as they are, each
     as primitive integer terms packed `width` bits wide: a Groebner basis
-    when they are one, and the generators that `_pairs` starts from."""
+    when they are one, and the inputs that `_pairs` starts from."""
     code = _Packing(len(ring.variables), width)
     terms = [_clear_denominators(code.pack_terms(p.terms))[0] for p in polys]
     leads = list(map(max, terms))
     return GroebnerBasis(ring, code, list(map(_primitive, terms, leads)), leads)
 
 
-def _pair_loop(polys: Iterable[Polynomial], ring: PolyRing | None, cap: int | None = None) -> GroebnerBasis:
+def _pair_loop(
+    polys: Iterable[Polynomial], ring: PolyRing | None, cap: int | None = None, degrees: list[int] | None = None
+) -> GroebnerBasis:
     """A Groebner basis, not interreduced, of the homogeneous inputs, up to
-    the cap when one is given; zero inputs are dropped, and the ring is
-    that of the inputs when none is given.
+    the cap when one is given (`_pairs`); zero inputs are dropped, and the
+    ring is that of the inputs when none is given.  Given their `degrees`,
+    the inputs are taken as `_checked` leaves them, and not checked again.
 
     The packing starts wide enough for twice the largest input degree and
     for the cap, so a capped loop never outgrows it.  A pair whose lcm has
     outgrown it restarts the loop at twice the width.
     """
-    polys, ring = _checked(polys, ring)
-    width = _width(max(2 * max((p.degree() for p in polys), default=0), cap or 0))
+    if degrees is None:
+        polys, ring, degrees = _checked(polys, ring)
+    width = _width(max(2 * max(degrees, default=0), cap or 0))
     while (found := _pairs(_pack(polys, ring, width), cap)) is None:
         width *= 2
     return found
@@ -572,6 +590,17 @@ def _pair_loop(polys: Iterable[Polynomial], ring: PolyRing | None, cap: int | No
 def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     """The body of `_pair_loop` from the packed inputs `start`; None once a
     pair to be reduced has an lcm of degree 2**width or more.
+
+    The inputs join the basis in turn.  One whose lead an earlier lead
+    divides is first reduced by the elements before it and made primitive
+    at its new lead, as a reduced S-polynomial is; one that reduces to
+    zero, such as a duplicate, drops out.  The ideal is the same, and the
+    loop's leads up to the cap are those of the ideal whatever generators
+    it starts from, so every reading of the basis is unchanged.  Without
+    it, inputs that share a lead would be cleared pairwise by S-pairs of
+    their own degree, and each would stay in the basis and form more pairs.
+    An input whose lead no earlier lead divides is taken as it is, after
+    one pass over the leads.
 
     Pairs are taken by the normal strategy: the pending pair whose lcm is
     least in grevlex goes first, ties broken by index, so pairs leave the
@@ -630,6 +659,13 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             powers[support] = min(a, powers.get(support, a))
             boxed = 0 in powers or len(powers) == code.n
 
+    def add_remainder(work: dict[int, int]) -> None:
+        """Reduce `work` by the basis, consuming it, and add a nonzero remainder, primitive at its lead."""
+        r = _reduce(work, basis, leads, guard)[0]
+        if r:
+            lead = max(r)
+            add_generator(_primitive(r, lead), lead)
+
     def covered(d: int) -> bool:
         """Whether every monomial of degree d, below 2**width, is a multiple
         of a lead, once `boxed`; False also when more than len(pending)
@@ -674,7 +710,10 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
         )
 
     for g, lead in zip(start.basis, start.leads):
-        add_generator(g, lead)
+        if any(not (lead - h) & guard for h in leads):
+            add_remainder(dict(g))
+        else:
+            add_generator(g, lead)
     while queue:
         if cap is not None and code.degree(queue[0][0]) > cap:
             break
@@ -692,10 +731,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             continue  # the S-polynomial reduces to zero
         if lcm >= overflow:
             return None
-        r = _reduce(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm), basis, leads, guard)[0]
-        if r:
-            lead = max(r)
-            add_generator(_primitive(r, lead), lead)
+        add_remainder(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm))
     return GroebnerBasis(start.ring, code, basis, leads)
 
 
@@ -714,7 +750,9 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     divides its lcm and neither of that element's pairs with the two is
     pending.  The loop ends early once the leads contain every monomial of
     the least pending degree, since every pair left then reduces to zero
-    (`_pairs`).  Basis elements are primitive integer terms throughout, and
+    (`_pairs`).  The loop starts from the inputs, each reduced by the
+    earlier ones when an earlier lead divides its lead, so a duplicate
+    drops out.  Basis elements are primitive integer terms throughout, and
     `generators` makes them monic.
     """
     found = _pair_loop(polys, ring)
@@ -736,7 +774,9 @@ def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = Non
     return _finite_basis(polys, ring) is not None
 
 
-def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis | None:
+def _finite_basis(
+    polys: Iterable[Polynomial], ring: PolyRing | None = None, degrees: list[int] | None = None
+) -> GroebnerBasis | None:
     """A Groebner basis, not interreduced, of the ideal of the homogeneous
     inputs when Q[x1..xn] modulo it is finite-dimensional, and None when
     it is not.
@@ -760,14 +800,16 @@ def _finite_basis(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> 
     lead ideal.  The pair loop may end before the pairs of degree D are
     popped, once the leads of G already cover every monomial of D (see
     `_pairs`); G is then the same basis and still a full one.
+
+    Given their `degrees`, the inputs are taken as `_checked` leaves them.
     """
-    polys, ring = _checked(polys, ring)
+    if degrees is None:
+        polys, ring, degrees = _checked(polys, ring)
     n = len(ring.variables)
-    degrees = sorted((p.degree() for p in polys), reverse=True)
     if len(polys) < n and 0 not in degrees:
         return None
-    cap = sum(degrees[:n]) - n + 1
-    found = _pair_loop(polys, ring, cap)
+    cap = sum(sorted(degrees, reverse=True)[:n]) - n + 1
+    found = _pair_loop(polys, ring, cap, degrees)
     # the guard bit of each pure power's one nonzero field; 0 for the lead 1
     pure = {s for s in map(found.code.support, found.leads) if not s & (s - 1)}
     return found if 0 in pure or len(pure) == n else None
@@ -778,22 +820,25 @@ def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
 
     Decided by codimension: a length-k homogeneous sequence is regular iff
     the quotient has Krull dimension n - k.  For k = n that says the
-    quotient is finite, which `has_finite_quotient` decides from a basis
+    quotient is finite, which `_finite_basis` decides from a basis
     truncated at Lazard's degree (d1 - 1) + ... + (dn - 1) + 1; for k < n
     the dimension is read from the leads of a whole pair loop, with no
     interreduction.  The empty sequence is regular; zero entries or more
-    entries than variables are not.
+    entries than variables are not.  The entries are checked here, once,
+    and their degrees passed on.
     """
     polys = list(polys)
+    degrees = []
     for p in polys:
         if p.ring != ring:
             raise ValueError("sequence entries live in a different ring")
-        if not p.is_homogeneous():
+        if (degree := _form_degree(p)) is None:
             raise ValueError("sequence entries must be homogeneous")
-        if p.terms and p.degree() == 0:
+        if degree == 0:
             raise ValueError("sequence entries must have positive degree")
-    if any(p.is_zero() for p in polys):
-        return False
+        degrees.append(degree)
+    if -1 in degrees:
+        return False  # a zero entry
     n = len(ring.variables)
     k = len(polys)
     if k == 0:
@@ -801,5 +846,5 @@ def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:
     if k > n:
         return False
     if k == n:
-        return has_finite_quotient(polys, ring)
-    return _pair_loop(polys, ring).krull_dimension() == n - k
+        return _finite_basis(polys, ring, degrees) is not None
+    return _pair_loop(polys, ring, None, degrees).krull_dimension() == n - k

@@ -572,7 +572,10 @@ def cup_product_cubic_form(m: SullivanModel) -> CubicForm:
 def poincare_duality_check(m: SullivanModel) -> bool:
     """At the claimed formal dimension n: Betti symmetry, one-dimensional
     top degree, and, when there are degree-two generators x_p and n >= 4,
-    a pairing of them against H^{n-2} into H^n of rank #x_p.
+    a pairing of them against H^{n-2} into H^n of rank #x_p.  That rank is
+    dim H^2 only on a minimal model.  On one that is not, such as SU(3)/T
+    with dy1 = x1 + x2 + x3, the check reads False even when H* is a
+    Poincaré duality algebra; `validate` reports such a model.
 
     A pure elliptic model passes the pairing check exactly when every
     degree-one generator is closed, once the Betti checks pass:

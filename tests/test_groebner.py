@@ -29,7 +29,7 @@ from sullivan.groebner import (
     has_finite_quotient,
     is_regular_sequence,
 )
-from sullivan.linalg import RationalMatrix
+from sullivan.linalg import RationalMatrix, _echelon
 from sullivan.model import _weighted_images
 from sullivan.parsing import parse_polynomial, render_polynomial
 
@@ -337,6 +337,37 @@ def homogeneous_systems(draw, degrees=(2,), max_polys=4):
     return ring, system
 
 
+@st.composite
+def colliding_systems(draw, degrees=(1, 2, 3)):
+    """A ring of 1-4 variables and forms of the given degrees whose leads
+    collide: 1-3 drawn forms, dense or sparse, then 1-3 made from them (a
+    copy, a scalar multiple, or the sum of two of one degree), sometimes a
+    nonzero constant, all in a drawn order."""
+    ring = SMALL_RINGS[draw(st.integers(1, 4))]
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.sampled_from(degrees))
+        monos = ring.monomials_of_degree(degree)
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+            form = ring.from_terms(dict(zip(monos, coeffs)))
+        else:
+            form = draw(small_polynomials(ring, degree))
+        forms.append(form or ring.monomial(monos[0]))
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(st.sampled_from(forms))
+        kind = draw(st.sampled_from(("copy", "multiple", "sum")))
+        if kind == "multiple":
+            f = f.scale(draw(SCALARS))
+        elif kind == "sum":
+            f = f + draw(st.sampled_from([g for g in forms if g.degree() == f.degree()]))
+        if not f.is_zero():
+            forms.append(f)
+    if draw(st.integers(0, 4)) == 0:
+        forms.append(ring.scalar(draw(SCALARS)))
+    return ring, draw(st.permutations(forms))
+
+
 def _lead(p):
     lm = p.leading_monomial()
     return lm, p.terms[lm]
@@ -435,7 +466,7 @@ def _assert_reduced_groebner_basis(gb, inputs):
 
 
 @settings(deadline=None)
-@given(homogeneous_systems())
+@given(st.one_of(homogeneous_systems(), colliding_systems(degrees=(2,))))
 def test_hilbert_function_matches_linear_algebra_on_quadrics(case):
     ring, system = case
     n = len(ring.variables)
@@ -497,9 +528,9 @@ def _seeded_dense_systems(n, count=4):
     "n, expected",
     [
         (2, "a345e5861b061e48d32cf9f8e9d64f21a954141d587fcf61895d5dd59e0e509c"),
-        (3, "b724ad03d5d6abeedc0c00152489a885ee505244021b0ec161bd75d2dcd08b4d"),
-        (4, "73d07fb9ee63f55ed96d3df0f0cc2ecde28419c98fd3f1b4e79b1a1fa56a9447"),
-        (5, "ffb7bd502accff52dccb7cdeae37baf06afe613cf1a0258b3c57238264948457"),
+        (3, "8c643b93f89c67650b4f96550611791324d0e4bce95dcfa5e7255a45c98f1aeb"),
+        (4, "d0eb9d22d16ae407e223c47683b79a94bef5158f0d177c490c1393b5ed22bf1e"),
+        (5, "5eecce09c4e4339031fa5eaaf15ba0d1f3d52b146920ec9d20cf42050860df8d"),
     ],
 )
 def test_pair_loop_bases_of_seeded_dense_systems_are_pinned(n, expected):
@@ -512,6 +543,73 @@ def test_pair_loop_bases_of_seeded_dense_systems_are_pinned(n, expected):
             gb = groebner._pair_loop(forms, ring, cap)
             digest.update(repr([(sorted(g.items()), lead) for g, lead in zip(gb.basis, gb.leads)]).encode())
     assert digest.hexdigest() == expected
+
+
+def _minimal_leads(gb, cap=None):
+    """The minimal generators of the lead ideal of gb, unpacked, up to the cap when one is given."""
+    leads = map(gb.code.unpack, groebner._minimal(gb.leads, gb.code.guard))
+    return [m for m in leads if cap is None or sum(m) <= cap]
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2, "5b3c4d758a25efd2b02139af92c731064cea253e1586ed51794ffb66fc5557d8"),
+        (3, "082170703c6fffeb3c2d2ef0fb382b2b09eee8eb6e58214f6ec7fddb8d098333"),
+        (4, "677dd9e584d1ca534e704c2566666c484db96d8f3ba6be2cc4de523e96b476ed"),
+        (5, "f50aef27b0243c76aa9f807992fbcffe56467dc60b38d62e50bcb23fef8cd337"),
+    ],
+)
+def test_lead_ideals_and_reduced_bases_of_seeded_dense_systems_are_pinned(n, expected):
+    """What the ideal alone fixes, on the systems of the test above: the
+    minimal leads of each pair loop up to its cap, and the reduced basis.
+    Any pair loop that is correct keeps this digest, whatever basis it
+    leaves."""
+    digest = hashlib.sha256()
+    for ring, forms in _seeded_dense_systems(n):
+        for cap in (None, 2, 3, 4):
+            digest.update(repr(_minimal_leads(groebner._pair_loop(forms, ring, cap), cap)).encode())
+        digest.update(repr([sorted(g.terms.items()) for g in buchberger(forms, ring).generators]).encode())
+    assert digest.hexdigest() == expected
+
+
+def _echelon_by_degree(forms, ring):
+    """The span of the forms in each degree, as the rows of its reduced
+    echelon form: forms with distinct leads."""
+    out = []
+    for d in sorted({f.degree() for f in forms}):
+        monos = ring.monomials_of_degree(d)  # descending grevlex, so each pivot is a lead
+        column = {m: j for j, m in enumerate(monos)}
+        rows = [{column[m]: c for m, c in f.terms.items()} for f in forms if f.degree() == d]
+        out += [ring.from_terms({monos[j]: x for j, x in row.items()}) for row in _echelon(rows).values()]
+    return out
+
+
+@settings(deadline=None)
+@given(colliding_systems(), st.randoms(use_true_random=False))
+@example((R3, polys(R3, "x1^2 + x2*x3", "x1^2 - x2^2", "x1^2 + x2*x3", "x1^2 + x1*x3 - x3^2")), random.Random(0))
+def test_reduced_bases_do_not_depend_on_how_the_inputs_are_written(case, rng):
+    """Repeated inputs, multiples and sums of inputs, and a constant leave
+    the reduced basis as it is: that of the distinct inputs in any order."""
+    ring, forms = case
+    distinct = list(dict.fromkeys(forms))
+    rng.shuffle(distinct)
+    assert buchberger(forms, ring) == buchberger(distinct, ring)
+
+
+@settings(deadline=None)
+@given(colliding_systems(), st.sampled_from((None, 2, 3, 4, 5)))
+@example((R3, polys(R3, "x1^2 + x2*x3", "x1^2 - x2^2", "x1*x2", "x1^2 + x1*x3 - x3^2", "x1^3")), 2)
+def test_pair_loop_leads_do_not_depend_on_how_the_inputs_are_written(case, cap):
+    """The minimal leads of a pair loop from inputs whose leads collide,
+    from the echelon form of their span in each degree, whose leads are
+    distinct, and of the reduced basis agree up to the cap, and in every
+    degree with none.  Above the cap a loop holds what is left of the
+    inputs there, which depends on how they are written."""
+    ring, forms = case
+    loop = _minimal_leads(groebner._pair_loop(forms, ring, cap), cap)
+    assert loop == _minimal_leads(groebner._pair_loop(_echelon_by_degree(forms, ring), ring, cap), cap)
+    assert loop == _minimal_leads(buchberger(forms, ring), cap)
 
 
 # -- Hilbert data from the series against the standard monomials, and exact
@@ -1068,12 +1166,13 @@ def test_the_pair_loop_stops_once_its_leads_cover_the_pending_degree(monkeypatch
 
 
 def test_the_pair_loop_of_no_variables_and_of_the_unit_ideal():
-    """With no variables every nonzero input is the lead 1 and no pair is
-    formed.  A constant among the inputs makes the unit ideal, whose lead
-    1 covers every degree: the loop keeps the inputs as they are, capped
-    or not."""
+    """With no variables every nonzero input has the lead 1: the first
+    joins the basis, and every later one reduces to zero by it.  A constant
+    among the inputs makes the unit ideal, whose lead 1 covers every
+    degree; here no lead divides a later one, so the loop keeps the inputs
+    as they are, capped or not."""
     q = SMALL_RINGS[0]
-    assert groebner._pair_loop([q.scalar(5), q.scalar(Fraction(1, 3))], q).leads == [0, 0]
+    assert groebner._pair_loop([q.scalar(5), q.scalar(Fraction(1, 3))], q).leads == [0]
     assert groebner._pair_loop([], q).basis == []
     assert buchberger([q.scalar(5)], q).generators == (q.one(),)
     assert buchberger([], q).generators == ()

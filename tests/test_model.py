@@ -949,6 +949,25 @@ def test_a_non_elliptic_pure_model_reads_its_pairing_on_one_complex(monkeypatch,
     assert_duality_routes_agree(m)
 
 
+def test_the_duality_check_of_a_model_that_is_not_minimal_asks_for_rank_the_number_of_x_p():
+    """The flag manifold SU(3)/T as a pure model that is not minimal: x1,
+    x2, x3 of degree 2, y1, y2, y3 of degrees 1, 3, 5 and dy_k the k-th
+    elementary symmetric polynomial.  It is elliptic, and its cohomology is
+    a Poincaré duality algebra with b = (1, 0, 2, 0, 2, 0, 1).  The check
+    still reads False, on either route: it asks the pairing for rank #x_p
+    = 3, which is dim H^2 only on a minimal model, and here the linear
+    term of dy1 leaves dim H^2 = 2.  `validate` names that term."""
+    table = GeneratorTable([("x1", 2), ("x2", 2), ("x3", 2), ("y1", 1), ("y2", 3), ("y3", 5)])
+    x1, x2, x3 = map(table.generator, ("x1", "x2", "x3"))
+    m = SullivanModel(table, {"y1": x1 + x2 + x3, "y2": x1 * x2 + x1 * x3 + x2 * x3, "y3": x1 * x2 * x3})
+    assert m.is_pure() and pure_is_elliptic(m)
+    assert betti_numbers(m, 6) == (1, 0, 2, 0, 2, 0, 1)
+    assert not poincare_duality_check(m)
+    assert_duality_routes_agree(m)
+    violation = m.validate()
+    assert (violation.kind, violation.generator) == ("minimality", "y1")
+
+
 def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
     calls = count_calls(monkeypatch, _pair_loop)
     built = []
