@@ -37,8 +37,10 @@ integer ``<`` is the monomial order, a product is ``+``, b divided by a is
 set.  The width is worked out from the inputs: at least `_MIN_WIDTH`, and
 enough for twice the largest input degree and for the cap in the pair loop.
 A pair whose lcm outgrows the width restarts the pair loop at twice the
-width, and a normal form or standard-monomial reading of a degree that
-outgrows a basis's width packs its generators again, wide enough (`_pack`).
+width, and a normal form, standard monomial or coordinate asked in a
+degree that outgrows a basis's width packs its generators again, wide
+enough (`_pack`).  A normal form drops, unreduced, every homogeneous
+component whose degree the leads cover (`_covered`).
 The public ``Polynomial`` and ``GroebnerBasis`` API keeps tuple exponent
 vectors; monomials are packed on the way in and unpacked on the way out.
 """
@@ -420,6 +422,60 @@ def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degre
     return values
 
 
+def _file_lead(lead: int, code: _Packing, powers: dict[int, int], others: list[int]) -> None:
+    """Add the packed lead to `powers`, which maps the support bit of x_i to the least a with x_i^a a
+    lead and 0 to 0 for the lead 1, or else to `others`, the leads that are neither, as `_covered` reads them."""
+    support = code.support(lead)
+    if support & (support - 1):
+        others.append(lead)
+    else:
+        a = code.degree(lead)
+        powers[support] = min(a, powers.get(support, a))
+
+
+def _covered(d: int, powers: dict[int, int], others: list[int], code: _Packing, budget: int) -> bool:
+    """Whether every monomial of degree d, below 2**width, is a multiple of
+    a lead, the leads filed by `_file_lead` into `powers` and `others`;
+    False also when more than `budget` monomials would have to be looked at.
+
+    The test needs 1, or a pure power of every variable, among the leads (a
+    finite quotient has them): x_i^d is standard when x_i has no pure
+    power, and 1 is when there are no variables.  With x_i^{a_i} the least
+    pure power of x_i among the leads, only the e with e_i < a_i for every i
+    can be standard, and there is none of degree d when d exceeds the sum
+    of the a_i − 1.  Otherwise each monomial of degree d in that box is
+    looked at, in one pass over `others`; past `budget` of them the test
+    gives up.
+    """
+    if 0 in powers:
+        return True  # the unit ideal
+    n = code.n
+    if not n or len(powers) < n:
+        return False
+    tops = [powers[1 << (code.field * i + code.width)] - 1 for i in range(n)]
+    if d > sum(tops):
+        return True
+    after = [sum(tops[i + 1 :]) for i in range(n)]  # the room left past x_i
+    units = [((1 << code.field * i) * code.spread) & code.full for i in range(n)]  # x_i packed
+    guard = code.guard
+
+    def points(i: int, r: int, k: int):
+        # k times each monomial of degree r in the box on the variables
+        # from index i on; e_i leaves no more than the room past it, so
+        # every branch ends in a point
+        if i == n - 1:
+            yield k + r * units[i]
+            return
+        for e in range(max(0, r - after[i]), min(tops[i], r) + 1):
+            yield from points(i + 1, r - e, k + e * units[i])
+
+    for k in points(0, d, 0):
+        if not budget or all((k - g) & guard for g in others):
+            return False  # a standard monomial, or the budget spent
+        budget -= 1
+    return True
+
+
 @dataclass(slots=True, eq=False)
 class GroebnerBasis:
     """Q[x1..xn] modulo a homogeneous ideal, held as a Groebner basis under
@@ -468,11 +524,43 @@ class GroebnerBasis:
         width = _width(degree)
         return self if width <= self.code.width else _pack(self.generators, self.ring, width)
 
+    def _covers(self, d: int, budget: int) -> bool:
+        """Whether the leads cover degree d, looking at no more than `budget` monomials (`_covered`)."""
+        powers: dict[int, int] = {}
+        others: list[int] = []
+        for lead in self.leads:
+            _file_lead(lead, self.code, powers, others)
+        return _covered(d, powers, others, self.code, budget)
+
     def normal_form(self, p: Polynomial) -> Polynomial:
+        """The remainder of p on division by the basis, in which no lead divides a term.
+
+        Each homogeneous component of p whose degree the leads cover is
+        dropped (`_covers`, with that component's term count as its
+        budget); the rest goes to one `_reduce`, and when nothing is left
+        the result is zero with no reduction at all.  The result is the
+        same as that of reducing all of p.  Every basis element is
+        homogeneous, so a step of `_reduce` on a term of degree d subtracts
+        only terms of degree d, and the degrees never mix.  When every
+        monomial of degree d is divisible by a lead, no degree-d term ever
+        reaches the remainder.  That holds for any list of homogeneous
+        elements, a Groebner basis or not: a capped `_pair_loop`, or the
+        non-monic lists that `_pack` takes as they are.  The other
+        components reduce as before; the remainder's values are exact
+        rationals, so they are unchanged in value and in ``int`` or
+        ``Fraction`` type.
+        """
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        q = self._fitting(p.degree())
-        work, den = _clear_denominators(q.code.pack_terms(p.terms))
+        parts: dict[int, dict[Monomial, int | Fraction]] = {}
+        for m, c in p.terms.items():
+            parts.setdefault(sum(m), {})[m] = c
+        q = self._fitting(max(parts, default=-1))
+        pack = q.code.pack
+        kept = {pack(m): c for d, part in parts.items() if not q._covers(d, len(part)) for m, c in part.items()}
+        if not kept:
+            return self.ring.zero()
+        work, den = _clear_denominators(kept)
         remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
         return Polynomial(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
@@ -482,26 +570,36 @@ class GroebnerBasis:
         return self.krull_dimension() <= 0
 
     def is_standard(self, m: Monomial) -> bool:
-        """Whether no lead divides the monomial m, of degree below 2**width."""
-        k = self.code.pack(m)
-        return all((k - lead) & self.code.guard for lead in self.leads)
+        """Whether no lead divides the monomial m."""
+        q = self._fitting(sum(m))
+        k = q.code.pack(m)
+        return all((k - lead) & q.code.guard for lead in q.leads)
 
     def standard_monomials(self, d: int) -> list[Monomial]:
-        return list(filter(self._fitting(d).is_standard, self.ring.monomials_of_degree(d)))
+        """The monomials of degree d that no lead divides, descending grevlex.  A degree the leads
+        cover has none, and is told by `_covers` with no enumeration: it looks at no more monomials
+        than there are of degree d."""
+        q = self._fitting(d)
+        if d > 0 and q._covers(d, comb(d + q.code.n - 1, d)):  # degree 0 has the one monomial 1
+            return []
+        return list(filter(q.is_standard, self.ring.monomials_of_degree(d)))
 
     def coordinate(self, m: Monomial) -> int | Fraction:
-        """The normal form of the monomial m, of degree below 2**width and in a degree of dimension at
-        most one, as a multiple of its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
-        remainder, multiplier = _reduce({self.code.pack(m): 1}, self.basis, self.leads, self.code.guard)
+        """The normal form of the monomial m, in a degree of dimension at most one, as a multiple of
+        its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
+        q = self._fitting(sum(m))
+        remainder, multiplier = _reduce({q.code.pack(m): 1}, q.basis, q.leads, q.code.guard)
         return _ratio(sum(remainder.values()), multiplier)
 
     def hilbert_function(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
         """Dimensions of the quotient in degrees 0..max_degree, from the series K(t)/prod (1 − t^{w_i})
         with K truncated there, x_i of weight weights[i] (1 by default) dividing every x_i-exponent of
-        the leads (`_hilbert_numerator`)."""
+        the leads (`_hilbert_numerator`); ValueError when a weight does not."""
         weights = weights or (1,) * self.code.n
-        if max(weights, default=1) > 1:  # every exponent is a multiple of 1
-            assert all(e % w == 0 for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights))
+        if max(weights, default=1) > 1 and any(  # every exponent is a multiple of 1
+            e % w for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights)
+        ):
+            raise ValueError("a weight does not divide an exponent of its variable in the leading monomials")
         return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
 
     def _order_at_one(self) -> tuple[int, int] | None:
@@ -610,24 +708,23 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     every degree up to the cap (a basis truncated at that degree).
 
     The loop also stops once every monomial of the pending degree d, the
-    degree of the least pending lcm, is a multiple of a lead.  This is
-    exact.  Every pair left has degree at least d, and every monomial of
-    degree at least d is then a multiple of a lead too.  A pair's
-    S-polynomial is homogeneous of its degree, and each step of its
-    reduction removes its leading term and leaves only terms of that same
-    degree, each again a multiple of a lead; so it reduces to zero.  No
-    pair left would add an element, so the basis is element for element
-    the one the whole loop returns, and when there is no cap, or d is at
-    most the cap, it is a full Groebner basis.
+    degree of the least pending lcm, is a multiple of a lead (`_covered`
+    describes the test).  This is exact.  Every pair left has degree at
+    least d, and every monomial of degree at least d is then a multiple of
+    a lead too.  A pair's S-polynomial is homogeneous of its degree, and
+    each step of its reduction removes its leading term and leaves only
+    terms of that same degree, each again a multiple of a lead; so it
+    reduces to zero.  No pair left would add an element, so the basis is
+    element for element the one the whole loop returns, and when there is
+    no cap, or d is at most the cap, it is a full Groebner basis.
 
-    The test needs 1, or a pure power of every variable, among the leads
-    (a finite quotient has them), and it runs at most once per degree and
-    number of leads.  A capped loop runs it only at the cap: the quotient
-    of n forms, when finite, is nonzero in every degree below Lazard's
-    bound, the cap of `_finite_basis`, so no lower degree can be covered.
-    It looks at no more monomials than there are pairs pending, each in one
-    pass over the other leads, as a pair's chain test passes over the
-    leads; past them it gives up, with no stop.
+    The test runs only once 1, or a pure power of every variable, is a
+    lead, and at most once per degree and number of leads.  A capped loop
+    runs it only at the cap: the quotient of n forms, when finite, is
+    nonzero in every degree below Lazard's bound, the cap of
+    `_finite_basis`, so no lower degree can be covered.  Its budget is the
+    number of pairs pending, as a pair's chain test passes over the leads;
+    past it the test gives up, with no stop.
     """
     code = start.code
     basis: list[dict[int, int]] = []
@@ -652,12 +749,8 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             if supports[i] & support:  # leads that share no variable make no pair
                 heappush(queue, (code.lcm(leads[i], lead), i, j))
                 pending.add((i, j))
-        if support & (support - 1):
-            others.append(lead)
-        else:
-            a = code.degree(lead)
-            powers[support] = min(a, powers.get(support, a))
-            boxed = 0 in powers or len(powers) == code.n
+        _file_lead(lead, code, powers, others)
+        boxed = 0 in powers or len(powers) == code.n
 
     def add_remainder(work: dict[int, int]) -> None:
         """Reduce `work` by the basis, consuming it, and add a nonzero remainder, primitive at its lead."""
@@ -665,39 +758,6 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
         if r:
             lead = max(r)
             add_generator(_primitive(r, lead), lead)
-
-    def covered(d: int) -> bool:
-        """Whether every monomial of degree d, below 2**width, is a multiple
-        of a lead, once `boxed`; False also when more than len(pending)
-        monomials would have to be looked at.  With x_i^{a_i} the least pure
-        power of x_i among the leads, only the e with e_i < a_i for every i
-        can be standard, and there is none of degree d when d exceeds the
-        sum of the a_i − 1."""
-        if 0 in powers:
-            return True  # the unit ideal
-        n = code.n
-        tops = [powers[1 << (code.field * i + code.width)] - 1 for i in range(n)]
-        if d > sum(tops):
-            return True
-        after = [sum(tops[i + 1 :]) for i in range(n)]  # the room left past x_i
-        units = [((1 << code.field * i) * code.spread) & code.full for i in range(n)]  # x_i packed
-
-        def points(i: int, r: int, k: int):
-            # k times each monomial of degree r in the box on the variables
-            # from index i on; e_i leaves no more than the room past it, so
-            # every branch ends in a point
-            if i == n - 1:
-                yield k + r * units[i]
-                return
-            for e in range(max(0, r - after[i]), min(tops[i], r) + 1):
-                yield from points(i + 1, r - e, k + e * units[i])
-
-        budget = len(pending)
-        for k in points(0, d, 0):
-            if not budget or all((k - g) & guard for g in others):
-                return False  # a standard monomial, or the budget spent
-            budget -= 1
-        return True
 
     def chain(i: int, j: int, lcm: int) -> bool:
         return any(
@@ -721,7 +781,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             d = code.degree(queue[0][0])
             if (cap is None or d == cap) and (d, len(leads)) != tested:
                 tested = d, len(leads)
-                if covered(d):
+                if _covered(d, powers, others, code, len(pending)):
                     break  # every pair left reduces to zero
         lcm, i, j = heappop(queue)
         pending.remove((i, j))

@@ -765,11 +765,29 @@ def test_truncated_numerator_reads_the_hilbert_values_up_to_top(case):
 
 
 def test_hilbert_function_checks_the_weights_above_one():
-    """A weight that does not divide an exponent of the leads is refused;
-    weights of all 1 read as no weights."""
+    """A weight that does not divide an exponent of the leads is refused
+    with a ValueError, also under ``python -O``; weights of all 1 read as
+    no weights."""
     gb = packed(R3, polys(R3, "x1^2*x2", "x2^3", "x3^4"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="weight"):
         gb.hilbert_function(6, (1, 2, 1))
+    with pytest.raises(ValueError, match="weight"):
+        packed(R2, polys(R2, "x1*x2")).hilbert_function(4, (2, 1))
+    script = (
+        "from sullivan.groebner import PolyRing, buchberger\n"
+        "R = PolyRing(('x', 'y'))\n"
+        "try:\n"
+        "    buchberger([R.monomial((1, 1))]).hilbert_function(4, (2, 1))\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        timeout=20,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))),
+    )
+    assert run.stdout == b"refused\n"
     assert gb.hilbert_function(6, (2, 1, 2)) == (1, 1, 3, 1, 3, 0, 2)
     assert gb.hilbert_function(6, (1, 1, 1)) == gb.hilbert_function(6) == (1, 3, 6, 8, 8, 7, 5)
 
@@ -805,7 +823,7 @@ def test_buchberger_is_invariant_under_scaling_the_inputs(case, data):
 def test_normal_form_is_linear_and_ignores_the_scale_of_generators(case, data):
     ring, system = case
     gb = buchberger(system, ring)
-    degree = data.draw(st.integers(0, 3)) if ring.variables else 0
+    degree = data.draw(st.integers(0, 6)) if ring.variables else 0
     p = data.draw(small_polynomials(ring, degree))
     c = data.draw(SCALARS)
     nf = gb.normal_form(p)
@@ -818,11 +836,52 @@ def test_normal_form_is_linear_and_ignores_the_scale_of_generators(case, data):
 @settings(deadline=None)
 @given(small_systems(), st.data())
 def test_normal_form_of_a_non_monic_basis_is_the_division_remainder(case, data):
-    """Any list of polynomials divides like the textbook division, scaled or not."""
+    """Any list of polynomials divides like the textbook division, scaled or
+    not, also in the degrees past the socle that the normal form drops."""
     ring, system = case
-    degree = data.draw(st.integers(0, 3)) if ring.variables else 0
+    degree = data.draw(st.integers(0, 6)) if ring.variables else 0
     p = data.draw(small_polynomials(ring, degree))
     assert packed(ring, system).normal_form(p) == _remainder(p, system)
+
+
+CI = polys(R3, "x1^2 + x2*x3", "x1^2 - x2^2", "x1^2 + x1*x3 - x3^2")  # Hilbert function (1, 3, 3, 1)
+
+
+def test_normal_forms_reduce_only_the_degrees_the_leads_do_not_cover(monkeypatch):
+    """The leads of the complete intersection cover degree 4.  A quartic's
+    normal form is zero with no call to `_reduce`; a quartic plus a quadric
+    calls it once, on the quadric's terms alone, and gives the textbook
+    remainder of the sum, which is the quadric's."""
+    gb = buchberger(CI)
+    quartic, quadric = polys(R3, "3*x1^4 - x1*x2^2*x3 + 2/3*x3^4", "x1*x3 + 5/2*x2^2 - x3^2")
+    assert _remainder(quartic, gb.generators).is_zero()
+    expected = _remainder(quartic + quadric, gb.generators)
+    assert expected == gb.normal_form(quadric) and not expected.is_zero()
+    degrees = []
+    reduce = groebner._reduce
+
+    def counting(work, *args):
+        degrees.append(sorted({gb.code.degree(m) for m in work}))
+        return reduce(work, *args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    assert gb.normal_form(quartic).is_zero() and degrees == []
+    assert gb.normal_form(quartic + quadric) == expected and degrees == [[2]]
+
+
+def test_standard_monomials_of_a_covered_degree_are_told_with_no_enumeration(monkeypatch):
+    """Degree 10**4 has 50,015,001 monomials in three variables, and the
+    leads of the complete intersection cover it, as they cover degree 4;
+    neither is enumerated.  Degree 3 is not covered: its one standard
+    monomial is listed."""
+    gb = buchberger(CI)
+    assert gb.standard_monomials(3) == [(0, 0, 3)]
+
+    def listing(ring, d):
+        raise AssertionError(f"degree {d} enumerated")
+
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", listing)
+    assert gb.standard_monomials(10**4) == gb.standard_monomials(4) == []
 
 
 # -- finiteness from a basis truncated at Lazard's degree bound -----------------
@@ -946,10 +1005,30 @@ def test_the_pair_loop_basis_reads_as_the_reduced_basis(case, data):
         assert loop.normal_form(p) == gb.normal_form(p)
 
 
+@settings(deadline=None)
+@given(st.one_of(small_systems(), finiteness_systems()))
+@example((R3, CI))
+def test_a_degree_is_covered_exactly_when_the_quotient_is_zero_there(case):
+    """With a budget of every monomial of the degree, the coverage test on
+    the leads of a reduced basis holds exactly where the Hilbert function
+    is zero, in a ring with variables; with none, it holds only for the
+    unit ideal."""
+    ring, system = case
+    gb = buchberger(system, ring)
+    values = gb.hilbert_function(6)
+    for d, value in enumerate(values):
+        covered = gb._covers(d, len(ring.monomials_of_degree(d)))
+        assert not covered or value == 0
+        if ring.variables:
+            assert covered == (value == 0)
+
+
 def test_readings_past_the_width_of_a_basis_pack_its_generators_wider():
     """The basis of two quadrics packs 7 bits wide, too narrow for degree
     200 and more; its normal forms and standard monomials there are those
-    of the textbook division, and the basis keeps its packing."""
+    of the textbook division, and the basis keeps its packing.  So are the
+    standard test and the coordinate of a monomial: x^200 is 2^200·z^200
+    modulo x − 2z and y − 3z."""
     gb = buchberger(polys(R3, "x1^2 - x2^2", "x1*x2"))
     assert gb.code.width == 7
     (p,) = polys(R3, "x1^200*x2 + x2^201 + 3*x1^2*x3^199 - x1*x3^200 + x1")
@@ -957,6 +1036,12 @@ def test_readings_past_the_width_of_a_basis_pack_its_generators_wider():
     standard = [m for m in R3.monomials_of_degree(200) if _remainder(R3.monomial(m), gb.generators).terms == {m: 1}]
     assert gb.standard_monomials(200) == standard
     assert len(standard) == 4 and gb.code.width == 7
+    R = PolyRing("xyz")
+    lines = buchberger(polys(R, "x - 2*z", "y - 3*z"))
+    assert lines.code.width == 7
+    assert not lines.is_standard((200, 0, 0)) and lines.is_standard((0, 0, 200))
+    assert lines.coordinate((200, 0, 0)) == 2**200 and lines.coordinate((0, 1, 199)) == 3
+    assert lines.normal_form(R.monomial((200, 0, 0))) == R.monomial((0, 0, 200), 2**200)
 
 
 # -- packed monomials ---------------------------------------------------------
