@@ -199,7 +199,9 @@ class QuadricSubspace:
         self.ring = ring
         # each row in column order, pivot first, so the basis lists its terms as the monomials come
         self._coords = tuple(tuple(sorted(row.items())) for row in _echelon(rows).values())
-        self.basis = tuple(Polynomial(ring, {monos[j]: _ratio(x, row[0][1]) for j, x in row}) for row in self._coords)
+        self.basis = tuple(
+            Polynomial._exact(ring, {monos[j]: _ratio(x, row[0][1]) for j, x in row}) for row in self._coords
+        )
         return self
 
     def dimension(self) -> int:

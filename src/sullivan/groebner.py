@@ -1,8 +1,9 @@
 """Groebner bases over Q for homogeneous ideals, under a fixed grevlex order.
 
 A ``Polynomial`` stores each whole coefficient as an ``int`` and any other
-as a ``Fraction``, never a float; the ring's constructors normalise with
-``linalg.rational``, and bases and normal forms divide over ``int``.
+as a ``Fraction``, never a float, and no zero one; its constructor and the
+ring's normalise with ``linalg.rational``, and bases and normal forms
+divide over ``int``.
 
 Provides reduced bases (Buchberger), normal forms, the Hilbert function,
 Krull dimension and multiplicity of the quotient, the finiteness test and
@@ -12,10 +13,13 @@ earlier ones when an earlier lead divides its lead, so a duplicate drops
 out, and it queues only pairs whose leads share a variable.  It stops
 once its leads contain every monomial of the degree of the least pending
 pair, as every pair left would then reduce to zero; only the leads of a
-finite quotient can do that.  All Hilbert data is read
+finite quotient can do that.  The basis keeps that degree as `covered`,
+as a finite quotient's basis keeps Lazard's degree (below), and from it on
+every reading is known without work: a normal form, standard monomial,
+coordinate or Hilbert value there is zero.  All Hilbert data is read
 from the Hilbert series of the lead-term ideal, whose numerator comes from
 the Bayer-Stillman recursion on the packed leads, cut at the degree whose
-Hilbert values are asked for.
+Hilbert values are asked for, or below `covered`.
 
 Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
@@ -40,14 +44,14 @@ A pair whose lcm outgrows the width restarts the pair loop at twice the
 width, and a normal form, standard monomial or coordinate asked in a
 degree that outgrows a basis's width packs its generators again, wide
 enough (`_pack`).  A normal form drops, unreduced, every homogeneous
-component whose degree the leads cover (`_covered`).
+component whose degree the leads cover (`covered`, or else `_covered`).
 The public ``Polynomial`` and ``GroebnerBasis`` API keeps tuple exponent
 vectors; monomials are packed on the way in and unpacked on the way out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
@@ -160,18 +164,22 @@ class PolyRing(Parent):
                 raise KeyError(f"unknown variable {name_or_index!r}") from None
         expo = [0] * len(self.variables)
         expo[i] = 1
-        return Polynomial(self, {tuple(expo): 1})
+        return Polynomial._exact(self, {tuple(expo): 1})
 
     def monomial(self, expo: Sequence[int], coeff=1) -> "Polynomial":
         coeff = rational(coeff)
         if coeff == 0:
             return self.zero()
-        if len(expo) != len(self.variables) or any(e < 0 for e in expo):
+        return Polynomial._exact(self, {self._exponents(expo): coeff})
+
+    def _exponents(self, expo: Sequence[int]) -> Monomial:
+        """expo as a tuple; ValueError unless it has one nonnegative exponent per variable."""
+        if len(expo) != len(self.variables) or min(expo, default=0) < 0:
             raise ValueError(f"bad exponent vector {expo!r}")
-        return Polynomial(self, {tuple(expo): coeff})
+        return tuple(expo)
 
     def from_terms(self, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        return Polynomial(self, {tuple(m): y for m, c in terms.items() if (y := rational(c))})
+        return Polynomial._exact(self, {tuple(m): y for m, c in terms.items() if (y := rational(c))})
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All degree-d monomials, descending grevlex."""
@@ -180,14 +188,30 @@ class PolyRing(Parent):
 
 class Polynomial(LinearCombination):
     """Sparse multivariate polynomial with rational coefficients: ``int``
-    when whole, ``Fraction`` otherwise."""
+    when whole, ``Fraction`` otherwise.
+
+    The constructor normalises each coefficient with ``linalg.rational``
+    (``TypeError`` on a float) and drops the zero ones.  Arithmetic and the
+    engine, whose terms are exact and nonzero already, build through
+    `_exact`, which takes them as they are."""
 
     __slots__ = ("ring", "terms")
     _MISMATCH = (ValueError, "polynomials live in different rings")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Fraction]):
         self.ring = ring
-        self.terms = terms
+        self.terms = {m: y for m, c in terms.items() if (y := rational(c))}
+
+    @classmethod
+    def _exact(cls, ring: PolyRing, terms: dict[Monomial, int | Fraction]) -> "Polynomial":
+        """The polynomial of exact nonzero `terms`, which it keeps as they are."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
+    def _new(self, terms: dict) -> "Polynomial":
+        return self._exact(self.ring, terms)
 
     @property
     def _parent(self) -> PolyRing:
@@ -221,7 +245,7 @@ class Polynomial(LinearCombination):
             dm = list(m)
             dm[var] = e - 1
             terms[tuple(dm)] = c * e
-        return Polynomial(self.ring, terms)
+        return self._new(terms)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i."""
@@ -489,12 +513,24 @@ class GroebnerBasis:
     degree D, so its readings are exact up to D, and the Hilbert values of
     a finite quotient (`_finite_basis`) in every degree.  A pair loop that
     ends because its leads cover a whole degree (`_pairs`) holds the same
-    basis as one run to the end."""
+    basis as one run to the end.
+
+    `covered`, when not None, is a degree from which every monomial is a
+    multiple of a lead: the degree at which `_pairs` stopped by coverage,
+    or Lazard's degree of a finite quotient (`_finite_basis`).  A monomial
+    of degree d + 1 is a multiple of one of degree d, so every higher
+    degree is covered too.  Each reading in such a degree answers with no
+    enumeration and no reduction: the normal form drops the component,
+    there is no standard monomial, a coordinate is 0 and a Hilbert value
+    is 0.  The quotient is then finite, and its multiplicity is the sum of
+    the Hilbert values below `covered`.  `_pack` of arbitrary inputs leaves
+    it None, and every reading then tests coverage on the leads."""
 
     ring: PolyRing
     code: _Packing
     basis: list[dict[int, int]]
     leads: list[int]
+    covered: int | None = field(default=None, kw_only=True)
 
     def __eq__(self, other) -> bool:
         """The same ring and generators, in order: for reduced bases, the same ideal."""
@@ -512,7 +548,7 @@ class GroebnerBasis:
         """The basis as monic polynomials."""
         unpack = self.code.unpack
         return tuple(
-            Polynomial(self.ring, {unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
+            Polynomial._exact(self.ring, {unpack(m): _ratio(c, g[lead]) for m, c in g.items()})
             for g, lead in zip(self.basis, self.leads)
         )
 
@@ -522,10 +558,13 @@ class GroebnerBasis:
     def _fitting(self, degree: int) -> GroebnerBasis:
         """This basis, or, when degree outgrows its packing, its generators packed wide enough for it."""
         width = _width(degree)
-        return self if width <= self.code.width else _pack(self.generators, self.ring, width)
+        return self if width <= self.code.width else _pack(self.generators, self.ring, width, self.covered)
 
     def _covers(self, d: int, budget: int) -> bool:
-        """Whether the leads cover degree d, looking at no more than `budget` monomials (`_covered`)."""
+        """Whether the leads cover degree d: at once from `covered`, and otherwise looking at no more
+        than `budget` monomials (`_covered`)."""
+        if self.covered is not None and d >= self.covered:
+            return True
         powers: dict[int, int] = {}
         others: list[int] = []
         for lead in self.leads:
@@ -563,17 +602,21 @@ class GroebnerBasis:
         work, den = _clear_denominators(kept)
         remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
-        return Polynomial(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
+        return Polynomial._exact(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
 
     def is_finite_dimensional(self) -> bool:
-        """Whether the quotient is a finite-dimensional vector space."""
-        return self.krull_dimension() <= 0
+        """Whether the quotient is a finite-dimensional vector space: at once when `covered` is set."""
+        return self.covered is not None or self.krull_dimension() <= 0
 
     def is_standard(self, m: Monomial) -> bool:
-        """Whether no lead divides the monomial m."""
-        q = self._fitting(sum(m))
-        k = q.code.pack(m)
-        return all((k - lead) & q.code.guard for lead in q.leads)
+        """Whether no lead divides the monomial m; ValueError unless m is an exponent vector of the ring."""
+        m = self.ring._exponents(m)
+        return self._fitting(sum(m))._standard(m)
+
+    def _standard(self, m: Monomial) -> bool:
+        """`is_standard` of an exponent vector of degree below 2**width."""
+        k = self.code.pack(m)
+        return all((k - lead) & self.code.guard for lead in self.leads)
 
     def standard_monomials(self, d: int) -> list[Monomial]:
         """The monomials of degree d that no lead divides, descending grevlex.  A degree the leads
@@ -582,30 +625,50 @@ class GroebnerBasis:
         q = self._fitting(d)
         if d > 0 and q._covers(d, comb(d + q.code.n - 1, d)):  # degree 0 has the one monomial 1
             return []
-        return list(filter(q.is_standard, self.ring.monomials_of_degree(d)))
+        return list(filter(q._standard, self.ring.monomials_of_degree(d)))
 
     def coordinate(self, m: Monomial) -> int | Fraction:
         """The normal form of the monomial m, in a degree of dimension at most one, as a multiple of
-        its standard monomial: the sum of `_reduce`'s remainder over its multiplier."""
-        q = self._fitting(sum(m))
+        its standard monomial: the sum of `_reduce`'s remainder over its multiplier, and 0 in a degree
+        from `covered` on.  ValueError unless m is an exponent vector of the ring."""
+        m = self.ring._exponents(m)
+        d = sum(m)
+        if self.covered is not None and d >= self.covered:
+            return 0
+        q = self._fitting(d)
         remainder, multiplier = _reduce({q.code.pack(m): 1}, q.basis, q.leads, q.code.guard)
         return _ratio(sum(remainder.values()), multiplier)
 
     def hilbert_function(self, max_degree: int, weights: Sequence[int] | None = None) -> tuple[int, ...]:
         """Dimensions of the quotient in degrees 0..max_degree, from the series K(t)/prod (1 − t^{w_i})
         with K truncated there, x_i of weight weights[i] (1 by default) dividing every x_i-exponent of
-        the leads (`_hilbert_numerator`); ValueError when a weight does not."""
-        weights = weights or (1,) * self.code.n
+        the leads (`_hilbert_numerator`); ValueError unless there is one positive ``int`` weight per
+        variable, each dividing.  Every value from `covered` on is 0, so K is cut below it and the
+        rest is zeros: K mod t^(top + 1) is fixed by the values up to top."""
+        n = self.code.n
+        if weights is None:
+            weights = (1,) * n
+        elif len(weights) != n or not all(type(w) is int and w > 0 for w in weights):
+            raise ValueError(f"need one positive integer weight for each of the {n} variables, got {weights!r}")
         if max(weights, default=1) > 1 and any(  # every exponent is a multiple of 1
             e % w for lead in map(self.code.unpack, self.leads) for e, w in zip(lead, weights)
         ):
             raise ValueError("a weight does not divide an exponent of its variable in the leading monomials")
-        return tuple(_hilbert_values(_hilbert_numerator(self.leads, self.code, max_degree), weights, max_degree))
+        top = max_degree if self.covered is None else min(max_degree, self.covered - 1)
+        values = _hilbert_values(_hilbert_numerator(self.leads, self.code, top), weights, top)
+        return tuple(values) + (0,) * (max_degree - top)
 
     def _order_at_one(self) -> tuple[int, int] | None:
         """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0 for the whole numerator K, of degree at most
         the sum of the lead degrees; None for K = 0.  The j-th Taylor coefficient of K at t = 1 is the sum
-        of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
+        of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1).
+
+        With `covered` set the quotient is finite, and its Hilbert series is the polynomial H(t) of
+        its values below `covered`: K(t) = (1 − t)^n·H(t), so s = n and Q(1) = H(1), their sum,
+        unless that is 0 and K = 0."""
+        if self.covered is not None:
+            total = sum(self.hilbert_function(self.covered - 1))
+            return (self.code.n, total) if total else None
         numerator = _hilbert_numerator(self.leads, self.code, sum(map(self.code.degree, self.leads)))
         if not numerator:
             return None
@@ -655,14 +718,16 @@ def _checked(polys: Iterable[Polynomial], ring: PolyRing | None) -> tuple[list[P
     return polys, ring, degrees
 
 
-def _pack(polys: Sequence[Polynomial], ring: PolyRing, width: int) -> GroebnerBasis:
+def _pack(polys: Sequence[Polynomial], ring: PolyRing, width: int, covered: int | None = None) -> GroebnerBasis:
     """The nonzero polynomials of degree below 2**width as they are, each
     as primitive integer terms packed `width` bits wide: a Groebner basis
-    when they are one, and the inputs that `_pairs` starts from."""
+    when they are one, and the inputs that `_pairs` starts from.  It
+    carries the degree `covered` only when given one, by a basis that
+    proved it for these leads."""
     code = _Packing(len(ring.variables), width)
     terms = [_clear_denominators(code.pack_terms(p.terms))[0] for p in polys]
     leads = list(map(max, terms))
-    return GroebnerBasis(ring, code, list(map(_primitive, terms, leads)), leads)
+    return GroebnerBasis(ring, code, list(map(_primitive, terms, leads)), leads, covered=covered)
 
 
 def _pair_loop(
@@ -709,7 +774,8 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
 
     The loop also stops once every monomial of the pending degree d, the
     degree of the least pending lcm, is a multiple of a lead (`_covered`
-    describes the test).  This is exact.  Every pair left has degree at
+    describes the test), and the basis carries d as its `covered` degree;
+    otherwise that is None.  This is exact.  Every pair left has degree at
     least d, and every monomial of degree at least d is then a multiple of
     a lead too.  A pair's S-polynomial is homogeneous of its degree, and
     each step of its reduction removes its leading term and leaves only
@@ -738,6 +804,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     others: list[int] = []  # the leads that are neither 1 nor a pure power
     boxed = False  # whether 1 or a pure power of every variable is a lead
     tested = None  # (degree, number of leads) of the last coverage test
+    covered = None  # the degree at which the loop stopped by coverage
 
     def add_generator(g: dict[int, int], lead: int) -> None:
         nonlocal boxed
@@ -782,6 +849,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             if (cap is None or d == cap) and (d, len(leads)) != tested:
                 tested = d, len(leads)
                 if _covered(d, powers, others, code, len(pending)):
+                    covered = d
                     break  # every pair left reduces to zero
         lcm, i, j = heappop(queue)
         pending.remove((i, j))
@@ -792,7 +860,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
         if lcm >= overflow:
             return None
         add_remainder(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm))
-    return GroebnerBasis(start.ring, code, basis, leads)
+    return GroebnerBasis(start.ring, code, basis, leads, covered=covered)
 
 
 def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> GroebnerBasis:
@@ -813,7 +881,8 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     (`_pairs`).  The loop starts from the inputs, each reduced by the
     earlier ones when an earlier lead divides its lead, so a duplicate
     drops out.  Basis elements are primitive integer terms throughout, and
-    `generators` makes them monic.
+    `generators` makes them monic.  The reduced basis has the lead ideal of
+    the loop's, so it carries the loop's `covered` degree.
     """
     found = _pair_loop(polys, ring)
     basis, leads, guard = found.basis, found.leads, found.code.guard
@@ -824,7 +893,7 @@ def buchberger(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> Gro
     for lead in _minimal(leads, guard):
         reduced.append(_primitive(_reduce(dict(basis[leads.index(lead)]), reduced, reduced_leads, guard)[0], lead))
         reduced_leads.append(lead)
-    return GroebnerBasis(found.ring, found.code, reduced, reduced_leads)
+    return GroebnerBasis(found.ring, found.code, reduced, reduced_leads, covered=found.covered)
 
 
 def has_finite_quotient(polys: Iterable[Polynomial], ring: PolyRing | None = None) -> bool:
@@ -861,6 +930,13 @@ def _finite_basis(
     popped, once the leads of G already cover every monomial of D (see
     `_pairs`); G is then the same basis and still a full one.
 
+    G carries D, or 0 when D is negative, as its `covered` degree: every
+    monomial of degree at least D lies in the ideal, where the finite
+    quotient is zero, so it is a lead of the ideal and, as the leads of G
+    generate the lead ideal, a multiple of a lead of G.  D is negative only
+    when a nonzero constant is among the inputs, and then the ideal is the
+    unit ideal and 1 is a lead.
+
     Given their `degrees`, the inputs are taken as `_checked` leaves them.
     """
     if degrees is None:
@@ -872,7 +948,9 @@ def _finite_basis(
     found = _pair_loop(polys, ring, cap, degrees)
     # the guard bit of each pure power's one nonzero field; 0 for the lead 1
     pure = {s for s in map(found.code.support, found.leads) if not s & (s - 1)}
-    return found if 0 in pure or len(pure) == n else None
+    if not (0 in pure or len(pure) == n):
+        return None
+    return GroebnerBasis(found.ring, found.code, found.basis, found.leads, covered=max(cap, 0))
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

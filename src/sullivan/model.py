@@ -426,7 +426,9 @@ class PureQuotient(GroebnerBasis):
         _check_cohomology_input(m)
         ring, images, step, weights = _weighted_images(m)
         found = _finite_basis(images, ring)
-        return None if found is None else cls(ring, found.code, found.basis, found.leads, step, weights)
+        if found is None:
+            return None
+        return cls(ring, found.code, found.basis, found.leads, step, weights, covered=found.covered)
 
     def betti(self, max_degree: int) -> tuple[int, ...]:
         """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the

@@ -32,10 +32,12 @@ def _exact(coefficients, whole_inputs: bool) -> bool:
 
 
 def _as_fractions(value):
-    """The same polynomial or element with every coefficient a Fraction."""
+    """The same polynomial or element with every coefficient a Fraction.  The
+    constructor of a polynomial makes whole values ``int``, so the twin is
+    built on the path arithmetic takes, which keeps its terms as they are."""
     terms = {m: Fraction(c) for m, c in value.terms.items()}
     if isinstance(value, Polynomial):
-        return Polynomial(value.ring, terms)
+        return Polynomial._exact(value.ring, terms)
     return AlgebraElement(value.table, terms)
 
 

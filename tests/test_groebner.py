@@ -1,5 +1,6 @@
 """Groebner bases: reduction, finiteness, Hilbert data, regular sequences."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -22,6 +23,7 @@ from sullivan.catalog import dim6_b3_model, product_model
 from sullivan.cli import main
 from sullivan.groebner import (
     PolyRing,
+    Polynomial,
     _grevlex_key,
     _Packing,
     _width,
@@ -766,8 +768,9 @@ def test_truncated_numerator_reads_the_hilbert_values_up_to_top(case):
 
 def test_hilbert_function_checks_the_weights_above_one():
     """A weight that does not divide an exponent of the leads is refused
-    with a ValueError, also under ``python -O``; weights of all 1 read as
-    no weights."""
+    with a ValueError, also under ``python -O``, and so is anything but one
+    positive ``int`` weight per variable; weights of all 1 read as no
+    weights."""
     gb = packed(R3, polys(R3, "x1^2*x2", "x2^3", "x3^4"))
     with pytest.raises(ValueError, match="weight"):
         gb.hilbert_function(6, (1, 2, 1))
@@ -788,6 +791,10 @@ def test_hilbert_function_checks_the_weights_above_one():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))),
     )
     assert run.stdout == b"refused\n"
+    # one positive int weight per variable, or ValueError
+    for weights in ([1, 1], [0, 1, 1], (1, 1, 1, 1), (1, -2, 1), (1, 1.0, 1), (1, True, 1), ()):
+        with pytest.raises(ValueError, match="weight"):
+            gb.hilbert_function(3, weights)
     assert gb.hilbert_function(6, (2, 1, 2)) == (1, 1, 3, 1, 3, 0, 2)
     assert gb.hilbert_function(6, (1, 1, 1)) == gb.hilbert_function(6) == (1, 3, 6, 8, 8, 7, 5)
 
@@ -1021,6 +1028,106 @@ def test_a_degree_is_covered_exactly_when_the_quotient_is_zero_there(case):
         assert not covered or value == 0
         if ring.variables:
             assert covered == (value == 0)
+
+
+def _brute_standard(gb, d):
+    """The monomials of degree d that no lead divides, by a scan over every lead."""
+    leads = gb.leading_monomials()
+    return [m for m in gb.ring.monomials_of_degree(d) if not any(all(map(le, g, m)) for g in leads)]
+
+
+@settings(deadline=None)
+@given(finiteness_systems(), st.integers(1, 5), st.data())
+@example((R3, CI), 3, None)
+@example((R2, polys(R2, "x1*x2", "x1^2 - x2^2")), 3, None)
+def test_the_covered_degree_of_a_basis_is_exact_and_changes_no_reading(case, cap, data):
+    """The bases of `buchberger`, a capped `_pair_loop` and `_finite_basis`:
+    no degree from the one a basis carries on has a standard monomial, by a
+    scan of every monomial, and every reading equals that of the same basis
+    carrying no degree, which tests coverage on its leads instead.  A
+    finite quotient always carries one."""
+    ring, system = case
+    finite = groebner._finite_basis(system, ring)
+    bases = [buchberger(system, ring), groebner._pair_loop(system, ring, cap)]
+    if finite is not None:
+        assert finite.covered is not None
+        bases.append(finite)
+    n = len(ring.variables)
+    for gb in bases:
+        plain = dataclasses.replace(gb, covered=None)
+        top = (cap if gb.covered is None else gb.covered) + 2
+        if gb.covered is not None:
+            for d in range(gb.covered, top + 1):
+                assert _brute_standard(gb, d) == []
+        assert gb.is_finite_dimensional() == plain.is_finite_dimensional()
+        assert gb.krull_dimension() == plain.krull_dimension()
+        assert gb.multiplicity() == plain.multiplicity()
+        assert gb.hilbert_function(top) == plain.hilbert_function(top)
+        # the largest weights the leads admit: the gcd of each variable's exponents, or 2 when it has none
+        weights = [gcd(*column) or 2 for column in zip(*gb.leading_monomials(), [0] * n)]
+        assert gb.hilbert_function(top, weights) == plain.hilbert_function(top, weights)
+        for d in range(top + 1):
+            assert gb.standard_monomials(d) == plain.standard_monomials(d)
+            for m in ring.monomials_of_degree(d):
+                assert gb.coordinate(m) == plain.coordinate(m)
+        if data is not None:
+            degrees = data.draw(st.lists(st.integers(0, top), max_size=3))
+            p = sum((data.draw(small_polynomials(ring, d)) for d in degrees), ring.zero())
+            assert gb.normal_form(p) == plain.normal_form(p)
+
+
+def test_readings_from_the_covered_degree_on_need_no_reduction(monkeypatch):
+    """The complete intersection's basis carries degree 4, from which its
+    Hilbert values and coordinates are read with no reduction and no Hilbert
+    numerator past degree 3; so are its Krull dimension and multiplicity.
+    A basis packed from the same generators carries none and reads the
+    same Hilbert values."""
+    gb = buchberger(CI)
+    assert gb.covered == 4 and groebner._finite_basis(CI, R3).covered == 4
+    assert packed(R3, gb.generators).covered is None
+    expected = (1, 3, 3, 1) + (0,) * 7
+    assert packed(R3, gb.generators).hilbert_function(10) == expected
+    tops = []
+    numerator = groebner._hilbert_numerator
+
+    def truncated(leads, code, top):
+        tops.append(top)
+        return numerator(leads, code, top)
+
+    def reducing(*args):
+        raise AssertionError("a covered degree reduced")
+
+    monkeypatch.setattr(groebner, "_hilbert_numerator", truncated)
+    monkeypatch.setattr(groebner, "_reduce", reducing)
+    assert gb.hilbert_function(10) == expected and max(tops) == 3
+    assert (gb.krull_dimension(), gb.multiplicity(), gb.is_finite_dimensional()) == (0, 8, True)
+    assert gb.coordinate((4, 0, 0)) == gb.coordinate((0, 0, 300)) == 0
+
+
+def test_monomial_readings_check_the_exponent_vector():
+    """`is_standard` and `coordinate` refuse a monomial of the wrong length or with a negative
+    exponent, also in a degree the basis covers."""
+    gb = buchberger(CI)
+    for m in [(1, 1), (1, 1, 1, 0), (1, -1, 2), (5, 0, -1)]:
+        with pytest.raises(ValueError, match="exponent vector"):
+            gb.is_standard(m)
+        with pytest.raises(ValueError, match="exponent vector"):
+            gb.coordinate(m)
+
+
+def test_the_polynomial_constructor_normalises_its_coefficients():
+    """Zero coefficients are dropped, whole ones become ``int`` and a float is a TypeError;
+    arithmetic keeps the exact terms it makes."""
+    R = PolyRing("xy")
+    y = R.variable(1)
+    p = Polynomial(R, {(1, 0): 0, (0, 1): 1})
+    assert p == y and p.terms == {(0, 1): 1} and render_polynomial(p) == "y"
+    assert buchberger([Polynomial(R, {(1, 0): 0})], R).generators == ()
+    two = Polynomial(R, {(1, 0): Fraction(2, 1), (0, 1): Fraction(1, 2)})
+    assert two.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)} and type(two.terms[(1, 0)]) is int
+    with pytest.raises(TypeError):
+        Polynomial(R, {(1, 0): 1.5})
+    assert (two - two).terms == {} and (two * y).terms == {(1, 1): 2, (0, 2): Fraction(1, 2)}
 
 
 def test_readings_past_the_width_of_a_basis_pack_its_generators_wider():
