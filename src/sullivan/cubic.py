@@ -492,7 +492,7 @@ def cubic_form_of_ring(relations: Sequence[Polynomial], ring: PolyRing) -> Cubic
     profile = quotient.hilbert_function(4)
     if profile != (1, n, n, 1, 0):
         raise ValueError(f"Hilbert profile {profile} is not (1, {n}, {n}, 1, 0)")
-    return CubicForm(n, {_triple(mono): quotient.coordinate(mono) for mono in _monomials(n, 3)})
+    return CubicForm(n, {_triple(mono): quotient._coordinate(mono) for mono in _monomials(n, 3)})
 
 
 def cubic_form_of_quadric_ideal(subspace: QuadricSubspace) -> CubicForm:

@@ -14,12 +14,12 @@ out, and it queues only pairs whose leads share a variable.  It stops
 once its leads contain every monomial of the degree of the least pending
 pair, as every pair left would then reduce to zero; only the leads of a
 finite quotient can do that.  The basis keeps that degree as `covered`,
-as a finite quotient's basis keeps Lazard's degree (below), and from it on
-every reading is known without work: a normal form, standard monomial,
-coordinate or Hilbert value there is zero.  All Hilbert data is read
-from the Hilbert series of the lead-term ideal, whose numerator comes from
-the Bayer-Stillman recursion on the packed leads, cut at the degree whose
-Hilbert values are asked for, or below `covered`.
+and from it on every reading is known without work: a normal form,
+standard monomial, coordinate or Hilbert value there is zero.  All
+Hilbert data is read from the Hilbert series of the lead-term ideal,
+whose numerator comes from the Bayer-Stillman recursion on the packed
+leads, cut at the degree whose Hilbert values are asked for, or below
+`covered`.
 
 Finiteness of the quotient (and so a regular sequence of n forms in n
 variables) needs no reduced basis: a finite quotient of forms of degrees
@@ -267,7 +267,7 @@ class Polynomial(LinearCombination):
         return f"<{render_polynomial(self)}>"
 
 
-PolyRing._element = Polynomial
+PolyRing._element = Polynomial._exact  # its constants are exact and nonzero
 
 
 def _s_polynomial(f: dict[int, int], lf: int, g: dict[int, int], lg: int, lcm: int) -> dict[int, int]:
@@ -516,15 +516,16 @@ class GroebnerBasis:
     basis as one run to the end.
 
     `covered`, when not None, is a degree from which every monomial is a
-    multiple of a lead: the degree at which `_pairs` stopped by coverage,
-    or Lazard's degree of a finite quotient (`_finite_basis`).  A monomial
-    of degree d + 1 is a multiple of one of degree d, so every higher
-    degree is covered too.  Each reading in such a degree answers with no
-    enumeration and no reduction: the normal form drops the component,
-    there is no standard monomial, a coordinate is 0 and a Hilbert value
-    is 0.  The quotient is then finite, and its multiplicity is the sum of
-    the Hilbert values below `covered`.  `_pack` of arbitrary inputs leaves
-    it None, and every reading then tests coverage on the leads."""
+    multiple of a lead: the degree at which `_pairs` stopped by coverage.
+    A monomial of degree d + 1 is a multiple of one of degree d, so every
+    higher degree is covered too.  Each reading in such a degree answers
+    with no enumeration and no reduction: the normal form drops the
+    component, there is no standard monomial, a coordinate is 0 and a
+    Hilbert value is 0.  Only the engine sets it (`_pairs`, and the bases
+    that keep its leads: `buchberger`, `_fitting`, ``PureQuotient.of``),
+    and no reading checks it: a degree set too low makes those readings
+    wrong.  `_pack` of arbitrary inputs leaves it None, and every reading
+    then tests coverage on the leads."""
 
     ring: PolyRing
     code: _Packing
@@ -560,11 +561,12 @@ class GroebnerBasis:
         width = _width(degree)
         return self if width <= self.code.width else _pack(self.generators, self.ring, width, self.covered)
 
+    def _past_covered(self, d: int) -> bool:
+        """Whether d is at least the `covered` degree, where every reading is zero."""
+        return self.covered is not None and d >= self.covered
+
     def _covers(self, d: int, budget: int) -> bool:
-        """Whether the leads cover degree d: at once from `covered`, and otherwise looking at no more
-        than `budget` monomials (`_covered`)."""
-        if self.covered is not None and d >= self.covered:
-            return True
+        """Whether the leads cover degree d, looking at no more than `budget` monomials (`_covered`)."""
         powers: dict[int, int] = {}
         others: list[int] = []
         for lead in self.leads:
@@ -575,11 +577,11 @@ class GroebnerBasis:
         """The remainder of p on division by the basis, in which no lead divides a term.
 
         Each homogeneous component of p whose degree the leads cover is
-        dropped (`_covers`, with that component's term count as its
-        budget); the rest goes to one `_reduce`, and when nothing is left
-        the result is zero with no reduction at all.  The result is the
-        same as that of reducing all of p.  Every basis element is
-        homogeneous, so a step of `_reduce` on a term of degree d subtracts
+        dropped: at once from `covered` on, and otherwise as `_covers`
+        tells with that component's term count as its budget.  The rest
+        goes to one `_reduce`, and when nothing is left the result is zero
+        with no reduction at all.  The result is the same as that of
+        reducing all of p.  Every basis element is homogeneous, so a step of `_reduce` on a term of degree d subtracts
         only terms of degree d, and the degrees never mix.  When every
         monomial of degree d is divisible by a lead, no degree-d term ever
         reaches the remainder.  That holds for any list of homogeneous
@@ -594,6 +596,7 @@ class GroebnerBasis:
         parts: dict[int, dict[Monomial, int | Fraction]] = {}
         for m, c in p.terms.items():
             parts.setdefault(sum(m), {})[m] = c
+        parts = {d: part for d, part in parts.items() if not self._past_covered(d)}
         q = self._fitting(max(parts, default=-1))
         pack = q.code.pack
         kept = {pack(m): c for d, part in parts.items() if not q._covers(d, len(part)) for m, c in part.items()}
@@ -605,8 +608,8 @@ class GroebnerBasis:
         return Polynomial._exact(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
 
     def is_finite_dimensional(self) -> bool:
-        """Whether the quotient is a finite-dimensional vector space: at once when `covered` is set."""
-        return self.covered is not None or self.krull_dimension() <= 0
+        """Whether the quotient is a finite-dimensional vector space."""
+        return self.krull_dimension() <= 0
 
     def is_standard(self, m: Monomial) -> bool:
         """Whether no lead divides the monomial m; ValueError unless m is an exponent vector of the ring."""
@@ -620,8 +623,10 @@ class GroebnerBasis:
 
     def standard_monomials(self, d: int) -> list[Monomial]:
         """The monomials of degree d that no lead divides, descending grevlex.  A degree the leads
-        cover has none, and is told by `_covers` with no enumeration: it looks at no more monomials
-        than there are of degree d."""
+        cover has none, and is told with no enumeration: at once from `covered` on, and otherwise by
+        `_covers`, which looks at no more monomials than there are of degree d."""
+        if self._past_covered(d):
+            return []
         q = self._fitting(d)
         if d > 0 and q._covers(d, comb(d + q.code.n - 1, d)):  # degree 0 has the one monomial 1
             return []
@@ -631,9 +636,12 @@ class GroebnerBasis:
         """The normal form of the monomial m, in a degree of dimension at most one, as a multiple of
         its standard monomial: the sum of `_reduce`'s remainder over its multiplier, and 0 in a degree
         from `covered` on.  ValueError unless m is an exponent vector of the ring."""
-        m = self.ring._exponents(m)
+        return self._coordinate(self.ring._exponents(m))
+
+    def _coordinate(self, m: Monomial) -> int | Fraction:
+        """`coordinate` of an exponent vector of the ring."""
         d = sum(m)
-        if self.covered is not None and d >= self.covered:
+        if self._past_covered(d):
             return 0
         q = self._fitting(d)
         remainder, multiplier = _reduce({q.code.pack(m): 1}, q.basis, q.leads, q.code.guard)
@@ -661,14 +669,7 @@ class GroebnerBasis:
     def _order_at_one(self) -> tuple[int, int] | None:
         """(s, Q(1)) with K(t) = (1 − t)^s·Q(t) and Q(1) ≠ 0 for the whole numerator K, of degree at most
         the sum of the lead degrees; None for K = 0.  The j-th Taylor coefficient of K at t = 1 is the sum
-        of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1).
-
-        With `covered` set the quotient is finite, and its Hilbert series is the polynomial H(t) of
-        its values below `covered`: K(t) = (1 − t)^n·H(t), so s = n and Q(1) = H(1), their sum,
-        unless that is 0 and K = 0."""
-        if self.covered is not None:
-            total = sum(self.hilbert_function(self.covered - 1))
-            return (self.code.n, total) if total else None
+        of c·C(k, j) over its terms c·t^k, and the s-th, the first nonzero one, is (−1)^s·Q(1)."""
         numerator = _hilbert_numerator(self.leads, self.code, sum(map(self.code.degree, self.leads)))
         if not numerator:
             return None
@@ -930,12 +931,8 @@ def _finite_basis(
     popped, once the leads of G already cover every monomial of D (see
     `_pairs`); G is then the same basis and still a full one.
 
-    G carries D, or 0 when D is negative, as its `covered` degree: every
-    monomial of degree at least D lies in the ideal, where the finite
-    quotient is zero, so it is a lead of the ideal and, as the leads of G
-    generate the lead ideal, a multiple of a lead of G.  D is negative only
-    when a nonzero constant is among the inputs, and then the ideal is the
-    unit ideal and 1 is a lead.
+    G carries a `covered` degree when its pair loop stopped by coverage,
+    which a loop capped at D tests at D alone (`_pairs`); then it is D.
 
     Given their `degrees`, the inputs are taken as `_checked` leaves them.
     """
@@ -948,9 +945,7 @@ def _finite_basis(
     found = _pair_loop(polys, ring, cap, degrees)
     # the guard bit of each pure power's one nonzero field; 0 for the lead 1
     pure = {s for s in map(found.code.support, found.leads) if not s & (s - 1)}
-    if not (0 in pure or len(pure) == n):
-        return None
-    return GroebnerBasis(found.ring, found.code, found.basis, found.leads, covered=max(cap, 0))
+    return found if 0 in pure or len(pure) == n else None
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

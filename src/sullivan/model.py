@@ -548,7 +548,7 @@ def _top_class_reader(m: SullivanModel, degree: int, k: int) -> Callable[[tuple[
         raise ValueError(f"dim H^{k} must be 1")
     if route and all(table.degrees[i] == degree for i in evens):
         b = route[1]
-        return lambda factors: b.coordinate(tuple(map(factors.count, evens)))
+        return lambda factors: b._coordinate(tuple(map(factors.count, evens)))
     cochains = m.cochains()
     return lambda factors: cochains._top_coordinate(k, cochains.coordinates(k, prod(map(table.generator, factors))))
 

@@ -1044,13 +1044,11 @@ def test_the_covered_degree_of_a_basis_is_exact_and_changes_no_reading(case, cap
     """The bases of `buchberger`, a capped `_pair_loop` and `_finite_basis`:
     no degree from the one a basis carries on has a standard monomial, by a
     scan of every monomial, and every reading equals that of the same basis
-    carrying no degree, which tests coverage on its leads instead.  A
-    finite quotient always carries one."""
+    carrying no degree, which tests coverage on its leads instead."""
     ring, system = case
     finite = groebner._finite_basis(system, ring)
     bases = [buchberger(system, ring), groebner._pair_loop(system, ring, cap)]
     if finite is not None:
-        assert finite.covered is not None
         bases.append(finite)
     n = len(ring.variables)
     for gb in bases:
@@ -1078,10 +1076,10 @@ def test_the_covered_degree_of_a_basis_is_exact_and_changes_no_reading(case, cap
 
 def test_readings_from_the_covered_degree_on_need_no_reduction(monkeypatch):
     """The complete intersection's basis carries degree 4, from which its
-    Hilbert values and coordinates are read with no reduction and no Hilbert
-    numerator past degree 3; so are its Krull dimension and multiplicity.
-    A basis packed from the same generators carries none and reads the
-    same Hilbert values."""
+    Hilbert values, coordinates, standard monomials and normal forms are
+    read with no reduction, no Hilbert numerator past degree 3 and no
+    packing wider, even past the basis's width.  A basis packed from the
+    same generators carries none and reads the same Hilbert values."""
     gb = buchberger(CI)
     assert gb.covered == 4 and groebner._finite_basis(CI, R3).covered == 4
     assert packed(R3, gb.generators).covered is None
@@ -1099,9 +1097,12 @@ def test_readings_from_the_covered_degree_on_need_no_reduction(monkeypatch):
 
     monkeypatch.setattr(groebner, "_hilbert_numerator", truncated)
     monkeypatch.setattr(groebner, "_reduce", reducing)
+    monkeypatch.setattr(groebner, "_pack", reducing)
     assert gb.hilbert_function(10) == expected and max(tops) == 3
-    assert (gb.krull_dimension(), gb.multiplicity(), gb.is_finite_dimensional()) == (0, 8, True)
     assert gb.coordinate((4, 0, 0)) == gb.coordinate((0, 0, 300)) == 0
+    assert gb.standard_monomials(4) == gb.standard_monomials(10**4) == []
+    x1 = R3.variable(0)
+    assert gb.normal_form(x1**4 + x1**200).is_zero()
 
 
 def test_monomial_readings_check_the_exponent_vector():
