@@ -13,9 +13,11 @@ earlier ones when an earlier lead divides its lead, so a duplicate drops
 out, and it queues only pairs whose leads share a variable.  It stops
 once its leads contain every monomial of the degree of the least pending
 pair, as every pair left would then reduce to zero; only the leads of a
-finite quotient can do that.  The basis keeps that degree as `covered`,
-and from it on every reading is known without work: a normal form,
-standard monomial, coordinate or Hilbert value there is zero.  All
+finite quotient can do that.  The basis keeps that degree as `covered`.
+A basis whose leads include 1 or a pure power of every variable, as the
+leads of a finite quotient do, carries such a degree however its loop
+ends.  From `covered` on every reading is known without work: a normal
+form, standard monomial, coordinate or Hilbert value there is zero.  All
 Hilbert data is read from the Hilbert series of the lead-term ideal,
 whose numerator comes from the Bayer-Stillman recursion on the packed
 leads, cut at the degree whose Hilbert values are asked for, or below
@@ -43,8 +45,8 @@ enough for twice the largest input degree and for the cap in the pair loop.
 A pair whose lcm outgrows the width restarts the pair loop at twice the
 width, and a normal form, standard monomial or coordinate asked in a
 degree that outgrows a basis's width packs its generators again, wide
-enough (`_pack`).  A normal form drops, unreduced, every homogeneous
-component whose degree the leads cover (`covered`, or else `_covered`).
+enough (`_pack`).  A normal form drops, unreduced, every term of degree
+`covered` or more.
 The public ``Polynomial`` and ``GroebnerBasis`` API keeps tuple exponent
 vectors; monomials are packed on the way in and unpacked on the way out.
 """
@@ -173,13 +175,14 @@ class PolyRing(Parent):
         return Polynomial._exact(self, {self._exponents(expo): coeff})
 
     def _exponents(self, expo: Sequence[int]) -> Monomial:
-        """expo as a tuple; ValueError unless it has one nonnegative exponent per variable."""
-        if len(expo) != len(self.variables) or min(expo, default=0) < 0:
+        """expo as a tuple; ValueError unless it has one ``int`` exponent >= 0 per variable."""
+        m = tuple(expo)
+        if len(m) != len(self.variables) or [e for e in m if type(e) is not int or e < 0]:
             raise ValueError(f"bad exponent vector {expo!r}")
-        return tuple(expo)
+        return m
 
     def from_terms(self, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        return Polynomial._exact(self, {tuple(m): y for m, c in terms.items() if (y := rational(c))})
+        return Polynomial(self, terms)
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All degree-d monomials, descending grevlex."""
@@ -190,17 +193,24 @@ class Polynomial(LinearCombination):
     """Sparse multivariate polynomial with rational coefficients: ``int``
     when whole, ``Fraction`` otherwise.
 
-    The constructor normalises each coefficient with ``linalg.rational``
-    (``TypeError`` on a float) and drops the zero ones.  Arithmetic and the
-    engine, whose terms are exact and nonzero already, build through
-    `_exact`, which takes them as they are."""
+    The constructor, which ``PolyRing.from_terms`` calls, checks each
+    monomial (``PolyRing._exponents``: ``ValueError`` unless it has one
+    ``int`` exponent >= 0 per variable), normalises each coefficient with
+    ``linalg.rational`` (``TypeError`` on a float) and drops the zero ones.
+    Arithmetic and the engine, whose terms are exact and nonzero already,
+    build through `_exact`, which takes them as they are."""
 
     __slots__ = ("ring", "terms")
     _MISMATCH = (ValueError, "polynomials live in different rings")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Fraction]):
         self.ring = ring
-        self.terms = {m: y for m, c in terms.items() if (y := rational(c))}
+        self.terms = out = {}
+        exponents = ring._exponents
+        for m, c in terms.items():
+            m = exponents(m)
+            if c := rational(c):
+                out[m] = c
 
     @classmethod
     def _exact(cls, ring: PolyRing, terms: dict[Monomial, int | Fraction]) -> "Polynomial":
@@ -244,7 +254,7 @@ class Polynomial(LinearCombination):
                 continue
             dm = list(m)
             dm[var] = e - 1
-            terms[tuple(dm)] = c * e
+            terms[tuple(dm)] = rational(c * e)
         return self._new(terms)
 
     def compose(self, images: Sequence["Polynomial"]) -> "Polynomial":
@@ -446,21 +456,12 @@ def _hilbert_values(numerator: dict[int, int], weights: Sequence[int], max_degre
     return values
 
 
-def _file_lead(lead: int, code: _Packing, powers: dict[int, int], others: list[int]) -> None:
-    """Add the packed lead to `powers`, which maps the support bit of x_i to the least a with x_i^a a
-    lead and 0 to 0 for the lead 1, or else to `others`, the leads that are neither, as `_covered` reads them."""
-    support = code.support(lead)
-    if support & (support - 1):
-        others.append(lead)
-    else:
-        a = code.degree(lead)
-        powers[support] = min(a, powers.get(support, a))
-
-
 def _covered(d: int, powers: dict[int, int], others: list[int], code: _Packing, budget: int) -> bool:
     """Whether every monomial of degree d, below 2**width, is a multiple of
-    a lead, the leads filed by `_file_lead` into `powers` and `others`;
-    False also when more than `budget` monomials would have to be looked at.
+    a lead; False also when more than `budget` monomials would have to be
+    looked at.  The leads are filed as `_pairs` files them: `powers` maps
+    the support bit of x_i to the least a with x_i^a a lead, and 0 to 0 for
+    the lead 1, and `others` holds the leads that are neither.
 
     The test needs 1, or a pure power of every variable, among the leads (a
     finite quotient has them): x_i^d is standard when x_i has no pure
@@ -516,16 +517,20 @@ class GroebnerBasis:
     basis as one run to the end.
 
     `covered`, when not None, is a degree from which every monomial is a
-    multiple of a lead: the degree at which `_pairs` stopped by coverage.
-    A monomial of degree d + 1 is a multiple of one of degree d, so every
-    higher degree is covered too.  Each reading in such a degree answers
-    with no enumeration and no reduction: the normal form drops the
-    component, there is no standard monomial, a coordinate is 0 and a
-    Hilbert value is 0.  Only the engine sets it (`_pairs`, and the bases
-    that keep its leads: `buchberger`, `_fitting`, ``PureQuotient.of``),
-    and no reading checks it: a degree set too low makes those readings
-    wrong.  `_pack` of arbitrary inputs leaves it None, and every reading
-    then tests coverage on the leads."""
+    multiple of a lead: the degree at which `_pairs` stopped by coverage,
+    or else the one past the box of the pure-power leads.  A monomial of
+    degree d + 1 is a multiple of one of degree d, so every higher degree
+    is covered too.  Each reading in such a degree answers with no
+    enumeration and no reduction: the normal form drops the component,
+    there is no standard monomial, a coordinate is 0 and a Hilbert value
+    is 0.  `_pairs` leaves it None exactly when some variable has no pure
+    power among the leads and 1 is not one; on a full basis, that is when
+    the quotient is not finite.  Only the engine sets it (`_pairs`, and the
+    bases that keep its leads: `buchberger`, `_fitting`,
+    ``PureQuotient.of``), and no reading checks it: a degree set too low
+    makes those readings wrong.  `_pack` of arbitrary inputs leaves it
+    None, and every reading below `covered`, or with none, reduces or
+    enumerates."""
 
     ring: PolyRing
     code: _Packing
@@ -565,44 +570,28 @@ class GroebnerBasis:
         """Whether d is at least the `covered` degree, where every reading is zero."""
         return self.covered is not None and d >= self.covered
 
-    def _covers(self, d: int, budget: int) -> bool:
-        """Whether the leads cover degree d, looking at no more than `budget` monomials (`_covered`)."""
-        powers: dict[int, int] = {}
-        others: list[int] = []
-        for lead in self.leads:
-            _file_lead(lead, self.code, powers, others)
-        return _covered(d, powers, others, self.code, budget)
-
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The remainder of p on division by the basis, in which no lead divides a term.
 
-        Each homogeneous component of p whose degree the leads cover is
-        dropped: at once from `covered` on, and otherwise as `_covers`
-        tells with that component's term count as its budget.  The rest
-        goes to one `_reduce`, and when nothing is left the result is zero
-        with no reduction at all.  The result is the same as that of
-        reducing all of p.  Every basis element is homogeneous, so a step of `_reduce` on a term of degree d subtracts
-        only terms of degree d, and the degrees never mix.  When every
-        monomial of degree d is divisible by a lead, no degree-d term ever
-        reaches the remainder.  That holds for any list of homogeneous
-        elements, a Groebner basis or not: a capped `_pair_loop`, or the
-        non-monic lists that `_pack` takes as they are.  The other
-        components reduce as before; the remainder's values are exact
-        rationals, so they are unchanged in value and in ``int`` or
-        ``Fraction`` type.
+        The terms of degree `covered` or more are dropped, and the rest go
+        to one `_reduce`; when nothing is left the result is zero with no
+        reduction at all.  The result is the same as that of reducing all
+        of p.  Every basis element is homogeneous, so a step of `_reduce`
+        on a term of degree d subtracts only terms of degree d, and the
+        degrees never mix.  When every monomial of degree d is divisible by
+        a lead, no degree-d term ever reaches the remainder.  That holds
+        for any list of homogeneous elements, a Groebner basis or not, such
+        as a capped `_pair_loop`.  The other terms reduce as before; the
+        remainder's values are exact rationals, so they are unchanged in
+        value and in ``int`` or ``Fraction`` type.
         """
         if p.ring != self.ring:
             raise ValueError("polynomial lives in a different ring")
-        parts: dict[int, dict[Monomial, int | Fraction]] = {}
-        for m, c in p.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        parts = {d: part for d, part in parts.items() if not self._past_covered(d)}
-        q = self._fitting(max(parts, default=-1))
-        pack = q.code.pack
-        kept = {pack(m): c for d, part in parts.items() if not q._covers(d, len(part)) for m, c in part.items()}
-        if not kept:
+        terms = {m: c for m, c in p.terms.items() if not self._past_covered(sum(m))}
+        if not terms:
             return self.ring.zero()
-        work, den = _clear_denominators(kept)
+        q = self._fitting(max(map(sum, terms)))
+        work, den = _clear_denominators(q.code.pack_terms(terms))
         remainder, multiplier = _reduce(work, q.basis, q.leads, q.code.guard)
         den *= multiplier
         return Polynomial._exact(self.ring, {q.code.unpack(m): _ratio(c, den) for m, c in remainder.items()})
@@ -622,15 +611,11 @@ class GroebnerBasis:
         return all((k - lead) & self.code.guard for lead in self.leads)
 
     def standard_monomials(self, d: int) -> list[Monomial]:
-        """The monomials of degree d that no lead divides, descending grevlex.  A degree the leads
-        cover has none, and is told with no enumeration: at once from `covered` on, and otherwise by
-        `_covers`, which looks at no more monomials than there are of degree d."""
+        """The monomials of degree d that no lead divides, descending grevlex; from `covered` on there
+        are none, and that is told with no enumeration."""
         if self._past_covered(d):
             return []
-        q = self._fitting(d)
-        if d > 0 and q._covers(d, comb(d + q.code.n - 1, d)):  # degree 0 has the one monomial 1
-            return []
-        return list(filter(q._standard, self.ring.monomials_of_degree(d)))
+        return list(filter(self._fitting(d)._standard, self.ring.monomials_of_degree(d)))
 
     def coordinate(self, m: Monomial) -> int | Fraction:
         """The normal form of the monomial m, in a degree of dimension at most one, as a multiple of
@@ -775,15 +760,15 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
 
     The loop also stops once every monomial of the pending degree d, the
     degree of the least pending lcm, is a multiple of a lead (`_covered`
-    describes the test), and the basis carries d as its `covered` degree;
-    otherwise that is None.  This is exact.  Every pair left has degree at
-    least d, and every monomial of degree at least d is then a multiple of
-    a lead too.  A pair's S-polynomial is homogeneous of its degree, and
-    each step of its reduction removes its leading term and leaves only
-    terms of that same degree, each again a multiple of a lead; so it
-    reduces to zero.  No pair left would add an element, so the basis is
-    element for element the one the whole loop returns, and when there is
-    no cap, or d is at most the cap, it is a full Groebner basis.
+    describes the test), and the basis carries d as its `covered` degree.
+    This is exact.  Every pair left has degree at least d, and every
+    monomial of degree at least d is then a multiple of a lead too.  A
+    pair's S-polynomial is homogeneous of its degree, and each step of its
+    reduction removes its leading term and leaves only terms of that same
+    degree, each again a multiple of a lead; so it reduces to zero.  No
+    pair left would add an element, so the basis is element for element
+    the one the whole loop returns, and when there is no cap, or d is at
+    most the cap, it is a full Groebner basis.
 
     The test runs only once 1, or a pure power of every variable, is a
     lead, and at most once per degree and number of leads.  A capped loop
@@ -792,6 +777,13 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     `_finite_basis`, so no lower degree can be covered.  Its budget is the
     number of pairs pending, as a pair's chain test passes over the leads;
     past it the test gives up, with no stop.
+
+    A loop that ends otherwise carries Σ (a_i − 1) + 1 as its `covered`
+    degree when x_i^{a_i} is the least pure power of x_i among its leads,
+    one for each variable, and 0 when 1 is a lead; past the box those
+    powers span, every monomial has some e_i >= a_i.  That is a fact about
+    the leads alone, so it holds for a capped loop too.  Otherwise, when
+    some variable has no pure power, `covered` is None.
     """
     code = start.code
     basis: list[dict[int, int]] = []
@@ -803,12 +795,14 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     overflow = 1 << (code.degree_shift + code.width)  # the least packed monomial of degree 2**width
     powers: dict[int, int] = {}  # support bit of x_i -> least a with x_i^a a lead; 0 -> 0 for the lead 1
     others: list[int] = []  # the leads that are neither 1 nor a pure power
-    boxed = False  # whether 1 or a pure power of every variable is a lead
     tested = None  # (degree, number of leads) of the last coverage test
-    covered = None  # the degree at which the loop stopped by coverage
+    covered = None  # the degree at which the loop stopped by coverage, if it did
+
+    def boxed() -> bool:
+        """Whether 1, or a pure power of every variable, is a lead."""
+        return 0 in powers or len(powers) == code.n
 
     def add_generator(g: dict[int, int], lead: int) -> None:
-        nonlocal boxed
         j = len(basis)
         basis.append(g)
         leads.append(lead)
@@ -817,8 +811,11 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
             if supports[i] & support:  # leads that share no variable make no pair
                 heappush(queue, (code.lcm(leads[i], lead), i, j))
                 pending.add((i, j))
-        _file_lead(lead, code, powers, others)
-        boxed = 0 in powers or len(powers) == code.n
+        if support & (support - 1):
+            others.append(lead)
+        else:
+            a = code.degree(lead)
+            powers[support] = min(a, powers.get(support, a))
 
     def add_remainder(work: dict[int, int]) -> None:
         """Reduce `work` by the basis, consuming it, and add a nonzero remainder, primitive at its lead."""
@@ -845,7 +842,7 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
     while queue:
         if cap is not None and code.degree(queue[0][0]) > cap:
             break
-        if boxed and queue[0][0] < overflow:
+        if boxed() and queue[0][0] < overflow:
             d = code.degree(queue[0][0])
             if (cap is None or d == cap) and (d, len(leads)) != tested:
                 tested = d, len(leads)
@@ -861,6 +858,8 @@ def _pairs(start: GroebnerBasis, cap: int | None) -> GroebnerBasis | None:
         if lcm >= overflow:
             return None
         add_remainder(_s_polynomial(basis[i], leads[i], basis[j], leads[j], lcm))
+    if covered is None and boxed():
+        covered = 0 if 0 in powers else sum(powers.values()) - code.n + 1
     return GroebnerBasis(start.ring, code, basis, leads, covered=covered)
 
 
@@ -931,8 +930,9 @@ def _finite_basis(
     popped, once the leads of G already cover every monomial of D (see
     `_pairs`); G is then the same basis and still a full one.
 
-    G carries a `covered` degree when its pair loop stopped by coverage,
-    which a loop capped at D tests at D alone (`_pairs`); then it is D.
+    So G is finite exactly when it carries a `covered` degree (`_pairs`):
+    D when its loop stopped by coverage, which a loop capped at D tests at
+    D alone, and otherwise the degree past the box of its pure powers.
 
     Given their `degrees`, the inputs are taken as `_checked` leaves them.
     """
@@ -943,9 +943,7 @@ def _finite_basis(
         return None
     cap = sum(sorted(degrees, reverse=True)[:n]) - n + 1
     found = _pair_loop(polys, ring, cap, degrees)
-    # the guard bit of each pure power's one nonzero field; 0 for the lead 1
-    pure = {s for s in map(found.code.support, found.leads) if not s & (s - 1)}
-    return found if 0 in pure or len(pure) == n else None
+    return found if found.covered is not None else None
 
 
 def is_regular_sequence(polys: Sequence[Polynomial], ring: PolyRing) -> bool:

@@ -53,6 +53,18 @@ def _add_term(terms: dict, key, value) -> None:
         del terms[key]
 
 
+def _add_exact(terms: dict, key, value) -> None:
+    """terms[key] += value for exact coefficients, keeping only nonzero
+    entries, each an ``int`` when it is whole (``rational``)."""
+    y = terms.get(key, 0) + value
+    if not y:
+        del terms[key]
+    elif type(y) is int or y.denominator != 1:
+        terms[key] = y
+    else:
+        terms[key] = y.numerator
+
+
 class Parent:
     """The parent of a ``LinearCombination`` (a polynomial ring or a
     generator table) and its constant elements.  A subclass gives
@@ -74,7 +86,9 @@ class Parent:
 
 class LinearCombination:
     """Immutable rational linear combination of monomials over a ``Parent``:
-    ``terms`` maps each monomial to its nonzero coefficient.  A subclass
+    ``terms`` maps each monomial to its nonzero coefficient, an ``int`` when
+    it is whole and a ``Fraction`` otherwise, which sums, scalings and
+    products keep.  A subclass
     gives its slots and constructor, ``_parent``, ``_MISMATCH`` (the
     exception type and message for mixing parents) and ``_times(m1, m2)``,
     the product of two monomials as ``(sign, monomial)``, or ``None`` when
@@ -109,7 +123,7 @@ class LinearCombination:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            _add_term(terms, m, c)
+            _add_exact(terms, m, c)
         return self._new(terms)
 
     def __neg__(self):
@@ -122,7 +136,7 @@ class LinearCombination:
         value = rational(value)
         if value == 0:
             return self._new({})
-        return self._new({m: c * value for m, c in self.terms.items()})
+        return self._new({m: rational(c * value) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -135,7 +149,7 @@ class LinearCombination:
                 prod = times(m1, m2)
                 if prod is not None:
                     sign, m = prod
-                    _add_term(terms, m, sign * c1 * c2)
+                    _add_exact(terms, m, sign * c1 * c2)
         return self._new(terms)
 
     def __rmul__(self, other):

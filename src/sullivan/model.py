@@ -50,6 +50,7 @@ from .groebner import (
     has_finite_quotient,
 )
 from .linalg import (
+    _add_exact,
     _add_term,
     _clear_denominators,
     _echelon,
@@ -200,7 +201,7 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
     terms: dict = {}
     for mono, coeff in a.terms.items():
         for target, x in _leibniz_monomial(m.table, images, mono).items():
-            _add_term(terms, target, coeff * x)
+            _add_exact(terms, target, coeff * x)
     return AlgebraElement(m.table, terms)
 
 

@@ -81,6 +81,35 @@ def test_polynomial_arithmetic_on_rationals_never_gives_a_float(p, q, e):
         assert _exact(value.terms.values(), whole_inputs=False)
 
 
+def test_whole_sums_scalings_and_products_of_fractions_are_int():
+    half = Fraction(1, 2)
+    x, y = R3.variable(0), R3.variable(1)
+    for p in (
+        parse_polynomial("1/2*x1 + 1/2*x1", R3),
+        x.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+        x.scale(half) * y.scale(2),
+        x.scale(half) + x.scale(half),
+        2 * x.scale(half),
+        (x * x).scale(half).derivative(0),
+    ):
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+    a = TABLE.generator(0)
+    assert type((a.scale(half) + a.scale(half)).coefficient((1, 0, 0, 0, 0))) is int
+    assert type((a.scale(half) * a.scale(4)).coefficient((2, 0, 0, 0, 0))) is int
+
+
+@given(polynomials(rational), polynomials(rational), st.integers(0, 3), rational.filter(bool))
+def test_polynomial_arithmetic_on_rationals_keeps_whole_values_int(p, q, e, c):
+    for value in (p + q, p - q, p * q, p**e, p.scale(c), c * p, p.derivative(1)):
+        assert _exact(value.terms.values(), whole_inputs=True)
+
+
+@given(elements(rational), elements(rational), st.integers(0, 3))
+def test_algebra_arithmetic_on_rationals_keeps_whole_values_int(a, b, e):
+    for value in (a + b, a - b, a * b, a**e, a.scale(Fraction(4, 3))):
+        assert _exact(value.terms.values(), whole_inputs=True)
+
+
 @given(polynomials(whole) | polynomials(rational))
 def test_parse_polynomial_normalises_whole_coefficients(p):
     parsed = parse_polynomial(render_polynomial(p), R3)
@@ -141,6 +170,11 @@ def test_extend_differential_keeps_whole_coefficients_int(a):
     d = extend_differential(m, a)
     assert _exact(d.terms.values(), whole_inputs=True)
     assert d == extend_differential(twin, _as_fractions(a))
+
+
+@given(elements(rational, degrees=(3, 5, 7), table=SIGMA.table))
+def test_extend_differential_of_rationals_keeps_whole_values_int(a):
+    assert _exact(extend_differential(SIGMA, a).terms.values(), whole_inputs=True)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gauss_jordan import dense_null_space, dense_rank, dense_rref
 from sullivan.catalog import biquotient_ring
 from sullivan.cubic import (
     CubicForm,
@@ -88,7 +89,7 @@ def test_associated_subspace_examples():
     )
 
 
-# -- quadric subspaces and the pairing against the public RationalMatrix ---------
+# -- quadric subspaces and the pairing against a dense Gauss-Jordan oracle --------
 
 coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
@@ -96,7 +97,7 @@ coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max
 def rref_basis(ring, rows):
     """The RREF of dense rows over `monomials_of_degree(2)`, read back as quadrics, and the RREF rows."""
     monos = ring.monomials_of_degree(2)
-    rref = RationalMatrix.from_rows(rows, len(monos)).rref()[0]
+    rref = dense_rref(rows, len(monos))[0]
     return [ring.from_terms({m: c for m, c in zip(monos, row) if c}) for row in rref], rref
 
 
@@ -183,9 +184,9 @@ def cubic_forms(draw):
 @given(cubic_forms())
 def test_pairing_rank_and_associated_subspace_against_rational_matrix(form):
     entries = pairing_entries(form)
-    assert pairing_rank(form) == RationalMatrix.from_rows(entries, form.dim).rank()
+    assert pairing_rank(form) == dense_rank(entries, form.dim)
     if form.dim == 3:
-        kernel = RationalMatrix.from_rows(list(zip(*entries)), len(entries)).kernel_basis()
+        kernel = dense_null_space(list(zip(*entries)), len(entries))
         basis, _ = rref_basis(R123, kernel)
         subspace = associated_subspace(form)
         assert subspace.ring == R123

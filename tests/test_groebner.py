@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sullivan.groebner as groebner
+from gauss_jordan import dense_rank
 from sullivan.algebra import _even_exponent_vectors
 from sullivan.catalog import dim6_b3_model, product_model
 from sullivan.cli import main
@@ -31,7 +32,7 @@ from sullivan.groebner import (
     has_finite_quotient,
     is_regular_sequence,
 )
-from sullivan.linalg import RationalMatrix, _echelon
+from sullivan.linalg import _echelon
 from sullivan.model import _weighted_images
 from sullivan.parsing import parse_polynomial, render_polynomial
 
@@ -216,7 +217,7 @@ def _ideal_slice_rank(gens, ring, degree):
             rows.append(row)
     if not rows:
         return 0
-    return RationalMatrix.from_rows(rows, len(monos)).rank()
+    return dense_rank(rows, len(monos))
 
 
 def _is_zero_divisor_degreewise(f, prior, ring, max_degree=8):
@@ -247,11 +248,8 @@ def _is_zero_divisor_degreewise(f, prior, ring, max_degree=8):
                 for mono, c in shifted.terms.items():
                     col[index[mono]] = c
                 ideal_cols.append(col)
-        combined = RationalMatrix.from_rows(
-            [[col[r] for col in cols + ideal_cols] for r in range(len(big))],
-            len(cols) + len(ideal_cols),
-        )
-        rank_map = combined.rank() - ideal_rank_high
+        combined = [[col[r] for col in cols + ideal_cols] for r in range(len(big))]
+        rank_map = dense_rank(combined, len(cols) + len(ideal_cols)) - ideal_rank_high
         solution_dim = len(monos) - rank_map
         if solution_dim > ideal_rank_low:
             return True
@@ -843,8 +841,8 @@ def test_normal_form_is_linear_and_ignores_the_scale_of_generators(case, data):
 @settings(deadline=None)
 @given(small_systems(), st.data())
 def test_normal_form_of_a_non_monic_basis_is_the_division_remainder(case, data):
-    """Any list of polynomials divides like the textbook division, scaled or
-    not, also in the degrees past the socle that the normal form drops."""
+    """Any list of polynomials, packed as it is and so carrying no covered
+    degree, divides like the textbook division, also past the socle."""
     ring, system = case
     degree = data.draw(st.integers(0, 6)) if ring.variables else 0
     p = data.draw(small_polynomials(ring, degree))
@@ -1016,15 +1014,20 @@ def test_the_pair_loop_basis_reads_as_the_reduced_basis(case, data):
 @given(st.one_of(small_systems(), finiteness_systems()))
 @example((R3, CI))
 def test_a_degree_is_covered_exactly_when_the_quotient_is_zero_there(case):
-    """With a budget of every monomial of the degree, the coverage test on
-    the leads of a reduced basis holds exactly where the Hilbert function
-    is zero, in a ring with variables; with none, it holds only for the
-    unit ideal."""
+    """With a budget of every monomial of the degree, the pair loop's
+    coverage test on the leads of a reduced basis, filed as the loop files
+    them, holds exactly where the Hilbert function is zero, in a ring with
+    variables; with none, it holds only for the unit ideal."""
     ring, system = case
     gb = buchberger(system, ring)
+    code = gb.code
+    supports = list(map(code.support, gb.leads))
+    # a reduced basis has at most one pure power of each variable
+    powers = {s: code.degree(lead) for s, lead in zip(supports, gb.leads) if not s & (s - 1)}
+    others = [lead for s, lead in zip(supports, gb.leads) if s & (s - 1)]
     values = gb.hilbert_function(6)
     for d, value in enumerate(values):
-        covered = gb._covers(d, len(ring.monomials_of_degree(d)))
+        covered = groebner._covered(d, powers, others, code, len(ring.monomials_of_degree(d)))
         assert not covered or value == 0
         if ring.variables:
             assert covered == (value == 0)
@@ -1044,7 +1047,7 @@ def test_the_covered_degree_of_a_basis_is_exact_and_changes_no_reading(case, cap
     """The bases of `buchberger`, a capped `_pair_loop` and `_finite_basis`:
     no degree from the one a basis carries on has a standard monomial, by a
     scan of every monomial, and every reading equals that of the same basis
-    carrying no degree, which tests coverage on its leads instead."""
+    carrying no degree, which reduces and enumerates instead."""
     ring, system = case
     finite = groebner._finite_basis(system, ring)
     bases = [buchberger(system, ring), groebner._pair_loop(system, ring, cap)]
@@ -1105,6 +1108,24 @@ def test_readings_from_the_covered_degree_on_need_no_reduction(monkeypatch):
     assert gb.normal_form(x1**4 + x1**200).is_zero()
 
 
+def test_a_loop_that_forms_no_pair_carries_the_degree_past_its_pure_powers(monkeypatch):
+    """x1^2, x2^2, x3^2 share no variable, so their loop forms no pair and
+    never tests coverage; their pure powers alone give it degree
+    1 + 1 + 1 + 1 = 4, from which nothing is enumerated or reduced.  The
+    ring with no variables has 1 standard monomial, in degree 0."""
+    gb = buchberger(polys(R3, "x1^2", "x2^2", "x3^2"))
+    assert gb.covered == 4 and gb.hilbert_function(5) == (1, 3, 3, 1, 0, 0)
+    assert groebner._finite_basis([], SMALL_RINGS[0]).covered == 1 and has_finite_quotient([], PolyRing(()))
+
+    def refusing(*args):
+        raise AssertionError("a covered degree enumerated or reduced")
+
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", refusing)
+    monkeypatch.setattr(groebner, "_reduce", refusing)
+    assert gb.standard_monomials(10**4) == []
+    assert gb.normal_form(R3.variable(0) ** 200).is_zero()
+
+
 def test_monomial_readings_check_the_exponent_vector():
     """`is_standard` and `coordinate` refuse a monomial of the wrong length or with a negative
     exponent, also in a degree the basis covers."""
@@ -1129,6 +1150,29 @@ def test_the_polynomial_constructor_normalises_its_coefficients():
     with pytest.raises(TypeError):
         Polynomial(R, {(1, 0): 1.5})
     assert (two - two).terms == {} and (two * y).terms == {(1, 1): 2, (0, 2): Fraction(1, 2)}
+
+
+def test_a_polynomial_refuses_an_exponent_vector_of_the_wrong_length():
+    R = PolyRing("xy")
+    with pytest.raises(ValueError, match="exponent vector"):
+        Polynomial(R, {(1,): 1})
+    with pytest.raises(ValueError, match="exponent vector"):
+        R.from_terms({(1, 0): 1, (0, 0, 1): 0})
+
+
+def test_a_monomial_refuses_exponents_that_are_not_int():
+    R = PolyRing("xy")
+    for expo in [(1.5, 0.5), (2.0, 0), (True, 1), (Fraction(1), 0)]:
+        with pytest.raises(ValueError, match="exponent vector"):
+            R.monomial(expo)
+        with pytest.raises(ValueError, match="exponent vector"):
+            Polynomial(R, {expo: 1})
+
+
+def test_is_standard_refuses_a_float_exponent():
+    gb = buchberger(polys(R2, "x1^2", "x2^3"))
+    with pytest.raises(ValueError, match="exponent vector"):
+        gb.is_standard((1.5, 0))
 
 
 def test_readings_past_the_width_of_a_basis_pack_its_generators_wider():
