@@ -615,13 +615,14 @@ def subject_claims(
 
     The object is built on first use and shared by its claims, so Betti
     numbers, cup form, classification and Poincare window reuse what the
-    model keeps: its Groebner quotient (`SullivanModel.quotient`) and its
+    model keeps: its base (`model._pure_base`), decided once, and its
     cochain complex.  A pure model one odd generator past a regular
-    sequence keeps neither: each of those claims reruns the capped pair
-    loops of `model._sub_quotient_betti`, a few quadrics in two variables
-    for the paper's models.  No claim builds a complex: the pairing of a
-    Poincare window on an elliptic pure model follows from Halperin's
-    theorem (`model.poincare_duality_check`).
+    sequence keeps A in its base but not B, the quotient by all images:
+    each of those claims reruns that capped pair loop in
+    `model._sub_quotient_betti`, a few quadrics in two variables for the
+    paper's models.  No claim builds a complex: the pairing of a Poincare
+    window on an elliptic pure model follows from Halperin's theorem
+    (`model.poincare_duality_check`).
     """
     build = cache(builder)
     for prop, value in expected:

@@ -9,8 +9,8 @@ least two.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from collections import Counter
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -61,30 +61,77 @@ class ExponentPair:
         return f"a=({a}) b=({b})"
 
 
-@lru_cache(maxsize=None)
-def _representable(value: int, weights: tuple[int, ...]) -> bool:
-    """value = sum gamma_l * weights_l with gamma_l >= 0 integers, sum gamma_l >= 2."""
+# the largest entry of b that `check_sac` takes: its bitsets have
+# max(b) + 1 bits, 2 MB each at most
+MAX_SAC_ENTRY = 1 << 24
 
-    def rec(idx: int, remaining: int, count: int) -> bool:
-        if idx == len(weights):
-            return remaining == 0 and count >= 2
-        w = weights[idx]
-        for gamma in range(remaining // w + 1):
-            if rec(idx + 1, remaining - gamma * w, count + gamma):
-                return True
-        return False
+# the most work `check_sac` does before it gives up, counted in bits of
+# the bitset operations of its subset search (see there): at most about
+# 2.5 s in CPython 3.11 on one Intel Xeon core
+MAX_SAC_WORK = 1 << 35
 
-    return rec(0, value, 0)
+# the cost of one bitset operation on top of its bits: the interpreter's
+# per-operation overhead, about that of a few thousand bits of work
+_OPERATION_COST = 1 << 12
 
 
 def check_sac(pair: ExponentPair) -> bool:
-    """The arithmetic condition on (a; b), decided by exhaustive subset search."""
-    a, b = pair.a, pair.b
-    for s in range(1, len(a) + 1):
-        for subset in set(combinations(a, s)):
-            good = sum(1 for value in b if _representable(value, subset))
-            if good < s:
-                return False
+    """The arithmetic condition on (a; b): every nonempty subset S of a has
+    at least |S| entries of b that are nonnegative integer combinations of
+    S with coefficient sum at least two.
+
+    Whether an entry is such a combination depends only on the distinct
+    values in S, and the more values, the more entries are; so each set D
+    of distinct values of a is checked once, against its largest size, the
+    number of entries of a in D.  The sets are searched depth first, values
+    added in increasing order.  Each set keeps its sums, the combinations up
+    to max(b), as one bitset: adding a value w closes it under +w in
+    doubling steps.  The sums with coefficient sum at least two are those
+    sums shifted by two values of D.  A set short of entries ends the search
+    with False; a set with at least as many entries as any set below it in
+    the search can hold skips them.  The search keeps its own stack, so the
+    sets it holds at once are those on one path, however many values a has.
+
+    Each bitset operation costs its max(b) + 1 bits plus `_OPERATION_COST`.
+    A search that would pass `MAX_SAC_WORK`, or an entry of b above
+    `MAX_SAC_ENTRY`, raises ValueError.
+    """
+    counts = Counter(pair.a)
+    values = sorted(counts)
+    top = max(pair.b, default=0)
+    if top > MAX_SAC_ENTRY:
+        raise ValueError(f"the arithmetic condition takes entries of b up to {MAX_SAC_ENTRY}, not {top}")
+    later = list(accumulate(counts[w] for w in reversed(values)))[::-1] + [0]  # entries of a from values[i] on
+    layers: dict[int, int] = {}  # multiplicity in b -> the bitset of the entries of b with it
+    for value, c in Counter(pair.b).items():
+        layers[c] = layers.get(c, 0) | 1 << value
+    work = 0
+    mask = (1 << (top + 1)) - 1
+    stack = [(0, 1, (), 0)]  # (position in values, the sums of the set, the set, its size)
+    while stack:
+        i, sums, chosen, size = stack.pop()
+        if i == len(values):
+            continue
+        stack.append((i + 1, sums, chosen, size))  # the same set without values[i]
+        w = values[i]
+        subset, needed = chosen + (w,), size + counts[w]
+        work += (max(top // w, 1).bit_length() + 2 * len(subset) + len(layers)) * (top + 1 + _OPERATION_COST)
+        if work > MAX_SAC_WORK:
+            raise ValueError(f"the arithmetic condition needs more than {MAX_SAC_WORK} bits of subset search")
+        shift = w
+        while shift <= top:
+            sums |= (sums << shift) & mask
+            shift <<= 1
+        once = twice = 0
+        for u in subset:
+            once |= sums << u
+        for u in subset:
+            twice |= once << u
+        good = sum(c * (twice & bits).bit_count() for c, bits in layers.items())
+        if good < needed:
+            return False
+        if good < needed + later[i + 1]:
+            stack.append((i + 1, sums, subset, needed))
     return True
 
 

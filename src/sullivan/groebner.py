@@ -526,11 +526,10 @@ class GroebnerBasis:
     is 0.  `_pairs` leaves it None exactly when some variable has no pure
     power among the leads and 1 is not one; on a full basis, that is when
     the quotient is not finite.  Only the engine sets it (`_pairs`, and the
-    bases that keep its leads: `buchberger`, `_fitting`,
-    ``PureQuotient.of``), and no reading checks it: a degree set too low
-    makes those readings wrong.  `_pack` of arbitrary inputs leaves it
-    None, and every reading below `covered`, or with none, reduces or
-    enumerates."""
+    bases that keep its leads: `buchberger` and `_fitting`), and no
+    reading checks it: a degree set too low makes those readings wrong.
+    `_pack` of arbitrary inputs leaves it None, and every reading below
+    `covered`, or with none, reduces or enumerates."""
 
     ring: PolyRing
     code: _Packing

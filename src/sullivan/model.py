@@ -4,29 +4,59 @@ A model is a generator table plus a differential image per generator.  The
 differential extends by the graded Leibniz rule; cohomology in each degree
 is exact linear algebra on the monomial bases (`CochainComplex`).
 
-Pure models have a second exact route.  Take a pure model (ΛQ ⊗ ΛP, d):
-d is zero on the even generators x_1..x_n and sends the odd ones y_j into
-Q[x].  Its cohomology contains B = Q[x]/(all dy_j), the classes of the
-polynomials in x (Halperin, Trans. AMS 230, 1977; Félix, Halperin and
-Thomas, Rational Homotopy Theory, §32).  With as many odd generators as
-even ones and B finite-dimensional, dy_1..dy_n is a regular sequence, the
-model is the Koszul complex of that sequence, and H* ≅ B, concentrated in
-even degrees, as graded rings.  The model keeps that quotient
-(`SullivanModel.quotient`, a `PureQuotient`).  A pure model with one odd
-generator more than a regular sequence has H* = A/fA ⊕ Ann_A(f)·y, with A
-the quotient by the regular images and f = dy the image left out; there
-A/fA = B.
+Pure models have a second exact route, through a base.  Take a pure model
+(ΛQ ⊗ ΛP, d) with n ≥ 1 even generators x_1..x_n and r odd ones y_j: d is
+zero on the x_i and sends each y_j into Q[x].  With step the gcd of the
+even degrees and w_i = deg x_i / step, `_weighted_images` sends x_i to
+x_i^{w_i}, so the images f_j = dy_j become forms; H^k is zero when step
+does not divide k, and a Hilbert value of weighted degree k / step, read
+with the weights w (`GroebnerBasis.hilbert_function`), is a dimension in
+degree k.  The pair loop forms S-polynomials and reductions of elements of
+Q[x^w] by elements of Q[x^w], which stay in Q[x^w]: there lcms of leads and
+quotients of divisible monomials have every x_i-exponent a multiple of
+w_i.  So the same run is Buchberger's algorithm in Q[x] under the monomial
+order a < b iff a·w < b·w, and a normal form of an element of Q[x^w] stays
+in Q[x^w].
 
-One function, `_sub_quotient_betti`, decides which pure models take this
-route: it returns the Betti numbers, read from the Hilbert functions of B
-(and of A), together with B, and None for every other model.
-`betti_numbers` reads the Betti numbers from it, and when all even degrees
-equal the degree read, `cup_product_cubic_form` and `pairing_determinant`
-read their products in B, with no cochain complex (`_top_class_reader`).
-The duality pairing of a pure elliptic model needs no computation at all:
-by Halperin's theorem its cohomology satisfies Poincaré duality, so
-`poincare_duality_check` reads the pairing off the degree-one generators.
-Everything else goes through the complex.
+`_pure_base` decides the base once, from the model alone, and keeps it on
+the model: a plain `GroebnerBasis` A of images certified regular, and the
+odd generator `left` out of them.  It tries, in this order:
+
+1. r = n, and `_finite_basis` finds A = Q[x]/(all f_j) finite.  Then
+   f_1..f_n is a regular sequence, the model is its Koszul complex, and
+   H* ≅ A, concentrated in even degrees, as graded rings, x_i standing for
+   its class (Halperin, Trans. AMS 230, 1977; Félix, Halperin and Thomas,
+   Rational Homotopy Theory, §32).  `left` is None.
+2. r in (1, 2, n + 1): leave out one odd generator y = y_left, the last
+   first, and keep the rest when they are certified regular: for r ≥ 3,
+   n forms whose quotient `_finite_basis` finds finite (n forms in n
+   variables with a finite quotient are a regular sequence); for r ≤ 2,
+   the empty sequence or one nonzero form, its own Groebner basis.  With
+   A = Q[x]/(the kept forms), B = Q[x]/(all f_j) and f = dy,
+
+       b_k = B_k + B_{k+1} + A_{k-|y|} - A_{k+1}.
+
+   Proof: the model without y is the Koszul complex of the kept forms,
+   which resolves A because they are regular (Bruns and Herzog,
+   Cohen-Macaulay Rings, §1.6).  Pushing the relative algebra
+   (ΛQ ⊗ Λ(others)) ⊗ Λy forward along that quasi-isomorphism gives
+   A ⊗ Λy with dy = f̄ (Félix, Halperin and Thomas, §14 and §32), whose
+   cohomology is A/fA ⊕ Ann_A(f)·y.  Here (A/fA)_k = B_k, and Ann_A(f)_j,
+   the kernel of multiplication by f from A_j onto (fA)_{j+|f|}, has
+   dimension A_j - A_{j+|f|} + B_{j+|f|}; for the class a·y of degree k,
+   j = k - |y| and j + |f| = k + 1.
+3. Every other model has no base, and only the cochain complex answers it.
+
+A is exact in every degree.  B depends on the degrees read:
+`_sub_quotient_betti` builds it per call, capped at the largest weighted
+degree read, and takes B = A when left is None or f is zero.  It answers
+Betti numbers from the Hilbert functions of A and B, `betti_numbers` reads
+them there, and when all even degrees equal the degree read,
+`cup_product_cubic_form` and `pairing_determinant` read their products in
+B, with no cochain complex (`_top_class_reader`).  The duality pairing of
+a pure elliptic model needs no computation at all: by Halperin's theorem
+its cohomology satisfies Poincaré duality, so `poincare_duality_check`
+reads the pairing off the degree-one generators.
 """
 
 from __future__ import annotations
@@ -72,7 +102,7 @@ class Violation:
 class SullivanModel:
     """Free graded-commutative algebra with a degree +1 differential."""
 
-    __slots__ = ("table", "images", "_cochains", "_quotient", "__weakref__")
+    __slots__ = ("table", "images", "_cochains", "_base", "__weakref__")
 
     def __init__(self, table: GeneratorTable, differential: dict[str, AlgebraElement]):
         self.table = table
@@ -90,7 +120,7 @@ class SullivanModel:
                 raise KeyError(f"differential given for unknown generator {name!r}")
         self.images = tuple(images)
         self._cochains = None
-        self._quotient = _UNDECIDED
+        self._base = _UNDECIDED
 
     def __eq__(self, other) -> bool:
         return (
@@ -131,14 +161,6 @@ class SullivanModel:
         if self._cochains is None:
             self._cochains = CochainComplex(self)
         return self._cochains
-
-    def quotient(self) -> "PureQuotient | None":
-        """The Groebner quotient that H* is read from, or None when the model
-        is not of its kind (see `PureQuotient`); decided on first use and
-        kept on the model."""
-        if self._quotient is _UNDECIDED:
-            self._quotient = PureQuotient.of(self)
-        return self._quotient
 
     # -- structure ---------------------------------------------------------
 
@@ -207,7 +229,7 @@ def extend_differential(m: SullivanModel, a: AlgebraElement) -> AlgebraElement:
 
 # -- cohomology ---------------------------------------------------------------
 
-# SullivanModel._quotient before the route is decided
+# SullivanModel._base before the base is decided
 _UNDECIDED = object()
 
 # the most monomials the cochain complex enumerates in one degree
@@ -261,8 +283,8 @@ class CochainComplex:
     vector times that multiplier.  A ``Fraction`` is made only where an
     exact value leaves the complex: ``reduce``, ``class_generator`` and
     ``_top_coordinate``, the one reading of a class in a one-dimensional
-    H^k where no quotient gives it: ``_top_class_reader`` off the route of
-    `_sub_quotient_betti` or with unequal even degrees, and the pairing of
+    H^k where no quotient gives it: ``_top_class_reader`` on a model with
+    no base or with unequal even degrees, and the pairing of
     ``poincare_duality_check`` for a model that is not pure or not
     elliptic.  That reading needs the reduced cocycle alone: no kernel and
     no search for a representative, which only ``class_generator`` makes.
@@ -394,48 +416,48 @@ class CochainComplex:
         raise ArithmeticError(f"H^{k} is zero")
 
 
-@dataclass(slots=True, eq=False)
-class PureQuotient(GroebnerBasis):
-    """Q[x]/(dy) for a pure model with as many odd generators as even ones,
-    at least one, whose images give a finite quotient: H* as a graded ring
-    (see the module docstring), x_i standing for the class of x_i.
+@dataclass(frozen=True, slots=True)
+class _Base:
+    """The base of a pure model (see the module docstring): the weighted
+    images in their ring with `step` and `weights`, as `_weighted_images`
+    gives them, A, and the position among the odd generators of the one
+    left out, or None."""
 
-    With step the gcd of the even degrees and w_i = deg x_i / step, the
-    quotient is the `GroebnerBasis` of the images with x_i sent to x_i^{w_i}
-    (`_weighted_images`) that decides finiteness (`_finite_basis`), with
-    step and the weights on top.  H^k is zero when step does not divide k,
-    and otherwise has as its basis the standard monomials x^{w·a} with
-    sum a_i·w_i = k / step.  The pair loop forms S-polynomials and
-    reductions of elements of Q[x^w] by elements of Q[x^w], which stay in
-    Q[x^w]: there lcms of leads and quotients of divisible monomials have
-    every x_i-exponent a multiple of w_i.  So the same run is Buchberger's
-    algorithm in Q[x] under the monomial order a < b iff a·w < b·w, the
-    leads divided by w are the leads of (dy) in that order, and a normal
-    form of an element of Q[x^w] stays in Q[x^w].
-    """
-
+    ring: PolyRing
+    images: list[Polynomial]
     step: int
     weights: list[int]
+    a: GroebnerBasis
+    left: int | None
 
-    @classmethod
-    def of(cls, m: SullivanModel) -> "PureQuotient | None":
-        """The quotient of m, after `_check_cohomology_input`; None for a
-        model not of its kind, without checking it."""
-        table = m.table
-        if not (len(table.even_indices()) == len(table.odd_indices()) >= 1 and m.is_pure()):
-            return None
+
+def _pure_base(m: SullivanModel) -> _Base | None:
+    """The base of m, or None for a model that only the cochain complex
+    answers; decided on first use, in the order of the module docstring,
+    and kept on the model.  A model of a base's shape is validated first
+    (`_check_cohomology_input`): one that fails raises on every call, and
+    nothing is kept."""
+    if m._base is not _UNDECIDED:
+        return m._base
+    n, r = len(m.table.even_indices()), len(m.table.odd_indices())
+    base = None
+    if n and r in (1, 2, n, n + 1) and m.is_pure():
         _check_cohomology_input(m)
         ring, images, step, weights = _weighted_images(m)
-        found = _finite_basis(images, ring)
-        if found is None:
-            return None
-        return cls(ring, found.code, found.basis, found.leads, step, weights, covered=found.covered)
-
-    def betti(self, max_degree: int) -> tuple[int, ...]:
-        """(b_0, ..., b_max): b_k is the coefficient of t^{k/step} in the
-        Hilbert series of Q[x]/(dy) with x_i of weight w_i."""
-        values = self.hilbert_function(max_degree // self.step, self.weights)
-        return tuple(_by_model_degree(values, self.step, max_degree))
+        lefts = [None] if r == n else []
+        if r in (1, 2, n + 1):
+            lefts += reversed(range(r))
+        for left in lefts:
+            kept = images if left is None else images[:left] + images[left + 1 :]
+            if left is None or r > 2:
+                a = _finite_basis(kept, ring)
+            else:
+                a = None if any(f.is_zero() for f in kept) else _pair_loop(kept, ring)
+            if a is not None:
+                base = _Base(ring, images, step, weights, a, left)
+                break
+    m._base = base
+    return base
 
 
 def _by_model_degree(values: Sequence[int], step: int, top: int) -> list[int]:
@@ -445,72 +467,34 @@ def _by_model_degree(values: Sequence[int], step: int, top: int) -> list[int]:
 
 
 def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[tuple[int, ...], GroebnerBasis] | None:
-    """The one route rule for pure models: (b_0, ..., b_max) with the
-    quotient B = Q[x]/(all images) they were read from, or None for a model
-    that only the cochain complex answers.  The model's `PureQuotient`,
-    when it has one, is its own B; otherwise the route below.
-
-    A pure model whose images f_1..f_m (weighted as in `_weighted_images`)
-    include m - 1 certified regular has its Betti numbers from two Hilbert
-    functions.  Certified regular are the empty sequence (m = 1), one
-    nonzero form (m = 2), and n forms whose quotient `_finite_basis` finds
-    finite (m = n + 1, with n even generators): n forms in n variables with
-    a finite quotient are a regular sequence.  The odd generator y left out
-    is tried last first, then the earlier ones.  With A = Q[x]/(the m - 1
-    forms), B = Q[x]/(all m) and f = dy,
-
-        b_k = B_k + B_{k+1} + A_{k-|y|} - A_{k+1},
-
-    every value 0 in degrees that the gcd `step` of the even degrees does
-    not divide.  Proof: the model without y is the Koszul complex of the
-    m - 1 forms, which resolves A because they are regular (Bruns and
-    Herzog, Cohen-Macaulay Rings, §1.6).  Pushing the relative algebra
-    (ΛQ ⊗ Λ(others)) ⊗ Λy forward along that quasi-isomorphism gives
-    A ⊗ Λy with dy = f̄ (Félix, Halperin and Thomas, Rational Homotopy
-    Theory, §14 and §32), whose cohomology is A/fA ⊕ Ann_A(f)·y.  Here
-    (A/fA)_k = B_k, and Ann_A(f)_j, the kernel of multiplication by f from
-    A_j onto (fA)_{j+|f|}, has dimension A_j - A_{j+|f|} + B_{j+|f|}; for
-    the class a·y of degree k, j = k - |y| and j + |f| = k + 1.
-
-    A of the finite certificate is its own `GroebnerBasis`, exact in every
-    degree; the other A and B come from `_pair_loop` capped at the largest
-    degree read, (max_degree + 1) / step, and B is A when f is zero.  The
-    route answers only where the cochain complex would: the model is
-    validated first, and a degree up to max_degree + 1, each of which the
-    complex enumerates, past MAX_BASIS raises the complex's ValueError.
-    """
-    quotient = m.quotient()
-    if quotient is not None:
-        return quotient.betti(max_degree), quotient
-    table = m.table
-    n, odds = len(table.even_indices()), table.odd_indices()
-    if not (n and len(odds) in (1, 2, n + 1) and m.is_pure()):
+    """(b_0, ..., b_max) read off the model's base, with the quotient
+    B = Q[x]/(all images) they were read from, or None for a model with no
+    base (see the module docstring).  With no generator left out, B is A
+    and b_k is its Hilbert value.  Otherwise B is `_pair_loop` capped at
+    the largest weighted degree read, (max_degree + 1) / step, or A when
+    f is zero, and b_k comes from the Hilbert functions of A and B; that
+    route answers only where the cochain complex would, so a degree up to
+    max_degree + 1, each of which the complex enumerates, past MAX_BASIS
+    raises the complex's ValueError."""
+    base = _pure_base(m)
+    if base is None:
         return None
-    _check_cohomology_input(m)
-    for k, size in enumerate(_free_dimensions(table, max_degree + 1)):
+    a, step, weights = base.a, base.step, base.weights
+    if base.left is None:
+        return tuple(_by_model_degree(a.hilbert_function(max_degree // step, weights), step, max_degree)), a
+    for k, size in enumerate(_free_dimensions(m.table, max_degree + 1)):
         _check_enumerable(k, size)
-    ring, images, step, weights = _weighted_images(m)
     top = (max_degree + 1) // step
-    for left in reversed(range(len(odds))):
-        kept = images[:left] + images[left + 1 :]
-        if len(odds) > 2:
-            a = _finite_basis(kept, ring)
-        else:
-            a = None if any(f.is_zero() for f in kept) else _pair_loop(kept, ring, top)
-        if a is not None:
-            break
-    else:
-        return None
-    b = a if images[left].is_zero() else _pair_loop(images, ring, top)
+    b = a if base.images[base.left].is_zero() else _pair_loop(base.images, base.ring, top)
     A, B = (_by_model_degree(q.hilbert_function(top, weights), step, max_degree + 1) for q in (a, b))
-    y = table.degrees[odds[left]]
+    y = m.table.degrees[m.table.odd_indices()[base.left]]
     return tuple(B[k] + B[k + 1] + (A[k - y] if k >= y else 0) - A[k + 1] for k in range(max_degree + 1)), b
 
 
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
-    """(b_0, ..., b_max): from the quotient of `_sub_quotient_betti` when
-    the model has that route, and otherwise by degreewise kernel/rank
-    bookkeeping on the cochain complex."""
+    """(b_0, ..., b_max): from `_sub_quotient_betti` when the model has a
+    base, and otherwise by degreewise kernel/rank bookkeeping on the
+    cochain complex."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     route = _sub_quotient_betti(m, max_degree)
@@ -524,10 +508,10 @@ def _top_class_reader(m: SullivanModel, degree: int, k: int) -> Callable[[tuple[
     """Reads a product of generators of the given degree, by table index, in
     H^k as a multiple of its generator; ValueError unless dim H^k = 1.
 
-    dim H^k comes from `_sub_quotient_betti` when the model has that route,
-    and from the cochain complex otherwise.  On the route, when every even
-    generator has the given degree, a product is read from the route's
-    quotient B by `GroebnerBasis.coordinate`; every other reading is
+    dim H^k comes from `_sub_quotient_betti` when the model has a base,
+    and from the cochain complex otherwise.  With a base, when every even
+    generator has the given degree, a product is read from the quotient B
+    of all images by `GroebnerBasis.coordinate`; every other reading is
     `_top_coordinate` on the complex.
 
     The two readings agree.  The even products of degree k span B_k, which
@@ -606,9 +590,9 @@ def poincare_duality_check(m: SullivanModel) -> bool:
       = #x_p - rank{dy : |y| = 1}, which is #x_p exactly when every
       degree-one generator is closed.
 
-    The model is pure and elliptic when it has a `PureQuotient`, which
-    `betti_numbers` has decided already, or when `pure_is_elliptic` says
-    so.  Every other model reads the pairing on the cochain complex:
+    The model is pure and elliptic when its base leaves no generator out,
+    which `betti_numbers` has decided already, or when `pure_is_elliptic`
+    says so.  Every other model reads the pairing on the cochain complex:
     entry (p, z) is the class of x_p·z in H^n, for z the canonical cocycles
     of degree n - 2.
     """
@@ -622,7 +606,8 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     xs = [i for i, d in enumerate(table.degrees) if d == 2]
     if not xs or n < 4:
         return True
-    if m.quotient() is not None or (m.is_pure() and pure_is_elliptic(m)):
+    base = _pure_base(m)
+    if (base is not None and base.left is None) or (m.is_pure() and pure_is_elliptic(m)):
         return all(m.images[i].is_zero() for i, d in enumerate(table.degrees) if d == 1)
     cochains = m.cochains()
     basis = cochains.basis(n - 2)

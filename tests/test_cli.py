@@ -46,6 +46,10 @@ def test_check_sac(capsys):
     assert code == 0
     code, _, err = run(capsys, "check-sac", "1", "2")
     assert code == 2
+    code, out, _ = run(capsys, "check-sac", "2", "4", "--", "4", "8", "100001")
+    assert code == 0 and out == "a=(2,4) b=(4,8,100001): sac=yes formal-dimension=200013 constraints=yes\n"
+    code, _, err = run(capsys, "check-sac", "2", "--", "16777217")
+    assert code == 2 and err == "error: the arithmetic condition takes entries of b up to 16777216, not 16777217\n"
 
 
 def test_cohomology_of_model_file(tmp_path, capsys):

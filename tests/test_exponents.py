@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from sullivan import exponents
 from sullivan.catalog import (
     EXPECTED_EXPONENTS,
     cp_model,
@@ -74,6 +75,20 @@ def _oracle_sac(a, b):
     return True
 
 
+def test_check_sac_answers_or_refuses_large_inputs(monkeypatch):
+    """A large entry of b costs a bitset of its size, and many entries of a
+    cost subsets only where they are not pruned; past its limits the
+    search raises instead of running on."""
+    assert check_sac(ExponentPair((2, 4), (4, 8, 100001)))
+    assert check_sac(ExponentPair(range(1, 17), range(2, 61)))
+    assert not check_sac(ExponentPair(range(1, 17), range(2, 17)))
+    with pytest.raises(ValueError, match=r"entries of b up to 16777216, not 16777217$"):
+        check_sac(ExponentPair((2,), (exponents.MAX_SAC_ENTRY + 1,)))
+    monkeypatch.setattr(exponents, "MAX_SAC_WORK", 1 << 20)
+    with pytest.raises(ValueError, match=r"needs more than 1048576 bits of subset search$"):
+        check_sac(ExponentPair(range(31, 61), range(62, 122, 2)))
+
+
 def _oracle_enumerate(n):
     found = set()
     max_a_len = n // 2
@@ -124,10 +139,11 @@ def test_product_closure():
 
 def test_sac_permutation_invariant():
     rng = random.Random(55)
-    for _ in range(20):
+    for _ in range(200):
         a = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]
         b = [rng.randint(2, 6) for _ in range(rng.randint(max(1, len(a)), 4))]
         reference = check_sac(ExponentPair(a, b))
+        assert reference == _oracle_sac(tuple(sorted(a)), tuple(sorted(b)))
         rng.shuffle(a)
         rng.shuffle(b)
         assert check_sac(ExponentPair(a, b)) == reference

@@ -57,7 +57,7 @@ from sullivan.catalog import (
 from sullivan.cli import main
 from sullivan.cubic import CubicForm, cubic_form_of_quadric_ideal
 from sullivan.exponents import ExponentPair
-from sullivan.groebner import _pair_loop, buchberger
+from sullivan.groebner import _finite_basis, _pair_loop, buchberger
 from sullivan.parsing import parse_model, render_model
 
 
@@ -697,7 +697,8 @@ def assert_routes_agree(m, top):
     model with as many odd as even generators is elliptic exactly when the
     quotient route applies."""
     table = m.table
-    quotient = None if m.quotient() is None else m.quotient().betti(top)
+    base = sullivan.model._pure_base(m)
+    quotient = None if base is None or base.left is not None else sullivan.model._sub_quotient_betti(m, top)[0]
     direct = complex_betti(m, top)
     assert betti_numbers(m, top) == direct
     if len(table.even_indices()) == len(table.odd_indices()) >= 1:
@@ -737,19 +738,6 @@ def random_pure_models(draw, even_degrees=(2, 4), min_even=1):
 def test_betti_routes_agree_on_random_pure_models(m):
     top = max(m.formal_dimension_claim(), 0) + 2
     assert_routes_agree(m, top)
-
-
-@settings(deadline=None, max_examples=60)
-@given(random_pure_models())
-def test_quotient_betti_up_to_each_degree_is_a_prefix(m):
-    """Betti numbers read up to each k, below the socle too, from a numerator
-    truncated at k, are the first k + 1 of those read up to top."""
-    quotient = m.quotient()
-    if quotient is not None:
-        top = max(m.formal_dimension_claim(), 0) + 2
-        full = quotient.betti(top)
-        for k in range(top + 1):
-            assert quotient.betti(k) == full[: k + 1]
 
 
 PURE_FACTORS = [
@@ -820,6 +808,19 @@ def models_past_a_regular_sequence(draw, even_degrees=(2, 4), min_even=1):
     return SullivanModel(table, differential)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(random_pure_models(), models_past_a_regular_sequence()))
+def test_quotient_betti_up_to_each_degree_is_a_prefix(m):
+    """Betti numbers read off the base up to each k, below the socle too,
+    from numerators truncated at k and a B capped there, are the first
+    k + 1 of those read up to top."""
+    top = max(m.formal_dimension_claim(), 0) + 2
+    route = sullivan.model._sub_quotient_betti(m, top)
+    if route is not None:
+        for k in range(top + 1):
+            assert sullivan.model._sub_quotient_betti(m, k)[0] == route[0][: k + 1]
+
+
 # -- Poincare duality of pure elliptic models from Halperin's theorem ---------------
 
 
@@ -842,13 +843,13 @@ def complex_pairing_rank(m, n):
 
 def complex_duality_verdict(m):
     """poincare_duality_check read on the cochain complex alone, of a copy of
-    the model whose quotient is set aside: Betti symmetry, b_n = 1 and a
+    the model whose base is set aside: Betti symmetry, b_n = 1 and a
     pairing of the degree-two generators of full rank.  A test oracle only."""
     n = m.formal_dimension_claim()
     if n < 0:
         return False
     on_complex = copy.copy(m)
-    on_complex._quotient = None
+    on_complex._base = None
     betti = complex_betti(on_complex, n)
     if betti[n] != 1 or betti != betti[::-1]:
         return False
@@ -920,7 +921,7 @@ def degenerate_pairing_models():
 
 @pytest.mark.parametrize("m", degenerate_pairing_models())
 def test_a_degenerate_pairing_fails_duality_on_both_routes(m):
-    assert m.quotient() is not None
+    assert sullivan.model._pure_base(m).left is None
     assert betti_numbers(m, 4) == (1, 0, 1, 0, 1)
     assert complex_pairing_rank(m, 4) == 1
     assert not poincare_duality_check(m)
@@ -992,6 +993,28 @@ def test_betti_numbers_and_duality_run_the_pair_loop_once(monkeypatch):
     assert not built
 
 
+def test_a_model_decides_its_base_once(monkeypatch):
+    """The certificate search of a model's base runs once: Betti numbers to
+    another degree and a product reading use the base kept on the model."""
+    calls = count_calls(monkeypatch, _finite_basis)
+    m = dim7_sigma_model(2)
+    assert betti_numbers(m, 7) == (1, 0, 2, 1, 1, 2, 0, 1)
+    assert betti_numbers(m, 14)[8:] == (0,) * 7
+    assert pairing_determinant(m) == 2
+    assert len(calls) == 1 and m._base.left == 2
+
+
+def test_a_model_that_fails_validation_keeps_no_base():
+    """A failed decision is not kept as "no base": every call validates
+    again and raises the same error."""
+    table = GeneratorTable([("x", 2), ("y", 3)])
+    m = SullivanModel(table, {"y": table.generator("x")})
+    for call in (partial(betti_numbers, m, 4), partial(poincare_duality_check, m)) * 2:
+        with pytest.raises(ValueError, match=r"^d\(y\) has degree 2, expected 4$"):
+            call()
+        assert m._base is sullivan.model._UNDECIDED
+
+
 def outcome(f, *args):
     try:
         return f(*args)
@@ -1050,7 +1073,7 @@ def test_top_class_readings_build_no_complex_and_no_reduced_basis(monkeypatch, c
     # S^2 × S^2 × S^6 is on the quotient route, but with even degrees 2, 2 and
     # 6 the complex orders its monomials otherwise, so it reads there
     m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
-    assert m.quotient() is not None and pairing_determinant(m) == -1
+    assert sullivan.model._pure_base(m).left is None and pairing_determinant(m) == -1
     assert len(built) == 1
     # verify-paper builds none: its duality checks are all on elliptic pure models
     built.clear()
