@@ -37,7 +37,7 @@ from .groebner import (
     buchberger,
     is_regular_sequence,
 )
-from .linalg import RationalMatrix, in_span
+from .linalg import RationalMatrix
 from .model import (
     CochainComplex,
     SullivanModel,

@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Every rank, echelon form, kernel and span test runs one sparse
-fraction-free elimination over ``int`` (``_forward``), in the manner of
-Bareiss (*Math. Comp.* 22, 1968): each row is scaled to primitive
-integers on input and cleared by gcd-reduced ``a·row − b·pivot_row``, with
-no ``Fraction`` and no modular step.  ``rank`` stops after this forward
+Every rank, echelon form and kernel runs one sparse fraction-free
+elimination over ``int`` (``_forward``), in the manner of Bareiss
+(*Math. Comp.* 22, 1968): each row is scaled to primitive integers on
+input and cleared by gcd-reduced ``a·row − b·pivot_row``, with no
+``Fraction`` and no modular step.  ``rank`` stops after this forward
 pass.  ``_echelon`` back-eliminates to the reduced row echelon form, kept
 in integer form: each row primitive and positive at its pivot, so the
 RREF row is that row divided by its pivot value.  That form is unique, so
 kernels come out in the canonical free-column form (``_kernel``, again as
 primitive integer vectors, positive at their free column) and subspace
 equality is plain equality.  A ``Fraction`` is made only where the public
-API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis``
-and ``in_span`` divide the integer rows at the end.
+API returns one: ``RationalMatrix.data``/``rref``/``kernel_basis`` divide
+the integer rows at the end.
 
 ``LinearCombination`` is the one implementation of sums, scalings and
 products of monomials with rational coefficients, shared by
@@ -333,26 +333,6 @@ class RationalMatrix:
         """Canonical basis of the right null space (one vector per free column)."""
         kernel = _kernel(self._entries, self.cols)
         return _dense((_fractions(v, v[max(v)]) for v in kernel), self.cols)
-
-
-def in_span(v: Sequence, basis: Iterable[Sequence]) -> tuple[bool, Vector | None]:
-    """Membership of v in the rational span of basis, with coordinates on
-    success.  Entries are read by ``rational``, so a float raises ``TypeError``."""
-    v = tuple(map(rational, v))
-    basis = [tuple(map(rational, b)) for b in basis]
-    if any(len(b) != len(v) for b in basis):
-        raise ValueError("vectors of inconsistent dimensions")
-    # columns are the basis vectors, augmented with v
-    aug = RationalMatrix.from_rows(
-        [[b[i] for b in basis] + [v[i]] for i in range(len(v))], len(basis) + 1
-    )
-    rows = _echelon(aug._entries)
-    if len(basis) in rows:
-        return (False, None)
-    coords = [Fraction(0)] * len(basis)
-    for pc, row in rows.items():
-        coords[pc] = Fraction(row.get(len(basis), 0), row[pc])
-    return (True, tuple(coords))
 
 
 def integerized(vector: Sequence[int | Fraction]) -> tuple[int, ...]:

@@ -82,10 +82,8 @@ from .groebner import (
 from .linalg import (
     _add_exact,
     _add_term,
-    _clear_denominators,
     _echelon,
     _forward,
-    _fractions,
     _kernel,
     _ratio,
     rational,
@@ -265,6 +263,13 @@ def _check_enumerable(k: int, size: int) -> None:
         )
 
 
+def _check_enumerable_through(table: GeneratorTable, top: int) -> None:
+    """`_check_enumerable` on every degree 0..top, lowest first, before any
+    of them is built: the refusal the cochain complex makes lazily."""
+    for k, size in enumerate(_free_dimensions(table, top)):
+        _check_enumerable(k, size)
+
+
 class CochainComplex:
     """Per degree k: the monomial basis and its index, d_k, its rank and
     canonical kernel, and the canonical RREF of im d_{k-1}; each built once.
@@ -281,13 +286,12 @@ class CochainComplex:
     Coset reduction modulo the image is fraction-free (``_reduced``): it
     returns integer coordinates and a positive multiplier, the reduced
     vector times that multiplier.  A ``Fraction`` is made only where an
-    exact value leaves the complex: ``reduce``, ``class_generator`` and
-    ``_top_coordinate``, the one reading of a class in a one-dimensional
-    H^k where no quotient gives it: ``_top_class_reader`` on a model with
-    no base or with unequal even degrees, and the pairing of
-    ``poincare_duality_check`` for a model that is not pure or not
-    elliptic.  That reading needs the reduced cocycle alone: no kernel and
-    no search for a representative, which only ``class_generator`` makes.
+    exact value leaves the complex: ``_top_coordinate``, the one reading
+    of a class in a one-dimensional H^k where no quotient gives it:
+    ``_top_class_reader`` on a model with no base or with unequal even
+    degrees, and the pairing of ``poincare_duality_check`` for a model
+    that is not pure or not elliptic.  That reading needs the reduced
+    cocycle alone: no kernel and no search for a representative.
 
     The complex keeps the model's table and generator images, not the
     model, which keeps the complex: no reference cycle.
@@ -366,13 +370,6 @@ class CochainComplex:
         index = self.index(k)
         return {index[mono]: c for mono, c in element.terms.items()}
 
-    def reduce(self, k: int, element: AlgebraElement) -> dict[int, int | Fraction]:
-        """Exact coordinates of a degree-k element reduced modulo im d_{k-1},
-        an int where whole."""
-        vec, den = _clear_denominators(self.coordinates(k, element))
-        vec, multiplier = self._reduced(k, vec)
-        return {j: _ratio(x, den * multiplier) for j, x in vec.items()}
-
     def _reduced(self, k: int, vec: dict[int, int]) -> tuple[dict[int, int], int]:
         """The integer vector vec reduced modulo im d_{k-1}, fraction-free:
         integer coordinates and a positive multiplier m, the reduced vector
@@ -396,24 +393,14 @@ class CochainComplex:
         return vec, scale
 
     def _top_coordinate(self, k: int, vec: dict[int, int]) -> int | Fraction:
-        """The class of the integer cocycle vec over basis(k) as a multiple
-        of class_generator(k), when dim H^k = 1.  Reduced cocycles are zero
-        at every image pivot, so they form one line, through the generator;
-        the generator is 1 at its first position, so every nonzero reduced
-        cocycle starts there too, and the multiple is its entry there.  No
-        kernel is needed.  vec is consumed."""
+        """The class of the integer cocycle vec over basis(k), when dim
+        H^k = 1, as a multiple of the class generator: the reduced cocycle
+        whose first nonzero coordinate is 1.  Reduced cocycles are zero at
+        every image pivot, so they form one line, through the generator;
+        every nonzero one starts at the generator's first position, and the
+        multiple is its entry there.  No kernel is needed.  vec is consumed."""
         reduced, multiplier = self._reduced(k, vec)
         return _ratio(reduced[min(reduced)], multiplier) if reduced else 0
-
-    def class_generator(self, k: int) -> dict[int, Fraction]:
-        """Reduced representative of a nonzero class in H^k, as {basis position:
-        coefficient}, with its first nonzero coordinate +1: the first kernel
-        vector that does not reduce to zero."""
-        for vec in self.kernel(k):
-            reduced, _ = self._reduced(k, dict(vec))
-            if reduced:
-                return _fractions(reduced, reduced[min(reduced)])
-        raise ArithmeticError(f"H^{k} is zero")
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,8 +469,7 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[tuple[int, .
     a, step, weights = base.a, base.step, base.weights
     if base.left is None:
         return tuple(_by_model_degree(a.hilbert_function(max_degree // step, weights), step, max_degree)), a
-    for k, size in enumerate(_free_dimensions(m.table, max_degree + 1)):
-        _check_enumerable(k, size)
+    _check_enumerable_through(m.table, max_degree + 1)
     top = (max_degree + 1) // step
     b = a if base.images[base.left].is_zero() else _pair_loop(base.images, base.ring, top)
     A, B = (_by_model_degree(q.hilbert_function(top, weights), step, max_degree + 1) for q in (a, b))
@@ -494,13 +480,15 @@ def _sub_quotient_betti(m: SullivanModel, max_degree: int) -> tuple[tuple[int, .
 def betti_numbers(m: SullivanModel, max_degree: int) -> tuple[int, ...]:
     """(b_0, ..., b_max): from `_sub_quotient_betti` when the model has a
     base, and otherwise by degreewise kernel/rank bookkeeping on the
-    cochain complex."""
+    cochain complex, whose degrees 0..max_degree + 1 are checked against
+    MAX_BASIS before any is built."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     route = _sub_quotient_betti(m, max_degree)
     if route is not None:
         return route[0]
     cochains = m.cochains()
+    _check_enumerable_through(m.table, max_degree + 1)
     return tuple(cochains.betti(k) for k in range(max_degree + 1))
 
 
@@ -590,11 +578,12 @@ def poincare_duality_check(m: SullivanModel) -> bool:
       = #x_p - rank{dy : |y| = 1}, which is #x_p exactly when every
       degree-one generator is closed.
 
-    The model is pure and elliptic when its base leaves no generator out,
-    which `betti_numbers` has decided already, or when `pure_is_elliptic`
-    says so.  Every other model reads the pairing on the cochain complex:
-    entry (p, z) is the class of x_p·z in H^n, for z the canonical cocycles
-    of degree n - 2.
+    The base that `betti_numbers` has decided already proves a model pure
+    and elliptic when its A is finite: when it leaves no generator out, or
+    when r = n + 1, for then B is a quotient of the finite A.  A pure model
+    with no such base asks `pure_is_elliptic`.  Every other model reads the
+    pairing on the cochain complex: entry (p, z) is the class of x_p·z in
+    H^n, for z the canonical cocycles of degree n - 2.
     """
     n = m.formal_dimension_claim()
     if n < 0:
@@ -607,7 +596,8 @@ def poincare_duality_check(m: SullivanModel) -> bool:
     if not xs or n < 4:
         return True
     base = _pure_base(m)
-    if (base is not None and base.left is None) or (m.is_pure() and pure_is_elliptic(m)):
+    finite_a = base is not None and (base.left is None or len(base.images) == len(base.weights) + 1)
+    if finite_a or (m.is_pure() and pure_is_elliptic(m)):
         return all(m.images[i].is_zero() for i, d in enumerate(table.degrees) if d == 1)
     cochains = m.cochains()
     basis = cochains.basis(n - 2)
@@ -642,17 +632,6 @@ def h4_pairing_discriminant(m: SullivanModel, generator_degree: int = 2) -> int:
 
 def even_subalgebra_ring(m: SullivanModel) -> PolyRing:
     return PolyRing(tuple(m.table.names[i] for i in m.table.even_indices()))
-
-
-def even_element_to_polynomial(m: SullivanModel, element: AlgebraElement, ring: PolyRing) -> Polynomial:
-    evens = m.table.even_indices()
-    odd = set(m.table.odd_indices())
-    terms = {}
-    for mono, c in element.terms.items():
-        if any(mono[j] for j in odd):
-            raise ValueError("element is not in the even subalgebra")
-        terms[tuple(mono[i] for i in evens)] = c
-    return ring.from_terms(terms)
 
 
 def _weighted_images(m: SullivanModel) -> tuple[PolyRing, list[Polynomial], int, list[int]]:

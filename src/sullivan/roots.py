@@ -36,24 +36,6 @@ def neg(p: UPoly) -> UPoly:
     return tuple(-c for c in p)
 
 
-def mul(p: UPoly, q: UPoly) -> UPoly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return upoly(out)
-
-
-def scale(p: UPoly, c) -> UPoly:
-    c = rational(c)
-    if c == 0:
-        return ()
-    return tuple(x * c for x in p)
-
-
 def evaluate(p: UPoly, x) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)

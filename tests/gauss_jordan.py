@@ -7,21 +7,29 @@ from fractions import Fraction
 
 def dense_rref(rows, cols):
     """The nonzero rows of the reduced row echelon form of the dense rows,
-    each of length cols, and their pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    each of length cols, and their pivot columns.  Column by column, the
+    first remaining row nonzero there is swapped up, divided by its entry
+    and subtracted from every other row; the rows are kept as their
+    nonzero entries in between."""
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
     pivots = []
     for c in range(cols):
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        lead = rows[r][c]
+        pivot = rows[r] = {j: x / lead for j, x in rows[r].items()}
         for k, row in enumerate(rows):
-            if k != r and (f := row[c]):
-                rows[k] = [x - f * y if y else x for x, y in zip(row, rows[r])]
+            if k != r and (f := row.get(c)):
+                for j, y in pivot.items():
+                    if x := row.get(j, 0) - f * y:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(c)
-    return rows[: len(pivots)], pivots
+    return [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows[: len(pivots)]], pivots
 
 
 def dense_rank(rows, cols):

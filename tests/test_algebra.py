@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sullivan import GeneratorTable, monomial_basis
 from sullivan.algebra import AlgebraElement, TableMismatchError, sorted_monomials
 from sullivan.groebner import PolyRing
-from sullivan.model import SullivanModel, _free_dimensions, even_element_to_polynomial, even_subalgebra_ring
+from sullivan.model import SullivanModel, _free_dimensions, _weighted_images
 
 VT = GeneratorTable([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 5)])
 DL = GeneratorTable(
@@ -76,12 +76,11 @@ def test_table_mismatch_raises():
 # polynomials in three variables, and elements over a table of even
 # generators, with small int and Fraction coefficients
 R3 = PolyRing(("x", "y", "z"))
-EVEN = SullivanModel(GeneratorTable([("a", 2), ("b", 4), ("c", 2)]), {})
-EVEN_RING = even_subalgebra_ring(EVEN)
+EVEN = GeneratorTable([("a", 2), ("b", 4), ("c", 2)])
 coefficients = st.integers(-4, 4) | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(R3.from_terms)
-even_elements = st.dictionaries(exponents, coefficients, max_size=4).map(EVEN.table.element)
+even_elements = st.dictionaries(exponents, coefficients, max_size=4).map(EVEN.element)
 # and over a table with odd generators, where products carry Koszul signs
 MIXED = GeneratorTable([("a", 2), ("u", 1), ("v", 3), ("w", 5)])
 mixed_exponents = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
@@ -98,7 +97,7 @@ def odd_part(x):
 @settings(deadline=None)
 @given(
     st.tuples(st.just(R3.one()), polynomials, polynomials, polynomials)
-    | st.tuples(st.just(EVEN.table.one()), even_elements, even_elements, even_elements)
+    | st.tuples(st.just(EVEN.one()), even_elements, even_elements, even_elements)
     | st.tuples(st.just(MIXED.one()), mixed_elements, mixed_elements, mixed_elements),
     st.integers(0, 4),
 )
@@ -120,14 +119,18 @@ def test_ring_axioms(values, e):
 
 @settings(deadline=None)
 @given(even_elements, even_elements, st.integers(0, 3))
-def test_even_element_to_polynomial_is_a_ring_map(a, b, e):
-    def image(x):
-        return even_element_to_polynomial(EVEN, x, EVEN_RING)
-
-    assert image(a + b) == image(a) + image(b)
-    assert image(a * b) == image(a) * image(b)
-    assert image(a**e) == image(a) ** e
-    assert image(EVEN.table.one()) == EVEN_RING.one()
+def test_weighted_images_are_a_ring_map(a, b, e):
+    """`_weighted_images` reads each odd generator's image in the ring of the
+    even generators with x_i sent to x_i^{w_i}, here b (degree 4) to b^2:
+    a map of rings."""
+    odd = [(f"y{j}", 1) for j in range(6)]
+    table = GeneratorTable(list(zip(EVEN.names, EVEN.degrees)) + odd)
+    pad = (0,) * len(odd)
+    images = (a + b, a, b, a * b, a**e, EVEN.one())
+    differential = {name: table.element({m + pad: c for m, c in x.terms.items()}) for (name, _), x in zip(odd, images)}
+    ring, (total, fa, fb, product, power, one), step, weights = _weighted_images(SullivanModel(table, differential))
+    assert (step, weights) == (2, [1, 2, 1])
+    assert total == fa + fb and product == fa * fb and power == fa**e and one == ring.one()
 
 
 def hilbert_series(table, limit):

@@ -310,6 +310,11 @@ def test_classify7_and_classify8(tmp_path, capsys):
     code, out, _ = run(capsys, "classify8", str(path8))
     assert code == 0 and out.strip() == "HP2#HP2[1]"
 
+    code, out, _ = run(capsys, "catalog", "build", "dim8-sigma", "3")
+    path8.write_text(out)
+    code, out, _ = run(capsys, "classify8", str(path8))
+    assert code == 0 and out.strip() == "sigma-family[3]"
+
     sphere = tmp_path / "s8.txt"
     code, out, _ = run(capsys, "catalog", "build", "sphere", "8")
     sphere.write_text(out)
@@ -371,6 +376,24 @@ def test_verify_paper_output_is_byte_identical(capsys, flags):
     code, out, _ = run(capsys, "verify-paper", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_PAPER_DIGESTS[flags]
+
+
+USAGE_ERRORS = {
+    "vars-with-no-name": (["groebner", "x", "--vars", ","], "--vars must list at least one variable"),
+    "no-variables": (["groebner", "1"], "no variables found; pass --vars explicitly"),
+    "missing-file": (["cohomology", "{missing}"], "cannot read {missing}: "),
+    "associated-binary": (["cubic", "associated", "x^3 + y^3"], "the associated subspace needs a ternary form"),
+    "sigma-binary": (["cubic", "sigma", "x^3 + y^3"], "the diagonal-family parameter needs a ternary form"),
+    "build-no-name": (["catalog", "build"], "catalog build needs a name"),
+}
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_2_with_one_line_on_stderr(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(missing=missing)) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_unknown_command_usage_error(capsys):

@@ -183,7 +183,14 @@ def test_extend_differential_of_rationals_keeps_whole_values_int(a):
     ids=["b3(2)", "b3(1/3)", "b2(1;1,0,0,1)", "b2(1/2;0,1,1,0)"],
 )
 def test_cup_forms_and_class_generators_are_exact(model):
-    assert _exact(model.cochains().class_generator(6).values(), whole_inputs=False)
+    # the cocycles of degree 6 reduced modulo the image, as the complex reads
+    # a class (the nonzero ones are multiples of H^6's generator): integer
+    # coordinates and a positive integer multiplier
+    cochains = model.cochains()
+    for cocycle in cochains.kernel(6):
+        reduced, multiplier = cochains._reduced(6, dict(cocycle))
+        assert type(multiplier) is int and multiplier > 0
+        assert _exact(reduced.values(), whole_inputs=True)
     form = cup_product_cubic_form(model)
     assert _exact(form.coeffs.values(), whole_inputs=True)
 

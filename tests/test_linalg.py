@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, kernels, span membership."""
+"""Exact linear algebra: rank, echelon forms, kernels."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan.linalg import RationalMatrix, _echelon, _kernel, _primitive, in_span
+from sullivan.linalg import RationalMatrix, _echelon, _kernel, _primitive
 
 
 def test_rank_examples():
@@ -60,32 +60,6 @@ def test_rank_permutation_invariant():
         assert RationalMatrix.from_rows(permuted).rank() == m.rank()
 
 
-def test_in_span_examples():
-    ok, coords = in_span((2, 2), [(1, 1)])
-    assert ok and coords == (Fraction(2),)
-    ok, coords = in_span((1, 0), [(1, 1)])
-    assert not ok and coords is None
-    ok, coords = in_span((0, 0, 0), [])
-    assert ok and coords == ()
-    ok, _ = in_span((1, 0, 0), [])
-    assert not ok
-
-
-def test_in_span_coordinates_reconstruct():
-    rng = random.Random(7)
-    for _ in range(20):
-        dim = rng.randint(2, 5)
-        basis = [
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(rng.randint(1, 3))
-        ]
-        weights = [Fraction(rng.randint(-3, 3)) for _ in basis]
-        v = tuple(sum(w * b[i] for w, b in zip(weights, basis)) for i in range(dim))
-        ok, coords = in_span(v, basis)
-        assert ok
-        rebuilt = tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(dim))
-        assert rebuilt == v
-
-
 def test_sparse_constructor_is_exact():
     m = RationalMatrix(1, 2, [{0: 1, 1: 2}])
     rref, pivots = m.rref()
@@ -107,11 +81,6 @@ def test_entries_that_are_not_rational_raise_type_error():
             RationalMatrix.from_rows([[bad, 1]])
         with pytest.raises(TypeError):
             RationalMatrix(1, 2, [{1: bad}])
-        with pytest.raises(TypeError):
-            in_span((bad,), [(1,)])
-        with pytest.raises(TypeError):
-            in_span((1,), [(bad,)])
-    assert in_span((Fraction(1, 2),), [(1,)]) == (True, (Fraction(1, 2),))
 
 
 @pytest.mark.parametrize(
@@ -249,23 +218,6 @@ def test_rref_depends_only_on_the_row_space(matrix, rng, scale, coeffs):
         assert RationalMatrix.from_rows(scaled, cols).rref() == expected
     appended = data + [_combination(coeffs, data, cols)]
     assert RationalMatrix.from_rows(appended, cols).rref() == expected
-
-
-@properties
-@given(matrices, st.lists(entries, max_size=6), st.lists(entries, max_size=6))
-def test_in_span_coordinates_rebuild_the_vector(matrix, coeffs, other):
-    data, cols = matrix
-    inside = _combination(coeffs, data, cols)
-    arbitrary = (other + [Fraction(0)] * cols)[:cols]
-    for v in (inside, arbitrary):
-        ok, coords = in_span(v, data)
-        assert ok or v is not inside
-        if ok:
-            assert _combination(coords, data, cols) == v
-        else:
-            assert coords is None
-            rank = RationalMatrix.from_rows(data, cols).rank()
-            assert RationalMatrix.from_rows(data + [v], cols).rank() == rank + 1
 
 
 # -- the fraction-free kernel on rows with unlike denominators ----------------

@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import le
 from unittest import mock
 
@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sullivan.model
-from gauss_jordan import dense_rank
+from gauss_jordan import dense_null_space, dense_rank, dense_rref
 from sullivan import (
     GeneratorTable,
     SullivanModel,
@@ -308,7 +308,6 @@ def test_pure_elliptic_matches_regular_sequence_when_balanced():
     # for pure models with as many odd as even generators, the finiteness
     # criterion coincides with the odd images forming a regular sequence
     from sullivan.groebner import is_regular_sequence
-    from sullivan.model import even_element_to_polynomial, even_subalgebra_ring
 
     balanced = [
         dim6_b3_model(0),
@@ -322,12 +321,8 @@ def test_pure_elliptic_matches_regular_sequence_when_balanced():
     for m in balanced:
         if not m.is_pure():
             continue
-        ring = even_subalgebra_ring(m)
-        images = [
-            even_element_to_polynomial(m, m.images[i], ring)
-            for i in m.table.odd_indices()
-            if not m.images[i].is_zero()
-        ]
+        ring, images, _, _ = sullivan.model._weighted_images(m)
+        images = [f for f in images if not f.is_zero()]
         if len(images) != len(ring.variables):
             continue
         assert pure_is_elliptic(m) == is_regular_sequence(images, ring)
@@ -358,6 +353,49 @@ def test_cochains_is_built_once_per_model():
     assert dim7_sigma_model(2).cochains() is not m.cochains()
 
 
+def dense_d(cochains, k):
+    """d_k as dense rows over basis(k), one per monomial of basis(k + 1)."""
+    rows = [[0] * len(cochains.basis(k)) for _ in cochains.basis(k + 1)]
+    for c, column in enumerate(cochains.d(k)):
+        for r, x in column.items():
+            rows[r][c] = x
+    return rows
+
+
+def dense_reduction(cochains, k):
+    """Reduction modulo im d_{k-1}, from `gauss_jordan` on d_{k-1} alone:
+    {basis position: value} over basis(k) to the dense vector v minus v[p]
+    times the RREF row with pivot p, for each pivot p (an RREF row is zero
+    at every other pivot).  A test oracle only."""
+    size = len(cochains.basis(k))
+    image, pivots = dense_rref([[column.get(j, 0) for j in range(size)] for column in cochains.d(k - 1)], size)
+    rows = {p: {j: x for j, x in enumerate(row) if x} for row, p in zip(image, pivots)}
+
+    def reduce(coordinates):
+        vector = [0] * size
+        for j, c in coordinates.items():
+            vector[j] += c
+        for p, c in coordinates.items():
+            for j, x in rows.get(p, {}).items():
+                vector[j] -= c * x
+        return vector
+
+    return reduce
+
+
+def dense_class_reading(cochains, k):
+    """(reduce, generator) for a one-dimensional H^k, from `gauss_jordan` on
+    d_{k-1} and d_k alone: reduce is `dense_reduction`, and generator the
+    first nonzero reduction of a null-space basis of d_k, scaled to 1 at
+    its first nonzero entry.  A test oracle only."""
+    reduce = dense_reduction(cochains, k)
+    size = len(cochains.basis(k))
+    cocycles = dense_null_space(dense_d(cochains, k), size)
+    reduced = next(v for v in (reduce(dict(enumerate(z))) for z in cocycles) if any(v))
+    lead = next(x for x in reduced if x)
+    return reduce, [x / lead for x in reduced]
+
+
 def test_top_class_reading_is_the_coordinate_along_the_class_generator():
     # d(x·y1) = x^3 and d(x·y2) = 2x^3: H^5 is spanned by the class of
     # x·(2y1 − y2), whose representative has two entries of different sizes
@@ -366,12 +404,12 @@ def test_top_class_reading_is_the_coordinate_along_the_class_generator():
     m = SullivanModel(table, {"y1": x * x, "y2": 2 * (x * x)})
     assert poincare_duality_check(m)
     cochains = m.cochains()
-    generator = cochains.class_generator(5)
-    assert sorted(map(abs, generator.values())) == [Fraction(1, 2), 1]
+    reduce, generator = dense_class_reading(cochains, 5)
+    assert sorted(abs(g) for g in generator if g) == [Fraction(1, 2), 1]
     for c in (1, -3, 4):
-        element = c * (x * (2 * y1 - y2))
-        t = cochains._top_coordinate(5, cochains.coordinates(5, element))
-        assert t != 0 and cochains.reduce(5, element) == {j: t * g for j, g in generator.items()}
+        coordinates = cochains.coordinates(5, c * (x * (2 * y1 - y2)))
+        t = cochains._top_coordinate(5, dict(coordinates))
+        assert t != 0 and reduce(coordinates) == [t * g for g in generator]
 
 
 @pytest.mark.parametrize(
@@ -380,39 +418,38 @@ def test_top_class_reading_is_the_coordinate_along_the_class_generator():
 def test_cup_products_are_multiples_of_the_top_class(m):
     form = cup_product_cubic_form(m)
     cochains = m.cochains()
-    generator = cochains.class_generator(6)
+    reduce, generator = dense_class_reading(cochains, 6)
     xs = [m.table.generator(i) for i, d in enumerate(m.table.degrees) if d == 2]
     for a, b, c in combinations_with_replacement(range(len(xs)), 3):
         f = form[(a, b, c)]
-        assert cochains.reduce(6, xs[a] * xs[b] * xs[c]) == {j: f * g for j, g in generator.items() if f}
+        assert reduce(cochains.coordinates(6, xs[a] * xs[b] * xs[c])) == [f * g for g in generator]
 
 
 def test_top_class_readings_need_no_kernel_and_no_search(monkeypatch):
-    # a class in a one-dimensional H^k is read off its reduced cocycle alone
-    kernels, searches = [], []
+    # a class in a one-dimensional H^k is read off its reduced cocycle
+    # alone: one reduction per product read, and no kernel
+    kernels, reductions = [], []
     cochain_complex = sullivan.model.CochainComplex
-    kernel, class_generator = cochain_complex.kernel, cochain_complex.class_generator
+    kernel, reduced = cochain_complex.kernel, cochain_complex._reduced
 
     def counting_kernel(self, k):
         kernels.append(k)
         return kernel(self, k)
 
-    def counting_class_generator(self, k):
-        searches.append(k)
-        return class_generator(self, k)
+    def counting_reduced(self, k, vec):
+        reductions.append(k)
+        return reduced(self, k, vec)
 
     monkeypatch.setattr(cochain_complex, "kernel", counting_kernel)
-    monkeypatch.setattr(cochain_complex, "class_generator", counting_class_generator)
+    monkeypatch.setattr(cochain_complex, "_reduced", counting_reduced)
     # S^2 × S^2 × S^6: b2 = 2 with b4 = b6 = 1, formal dimension 10
     m = product_model(product_model(sphere_model(2), sphere_model(2)), sphere_model(6))
     assert cup_product_cubic_form(m).is_zero()
     assert pairing_determinant(m) == -1
     assert poincare_duality_check(m)
-    assert kernels == [] and searches == []
-    cochains = m.cochains()
-    for k in (4, 6, 10):
-        assert list(cochains.class_generator(k).values()) == [1]
-    assert kernels == [4, 6, 10]
+    assert kernels == [] and reductions == [6] * 4 + [4] * 4
+    m.cochains().kernel(10)
+    assert kernels == [10]
 
 
 @st.composite
@@ -437,11 +474,9 @@ def one_dimensional_classes(draw):
 def test_top_coordinate_is_the_coordinate_along_the_class_generator(case):
     m, k, cocycle = case
     cochains = m.cochains()
-    basis = cochains.basis(k)
-    reduced = cochains.reduce(k, m.table.element({basis[j]: x for j, x in cocycle.items()}))
-    generator = cochains.class_generator(k)
+    reduce, generator = dense_class_reading(cochains, k)
     t = cochains._top_coordinate(k, dict(cocycle))
-    assert reduced == {j: t * g for j, g in generator.items() if t}
+    assert reduce(cocycle) == [t * g for g in generator]
 
 
 def test_differential_matrix_built_at_most_once_per_degree(monkeypatch):
@@ -503,6 +538,18 @@ def _random_element(rng, table, basis):
     return table.element({mono: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for mono in monos})
 
 
+def reduce_exactly(cochains, k, element):
+    """A degree-k element reduced modulo im d_{k-1} by `_reduced`, as
+    {basis position: Fraction}: its coordinates over a common denominator,
+    reduced to integers and a positive integer multiplier, then divided by
+    both."""
+    coordinates = cochains.coordinates(k, element)
+    den = lcm(*(Fraction(c).denominator for c in coordinates.values()))
+    vec, multiplier = cochains._reduced(k, {j: int(c * den) for j, c in coordinates.items()})
+    assert type(multiplier) is int and multiplier > 0 and all(type(x) is int for x in vec.values())
+    return {j: Fraction(x, den * multiplier) for j, x in vec.items()}
+
+
 @pytest.mark.parametrize("name,factory", ELLIPTIC_MODELS)
 def test_reduce_is_constant_on_cosets_of_the_image(name, factory):
     m = factory()
@@ -514,9 +561,9 @@ def test_reduce_is_constant_on_cosets_of_the_image(name, factory):
         for _ in range(3):
             z = _random_element(rng, m.table, basis)
             dw = extend_differential(m, _random_element(rng, m.table, cochains.basis(k - 1)))
-            reduced = cochains.reduce(k, z)
-            assert cochains.reduce(k, z + dw) == reduced
-            assert cochains.reduce(k, dw) == {}
+            reduced = reduce_exactly(cochains, k, z)
+            assert reduce_exactly(cochains, k, z + dw) == reduced
+            assert reduce_exactly(cochains, k, dw) == {}
             assert all(reduced.values()) and not reduced.keys() & image.keys()
             # and z - reduce(z) lies in the image
             difference = cochains.coordinates(k, z)
@@ -548,6 +595,16 @@ def _fraction_rref(vectors, length):
     return reduced
 
 
+def _fraction_reduction(cochains, k, element):
+    """The coordinates of a degree-k element reduced by the `_fraction_rref`
+    rows of im d_{k-1}, as {basis position: nonzero Fraction}."""
+    basis = cochains.basis(k)
+    vec = [Fraction(element.terms.get(mono, 0)) for mono in basis]
+    for p, row in _fraction_rref(cochains.d(k - 1), len(basis)).items():
+        vec = [a - vec[p] * b for a, b in zip(vec, row)]
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 COSET_MODELS = [
     dim6_b3_model(Fraction(1, 3)),
     dim7_sigma_model(Fraction(-2, 5)),
@@ -565,12 +622,21 @@ def test_reduce_matches_a_fraction_coset_reduction(m, data):
     coefficient = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
     terms = data.draw(st.dictionaries(st.sampled_from(basis), coefficient, max_size=6)) if basis else {}
     element = m.table.element(terms)
-    vec = [Fraction(element.terms.get(mono, 0)) for mono in basis]
-    for p, row in _fraction_rref(cochains.d(k - 1), len(basis)).items():
-        vec = [a - vec[p] * b for a, b in zip(vec, row)]
-    reduced = cochains.reduce(k, element)
-    assert reduced == {j: x for j, x in enumerate(vec) if x}
-    assert all(type(x) is int for x in reduced.values() if x.denominator == 1)
+    assert reduce_exactly(cochains, k, element) == _fraction_reduction(cochains, k, element)
+
+
+def test_reduce_matches_a_fraction_coset_reduction_on_every_monomial():
+    """Each basis monomial meets the pivots of the image one at a time, also
+    those whose integer RREF row is not 1 there, where `_reduced` scales."""
+    scaled = 0
+    for m in COSET_MODELS:
+        cochains = m.cochains()
+        for k in range(1, m.formal_dimension_claim() + 1):
+            scaled += sum(row[p] > 1 for p, row in cochains.image(k).items())
+            for mono in cochains.basis(k):
+                element = m.table.element({mono: 1})
+                assert reduce_exactly(cochains, k, element) == _fraction_reduction(cochains, k, element)
+    assert scaled
 
 
 @pytest.mark.parametrize(
@@ -584,12 +650,11 @@ def test_cached_columns_are_unchanged_by_kernels_images_and_reductions(m):
     snapshot = copy.deepcopy(columns)
     rng = random.Random(n)
     for k in range(n + 1):
-        cochains.kernel(k)
         cochains.image(k)
-        if cochains.betti(k):
-            cochains.class_generator(k)
+        for cocycle in cochains.kernel(k):
+            cochains._reduced(k, dict(cocycle))
         for _ in range(3):
-            cochains.reduce(k, _random_element(rng, m.table, cochains.basis(k)))
+            reduce_exactly(cochains, k, _random_element(rng, m.table, cochains.basis(k)))
     assert poincare_duality_check(m)
     assert all(cochains.d(k) is columns[k] for k in columns)
     assert columns == snapshot
@@ -826,19 +891,25 @@ def test_quotient_betti_up_to_each_degree_is_a_prefix(m):
 
 def complex_pairing_rank(m, n):
     """Rank of the pairing of the degree-two generators against the cocycles
-    of degree n - 2 into the one-dimensional H^n, on the cochain complex:
-    each product reduced modulo the image and read at the first position of
-    H^n's class generator, where that is 1.  A test oracle only."""
+    of degree n - 2 into the one-dimensional H^n, on the matrices of the
+    cochain complex by `gauss_jordan` alone: the cocycles are a null-space
+    basis of d_{n-2}, and each product is reduced modulo the image
+    (`dense_reduction`).  The reduced cocycles of degree n form one line,
+    so each is read at the first position where any of them is nonzero.
+    A test oracle only."""
     cochains = m.cochains()
     basis = cochains.basis(n - 2)
-    lead = min(cochains.class_generator(n))
-    cocycles = [m.table.element({basis[j]: c for j, c in z.items()}) for z in cochains.kernel(n - 2)]
-    rows = [
-        [cochains.reduce(n, m.table.generator(i) * z).get(lead, 0) for z in cocycles]
-        for i, d in enumerate(m.table.degrees)
-        if d == 2
+    reduce = dense_reduction(cochains, n)
+    cocycles = [
+        m.table.element({basis[j]: c for j, c in enumerate(z) if c})
+        for z in dense_null_space(dense_d(cochains, n - 2), len(basis))
     ]
-    return dense_rank(rows, len(cocycles))
+    xs = [m.table.generator(i) for i, d in enumerate(m.table.degrees) if d == 2]
+    products = [[reduce(cochains.coordinates(n, x * z)) for z in cocycles] for x in xs]
+    lead = min((next(j for j, c in enumerate(v) if c) for row in products for v in row if any(v)), default=None)
+    if lead is None:
+        return 0
+    return dense_rank([[v[lead] for v in row] for row in products], len(cocycles))
 
 
 def complex_duality_verdict(m):
@@ -1081,6 +1152,16 @@ def test_top_class_readings_build_no_complex_and_no_reduced_basis(monkeypatch, c
     assert built == []
 
 
+def test_duality_reads_ellipticity_off_a_base_that_leaves_a_generator_out(monkeypatch):
+    """With r = n + 1 the base's A is finite and B is a quotient of it, so
+    the model is elliptic: `poincare_duality_check` runs `_finite_basis`
+    for the kept images only, not once more for all of them."""
+    calls = count_calls(monkeypatch, _finite_basis)
+    m = dim7_sigma_model(2)
+    assert poincare_duality_check(m)
+    assert sullivan.model._pure_base(m).left is not None and len(calls) == 1
+
+
 def test_duality_checks_the_model_first():
     # a pure model of the route's shape with an image of the wrong degree
     table = GeneratorTable([("x", 2), ("y", 3)])
@@ -1109,6 +1190,21 @@ def test_free_algebra_past_the_basis_cap():
     x = [table.generator(i) for i in range(20)]
     elliptic = SullivanModel(table, {f"y{i}": x[i] * x[i] for i in range(20)})
     assert betti_numbers(elliptic, 16) == tuple(0 if k % 2 else comb(20, k // 2) for k in range(17))
+
+
+def test_the_complex_refuses_a_degree_past_the_cap_before_building_any(monkeypatch):
+    """`betti_numbers` on the cochain complex checks every degree it would
+    enumerate up front: the refusal of the lazy path, with its message,
+    and no monomial basis built."""
+    # 450 closed degree-2 generators: degree 4 has C(451, 2) = 101,475 monomials
+    table = GeneratorTable([(f"x{i}", 2) for i in range(450)])
+    lazy = outcome(complex_betti, SullivanModel(table, {}), 3)
+    assert lazy == (
+        "degree 4 of the free algebra has 101475 monomials, more than the 100000 the cochain complex enumerates"
+    )
+    bases = count_calls(monkeypatch, monomial_basis)
+    assert outcome(betti_numbers, SullivanModel(table, {}), 3) == lazy
+    assert bases == []
 
 
 def closed_pure_model(n_even, odd_degrees, images):

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sullivan.groebner import PolyRing
 from sullivan.linalg import integerized
 from sullivan.roots import (
     _sign_at,
@@ -14,12 +16,10 @@ from sullivan.roots import (
     divmod_poly,
     evaluate,
     isolate_real_roots,
-    mul,
     neg,
     poly_gcd,
     rational_root_in_interval,
     refine_interval,
-    scale,
     sign_variations,
     squarefree_part,
     sturm_chain,
@@ -27,11 +27,22 @@ from sullivan.roots import (
 )
 
 
+# products are taken in Q[t] and read back as coefficient tuples, as
+# `hesse_sigma_candidates` reads its invariant equation
+T = PolyRing(("t",))
+
+
+def in_t(p):
+    return T.from_terms({(k,): c for k, c in enumerate(p)})
+
+
+def coefficients(q):
+    return upoly([q.coefficient((k,)) for k in range(q.degree() + 1)])
+
+
 def poly_from_roots(roots, lead=1):
-    p = upoly([lead])
-    for r in roots:
-        p = mul(p, upoly([-Fraction(r), 1]))
-    return p
+    t = T.variable(0)
+    return coefficients(prod((t - T.scalar(r) for r in roots), start=T.scalar(lead)))
 
 
 def test_isolation_counts_distinct_roots():
@@ -46,7 +57,7 @@ def test_isolation_counts_distinct_roots():
 
 
 def test_isolation_handles_multiplicities():
-    p = mul(poly_from_roots([1, 1, 2]), upoly([1]))
+    p = poly_from_roots([1, 1, 2])
     intervals = isolate_real_roots(p)
     assert len(intervals) == 2
 
@@ -79,7 +90,7 @@ def test_refinement_takes_integer_endpoints():
 
 
 def test_squarefree_part():
-    p = mul(poly_from_roots([1, 1]), poly_from_roots([3]))
+    p = poly_from_roots([1, 1, 3])
     sf = squarefree_part(p)
     assert evaluate(sf, 1) == 0 and evaluate(sf, 3) == 0
     assert len(sf) == 4 - 1  # degree dropped by one
@@ -125,7 +136,7 @@ def test_sturm_chain_members_are_positive_multiples(p, x):
 
 @given(polynomials, polynomials, polynomials)
 def test_gcd_divides_both_and_keeps_a_common_factor(p, q, r):
-    a, b = mul(p, r), mul(q, r)
+    a, b = coefficients(in_t(p) * in_t(r)), coefficients(in_t(q) * in_t(r))
     g = poly_gcd(a, b)
     assert all(type(c) is int for c in g)
     if a or b:
@@ -142,7 +153,7 @@ def test_gcd_divides_both_and_keeps_a_common_factor(p, q, r):
 )
 def test_isolation_of_rational_roots_beside_an_irreducible_quadratic(roots, c, lead):
     # prod (x - r_i) * (x^2 + c), c > 0, has exactly the real roots r_i
-    p = scale(mul(poly_from_roots(roots), upoly([c, 0, 1])), lead)
+    p = coefficients((in_t(poly_from_roots(roots)) * in_t([c, 0, 1])).scale(lead))
     intervals = isolate_real_roots(p)
     assert len(intervals) == len(roots)
     for (lo, hi), r in zip(intervals, sorted(roots)):
